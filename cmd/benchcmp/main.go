@@ -40,13 +40,7 @@ import (
 // suffix stripped) to ns/op.
 type Baseline struct {
 	// Note records the pinned configuration the numbers were taken on.
-	Note string `json:"note"`
-	// TileShape records the tile-budget provenance line the metric test
-	// binary prints under RBC_REPORT_TILESHAPE=1 ("autotile: budget=...
-	// source=env ..."), so the artifact shows which tile shapes produced
-	// the numbers — and a baseline taken with a measured (machine-local)
-	// budget is distinguishable from one taken on the CI env pin.
-	TileShape  string             `json:"tile_shape,omitempty"`
+	Note       string             `json:"note"`
 	Benchmarks map[string]float64 `json:"benchmarks"`
 }
 
@@ -55,17 +49,11 @@ type Baseline struct {
 var benchLine = regexp.MustCompile(`^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
 // parseBench reads go test -bench output, keeping the minimum ns/op per
-// benchmark across repeated (-count) runs. The second return value is the
-// autotile provenance line, if the run printed one.
-func parseBench(data []byte) (map[string]float64, string) {
+// benchmark across repeated (-count) runs.
+func parseBench(data []byte) map[string]float64 {
 	out := map[string]float64{}
-	tileShape := ""
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "autotile:") && tileShape == "" {
-			tileShape = line
-			continue
-		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -78,7 +66,7 @@ func parseBench(data []byte) (map[string]float64, string) {
 			out[m[1]] = ns
 		}
 	}
-	return out, tileShape
+	return out
 }
 
 // ratioAssert is one -assert-ratio triple: ns/op(num)/ns/op(den) >= min.
@@ -118,20 +106,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fresh, tileShape := parseBench(data)
+	fresh := parseBench(data)
 	if len(fresh) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found in %s", *newPath))
 	}
-	if tileShape != "" {
-		fmt.Println("benchcmp:", tileShape)
-	}
 	if *outPath != "" {
-		if err := writeJSON(*outPath, Baseline{Note: *note, TileShape: tileShape, Benchmarks: fresh}); err != nil {
+		if err := writeJSON(*outPath, Baseline{Note: *note, Benchmarks: fresh}); err != nil {
 			fatal(err)
 		}
 	}
 	if *update {
-		if err := writeJSON(*basePath, Baseline{Note: *note, TileShape: tileShape, Benchmarks: fresh}); err != nil {
+		if err := writeJSON(*basePath, Baseline{Note: *note, Benchmarks: fresh}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("benchcmp: baseline %s updated with %d benchmarks\n", *basePath, len(fresh))

@@ -6,7 +6,6 @@ import (
 )
 
 const sample = `goos: linux
-autotile: budget=16384 source=env dim64=32x256 dim256=32x64
 BenchmarkRowKernelExact/dim=64-8         	    2000	     67448 ns/op	3886.60 MB/s
 BenchmarkRowKernelExact/dim=64-8         	    2000	     67252 ns/op	3897.91 MB/s
 BenchmarkRowKernelChunked/dim=64-8       	    2000	     40714 ns/op	6438.73 MB/s
@@ -16,12 +15,9 @@ ok  	repro/internal/metric	8.523s
 `
 
 func TestParseBenchKeepsMinimum(t *testing.T) {
-	got, tileShape := parseBench([]byte(sample))
+	got := parseBench([]byte(sample))
 	if len(got) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
-	}
-	if tileShape != "autotile: budget=16384 source=env dim64=32x256 dim256=32x64" {
-		t.Fatalf("tileShape = %q", tileShape)
 	}
 	if got["BenchmarkRowKernelExact/dim=64"] != 67252 {
 		t.Fatalf("exact min = %v, want 67252 (minimum across -count runs)", got["BenchmarkRowKernelExact/dim=64"])

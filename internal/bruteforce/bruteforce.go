@@ -231,7 +231,7 @@ func searchTiled(queries, db *vec.Dataset, ker *metric.Kernel, c *Counter) []Res
 		return out
 	}
 	pnorms := normsParallel(ker, db)
-	tq, tp := metric.AutoTileShape(dim)
+	tq, tp := metric.TileShape(dim)
 	par.For(nq, 1, func(lo, hi int) {
 		sc := par.GetScratch()
 		defer par.PutScratch(sc)
@@ -335,7 +335,7 @@ func searchKTiled(queries, db *vec.Dataset, k int, ker *metric.Kernel, c *Counte
 		return out
 	}
 	pnorms := normsParallel(ker, db)
-	tq, tp := metric.AutoTileShape(dim)
+	tq, tp := metric.TileShape(dim)
 	par.For(nq, 1, func(lo, hi int) {
 		sc := par.GetScratch()
 		defer par.PutScratch(sc)

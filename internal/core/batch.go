@@ -19,7 +19,7 @@ func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []fl
 	nq := queries.N()
 	nr := reps.N()
 	dim := queries.Dim
-	tq, tp := metric.AutoTileShape(dim)
+	tq, tp := metric.TileShape(dim)
 	var agg Stats
 	var mu sync.Mutex
 	par.For(nq, 1, func(lo, hi int) {

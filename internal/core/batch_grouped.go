@@ -57,7 +57,7 @@ func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *pa
 	nq := queries.N()
 	nr := e.NumReps()
 	dim := e.db.Dim
-	tq, tp := metric.AutoTileShape(dim)
+	tq, tp := metric.TileShape(dim)
 	var agg Stats
 	var mu sync.Mutex
 	par.For(nq, 1, func(lo, hi int) {
@@ -240,7 +240,7 @@ func (o *OneShot) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *
 	if probes > nr {
 		probes = nr
 	}
-	tq, tp := metric.AutoTileShape(dim)
+	tq, tp := metric.TileShape(dim)
 	var agg Stats
 	var mu sync.Mutex
 	par.For(nq, 1, func(lo, hi int) {

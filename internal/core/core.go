@@ -40,7 +40,13 @@ type Stats struct {
 	// representatives).
 	RepEvals int64
 	// PointEvals counts phase-2 distance evaluations (query to ownership
-	// list members).
+	// list members): every position of a kept list's admissible window —
+	// the whole list without EarlyExit — representatives included (they
+	// are skipped as candidates, not as work), whatever mix of tiles and
+	// rows evaluated them. Every search path, GenericExact included,
+	// counts by this rule, so the field is comparable across paths. (The
+	// one exception is a mutated index's insertion buffers, scanned point
+	// by point: a tombstoned buffer member is never evaluated or counted.)
 	PointEvals int64
 	// RepsKept counts representatives surviving all pruning rules.
 	RepsKept int64

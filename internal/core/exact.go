@@ -323,6 +323,15 @@ func (e *Exact) ListSizes() []int {
 	return out
 }
 
+// List returns ownership list j in the index's own layout: member ids,
+// their ascending distances to representative j, and the gathered member
+// rows (do not modify). Insertion buffers are not included; on a pristine
+// index the lists partition the database.
+func (e *Exact) List(j int) (ids []int32, dists []float64, rows []float32) {
+	lo, hi := e.offsets[j], e.offsets[j+1]
+	return e.ids[lo:hi], e.dists[lo:hi], e.gather[lo*e.db.Dim : hi*e.db.Dim]
+}
+
 // Params returns the parameters the index was built with (NumReps reflects
 // the requested value; see NumReps() for the realized count).
 func (e *Exact) Params() ExactParams { return e.prm }

@@ -116,12 +116,12 @@ func (g *GenericExact[P]) One(q P) (Result, Stats) {
 			lo, hi = AdmissibleWindow(dists, d-psiGamma, d+psiGamma)
 		}
 		for i := lo; i < hi; i++ {
+			st.PointEvals++
 			id := int(list[i])
 			if g.isRep[id] {
 				continue
 			}
 			dd := g.m.Distance(q, g.db[id])
-			st.PointEvals++
 			if dd < best.Dist || (dd == best.Dist && id < best.ID) {
 				best = Result{ID: id, Dist: dd}
 			}

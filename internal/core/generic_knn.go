@@ -55,12 +55,12 @@ func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 			hi = sort.SearchFloat64s(dists, math.Nextafter(d+psiGamma, math.Inf(1)))
 		}
 		for i := lo; i < hi; i++ {
+			st.PointEvals++
 			id := int(list[i])
 			if g.isRep[id] {
 				continue
 			}
 			h.Push(id, g.m.Distance(q, g.db[id]))
-			st.PointEvals++
 		}
 	}
 	return h.Results(), st

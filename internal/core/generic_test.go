@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bruteforce"
 	"repro/internal/metric"
+	"repro/internal/vec"
 )
 
 func randomStrings(rng *rand.Rand, n, maxLen int) []string {
@@ -167,6 +169,61 @@ func TestQuickGenericExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGenericExactLayoutMatchesExact: the generic index is the executable
+// spec of the vector one (internal/search's FuzzGenericOracle compares
+// answers and Stats); built over the same rows, seed and params the two
+// must hold the same cover — representative ids, radii, and every
+// ownership list in the same (dist, id) order. Rows sit on a half-integer
+// lattice with duplicates so owner ties are common and every float64 sum
+// is exact (Euclidean.Distance and the kernel then agree bit for bit).
+func TestGenericExactLayoutMatchesExact(t *testing.T) {
+	for _, c := range []struct {
+		seed   int64
+		n, dim int
+	}{{1, 1, 3}, {2, 37, 1}, {3, 1000, 3}, {4, 1000, 17}} {
+		rng := rand.New(rand.NewSource(c.seed))
+		db := vec.New(c.dim, c.n)
+		row := make([]float32, c.dim)
+		for i := 0; i < c.n; i++ {
+			if i > 0 && rng.Intn(5) == 0 {
+				db.Append(db.Row(rng.Intn(i)))
+				continue
+			}
+			for j := range row {
+				row[j] = float32(rng.Intn(17)-8) * 0.5
+			}
+			db.Append(row)
+		}
+		prm := ExactParams{Seed: c.seed}
+		e, err := BuildExact(db, metric.Euclidean{}, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := BuildGenericExact(db.Rows(), metric.Metric[[]float32](metric.Euclidean{}), prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(e.repIDs, g.repIDs) {
+			t.Fatalf("seed %d: rep ids %v, generic %v", c.seed, e.repIDs, g.repIDs)
+		}
+		if !reflect.DeepEqual(e.radii, g.radii) {
+			t.Fatalf("seed %d: radii %v, generic %v", c.seed, e.radii, g.radii)
+		}
+		for j := range e.repIDs {
+			lo, hi := e.offsets[j], e.offsets[j+1]
+			if hi-lo != len(g.lists[j]) {
+				t.Fatalf("seed %d list %d: %d members, generic %d", c.seed, j, hi-lo, len(g.lists[j]))
+			}
+			for p := lo; p < hi; p++ {
+				if e.ids[p] != g.lists[j][p-lo] || e.dists[p] != g.dists[j][p-lo] {
+					t.Fatalf("seed %d list %d pos %d: (%d, %v), generic (%d, %v)", c.seed, j, p-lo,
+						e.ids[p], e.dists[p], g.lists[j][p-lo], g.dists[j][p-lo])
+				}
+			}
+		}
 	}
 }
 

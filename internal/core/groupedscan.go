@@ -40,7 +40,7 @@ func GroupedScan(ker *metric.Kernel, qflat []float32, dim int, gather []float32,
 	if takers == 0 {
 		return 0
 	}
-	_, tp := metric.AutoTileShape(dim)
+	_, tp := metric.TileShape(dim)
 	unionLo, unionHi := tWin[0], tWin[1]
 	for t := 1; t < takers; t++ {
 		if tWin[2*t] < unionLo {

@@ -140,7 +140,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/distributed/wire"
 	"repro/internal/metric"
@@ -482,9 +481,9 @@ func Build(db *vec.Dataset, m metric.Metric[[]float32], prm core.ExactParams, sh
 		repShard: make([]int32, nr),
 		repSeg:   make([]int32, nr),
 	}
-	isRepID := make(map[int32]bool, nr)
+	isRep := make([]bool, db.N())
 	for _, id := range c.repIDs {
-		isRepID[int32(id)] = true
+		isRep[id] = true
 	}
 	// Longest-processing-time assignment: sort reps by list size
 	// descending, place each on the currently lightest shard.
@@ -506,37 +505,32 @@ func Build(db *vec.Dataset, m metric.Metric[[]float32], prm core.ExactParams, sh
 		load[best] += sizes[rep]
 		perShard[best] = append(perShard[best], rep)
 	}
-	// Materialize shards from the index's own point-to-representative
-	// assignment, so shard segments hold exactly the lists the radii were
-	// computed over. Each segment is sorted by ascending
-	// (distance-to-representative, id) — the same order core.Exact keeps
-	// its lists in — which is what makes the admissible windows a binary
-	// search shard-side. Sorting is unconditional (full scans are
-	// insertion-order independent through the bounded heaps), so windowed
-	// and full-scan clusters hold byte-identical segment layouts.
-	members, memberDists := assignment(db, c.repData, m)
+	// Materialize shards from the index's own list-ordered columns, so
+	// shard segments hold exactly the lists the radii were computed over,
+	// in the ascending (distance-to-representative, id) order core.Exact
+	// keeps them in — which is what makes the admissible windows a binary
+	// search shard-side. The distance column is only read back by the
+	// windowed clip, so a full-scan cluster does not carry it.
 	for sid := 0; sid < shards; sid++ {
 		sh := &shard{id: sid, dim: db.Dim, ker: c.ker, reqs: make(chan shardRequest, 16)}
 		sh.offsets = append(sh.offsets, 0)
+		sh.ids = make([]int32, 0, load[sid])
+		sh.isRep = make([]bool, 0, load[sid])
+		sh.gather = make([]float32, 0, load[sid]*db.Dim)
 		for seg, rep := range perShard[sid] {
 			c.repShard[rep] = int32(sid)
 			c.repSeg[rep] = int32(seg)
 			sh.repIDs = append(sh.repIDs, int32(c.repIDs[rep]))
-			segLo := len(sh.ids)
-			sh.ids = append(sh.ids, members[rep]...)
-			sh.segDists = append(sh.segDists, memberDists[rep]...)
-			core.SortSegment(sh.ids[segLo:], sh.segDists[segLo:])
-			for _, id := range sh.ids[segLo:] {
-				sh.isRep = append(sh.isRep, isRepID[id])
-				sh.gather = append(sh.gather, db.Row(int(id))...)
+			ids, dists, rows := idx.List(rep)
+			sh.ids = append(sh.ids, ids...)
+			sh.gather = append(sh.gather, rows...)
+			if c.windowed {
+				sh.segDists = append(sh.segDists, dists...)
+			}
+			for _, id := range ids {
+				sh.isRep = append(sh.isRep, isRep[id])
 			}
 			sh.offsets = append(sh.offsets, len(sh.ids))
-		}
-		if !c.windowed {
-			// The sort keys are only read back by the windowed clip; a
-			// full-scan cluster ships no windows, so drop them rather
-			// than carry 8 dead bytes per point for the cluster's life.
-			sh.segDists = nil
 		}
 		c.shards = append(c.shards, sh)
 		c.loads = append(c.loads, len(sh.ids))
@@ -546,22 +540,6 @@ func Build(db *vec.Dataset, m metric.Metric[[]float32], prm core.ExactParams, sh
 	}
 	c.tr = &loopback{shards: c.shards}
 	return c, nil
-}
-
-// assignment recomputes each database point's owning representative with
-// the same tiled BF(X,R) call BuildExact uses, so membership (including
-// razor-tie assignments) is bit-identical to the index's own lists and
-// the coordinator's radii bound every shard segment correctly. The
-// returned distances are the same BF(X,R) values (true-distance form),
-// reused as the segments' sort keys and window search column.
-func assignment(db, repData *vec.Dataset, m metric.Metric[[]float32]) ([][]int32, [][]float64) {
-	members := make([][]int32, repData.N())
-	dists := make([][]float64, repData.N())
-	for i, r := range bruteforce.Search(db, repData, m, nil) {
-		members[r.ID] = append(members[r.ID], int32(i))
-		dists[r.ID] = append(dists[r.ID], r.Dist)
-	}
-	return members, dists
 }
 
 // NumShards reports the cluster size.

@@ -3,6 +3,7 @@ package distributed
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +47,65 @@ func TestBuildValidation(t *testing.T) {
 	// the bit-identity contract with the single-node index.
 	if _, err := Build(db, metric.Euclidean{}, core.ExactParams{ApproxEps: 0.5}, 2, DefaultCostModel()); err == nil {
 		t.Fatal("ApproxEps > 0 should error")
+	}
+}
+
+// TestBuildSegmentsAreIndexLists: Build runs BF(X,R) once, inside
+// core.BuildExact, and every shard segment is that index's own list —
+// same member order, same distance-to-representative column, same
+// gathered rows, rep flags by id. Tie-rich rows (half-integer lattice
+// with duplicates) make owner and sort ties common.
+func TestBuildSegmentsAreIndexLists(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const n, dim = 700, 3
+		db := vec.New(dim, n)
+		row := make([]float32, dim)
+		for i := 0; i < n; i++ {
+			if i > 0 && rng.Intn(5) == 0 {
+				db.Append(db.Row(rng.Intn(i)))
+				continue
+			}
+			for j := range row {
+				row[j] = float32(rng.Intn(17)-8) * 0.5
+			}
+			db.Append(row)
+		}
+		for _, early := range []bool{false, true} {
+			prm := core.ExactParams{Seed: seed, EarlyExit: early}
+			idx, err := core.BuildExact(db, metric.Euclidean{}, prm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := Build(db, metric.Euclidean{}, prm, 1+int(seed%3), DefaultCostModel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			isRep := make(map[int32]bool)
+			for _, id := range idx.RepIDs() {
+				isRep[int32(id)] = true
+			}
+			for rep := range idx.RepIDs() {
+				sh := c.shards[c.repShard[rep]]
+				lo, hi := sh.offsets[c.repSeg[rep]], sh.offsets[c.repSeg[rep]+1]
+				ids, dists, rows := idx.List(rep)
+				if !reflect.DeepEqual(sh.ids[lo:hi], ids) || !reflect.DeepEqual(sh.gather[lo*dim:hi*dim], rows) {
+					t.Fatalf("seed %d early=%v rep %d: segment differs from the index's list", seed, early, rep)
+				}
+				if early && !reflect.DeepEqual(sh.segDists[lo:hi], dists) {
+					t.Fatalf("seed %d rep %d: segment distance column differs from the index's", seed, rep)
+				}
+				if !early && sh.segDists != nil {
+					t.Fatalf("seed %d: full-scan shard carries a distance column", seed)
+				}
+				for p := lo; p < hi; p++ {
+					if sh.isRep[p] != isRep[sh.ids[p]] {
+						t.Fatalf("seed %d rep %d pos %d: rep flag %v for id %d", seed, rep, p, sh.isRep[p], sh.ids[p])
+					}
+				}
+			}
+			c.Close()
+		}
 	}
 }
 

@@ -42,7 +42,7 @@
 //
 // # Tile shape autotuning
 //
-// The tiled consumer loops size their tiles via AutoTileShape, which
+// The tiled consumer loops size their tiles via TileShape, which
 // resolves a per-tile footprint budget once per process: a valid
 // RBC_TILE_BUDGET env var pins it (the reproducibility hook — CI and
 // bench baselines set it so shape changes never masquerade as kernel

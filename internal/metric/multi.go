@@ -115,20 +115,9 @@ var tileInvocations atomic.Int64
 // the process so far. Intended for tests and diagnostics.
 func TileInvocations() int64 { return tileInvocations.Load() }
 
-// TileShape returns the query/point tile shape used by the tiled search
-// loops for dimension dim at the compile-time default tile budget (the
-// shape every prior release used). Search loops should prefer
-// AutoTileShape, which measures the host once per process; TileShape
-// remains for callers that need the fixed reference shape.
-func TileShape(dim int) (tq, tp int) {
-	return shapeForBudget(defaultTileBudget, dim)
-}
-
 // shapeForBudget sizes the query/point tile for dimension dim against a
 // per-tile footprint budget of roughly `budget` float32 elements, so the
-// widened tiles and the ordering tile stay cache-resident. With
-// budget = defaultTileBudget this reproduces the historical TileShape
-// exactly.
+// widened tiles and the ordering tile stay cache-resident.
 func shapeForBudget(budget, dim int) (tq, tp int) {
 	tq = 32
 	for tq > 4 && tq*dim > budget {

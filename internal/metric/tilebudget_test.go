@@ -1,46 +1,25 @@
 package metric
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"testing"
 )
 
-// TestMain reports the resolved tile shape when RBC_REPORT_TILESHAPE is
-// set, so bench runs can record the shape that produced their numbers
-// (cmd/benchcmp parses the "autotile:" line into the baseline artifact).
-func TestMain(m *testing.M) {
-	if os.Getenv("RBC_REPORT_TILESHAPE") != "" {
-		b, src := TileBudget()
-		tq64, tp64 := AutoTileShape(64)
-		tq256, tp256 := AutoTileShape(256)
-		fmt.Printf("autotile: budget=%d source=%s dim64=%dx%d dim256=%dx%d\n",
-			b, src, tq64, tp64, tq256, tp256)
-	}
-	os.Exit(m.Run())
-}
-
-// setBudgetForTest pins the budget and returns a restore func, so
-// process-global autotile state cannot leak between tests.
+// setBudgetForTest pins the budget and restores the previous setting at
+// cleanup, so process-global tile state cannot leak between tests.
 func setBudgetForTest(t *testing.T, budget int) {
 	t.Helper()
-	autoTile.mu.Lock()
-	prevB, prevS := autoTile.budget, autoTile.source
-	autoTile.mu.Unlock()
+	prev := tileBudget.Load()
 	SetTileBudget(budget)
-	t.Cleanup(func() {
-		autoTile.mu.Lock()
-		autoTile.budget, autoTile.source = prevB, prevS
-		autoTile.mu.Unlock()
-	})
+	t.Cleanup(func() { tileBudget.Store(prev) })
 }
 
-// TestShapeForBudgetDefaultMatchesTileShape: the refactor must preserve
-// the historical fixed shapes exactly — TileShape is the compatibility
-// surface other packages' baselines were tuned against.
+// TestShapeForBudgetDefaultMatchesTileShape: at the default budget
+// TileShape must keep the historical fixed shapes exactly — they are the
+// compatibility surface other packages' baselines were tuned against.
 func TestShapeForBudgetDefaultMatchesTileShape(t *testing.T) {
+	setBudgetForTest(t, defaultTileBudget)
 	for dim := 1; dim <= 8192; dim = dim*2 + 1 {
 		tq, tp := TileShape(dim)
 		btq, btp := shapeForBudget(defaultTileBudget, dim)
@@ -60,8 +39,8 @@ func TestShapeForBudgetDefaultMatchesTileShape(t *testing.T) {
 	}
 }
 
-// TestTileBudgetClamp: env overrides and measurement results are clamped
-// into the range the tiled loops handle.
+// TestTileBudgetClamp: overrides are clamped into the range the tiled
+// loops handle.
 func TestTileBudgetClamp(t *testing.T) {
 	if got := clampTileBudget(1); got != minTileBudget {
 		t.Fatalf("clamp(1) = %d, want %d", got, minTileBudget)
@@ -74,37 +53,25 @@ func TestTileBudgetClamp(t *testing.T) {
 	}
 }
 
-// TestSetTileBudgetPins: SetTileBudget overrides the resolved budget and
-// AutoTileShape follows it.
+// TestSetTileBudgetPins: SetTileBudget overrides the budget and TileShape
+// follows it.
 func TestSetTileBudgetPins(t *testing.T) {
 	setBudgetForTest(t, 32768)
 	b, src := TileBudget()
 	if b != 32768 || src != "param" {
 		t.Fatalf("TileBudget = %d/%q, want 32768/param", b, src)
 	}
-	tq, tp := AutoTileShape(64)
+	tq, tp := TileShape(64)
 	wtq, wtp := shapeForBudget(32768, 64)
 	if tq != wtq || tp != wtp {
-		t.Fatalf("AutoTileShape(64) = %dx%d, want %dx%d", tq, tp, wtq, wtp)
+		t.Fatalf("TileShape(64) = %dx%d, want %dx%d", tq, tp, wtq, wtp)
 	}
-}
-
-// TestMeasureTileBudgetInGrid: the micro-measurement must pick a budget
-// from the grid (and terminate quickly enough to run in tests).
-func TestMeasureTileBudgetInGrid(t *testing.T) {
-	b := measureTileBudget()
-	for _, g := range tileBudgetGrid {
-		if b == g {
-			return
-		}
-	}
-	t.Fatalf("measureTileBudget = %d, not in grid %v", b, tileBudgetGrid)
 }
 
 // TestTileShapeInvarianceUnderBudgets: every kernel grade must produce
 // bit-identical tiles regardless of the tile shape consumers sweep with —
-// so an AutoTileShape override can never change answers. Emulates the
-// consumer loop at each grid budget and compares against the one-shot
+// so a tile-budget override can never change answers. Emulates the
+// consumer loop at powers of two around the default budget and compares against the one-shot
 // full tile.
 func TestTileShapeInvarianceUnderBudgets(t *testing.T) {
 	rng := rand.New(rand.NewSource(406))
@@ -120,7 +87,7 @@ func TestTileShapeInvarianceUnderBudgets(t *testing.T) {
 		pn := k.Norms(pflat, dim, nil)
 		want := make([]float64, nq*np)
 		k.Tile(qflat, qn, pflat, pn, dim, want, nil)
-		for _, budget := range tileBudgetGrid {
+		for _, budget := range []int{8192, 16384, 32768, 65536} {
 			tq, tp := shapeForBudget(budget, dim)
 			got := make([]float64, nq*np)
 			sub := make([]float64, tq*tp)

@@ -1,7 +1,8 @@
 // Package par supplies the parallel building blocks the paper's brute-force
 // primitive decomposes into (§3): a blocked parallel for over independent
-// work items, a tree reduction ("inverted binary tree") for the comparison
-// step, a parallel arg-min, and bounded top-k heaps for k-NN selection.
+// work items, a reduction over per-worker partial results for the
+// comparison step, a parallel arg-min, and bounded top-k heaps for k-NN
+// selection.
 //
 // Everything sizes itself from GOMAXPROCS, so the same code exercises a
 // single core or a 48-core server without change.
@@ -16,22 +17,11 @@ import (
 // GOMAXPROCS at call time.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// Spawn grains for this package's own parallel loops. A goroutine
+// ArgMinGrain is the spawn grain of ArgMin's parallel scan. A goroutine
 // hand-off costs on the order of a microsecond, so a block must carry at
-// least a few microseconds of work to win; the constants below encode
-// that break-even for each loop body, measured on the row/tile kernels
-// this package feeds (see the BenchmarkRowKernel* sweep in
-// internal/metric).
-const (
-	// ArgMinGrain: a float64 compare-scan runs at roughly 1 element/ns,
-	// so 1024 elements ≈ 1µs per block — the spawn break-even.
-	ArgMinGrain = 1024
-
-	// treeReduceGrain: combine calls are opaque (function-valued), so the
-	// grain assumes a heavier body than ArgMin's compare — 64 combines of
-	// ~tens of ns each reach the same few-µs block cost.
-	treeReduceGrain = 64
-)
+// least that much work to win; a float64 compare-scan runs at roughly
+// 1 element/ns, so 1024 elements ≈ 1µs per block — the spawn break-even.
+const ArgMinGrain = 1024
 
 // For runs fn over the index range [0,n) split into contiguous blocks, one
 // goroutine per block, with at most Workers() blocks and at least minGrain
@@ -86,31 +76,21 @@ func ForEach(n, minGrain int, fn func(i int)) {
 	})
 }
 
-// TreeReduce combines xs pairwise along an inverted binary tree — the
-// comparison structure the paper plugs brute-force search into. combine
-// must be associative. It returns the zero value of T for empty input.
-//
-// Levels run in parallel; with p workers the depth is ceil(log2 n) and the
-// work is n-1 combines, matching a textbook parallel reduction.
+// TreeReduce folds xs left to right with combine, which must be
+// associative, and returns the zero value of T for empty input. It is the
+// reduction step of the paper's brute-force primitive (§3): callers hand
+// it one partial result per worker, so there are at most Workers() values
+// and a serial fold is the whole job. xs is not modified.
 func TreeReduce[T any](xs []T, combine func(a, b T) T) T {
-	var zero T
 	if len(xs) == 0 {
+		var zero T
 		return zero
 	}
-	// Work on a copy so callers keep their slice.
-	buf := make([]T, len(xs))
-	copy(buf, xs)
-	for len(buf) > 1 {
-		half := (len(buf) + 1) / 2
-		ForEach(len(buf)/2, treeReduceGrain, func(i int) {
-			buf[i] = combine(buf[2*i], buf[2*i+1])
-		})
-		if len(buf)%2 == 1 {
-			buf[half-1] = buf[len(buf)-1]
-		}
-		buf = buf[:half]
+	acc := xs[0]
+	for _, x := range xs[1:] {
+		acc = combine(acc, x)
 	}
-	return buf[0]
+	return acc
 }
 
 // ArgMin returns the index and value of the smallest element of dists,

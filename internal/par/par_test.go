@@ -137,7 +137,7 @@ func TestWorkers(t *testing.T) {
 }
 
 func TestTreeReduceSum(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 8, 100, 1025} {
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 100, 129, 1025, 4097} {
 		xs := make([]int, n)
 		want := 0
 		for i := range xs {
