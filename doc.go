@@ -45,13 +45,13 @@
 // surviving lists by owning shard so each shard receives one request per
 // block instead of one per query.
 //
-// Shards are batch-and-tile native too: a shard inverts its request's
-// (query, segment) pairs into per-segment taker sets and scans each
-// owned segment once for the whole block through core.GroupedScan — the
-// same adaptive tile-vs-row machinery Exact's grouped back half uses —
-// on exact-grade kernels only. Shard segments are sorted by
-// distance-to-representative at build (core.SortSegment, the order
-// Exact keeps its own lists in), and a cluster built with
+// Shards are batch-and-tile native too: a shard hands its request's
+// (query, segment) pairs to core.ScanGrouped — the same grouped phase-2
+// driver Exact's batch path uses — which inverts them into per-segment
+// taker sets and scans each owned segment once for the whole block,
+// tile or row per point block, on exact-grade kernels only. Shard segments are the index's own lists, copied at
+// build in their ascending distance-to-representative order, and a
+// cluster built with
 // ExactParams.EarlyExit extends the paper's Claim 2 admissible window to
 // the wire: each routed request ships a 16-byte [dLo, dHi] window per
 // (query, segment) — derived from the query's rep-seeded k-th candidate
@@ -140,7 +140,7 @@
 // part of the contract: bruteforce.SearchChunked/SearchKChunked,
 // OneShot probe selection (OneShotParams.Phase1Chunked), LSH candidate
 // rescoring (lsh.Params.Rescore) and kd-tree leaf rescoring
-// (kdtree.BuildGrade); core.GroupedScan and Exact refuse fast-grade
+// (kdtree.BuildGrade); core.ScanGrouped and Exact refuse fast-grade
 // kernels outright. The quantized grade (metric.NewQuantizedKernel)
 // targets the memory-bound regime instead of the compute-bound one: the
 // database is encoded once into int8 codes plus a per-chunk scale

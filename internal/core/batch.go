@@ -8,14 +8,21 @@ import (
 	"repro/internal/vec"
 )
 
-// TileFrontHalf is the shared batched BF(Q,R) front half of Exact and
-// OneShot search: query tiles are compared against representative tiles
-// through the tiled kernel, and each query's full phase-1 ordering row is
-// handed to back, which runs the per-query back half (pruning/probing and
-// list scans) and returns its Stats. repNorms are optional precomputed
-// squared norms for kernels that consume them.
-func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []float64,
-	back func(i int, row []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
+// tileFrontHalf is the batched BF(Q,R) front half every batch search path
+// shares — the only tiled phase-1 loop in the repository. par.For splits
+// the block over workers; each worker walks its share in query tiles,
+// compares a tile against representative tiles through ker, and hands the
+// tile's phase-1 rows to back: queries [q0, q1), rows holding their
+// (q1−q0) × |R| ordering distances row-major, qnorms their squared norms
+// as ker.Norms reports them (nil when ker has no use for norms). back
+// runs the tile's back half (pruning or probing, list scans) and returns
+// its Stats. repNorms are optional precomputed squared norms for kernels
+// that consume them.
+//
+// The front half owns sc's float64 slots 3, 4 and 6 (rows, kernel tile,
+// query norms); rows and qnorms stay valid until back returns.
+func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []float64,
+	back func(q0, q1 int, rows, qnorms []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
 	nq := queries.N()
 	nr := reps.N()
 	dim := queries.Dim
@@ -28,8 +35,6 @@ func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []fl
 		ts := metric.GetTileScratch()
 		defer metric.PutTileScratch(ts)
 		var local Stats
-		// Front-half slots 3/4/6; the back half invoked below owns 0–2 and 5
-		// (see the Scratch slot convention).
 		rows := sc.Float64(3, tq*nr)
 		tile := sc.Float64(4, tq*tp)
 		for q0 := lo; q0 < hi; q0 += tq {
@@ -56,13 +61,26 @@ func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []fl
 					copy(rows[i*nr+r0:i*nr+r1], t[i*bp:(i+1)*bp])
 				}
 			}
-			for i := 0; i < bq; i++ {
-				local.Add(back(q0+i, rows[i*nr:(i+1)*nr], sc, ts))
-			}
+			local.Add(back(q0, q1, rows[:bq*nr], qnorms, sc, ts))
 		}
 		mu.Lock()
 		agg.Add(local)
 		mu.Unlock()
 	})
 	return agg
+}
+
+// TileFrontHalf is tileFrontHalf for back halves that run one query at a
+// time: back receives query i's full phase-1 ordering row.
+func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []float64,
+	back func(i int, row []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
+	nr := reps.N()
+	return tileFrontHalf(ker, queries, reps, repNorms,
+		func(q0, q1 int, rows, _ []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
+			var st Stats
+			for i := q0; i < q1; i++ {
+				st.Add(back(i, rows[(i-q0)*nr:(i-q0+1)*nr], sc, ts))
+			}
+			return st
+		})
 }

@@ -86,9 +86,9 @@ func (p ExactParams) withDefaults(n int) ExactParams {
 // comparison is made ulp-tolerant by bracketing each fast ordering with
 // metric.GramOrderingSlack — prune, window and seed decisions then
 // provably agree with the exact kernel's, so answers stay bit-identical
-// (see one() for the bracketing rules). Distances convert from ordering
-// space only at the API boundary and for the pruning thresholds, whose
-// triangle-inequality math needs real distances.
+// (see probe and prune for the bracketing rules). Distances convert from
+// ordering space only at the API boundary and for the pruning thresholds,
+// whose triangle-inequality math needs real distances.
 type Exact struct {
 	db   *vec.Dataset
 	m    metric.Metric[[]float32]
@@ -140,72 +140,202 @@ func (e *Exact) initKernel() {
 	}
 }
 
-// phase1Slack returns the per-query ordering slack for the fast phase-1
+// phase1Slack returns the ordering slack of one query's fast phase-1
 // brackets: GramOrderingSlack against the largest representative norm
 // (slack is monotone in both norms, so one value per query bounds every
-// pair), or 0 when the fast kernel has no Gram path and is bitwise equal
-// to the exact one. qn is written through sc's float64 slot 1 — callers
-// re-carve that slot afterwards.
-func (e *Exact) phase1Slack(q []float32, sc *par.Scratch) (qn []float64, slack float64) {
-	if !e.fker.NeedsNorms() {
-		return nil, 0
-	}
-	qn = e.fker.Norms(q, e.db.Dim, sc.Float64(1, 1))
-	return qn, metric.GramOrderingSlack(e.db.Dim, qn[0], e.maxRepNorm)
+// pair). qnorm is the query's squared norm as e.fker.Norms reports it.
+func (e *Exact) phase1Slack(qnorm float64) float64 {
+	return metric.GramOrderingSlack(e.db.Dim, qnorm, e.maxRepNorm)
 }
 
-// bracketOrd converts one fast phase-1 ordering into its certified
-// distance bracket [lo, hi]: the exact ordering lies within slack of o,
-// and ToDistance (a correctly-rounded sqrt for l2) is monotone, so the
-// exact distance lies in [lo, hi].
-func (e *Exact) bracketOrd(o, slack float64) (lo, hi float64) {
-	ol := o - slack
-	if ol < 0 {
-		ol = 0
+// phase1 returns one query's fast-grade phase-1 orderings and their
+// slack. ordRow, when non-nil, is the query's row of the batched BF(Q,R)
+// front half; nil computes it here, through Tile rather than Ordering —
+// the Gram grade's Ordering entry point falls back to the exact row, and
+// Tile dispatches to the Gram row over the cached norms, the same
+// arithmetic the batched front half uses, which keeps per-query and
+// batched searches bit-identical. For metrics without a Gram path the
+// fast kernel equals the exact one and the slack is 0. Uses sc's float64
+// slots 0 and 1; the query norm in slot 1 is consumed here, so newProbe
+// may re-carve it.
+func (e *Exact) phase1(q []float32, ordRow []float64, sc *par.Scratch) (ords []float64, slack float64) {
+	var qn []float64
+	if e.fker.NeedsNorms() {
+		qn = e.fker.Norms(q, e.db.Dim, sc.Float64(1, 1))
+		slack = e.phase1Slack(qn[0])
 	}
-	return e.ker.ToDistance(ol), e.ker.ToDistance(o + slack)
+	if ordRow != nil {
+		return ordRow, slack
+	}
+	ords = sc.Float64(0, e.NumReps())
+	e.fker.Tile(q, qn, e.repData.Data, e.repNorms, e.db.Dim, ords, nil)
+	return ords, slack
 }
 
-// exactRepDist returns the exact distance from q to representative j,
-// rescoring through the answer-grade kernel on first use and collapsing
-// the bracket in repLo/repHi so subsequent checks reuse the exact value.
-// A collapsed bracket (lo == hi) already pins the distance: either it was
-// rescored, or the slack interval rounded to a single distance, which the
-// exact distance — inside the bracket by construction — must then equal.
-// cell is a caller-pooled 1-element kernel output buffer. Rescores are
-// not counted as evals; both search paths leave them out, so per-query
-// and batched stats agree.
-func (e *Exact) exactRepDist(q []float32, j int, repLo, repHi, cell []float64) float64 {
-	if repLo[j] == repHi[j] {
-		return repLo[j]
+// probe is one query's certified view of phase 1: for every
+// representative j the exact distance ρ(q, r_j) lies in [lo[j], hi[j]].
+// Phase 1 runs on the fast kernel, whose ordering o is within slack of
+// the exact one; ToDistance (a correctly-rounded sqrt for l2) is
+// monotone, so [ToDistance(o−slack), ToDistance(o+slack)] brackets the
+// exact distance. A bracket collapses (lo == hi) once its representative
+// is rescored through the answer-grade kernel — or when the slack
+// interval rounds to one distance, which the exact distance, inside the
+// bracket by construction, must then equal. The pruning thresholds live
+// in distance space (their derivations add distances), hence one sqrt
+// pair per representative — ~2√n per query.
+type probe struct {
+	q      []float32
+	lo, hi []float64
+	cell   []float64 // caller-pooled kernel output cell for rescores (len ≥ 1)
+}
+
+// newProbe brackets one query's fast orderings into sc's float64 slots 1
+// and 2.
+func (e *Exact) newProbe(q []float32, ords []float64, slack float64, cell []float64, sc *par.Scratch) probe {
+	p := probe{q: q, lo: sc.Float64(1, len(ords)), hi: sc.Float64(2, len(ords)), cell: cell}
+	for j, o := range ords {
+		ol := o - slack
+		if ol < 0 {
+			ol = 0
+		}
+		p.lo[j], p.hi[j] = e.ker.ToDistance(ol), e.ker.ToDistance(o+slack)
 	}
+	return p
+}
+
+// rescore evaluates representative j through the answer-grade kernel (the
+// row path, bit for bit the gathered-scan arithmetic), collapses its
+// bracket and returns the exact ordering and distance. Rescores are not
+// counted as evals on any search path, so per-query and batched stats
+// agree.
+func (e *Exact) rescore(p *probe, j int) (ord, d float64) {
 	dim := e.db.Dim
-	e.ker.Ordering(q, e.repData.Data[j*dim:(j+1)*dim], dim, cell[:1])
-	d := e.ker.ToDistance(cell[0])
-	repLo[j], repHi[j] = d, d
-	return d
+	e.ker.Ordering(p.q, e.repData.Data[j*dim:(j+1)*dim], dim, p.cell[:1])
+	ord = p.cell[0]
+	d = e.ker.ToDistance(ord)
+	p.lo[j], p.hi[j] = d, d
+	return ord, d
 }
 
-// exactWindow resolves one EarlyExit admissible window under a phase-1
-// bracket [dLo, dHi] so that it equals the window the all-exact path
-// computes from the exact distance d ∈ [dLo, dHi]. Both AdmissibleWindow
-// bounds are monotone in their argument, so clipping with the two bracket
-// ends brackets each bound of the exact window; when the two clips agree
-// the window is certified, otherwise the representative is rescored and
-// the window recomputed from the exact distance (a razor case: some
-// member distance falls within slack of a window edge).
-func (e *Exact) exactWindow(q []float32, j int, dists []float64, w float64,
-	repLo, repHi, cell []float64) (a, b int) {
-	dLo, dHi := repLo[j], repHi[j]
+// exactRepDist returns the exact distance to representative j, rescoring
+// only if its bracket has not collapsed yet.
+func (e *Exact) exactRepDist(p *probe, j int) float64 {
+	if p.lo[j] != p.hi[j] {
+		e.rescore(p, j)
+	}
+	return p.lo[j]
+}
+
+// prunes decides r on representative j exactly as the all-exact path
+// would: a rule is monotone in the distance, so when both bracket ends
+// agree the bracket certifies the decision; otherwise the threshold falls
+// inside the bracket (a razor case, vanishingly rare off engineered ties)
+// and the exact distance decides. Every prune decision — and therefore
+// every counter — equals the exact path's.
+func (e *Exact) prunes(r rule, p *probe, j int) bool {
+	if r.holds(p.lo[j]) {
+		return true
+	}
+	if !r.holds(p.hi[j]) {
+		return false
+	}
+	return r.holds(e.exactRepDist(p, j))
+}
+
+// exactWindow resolves the EarlyExit admissible window of half-width w
+// over list j's sorted distance column dists, so that it equals the
+// window the all-exact path computes from the exact distance d. Both
+// AdmissibleWindow bounds are monotone in their argument, so clipping
+// with the two bracket ends ([lo−w, hi+w] vs [hi−w, lo+w]) brackets each
+// bound of the exact window; when the two clips agree the window is
+// certified, otherwise the representative is rescored and the window
+// recomputed from the exact distance (a razor case: some member distance
+// falls within slack of a window edge).
+func (e *Exact) exactWindow(p *probe, j int, dists []float64, w float64) (a, b int) {
+	dLo, dHi := p.lo[j], p.hi[j]
 	a, b = AdmissibleWindow(dists, dLo-w, dHi+w)
 	if dLo != dHi {
 		a2, b2 := AdmissibleWindow(dists, dHi-w, dLo+w)
 		if a2 != a || b2 != b {
-			d := e.exactRepDist(q, j, repLo, repHi, cell)
+			d := e.exactRepDist(p, j)
 			a, b = AdmissibleWindow(dists, d-w, d+w)
 		}
 	}
 	return a, b
+}
+
+// prune is the per-query step between the paper's two brute-force calls:
+// from one query's phase-1 brackets it derives the exact γ's, seeds h,
+// applies the pruning rules to every representative and appends, per
+// survivor, a (qi, list, lo, hi) quadruple to kept — [lo, hi) being the
+// list's admissible window in gather positions (the whole list without
+// EarlyExit; possibly empty). It charges the pruning counters to st and
+// returns kept and the window half-width w. Exact.one scans the kept
+// windows row by row; Exact.batchGrouped hands a whole tile's quadruples
+// to ScanGrouped.
+//
+// Every decision is made exactly as an all-exact phase 1 would make it:
+//
+//   - γ's are exact: the candidate set {j : lo_j ≤ γ_k^hi} (γ_k^hi the
+//     k-th smallest bracket high over live reps) provably contains the k
+//     nearest live reps, is rescored exactly, and γ_1/γ_k are selected
+//     from those exact distances — any j outside the set has
+//     ρ(q,r_j) ≥ lo_j > γ_k^hi ≥ γ_k and cannot reach either γ;
+//   - prune decisions go through prunes, windows through exactWindow;
+//   - the heap is seeded with the rescored candidate set at its exact
+//     orderings. Representatives are database points; seeding realizes
+//     the paper's implicit "γ is itself a candidate answer" and —
+//     together with the list scans skipping representative ids — makes
+//     the returned k-NN multiset exact even at pruning-boundary ties. The
+//     heap only ever holds answer-grade orderings, and reps outside the
+//     set are strictly past the k-th answer, so the kept multiset
+//     (insertion-order independent) is unchanged.
+//
+// Answers, stats and scan extents are therefore bit-identical to an
+// all-exact phase 1; only the rescore evaluations (uncounted) differ. For
+// metrics without a Gram fast path brackets start collapsed and no
+// rescoring happens beyond the seeds. Uses sc's float64 slot 7 and heap
+// slot 1.
+func (e *Exact) prune(p *probe, qi, k int, h *par.KHeap, sc *par.Scratch, st *Stats, kept []int) ([]int, float64) {
+	nr := e.NumReps()
+	_, gammaKHi := e.liveGammas(p.hi, k, sc)
+	cand := sc.Float64(7, nr)[:0]
+	for j := 0; j < nr; j++ {
+		if p.lo[j] > gammaKHi || e.isDeleted(e.repIDs[j]) {
+			continue
+		}
+		ord, d := e.rescore(p, j)
+		h.Push(e.repIDs[j], ord)
+		cand = append(cand, d)
+	}
+	// Every live rep at or under the exact γ_k is in cand, so its order
+	// statistics below γ_k^hi match the full live set's.
+	gamma1, gammaK := kthSmallest(cand, k, sc)
+
+	// The thresholds are exact, since the γ's are. ApproxEps relaxes the
+	// radius rule and, to match, the window half-width:
+	// |ρ(q,r) − ρ(x,r)| ≤ ρ(q,x) ≤ γ_k for any answer x, so only
+	// ρ(x,r) ∈ [d−w, d+w] can qualify.
+	w := relaxedGamma(gammaK, e.prm.ApproxEps)
+	triple := tripleRule(gamma1, gammaK)
+	for j := 0; j < nr; j++ {
+		if e.prm.PrunePsi && e.prunes(psiRule(w, e.radii[j]), p, j) {
+			st.PrunedPsi++
+			continue
+		}
+		if e.prm.PruneTriple && e.prunes(triple, p, j) {
+			st.PrunedTriple++
+			continue
+		}
+		st.RepsKept++
+		lo, hi := e.offsets[j], e.offsets[j+1]
+		if e.prm.EarlyExit {
+			a, b := e.exactWindow(p, j, e.dists[lo:hi], w)
+			lo, hi = lo+a, lo+b
+		}
+		kept = append(kept, qi, j, lo, hi)
+	}
+	return kept, w
 }
 
 // BuildExact constructs the exact-search RBC over db. The build is the
@@ -262,7 +392,7 @@ func BuildExact(db *vec.Dataset, m metric.Metric[[]float32], prm ExactParams) (*
 	radii := make([]float64, nr)
 	par.ForEach(nr, segSortGrain, func(j int) {
 		lo, hi := offsets[j], offsets[j+1]
-		SortSegment(ids[lo:hi], dists[lo:hi])
+		sortSegment(ids[lo:hi], dists[lo:hi])
 		if hi > lo {
 			radii[j] = dists[hi-1]
 		}
@@ -286,8 +416,8 @@ func BuildExact(db *vec.Dataset, m metric.Metric[[]float32], prm ExactParams) (*
 }
 
 // segSorter sorts a list segment by (dist, id) without allocating pairs.
-// It is the implementation behind SortSegment (window.go) — every
-// segment-sort site goes through that single exported primitive.
+// It is the implementation behind sortSegment (window.go) — every
+// segment-sort site goes through that single primitive.
 type segSorter struct {
 	ids   []int32
 	dists []float64
@@ -376,160 +506,23 @@ func (e *Exact) finish(h *par.KHeap) []par.Neighbor {
 
 // one runs the two-phase exact search for the k nearest neighbors,
 // returning the candidate heap (in ordering space) from sc's slot 0.
-// ordRow optionally carries precomputed phase-1 *fast-grade* ordering
-// distances (the batched BF(Q,R) front half, which runs e.fker); nil
-// computes them here through the same fast kernel.
-//
-// Correctness of the pruning for k > 1: let γ_k be the k-th smallest
-// distance from q to a representative (or +inf if |R| < k). Since
-// representatives are database points, γ_k upper-bounds the k-th NN
-// distance. Rule (1) generalizes directly: a representative with
-// ρ(q,r) ≥ γ_k + ψ_r owns no point within γ_k of q. Rule (2): if x is one
-// of the k NNs and r* owns x, then ρ(x,r*) ≤ ρ(x,q)+ρ(q,r_1) ≤ γ_k+γ_1,
-// so ρ(q,r*) ≤ ρ(q,x)+ρ(x,r*) ≤ 2γ_k+γ_1 ≤ 3γ_k — we prune with the
-// tighter 2γ_k+γ_1.
-//
-// Phase 1 runs on the fast kernel, so every use of ρ(q,r) above is made
-// ulp-tolerant by bracketing: [lo_j, hi_j] certifiably contains the exact
-// distance (bracketOrd). Every *decision* is then made exactly as the
-// all-exact path would make it — certified through the bracket when the
-// threshold falls outside it, resolved by rescoring that one
-// representative through the exact kernel when it falls inside (a razor
-// case, vanishingly rare off engineered ties):
-//
-//   - γ's are exact: the candidate set {j : lo_j ≤ γ_k^hi} (γ_k^hi the
-//     k-th smallest bracket high over live reps) provably contains the k
-//     nearest live reps, is rescored exactly, and γ_1/γ_k are selected
-//     from those exact distances — any j outside the set has
-//     ρ(q,r_j) ≥ lo_j > γ_k^hi ≥ γ_k and cannot reach either γ;
-//   - prune tests certify against the bracket (lo_j past the threshold
-//     prunes, hi_j short of it keeps) and rescore the razor cases, so
-//     every prune decision — and therefore every counter — equals the
-//     exact path's, ApproxEps included;
-//   - EarlyExit windows certify by clipping with both bracket ends
-//     ([lo_j−w, hi_j+w] vs [hi_j−w, lo_j+w]); when the two clips
-//     disagree on any position the rep is rescored, so the scanned
-//     extent equals the exact path's exactly;
-//   - heap seeding pushes the rescored candidate set with its exact
-//     orderings — the heap only ever holds answer-grade orderings, and
-//     reps outside the set are strictly past the k-th answer so the
-//     kept multiset (insertion-order independent) is unchanged.
-//
-// Answers, stats and scan extents are therefore bit-identical to an
-// all-exact phase 1; only the rescore evaluations (uncounted on both
-// search paths) differ. For metrics without a Gram fast path the slack
-// is 0, brackets collapse, and no rescoring ever happens.
+// ordRow optionally carries the query's row of the batched BF(Q,R) front
+// half. Phase 2 scans each kept window through the row kernel, then the
+// list's insertion buffer if the index has been mutated.
 func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par.KHeap, Stats) {
 	nr := e.NumReps()
 	dim := e.db.Dim
 	st := Stats{RepEvals: int64(nr)}
-
-	// Phase 1: fast-grade brute force over the representatives in
-	// ordering space. The Gram grade's Ordering entry point falls back to
-	// the exact row, so the single-row case goes through Tile, which
-	// dispatches to the Gram row over the cached norms — the same
-	// arithmetic the batched front half uses, keeping per-query and
-	// batched searches bit-identical.
-	qn, slack := e.phase1Slack(q, sc)
-	ords := ordRow
-	if ords == nil {
-		ords = sc.Float64(0, nr)
-		e.fker.Tile(q, qn, e.repData.Data, e.repNorms, dim, ords, nil)
-	}
-	// The pruning thresholds live in distance space (their derivations add
-	// distances), so bracket once per representative — ~2√n sqrts per
-	// query. Slot 1 re-carve retires qn (already consumed).
-	repLo := sc.Float64(1, nr)
-	repHi := sc.Float64(2, nr)
-	for j, o := range ords {
-		repLo[j], repHi[j] = e.bracketOrd(o, slack)
-	}
-	// Preliminary selector for the γ candidate set: the k-th smallest
-	// bracket high over live reps upper-bounds the exact γ_k, so every rep
-	// that can contribute to either γ has repLo ≤ gammaKHi.
-	_, gammaKHi := e.liveGammas(repHi, k, sc)
-
-	h := sc.Heap(0, k)
-	// Block buffer for the list scans; pooled because a local array would
-	// escape through the kernel's interface dispatch. Carved after
-	// liveGammas, which time-shares slot 5.
+	ords, slack := e.phase1(q, ordRow, sc)
+	// Block buffer for the list scans, doubling as the rescore cell; pooled
+	// because a local array would escape through the kernel's interface
+	// dispatch.
 	scratch := sc.Float64(5, 256)
-	// Rescore the γ candidate set through the exact kernel (answer grade;
-	// the row path matches the gathered-scan arithmetic bit for bit) and
-	// seed the heap with it. Representatives are database points; seeding
-	// realizes the paper's implicit "γ is itself a candidate answer" and —
-	// together with the list scans below skipping representative ids —
-	// makes the returned k-NN multiset exact even at pruning-boundary
-	// ties. Reps outside the set sit strictly past the k-th answer, so
-	// dropping their (old-path) seeds cannot change the kept multiset.
-	// The exact distances collected here then select the exact γ_1/γ_k:
-	// every live rep at or under the exact γ_k is in the set, so its order
-	// statistics below γ_k^hi match the full live set's.
-	cand := sc.Float64(7, nr)[:0]
-	for j := 0; j < nr; j++ {
-		if repLo[j] > gammaKHi || e.isDeleted(e.repIDs[j]) {
-			continue
-		}
-		e.ker.Ordering(q, e.repData.Data[j*dim:(j+1)*dim], dim, scratch[:1])
-		d := e.ker.ToDistance(scratch[0])
-		repLo[j], repHi[j] = d, d
-		h.Push(e.repIDs[j], scratch[0])
-		cand = append(cand, d)
-	}
-	gamma1, gammaK := kthSmallest(cand, k, sc)
-
-	// Pruning thresholds — exact, since the γ's are. ApproxEps relaxes
-	// only the radius rule.
-	psiGamma := gammaK
-	if e.prm.ApproxEps > 0 {
-		psiGamma = gammaK / (1 + e.prm.ApproxEps)
-	}
-	tripleBound := 2*gammaK + gamma1
-
-	for j := 0; j < nr; j++ {
-		dLo, dHi := repLo[j], repHi[j]
-		if e.prm.PrunePsi {
-			// Exact rule: prune iff d ≥ t. The bracket certifies all but
-			// the razor case t ∈ (dLo, dHi], which the exact distance
-			// decides — identically to the all-exact path.
-			t := psiGamma + e.radii[j]
-			if dLo >= t {
-				st.PrunedPsi++
-				continue
-			}
-			if dHi >= t {
-				if e.exactRepDist(q, j, repLo, repHi, scratch) >= t {
-					st.PrunedPsi++
-					continue
-				}
-				dLo, dHi = repLo[j], repHi[j]
-			}
-		}
-		if e.prm.PruneTriple && !math.IsInf(tripleBound, 1) {
-			// Exact rule: prune iff d > tripleBound (strict).
-			if dLo > tripleBound {
-				st.PrunedTriple++
-				continue
-			}
-			if dHi > tripleBound {
-				if e.exactRepDist(q, j, repLo, repHi, scratch) > tripleBound {
-					st.PrunedTriple++
-					continue
-				}
-				dLo, dHi = repLo[j], repHi[j]
-			}
-		}
-		st.RepsKept++
-		lo, hi := e.offsets[j], e.offsets[j+1]
-		// Admissible window half-width: |ρ(q,r) − ρ(x,r)| ≤ ρ(q,x) ≤ γ_k
-		// for any answer x, so only ρ(x,r) ∈ [d−w, d+w] can qualify, with
-		// w = γ_k (or its (1+ε)-relaxation, matching the radius rule) and
-		// d pinned by certification or rescore to the exact window.
-		w := psiGamma
-		if e.prm.EarlyExit {
-			a, b := e.exactWindow(q, j, e.dists[lo:hi], w, repLo, repHi, scratch)
-			lo, hi = lo+a, lo+b
-		}
+	p := e.newProbe(q, ords, slack, scratch, sc)
+	h := sc.Heap(0, k)
+	kept, w := e.prune(&p, 0, k, h, sc, &st, sc.Ints(0, 4*nr)[:0])
+	for t := 0; t < len(kept); t += 4 {
+		j, lo, hi := kept[t+1], kept[t+2], kept[t+3]
 		for blk := lo; blk < hi; blk += len(scratch) {
 			end := blk + len(scratch)
 			if end > hi {
@@ -545,14 +538,7 @@ func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par
 			st.PointEvals += int64(end - blk)
 		}
 		if e.mut != nil && len(e.mut.bufIDs[j]) > 0 {
-			wLo, wHi := dLo-w, dHi+w
-			if e.prm.EarlyExit && dLo != dHi {
-				// The buffer window clips stored member distances directly,
-				// so pin it to the exact representative distance.
-				d := e.exactRepDist(q, j, repLo, repHi, scratch)
-				wLo, wHi = d-w, d+w
-			}
-			st.PointEvals += e.scanBuffer(j, q, wLo, wHi, scratch[:1], func(id int, dd float64) {
+			st.PointEvals += e.scanBuffer(&p, j, w, func(id int, dd float64) {
 				if !e.isRep[id] {
 					h.Push(id, dd)
 				}
@@ -644,58 +630,41 @@ func (e *Exact) RangeBatch(queries *vec.Dataset, eps float64) ([][]par.Neighbor,
 	return out, agg
 }
 
-// rangeOne runs the two-phase range search. ordRow optionally carries
-// precomputed phase-1 *fast-grade* ordering distances (the batched
-// BF(Q,R) front half, which runs e.fker); nil computes them here.
-//
-// Phase 1 uses the same bracketed-with-exact-fallback scheme as one():
-// ρ(q,r) is only ever compared (radius prune, admissible window), never
-// reported — hits are confirmed point by point in exact arithmetic — and
-// every comparison is certified through the bracket or resolved by an
-// exact rescore, so the prune decisions, scan extents and stats are
+// rangeOne runs the two-phase range search. ordRow optionally carries the
+// query's row of the batched BF(Q,R) front half. It keeps its own loop —
+// no γ, no seeding, a strict radius rule — but decides through the same
+// probe, prunes and exactWindow as the k-NN pruner: ρ(q,r) is only ever
+// compared, never reported (hits are confirmed point by point in exact
+// arithmetic), so the prune decisions, scan extents and stats are
 // bit-identical to an all-exact phase 1.
 func (e *Exact) rangeOne(q []float32, eps float64, ordRow []float64, sc *par.Scratch) ([]par.Neighbor, Stats) {
 	nr := e.NumReps()
 	dim := e.db.Dim
 	st := Stats{RepEvals: int64(nr)}
-	qn, slack := e.phase1Slack(q, sc)
-	ords := ordRow
-	if ords == nil {
-		ords = sc.Float64(0, nr)
-		e.fker.Tile(q, qn, e.repData.Data, e.repNorms, dim, ords, nil)
-	}
-	repLo := sc.Float64(1, nr)
-	repHi := sc.Float64(2, nr)
-	for j, o := range ords {
-		repLo[j], repHi[j] = e.bracketOrd(o, slack)
-	}
+	ords, slack := e.phase1(q, ordRow, sc)
+	scratch := sc.Float64(5, 256)
+	p := e.newProbe(q, ords, slack, scratch, sc)
 	// Ordering-space prefilter bound for eps; survivors are confirmed in
 	// distance space, and OrderingBound guarantees the boundary stays exact.
 	epsHi := e.ker.OrderingBound(math.Abs(eps))
 
 	var hits []par.Neighbor
-	scratch := sc.Float64(5, 256)
+	confirm := func(id int, o float64) {
+		if o <= epsHi {
+			if dd := e.ker.ToDistance(o); dd <= eps {
+				hits = append(hits, par.Neighbor{ID: id, Dist: dd})
+			}
+		}
+	}
 	for j := 0; j < nr; j++ {
-		dLo, dHi := repLo[j], repHi[j]
-		// Exact rule: prune iff d > eps + ψ_r (strict); the bracket
-		// certifies all but the razor case, which the exact distance
-		// decides.
-		t := eps + e.radii[j]
-		if dLo > t {
+		if e.prunes(rangePsiRule(eps, e.radii[j]), &p, j) {
 			st.PrunedPsi++
 			continue
-		}
-		if dHi > t {
-			if e.exactRepDist(q, j, repLo, repHi, scratch) > t {
-				st.PrunedPsi++
-				continue
-			}
-			dLo, dHi = repLo[j], repHi[j]
 		}
 		st.RepsKept++
 		lo, hi := e.offsets[j], e.offsets[j+1]
 		if e.prm.EarlyExit {
-			a, b := e.exactWindow(q, j, e.dists[lo:hi], eps, repLo, repHi, scratch)
+			a, b := e.exactWindow(&p, j, e.dists[lo:hi], eps)
 			lo, hi = lo+a, lo+b
 		}
 		for blk := lo; blk < hi; blk += len(scratch) {
@@ -708,26 +677,14 @@ func (e *Exact) rangeOne(q []float32, eps float64, ordRow []float64, sc *par.Scr
 			for i, o := range out {
 				if o <= epsHi {
 					if id := int(e.ids[blk+i]); !e.isDeleted(id) {
-						if dd := e.ker.ToDistance(o); dd <= eps {
-							hits = append(hits, par.Neighbor{ID: id, Dist: dd})
-						}
+						confirm(id, o)
 					}
 				}
 			}
 			st.PointEvals += int64(end - blk)
 		}
 		if e.mut != nil && len(e.mut.bufIDs[j]) > 0 {
-			if e.prm.EarlyExit && dLo != dHi {
-				d := e.exactRepDist(q, j, repLo, repHi, scratch)
-				dLo, dHi = d, d
-			}
-			st.PointEvals += e.scanBuffer(j, q, dLo-eps, dHi+eps, scratch[:1], func(id int, o float64) {
-				if o <= epsHi {
-					if dd := e.ker.ToDistance(o); dd <= eps {
-						hits = append(hits, par.Neighbor{ID: id, Dist: dd})
-					}
-				}
-			})
+			st.PointEvals += e.scanBuffer(&p, j, eps, confirm)
 		}
 	}
 	par.SortNeighbors(hits)

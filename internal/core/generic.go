@@ -68,7 +68,7 @@ func BuildGenericExact[P any](db []P, m metric.Metric[P], prm ExactParams) (*Gen
 		g.dists[j] = append(g.dists[j], ownerDist[i])
 	}
 	for j := 0; j < nr; j++ {
-		SortSegment(g.lists[j], g.dists[j])
+		sortSegment(g.lists[j], g.dists[j])
 		if len(g.dists[j]) > 0 {
 			g.radii[j] = g.dists[j][len(g.dists[j])-1]
 		}
@@ -79,55 +79,15 @@ func BuildGenericExact[P any](db []P, m metric.Metric[P], prm ExactParams) (*Gen
 // NumReps reports the realized number of representatives.
 func (g *GenericExact[P]) NumReps() int { return len(g.repIDs) }
 
-// One returns the exact nearest neighbor of q and the work performed.
+// One returns the exact nearest neighbor of q and the work performed: the
+// k = 1 case of KNN, where the pruning rules are the paper's own
+// (γ_k = γ_1 = γ, 2γ_k + γ_1 = 3γ).
 func (g *GenericExact[P]) One(q P) (Result, Stats) {
-	nr := g.NumReps()
-	st := Stats{RepEvals: int64(nr)}
-	repDists := make([]float64, nr)
-	for j, rid := range g.repIDs {
-		repDists[j] = g.m.Distance(q, g.db[rid])
+	nbs, st := g.KNN(q, 1)
+	if len(nbs) == 0 {
+		return Result{ID: -1, Dist: math.Inf(1)}, st
 	}
-	_, gamma := par.ArgMin(repDists)
-	psiGamma := gamma
-	if g.prm.ApproxEps > 0 {
-		psiGamma = gamma / (1 + g.prm.ApproxEps)
-	}
-
-	best := Result{ID: -1, Dist: math.Inf(1)}
-	for j, rid := range g.repIDs {
-		if repDists[j] < best.Dist || (repDists[j] == best.Dist && rid < best.ID) {
-			best = Result{ID: rid, Dist: repDists[j]}
-		}
-	}
-	for j := range g.repIDs {
-		d := repDists[j]
-		if g.prm.PrunePsi && d >= psiGamma+g.radii[j] {
-			st.PrunedPsi++
-			continue
-		}
-		if g.prm.PruneTriple && d > 3*gamma {
-			st.PrunedTriple++
-			continue
-		}
-		st.RepsKept++
-		list, dists := g.lists[j], g.dists[j]
-		lo, hi := 0, len(list)
-		if g.prm.EarlyExit {
-			lo, hi = AdmissibleWindow(dists, d-psiGamma, d+psiGamma)
-		}
-		for i := lo; i < hi; i++ {
-			st.PointEvals++
-			id := int(list[i])
-			if g.isRep[id] {
-				continue
-			}
-			dd := g.m.Distance(q, g.db[id])
-			if dd < best.Dist || (dd == best.Dist && id < best.ID) {
-				best = Result{ID: id, Dist: dd}
-			}
-		}
-	}
-	return best, st
+	return Result{ID: nbs[0].ID, Dist: nbs[0].Dist}, st
 }
 
 // Search answers a batch of queries in parallel.

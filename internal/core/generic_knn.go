@@ -2,15 +2,14 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/par"
 )
 
 // k-NN and range search for the generic (arbitrary point type) RBC,
-// mirroring the vector implementations. The pruning derivations are in
-// exact.go; the only difference here is per-point Distance calls in
-// place of batched scans.
+// mirroring the vector implementations: the same rules (rules.go) and the
+// same window (AdmissibleWindow) applied to exact distances, with
+// per-point Distance calls in place of batched scans.
 
 // KNN returns the k exact nearest neighbors of q under the generic exact
 // index, sorted by ascending distance.
@@ -27,11 +26,8 @@ func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 	sc := par.GetScratch()
 	gamma1, gammaK := kthSmallest(repDists, k, sc)
 	par.PutScratch(sc)
-	psiGamma := gammaK
-	if g.prm.ApproxEps > 0 {
-		psiGamma = gammaK / (1 + g.prm.ApproxEps)
-	}
-	tripleBound := 2*gammaK + gamma1
+	w := relaxedGamma(gammaK, g.prm.ApproxEps)
+	triple := tripleRule(gamma1, gammaK)
 
 	h := par.NewKHeap(k)
 	for j, d := range repDists {
@@ -39,11 +35,11 @@ func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 	}
 	for j := range g.repIDs {
 		d := repDists[j]
-		if g.prm.PrunePsi && d >= psiGamma+g.radii[j] {
+		if g.prm.PrunePsi && psiRule(w, g.radii[j]).holds(d) {
 			st.PrunedPsi++
 			continue
 		}
-		if g.prm.PruneTriple && !math.IsInf(tripleBound, 1) && d > tripleBound {
+		if g.prm.PruneTriple && triple.holds(d) {
 			st.PrunedTriple++
 			continue
 		}
@@ -51,8 +47,7 @@ func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 		list, dists := g.lists[j], g.dists[j]
 		lo, hi := 0, len(list)
 		if g.prm.EarlyExit {
-			lo = sort.SearchFloat64s(dists, d-psiGamma)
-			hi = sort.SearchFloat64s(dists, math.Nextafter(d+psiGamma, math.Inf(1)))
+			lo, hi = AdmissibleWindow(dists, d-w, d+w)
 		}
 		for i := lo; i < hi; i++ {
 			st.PointEvals++
@@ -78,7 +73,7 @@ func (g *GenericExact[P]) Range(q P, eps float64) ([]par.Neighbor, Stats) {
 	var hits []par.Neighbor
 	for j := range g.repIDs {
 		d := repDists[j]
-		if d > eps+g.radii[j] {
+		if rangePsiRule(eps, g.radii[j]).holds(d) {
 			st.PrunedPsi++
 			continue
 		}
@@ -86,8 +81,7 @@ func (g *GenericExact[P]) Range(q P, eps float64) ([]par.Neighbor, Stats) {
 		list, dists := g.lists[j], g.dists[j]
 		lo, hi := 0, len(list)
 		if g.prm.EarlyExit {
-			lo = sort.SearchFloat64s(dists, d-eps)
-			hi = sort.SearchFloat64s(dists, math.Nextafter(d+eps, math.Inf(1)))
+			lo, hi = AdmissibleWindow(dists, d-eps, d+eps)
 		}
 		for i := lo; i < hi; i++ {
 			id := int(list[i])
@@ -98,12 +92,7 @@ func (g *GenericExact[P]) Range(q P, eps float64) ([]par.Neighbor, Stats) {
 			}
 		}
 	}
-	sort.Slice(hits, func(a, b int) bool {
-		if hits[a].Dist != hits[b].Dist {
-			return hits[a].Dist < hits[b].Dist
-		}
-		return hits[a].ID < hits[b].ID
-	})
+	par.SortNeighbors(hits)
 	return hits, st
 }
 

@@ -5,13 +5,79 @@ import (
 	"repro/internal/par"
 )
 
-// GroupedScan is the shared phase-2 scan primitive of the grouped batch
+// tileWasteFactor bounds how many surplus pairs a phase-2 tile may
+// evaluate relative to the takers' admissible windows: a block is tiled
+// only when takers×blockWidth ≤ tileWasteFactor × Σ window lengths.
+// Tiled pairs cost roughly half a row-path pair (no per-pair float32
+// widening), so 2 is the break-even point.
+const tileWasteFactor = 2
+
+// ScanGrouped is the grouped phase-2 driver shared by Exact.batchGrouped,
+// OneShot.batchGrouped and the distributed shard scan: given every
+// (query, list, window) a query block decided to scan, it inverts
+// query → lists into list → takers with one counting sort and scans each
+// list once for all of its takers through scanTakers.
+//
+// kept holds (query, list, lo, hi) quadruples: query indexes a dim-major
+// row of qflat, list is in [0, nlists), and [lo, hi) is the window to
+// scan in gather positions; empty windows are skipped. Quadruples must
+// arrive grouped by ascending query, so each list's takers come out in
+// ascending query order whatever the block's composition.
+// emit(query, lo, ords) delivers ordering distances for positions
+// [lo, lo+len(ords)); ords aliases internal scratch and is valid only for
+// the duration of the call. The return value counts admissible
+// (query, position) pairs — the PointEvals contribution.
+//
+// ScanGrouped reserves sc's int slots 1, 4 and 5 on top of what
+// scanTakers reserves; kept may live in int slot 0.
+func ScanGrouped(ker *metric.Kernel, qflat []float32, dim int, gather []float32, nlists int,
+	kept []int, sc *par.Scratch, ts *metric.TileScratch, emit func(query, lo int, ords []float64)) int64 {
+	ends := sc.Ints(4, nlists+1)
+	for j := range ends {
+		ends[j] = 0
+	}
+	for t := 0; t < len(kept); t += 4 {
+		if kept[t+2] < kept[t+3] {
+			ends[kept[t+1]+1]++
+		}
+	}
+	for j := 0; j < nlists; j++ {
+		ends[j+1] += ends[j]
+	}
+	total := ends[nlists]
+	tIdx := sc.Ints(5, total)
+	tWin := sc.Ints(1, 2*total)
+	for t := 0; t < len(kept); t += 4 {
+		q, j, lo, hi := kept[t], kept[t+1], kept[t+2], kept[t+3]
+		if lo < hi {
+			pos := ends[j]
+			tIdx[pos] = q
+			tWin[2*pos], tWin[2*pos+1] = lo, hi
+			ends[j]++
+		}
+	}
+	// ends[j] now marks the end of list j's takers; the start is
+	// ends[j-1] (0 for j == 0).
+	var evals int64
+	start := 0
+	toQuery := func(t, lo int, ords []float64) { emit(tIdx[start+t], lo, ords) }
+	for j := 0; j < nlists; j++ {
+		if end := ends[j]; end > start {
+			evals += scanTakers(ker, qflat, dim, gather,
+				tIdx[start:end], tWin[2*start:2*end], end-start, sc, ts, toQuery)
+			start = end
+		}
+	}
+	return evals
+}
+
+// scanTakers is the shared phase-2 scan primitive of the grouped batch
 // paths: it scores one contiguous range of gathered points against a set
 // of "taker" queries, turning the scan into BF(Q', L) matrix-matrix tiles
 // whenever enough takers share a point block and falling back to
-// per-taker row scans otherwise. Exact.batchGrouped drives it per
-// ownership list; the distributed shard scan drives it per segment, so
-// both layers ride the same kernels and inherit the same
+// per-taker row scans otherwise. ScanGrouped drives it per ownership list
+// (or shard segment), so every grouped path rides the same kernels and
+// inherits the same
 // bit-reproducibility guarantee (with an exact-grade kernel, tile and row
 // evaluations of a pair are bit-identical, making the emitted orderings
 // independent of the tile-vs-row choice and of the block composition).
@@ -25,17 +91,17 @@ import (
 // admissible (taker, position) pairs — the PointEvals contribution —
 // regardless of how many surplus pairs the tiles evaluated.
 //
-// GroupedScan reserves sc's float64 slot 7, float32 slot 0 and int slots
-// 2–3; callers keep taker state in the other slots (see par.Scratch).
-func GroupedScan(ker *metric.Kernel, qflat []float32, dim int, gather []float32,
+// scanTakers reserves sc's float64 slot 7, float32 slot 0 and int slots
+// 2–3 (see par.Scratch).
+func scanTakers(ker *metric.Kernel, qflat []float32, dim int, gather []float32,
 	tIdx, tWin []int, takers int, sc *par.Scratch, ts *metric.TileScratch,
 	emit func(t, lo int, ords []float64)) int64 {
 	if ker.IsFast() {
-		// GroupedScan output is reported answers under the
+		// scanTakers output is reported answers under the
 		// bit-reproducibility contract; neither fast grade (Gram or
 		// chunked) is admissible here. Refusing loudly keeps a mis-wired
 		// consumer from silently shipping drifted distances.
-		panic("core: GroupedScan requires an exact-grade kernel, got " + ker.Grade().String())
+		panic("core: scanTakers requires an exact-grade kernel, got " + ker.Grade().String())
 	}
 	if takers == 0 {
 		return 0

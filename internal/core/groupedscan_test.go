@@ -9,7 +9,7 @@ import (
 	"repro/internal/vec"
 )
 
-// GroupedScan must emit, for every taker, exactly its window's ordering
+// scanTakers must emit, for every taker, exactly its window's ordering
 // distances, bit-identical to the per-query row kernel, regardless of
 // whether a block was served by the tiled or the row path — and report
 // the admissible-pair count, not the tile surplus.
@@ -55,7 +55,7 @@ func TestGroupedScanMatchesRowKernel(t *testing.T) {
 			}
 			sc := par.GetScratch()
 			ts := metric.GetTileScratch()
-			pairs := GroupedScan(ker, queries.Data, dim, points.Data, tIdx, tWin, takers, sc, ts,
+			pairs := scanTakers(ker, queries.Data, dim, points.Data, tIdx, tWin, takers, sc, ts,
 				func(ti, lo int, ords []float64) {
 					for p := lo; p < lo+len(ords); p++ {
 						if _, dup := got[ti][p]; dup {
@@ -94,13 +94,13 @@ func TestGroupedScanDegenerate(t *testing.T) {
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
 	points := []float32{1, 2, 3, 4, 5, 6}
-	if n := GroupedScan(ker, nil, 3, points, nil, nil, 0, sc, nil, func(int, int, []float64) {
+	if n := scanTakers(ker, nil, 3, points, nil, nil, 0, sc, nil, func(int, int, []float64) {
 		t.Fatal("emit called with zero takers")
 	}); n != 0 {
 		t.Fatalf("zero takers reported %d pairs", n)
 	}
 	q := []float32{0, 0, 0}
-	if n := GroupedScan(ker, q, 3, points, []int{0}, []int{1, 1}, 1, sc, nil, func(int, int, []float64) {
+	if n := scanTakers(ker, q, 3, points, []int{0}, []int{1, 1}, 1, sc, nil, func(int, int, []float64) {
 		t.Fatal("emit called with an empty window")
 	}); n != 0 {
 		t.Fatalf("empty window reported %d pairs", n)
@@ -108,7 +108,7 @@ func TestGroupedScanDegenerate(t *testing.T) {
 }
 
 // TestGroupedScanRejectsFastKernels: no exact-grade consumer may be
-// constructed over a fast kernel — GroupedScan (Exact phase 2 and the
+// constructed over a fast kernel — scanTakers (Exact phase 2 and the
 // distributed shard scans both ride it) must refuse both fast grades at
 // the door rather than silently emit drifted orderings.
 func TestGroupedScanRejectsFastKernels(t *testing.T) {
@@ -121,11 +121,11 @@ func TestGroupedScanRejectsFastKernels(t *testing.T) {
 			defer par.PutScratch(sc)
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("GroupedScan accepted a %v-grade kernel", ker.Grade())
+					t.Fatalf("scanTakers accepted a %v-grade kernel", ker.Grade())
 				}
 			}()
 			q := []float32{0, 0, 0}
-			GroupedScan(ker, q, 3, []float32{1, 2, 3}, []int{0}, []int{0, 1}, 1, sc, nil,
+			scanTakers(ker, q, 3, []float32{1, 2, 3}, []int{0}, []int{0, 1}, 1, sc, nil,
 				func(int, int, []float64) {})
 		}()
 	}

@@ -145,7 +145,7 @@ func (e *Exact) Insert(p []float32) int {
 // reached the threshold.
 func (e *Exact) bufferInsert(j int, id int32, d float64) {
 	ids, ds := e.mut.bufIDs[j], e.mut.bufDists[j]
-	pos := InsertPos(ds, ids, d, id)
+	pos := insertPos(ds, ids, d, id)
 	ids = append(ids, 0)
 	copy(ids[pos+1:], ids[pos:])
 	ids[pos] = id
@@ -339,10 +339,9 @@ func (e *Exact) liveGammas(repDists []float64, k int, sc *par.Scratch) (float64,
 	if e.mut == nil || e.mut.numDeleted == 0 {
 		return kthSmallest(repDists, k, sc)
 	}
-	// Slot 5 (not 2): the caller's phase-1 brackets occupy slots 1–2 and
-	// must stay live past this call; slot 5 is only re-carved afterwards
-	// for the list-scan block buffer.
-	live := sc.Float64(5, len(repDists))[:0]
+	// Slot 7: the caller's brackets occupy slots 1–2 and must stay live
+	// past this call; the pruner re-carves slot 7 only afterwards.
+	live := sc.Float64(7, len(repDists))[:0]
 	for j, d := range repDists {
 		if !e.mut.deleted[e.repIDs[j]] {
 			live = append(live, d)
@@ -354,26 +353,22 @@ func (e *Exact) liveGammas(repDists []float64, k int, sc *par.Scratch) (float64,
 	return kthSmallest(live, k, sc)
 }
 
-// scanBuffer feeds representative j's insertion-buffer members to h as
-// ordering distances, and returns the number of distance evaluations.
-// Under EarlyExit the buffer — ascending in (dist, id) like the segment —
-// is clipped to the admissible window [wLo, wHi] by the same binary
-// search the segment scan uses; the window lives in distance space, so
-// callers derive it from the phase-1 distance bracket and it already
-// absorbs the fast kernel's slack. buf is a caller-pooled buffer of
-// length >= 1 (a local array here would escape through the kernel's
-// interface dispatch).
-func (e *Exact) scanBuffer(j int, q []float32, wLo, wHi float64, buf []float64, h func(id int, ord float64)) int64 {
-	if e.mut == nil || len(e.mut.bufIDs[j]) == 0 {
-		return 0
-	}
+// scanBuffer feeds representative j's live insertion-buffer members to
+// emit as ordering distances, and returns the number of distance
+// evaluations. Under EarlyExit the buffer — ascending in (dist, id) like
+// the segment — is clipped to the admissible window of half-width w by
+// the same binary search the segment scan uses; the window clips stored
+// member distances directly, so it is pinned to the exact representative
+// distance (rescoring if the bracket has not collapsed).
+func (e *Exact) scanBuffer(p *probe, j int, w float64, emit func(id int, ord float64)) int64 {
 	ids, ds := e.mut.bufIDs[j], e.mut.bufDists[j]
 	lo, hi := 0, len(ids)
 	if e.prm.EarlyExit {
-		lo, hi = AdmissibleWindow(ds, wLo, wHi)
+		d := e.exactRepDist(p, j)
+		lo, hi = AdmissibleWindow(ds, d-w, d+w)
 	}
 	var evals int64
-	out := buf[:1]
+	out := p.cell[:1]
 	for i := lo; i < hi; i++ {
 		id := ids[i]
 		if e.mut.deleted[id] {
@@ -381,9 +376,9 @@ func (e *Exact) scanBuffer(j int, q []float32, wLo, wHi float64, buf []float64, 
 		}
 		// The kernel's ordering path, even for one row, so rounding matches
 		// the gathered-scan and brute-force code paths bit for bit.
-		e.ker.Ordering(q, e.db.Row(int(id)), e.db.Dim, out)
+		e.ker.Ordering(p.q, e.db.Row(int(id)), e.db.Dim, out)
 		evals++
-		h(int(id), out[0])
+		emit(int(id), out[0])
 	}
 	return evals
 }

@@ -19,8 +19,8 @@ import (
 // after arbitrary mutate bursts (extending the PR 4 eval-monotonicity
 // coverage to mutated indexes).
 
-// InsertPos must agree with re-sorting: splicing at the returned
-// position keeps the segment in SortSegment order.
+// insertPos must agree with re-sorting: splicing at the returned
+// position keeps the segment in sortSegment order.
 func TestInsertPosMatchesSort(t *testing.T) {
 	f := func(raw []float64, d float64, id int32) bool {
 		// Build a valid sorted segment from the raw values (ids dense so
@@ -31,16 +31,16 @@ func TestInsertPosMatchesSort(t *testing.T) {
 			ids[i] = int32(i)
 			dists[i] = float64(int(v*8)%5) * 0.25 // tie-rich grid
 		}
-		SortSegment(ids, dists)
+		sortSegment(ids, dists)
 		d = float64(int(d*8)%5) * 0.25
 		if id < 0 {
 			id = -id
 		}
 		id += int32(len(raw)) // fresh id, as Insert always appends
-		pos := InsertPos(dists, ids, d, id)
+		pos := insertPos(dists, ids, d, id)
 		ids = append(ids[:pos:pos], append([]int32{id}, ids[pos:]...)...)
 		dists = append(dists[:pos:pos], append([]float64{d}, dists[pos:]...)...)
-		return SegmentSorted(ids, dists)
+		return segmentSorted(ids, dists)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -61,8 +61,8 @@ func TestSegmentSorted(t *testing.T) {
 		{[]int32{1, 2}, []float64{2, 1}, false}, // dist descending
 	}
 	for i, c := range cases {
-		if got := SegmentSorted(c.ids, c.dists); got != c.want {
-			t.Errorf("case %d: SegmentSorted=%v, want %v", i, got, c.want)
+		if got := segmentSorted(c.ids, c.dists); got != c.want {
+			t.Errorf("case %d: segmentSorted=%v, want %v", i, got, c.want)
 		}
 	}
 }
@@ -89,7 +89,7 @@ func TestInsertionBuffersStaySorted(t *testing.T) {
 		t.Fatalf("SegMerges()=%d, want 0 (auto-merge disabled)", e.SegMerges())
 	}
 	for j := 0; j < e.NumReps(); j++ {
-		if !SegmentSorted(e.mut.bufIDs[j], e.mut.bufDists[j]) {
+		if !segmentSorted(e.mut.bufIDs[j], e.mut.bufDists[j]) {
 			t.Fatalf("buffer %d violates (dist, id) order", j)
 		}
 	}
@@ -149,7 +149,7 @@ func checkFlatLayout(t *testing.T, e *Exact, db *vec.Dataset) {
 	seen := make(map[int32]bool, len(e.ids))
 	for j := 0; j < e.NumReps(); j++ {
 		lo, hi := e.offsets[j], e.offsets[j+1]
-		if !SegmentSorted(e.ids[lo:hi], e.dists[lo:hi]) {
+		if !segmentSorted(e.ids[lo:hi], e.dists[lo:hi]) {
 			t.Fatalf("segment %d violates (dist, id) order", j)
 		}
 		if hi > lo && e.radii[j] < e.dists[hi-1] {

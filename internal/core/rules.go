@@ -1,0 +1,63 @@
+package core
+
+// The decisions of the paper's exact search (§5.2), each written once.
+// Let γ_1 ≤ γ_k be the smallest and k-th smallest distances from the
+// query q to a representative; representatives are database points, so
+// γ_k upper-bounds the k-th nearest-neighbor distance. Every rule has the
+// form "prune r when ρ(q,r) is past a threshold", which is what lets one
+// comparison (rule.holds) serve exact distances and — through
+// Exact.prunes — certified brackets alike.
+//
+// Exact, GenericExact and the distributed coordinator all decide through
+// this file; AdmissibleWindow (window.go) is the matching single home of
+// the EarlyExit window rule.
+
+// rule prunes a representative whose distance d to the query is past t:
+// d ≥ t, or d > t when strict. Being monotone in d is what makes a rule
+// certifiable from a bracket: if both ends agree, so does every distance
+// between them.
+type rule struct {
+	t      float64
+	strict bool
+}
+
+func (r rule) holds(d float64) bool {
+	if r.strict {
+		return d > r.t
+	}
+	return d >= r.t
+}
+
+// relaxedGamma is the γ the radius rule and the EarlyExit window use:
+// γ_k itself, or γ_k/(1+ε) under ExactParams.ApproxEps (the paper's
+// footnote-1 variant — the answer is then (1+ε)-approximate).
+func relaxedGamma(gammaK, approxEps float64) float64 {
+	if approxEps > 0 {
+		return gammaK / (1 + approxEps)
+	}
+	return gammaK
+}
+
+// psiRule is inequality (1) generalized to k-NN: a representative with
+// ρ(q,r) ≥ γ + ψ_r owns no point within γ of q (triangle inequality), so
+// with γ = γ_k — or its relaxedGamma — its list cannot improve the answer.
+func psiRule(gamma, radius float64) rule { return rule{t: gamma + radius} }
+
+// rangePsiRule is the radius rule of range search: r can own a point
+// within eps of q only if ρ(q,r) ≤ eps + ψ_r.
+func rangePsiRule(eps, radius float64) rule { return rule{t: eps + radius, strict: true} }
+
+// tripleRule is inequality (2), Lemma 1's ρ(q,r) > 3γ, in its k-NN form:
+// if x is one of the k NNs and r* owns x, then
+// ρ(x,r*) ≤ ρ(x,q)+ρ(q,r_1) ≤ γ_k+γ_1, so
+// ρ(q,r*) ≤ ρ(q,x)+ρ(x,r*) ≤ 2γ_k+γ_1 (= 3γ at k = 1). An unbounded γ_k
+// (fewer than k representatives) makes the threshold +Inf, which no
+// distance is past.
+func tripleRule(gamma1, gammaK float64) rule { return rule{t: 2*gammaK + gamma1, strict: true} }
+
+// PrunedByPsi applies the k-NN radius rule to an exact distance d.
+func PrunedByPsi(d, gammaK, radius float64) bool { return psiRule(gammaK, radius).holds(d) }
+
+// PrunedByTriple applies the k-NN form of the 3γ rule to an exact
+// distance d.
+func PrunedByTriple(d, gamma1, gammaK float64) bool { return tripleRule(gamma1, gammaK).holds(d) }

@@ -35,7 +35,7 @@ type exactSnapshot struct {
 // Snapshot versions. Version 1 already persists the sorted-segment
 // permutation (IDs in per-list (dist, id) order, Dists as the
 // position-aligned sort keys), so the EarlyExit admissible windows — and
-// any consumer of SortSegment order, such as the distributed shards —
+// any consumer of sortSegment order, such as the distributed shards —
 // round-trip without a layout change. Version 2 adds the Deleted
 // tombstone list; LoadExact accepts both. LoadExact verifies the sort
 // invariant instead of re-sorting: a snapshot whose Dists are not
@@ -116,7 +116,7 @@ func LoadExact(r io.Reader, db *vec.Dataset, m metric.Metric[[]float32]) (*Exact
 		if lo < 0 || hi < lo || hi > len(snap.IDs) {
 			return nil, fmt.Errorf("core: corrupt index structure: bad offsets [%d, %d)", lo, hi)
 		}
-		if !SegmentSorted(snap.IDs[lo:hi], snap.Dists[lo:hi]) {
+		if !segmentSorted(snap.IDs[lo:hi], snap.Dists[lo:hi]) {
 			return nil, fmt.Errorf("core: corrupt index structure: list %d not in (dist, id) order", j)
 		}
 	}

@@ -5,27 +5,28 @@ import (
 	"sort"
 )
 
-// This file exports the two primitives behind the EarlyExit admissible
-// window (the paper's Claim 2 "sorted list" refinement) so layers above
-// core — notably the distributed shard scans — apply exactly the same
-// arithmetic as Exact's own phase-2 paths:
+// This file holds the two primitives behind the EarlyExit admissible
+// window (the paper's Claim 2 "sorted list" refinement):
 //
-//   - SortSegment puts one ownership-list segment into the ascending
+//   - sortSegment puts one ownership-list segment into the ascending
 //     (distance-to-representative, id) order every window computation
 //     assumes;
 //   - AdmissibleWindow converts a distance-space admissibility interval
 //     into a half-open position window over such a sorted segment.
 //
-// Keeping both exported (instead of re-implemented per layer) is what
-// makes "windowed cluster answers are bit-identical to single-node
-// Exact" a structural property rather than a numerical coincidence.
+// AdmissibleWindow is exported (instead of re-implemented per layer) so
+// the distributed shard scans clip with exactly the arithmetic Exact's
+// own phase-2 paths run — which is what makes "windowed cluster answers
+// are bit-identical to single-node Exact" a structural property rather
+// than a numerical coincidence. Shard segments are copies of the index's
+// own sorted lists (Exact.List), so nothing above core sorts.
 
-// SortSegment sorts one ownership-list segment in place by ascending
+// sortSegment sorts one ownership-list segment in place by ascending
 // (distance-to-representative, id). ids and dists must be position-aligned
 // and of equal length. This is the layout the EarlyExit admissible window
 // requires: with dists ascending, the set of positions admissible for a
 // query is a contiguous range found by binary search.
-func SortSegment(ids []int32, dists []float64) {
+func sortSegment(ids []int32, dists []float64) {
 	sort.Sort(&segSorter{ids: ids, dists: dists})
 }
 
@@ -51,13 +52,12 @@ func AdmissibleWindow(repDists []float64, dLo, dHi float64) (lo, hi int) {
 	return lo, hi
 }
 
-// InsertPos returns the position at which a member with distance d and
+// insertPos returns the position at which a member with distance d and
 // database id would splice into a segment already in ascending
 // (dist, id) order, preserving that order. It is the binary-search half
-// of the sorted insertion buffers in mutate.go; exported so property
-// tests and higher layers share the exact comparison rule SortSegment
-// establishes.
-func InsertPos(dists []float64, ids []int32, d float64, id int32) int {
+// of the sorted insertion buffers in mutate.go, under the exact
+// comparison rule sortSegment establishes.
+func insertPos(dists []float64, ids []int32, d float64, id int32) int {
 	return sort.Search(len(dists), func(i int) bool {
 		if dists[i] != d {
 			return dists[i] > d
@@ -66,11 +66,11 @@ func InsertPos(dists []float64, ids []int32, d float64, id int32) int {
 	})
 }
 
-// SegmentSorted reports whether the position-aligned (ids, dists) pair
-// is in the ascending (dist, id) order SortSegment establishes — the
-// invariant every AdmissibleWindow and InsertPos call assumes. Used by
+// segmentSorted reports whether the position-aligned (ids, dists) pair
+// is in the ascending (dist, id) order sortSegment establishes — the
+// invariant every AdmissibleWindow and insertPos call assumes. Used by
 // snapshot validation and the mutation property tests.
-func SegmentSorted(ids []int32, dists []float64) bool {
+func segmentSorted(ids []int32, dists []float64) bool {
 	for i := 1; i < len(dists); i++ {
 		if dists[i] < dists[i-1] ||
 			(dists[i] == dists[i-1] && ids[i] <= ids[i-1]) {

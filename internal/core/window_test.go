@@ -9,7 +9,7 @@ import (
 func TestSortSegmentOrdersByDistThenID(t *testing.T) {
 	ids := []int32{9, 4, 7, 1, 3}
 	dists := []float64{2, 1, 2, 1, 0.5}
-	SortSegment(ids, dists)
+	sortSegment(ids, dists)
 	wantIDs := []int32{3, 1, 4, 7, 9}
 	wantDists := []float64{0.5, 1, 1, 2, 2}
 	for i := range ids {
@@ -23,9 +23,9 @@ func TestSortSegmentOrdersByDistThenID(t *testing.T) {
 }
 
 func TestSortSegmentEmptyAndSingle(t *testing.T) {
-	SortSegment(nil, nil) // must not panic
+	sortSegment(nil, nil) // must not panic
 	ids, dists := []int32{5}, []float64{3}
-	SortSegment(ids, dists)
+	sortSegment(ids, dists)
 	if ids[0] != 5 || dists[0] != 3 {
 		t.Fatal("single-element segment mutated")
 	}

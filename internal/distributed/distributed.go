@@ -16,13 +16,14 @@
 // # The tiled shard-scan contract
 //
 // Shards do not score candidates one pair at a time. A shard request
-// carries its whole query block; the shard inverts the block's
+// carries its whole query block; core.ScanGrouped — the grouped phase-2
+// driver Exact's batch back half uses — inverts the block's
 // (query, segment) pairs into per-segment taker sets and scans each
-// owned segment ONCE for all of its takers through core.GroupedScan —
-// the same adaptive tile-vs-row machinery Exact's grouped batch back
-// half uses. Dense taker sets become BF(Q', L) matrix-matrix tiles;
-// a segment with a single taker (e.g. a one-query block degenerating to
-// the old per-query shape) falls back to the row kernel.
+// owned segment ONCE for all of its takers, choosing tile or row per
+// point block. Dense taker sets become BF(Q', L)
+// matrix-matrix tiles; a segment with a single taker (e.g. a one-query
+// block degenerating to the old per-query shape) falls back to the row
+// kernel.
 //
 // Every kernel on the answer path is EXACT grade (metric.NewKernel):
 // per-pair arithmetic is bit-identical to the per-query row reference,
@@ -47,9 +48,9 @@
 // # Shard-side admissible windows (EarlyExit)
 //
 // Building with core.ExactParams.EarlyExit brings the paper's Claim 2
-// "sorted list" refinement to the cluster. Shard segments are sorted at
-// Build by ascending distance-to-representative (core.SortSegment — the
-// same order core.Exact keeps its lists in), and each routed request
+// "sorted list" refinement to the cluster. Shard segments are the index's
+// own lists, copied at Build in their ascending
+// distance-to-representative order, and each routed request
 // ships, per (query, segment) pair, an admissible window [dLo, dHi] in
 // distance-to-representative space: dLo = ρ(q,r) − w, dHi = ρ(q,r) + w,
 // where w is the true-distance form of the query's rep-seeded heap worst
@@ -57,7 +58,7 @@
 // triangle inequality |ρ(q,r) − ρ(x,r)| ≤ ρ(q,x), a member outside the
 // window cannot beat that k-th candidate, so the shard clips each
 // taker's scan range to the window (core.AdmissibleWindow, a binary
-// search over the sorted segment) before handing it to core.GroupedScan
+// search over the sorted segment) before handing it to core.ScanGrouped
 // — the single scan hook for windowed and full scans alike.
 //
 // The protocol cost is 16 bytes per (query, segment) window — two
@@ -275,128 +276,62 @@ func (s *shard) serve() {
 	}
 }
 
-// scan answers one batched request: it inverts the request's
-// (query, segment) pairs into per-segment taker sets (one counting
-// sort), then scans each segment once for all its takers through
-// core.GroupedScan. On windowed requests each taker's range is first
-// clipped to its admissible window through the segment's sorted
-// distance-to-representative column (core.AdmissibleWindow), so the
-// grouped scan only touches positions that can still beat the query's
-// current k-th candidate. Representatives are excluded unless
-// includeReps is set, because the coordinator seeds every representative
-// as a candidate (their distances are already paid for in phase 1);
-// scanning them again would duplicate ids in the merged result set.
+// scan answers one batched request. It resolves every (query, segment)
+// pair of the request to a scan window — the whole segment, or on
+// windowed requests the pair's admissible window clipped through the
+// segment's sorted distance-to-representative column
+// (core.AdmissibleWindow), so the scan only touches positions that can
+// still beat the query's current k-th candidate — and hands the lot to
+// core.ScanGrouped, which scans each segment once for all of its takers.
+// Representatives are excluded unless includeReps is set, because the
+// coordinator seeds every representative as a candidate (their distances
+// are already paid for in phase 1); scanning them again would duplicate
+// ids in the merged result set.
 func (s *shard) scan(req shardRequest) shardReply {
 	nq := len(req.segs)
 	rep := shardReply{sid: s.id, knn: make([][]par.Neighbor, nq)}
-	nseg := len(s.offsets) - 1
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
 	ts := metric.GetTileScratch()
 	defer metric.PutTileScratch(ts)
 	heaps := sc.HeapSlab(nq, req.k)
 
-	// Invert query → segments into segment → takers with a counting sort
-	// so each segment is visited once per block. Windowed requests carry
-	// the takers' window bounds along through the same inversion.
-	counts := sc.Ints(4, nseg+1)
-	for j := range counts {
-		counts[j] = 0
-	}
 	total := 0
 	for _, segs := range req.segs {
 		total += len(segs)
-		for _, seg := range segs {
-			counts[seg+1]++
-		}
 	}
-	for j := 0; j < nseg; j++ {
-		counts[j+1] += counts[j]
-	}
-	takerFlat := sc.Ints(5, total)
-	var winFlat []float64
-	if req.wins != nil {
-		winFlat = sc.Float64(0, 2*total)
-	}
+	kept := sc.Ints(0, 4*total)[:0]
 	wpos := 0
 	for qi, segs := range req.segs {
 		for _, seg := range segs {
-			pos := counts[seg]
-			takerFlat[pos] = qi
-			if winFlat != nil {
-				winFlat[2*pos] = req.wins[2*wpos]
-				winFlat[2*pos+1] = req.wins[2*wpos+1]
-			}
-			wpos++
-			counts[seg]++
-		}
-	}
-	// counts[j] now marks the end of segment j's takers; the start is
-	// counts[j-1] (0 for j == 0).
-
-	var takers []int
-	push := func(t, lo int, ords []float64) {
-		qi := takers[t]
-		bound := math.Inf(1)
-		if req.bounds != nil {
-			bound = req.bounds[qi]
-		}
-		h := heaps[qi]
-		for p := lo; p < lo+len(ords); p++ {
-			if s.isRep[p] && !req.includeReps {
-				continue
-			}
-			if o := ords[p-lo]; o <= bound {
-				h.Push(int(s.ids[p]), o)
-			}
-		}
-	}
-	start := 0
-	for j := 0; j < nseg; j++ {
-		segStart, end := start, counts[j]
-		takers = takerFlat[segStart:end]
-		start = end
-		lo, hi := s.offsets[j], s.offsets[j+1]
-		if len(takers) == 0 || lo == hi {
-			if winFlat != nil && lo == hi {
-				// Windows shipped for a zero-length segment (duplicate
-				// representative) clip to nothing by definition; count
-				// them so EmptyWindows means every shipped-but-futile
-				// window, not just the binary-search misses below.
-				rep.emptyWins += int64(len(takers))
-			}
-			continue // unrequested or empty segment
-		}
-		tWin := sc.Ints(1, 2*len(takers))
-		if winFlat == nil {
-			for t := range takers {
-				tWin[2*t], tWin[2*t+1] = lo, hi
-			}
-		} else {
-			// Clip each taker to its admissible window; takers whose
-			// window is empty are dropped here, so a segment every taker
-			// rules out costs nothing beyond the binary searches.
-			kept := sc.Ints(0, len(takers))
-			nKept := 0
-			for t := range takers {
-				a, b := core.AdmissibleWindow(s.segDists[lo:hi],
-					winFlat[2*(segStart+t)], winFlat[2*(segStart+t)+1])
+			lo, hi := s.offsets[seg], s.offsets[seg+1]
+			if req.wins != nil {
+				a, b := core.AdmissibleWindow(s.segDists[lo:hi], req.wins[2*wpos], req.wins[2*wpos+1])
+				wpos++
 				if a >= b {
+					// Nothing admissible (or a zero-length segment of a
+					// duplicate representative): a shipped-but-futile window.
 					rep.emptyWins++
 					continue
 				}
-				kept[nKept] = takers[t]
-				tWin[2*nKept], tWin[2*nKept+1] = lo+a, lo+b
-				nKept++
+				lo, hi = lo+a, lo+b
 			}
-			if nKept == 0 {
-				continue
-			}
-			takers = kept[:nKept]
+			kept = append(kept, qi, seg, lo, hi)
 		}
-		rep.evals += core.GroupedScan(s.ker, req.qs, s.dim, s.gather,
-			takers, tWin, len(takers), sc, ts, push)
 	}
+	rep.evals = core.ScanGrouped(s.ker, req.qs, s.dim, s.gather, len(s.offsets)-1, kept, sc, ts,
+		func(qi, lo int, ords []float64) {
+			bound := math.Inf(1)
+			if req.bounds != nil {
+				bound = req.bounds[qi]
+			}
+			h := heaps[qi]
+			for t, o := range ords {
+				if p := lo + t; (req.includeReps || !s.isRep[p]) && o <= bound {
+					h.Push(int(s.ids[p]), o)
+				}
+			}
+		})
 	for qi := 0; qi < nq; qi++ {
 		rep.knn[qi] = heaps[qi].Results()
 	}
@@ -732,7 +667,6 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 			if w, full := sel.Worst(); full && k <= nr {
 				gammaK = w
 			}
-			tripleBound := 2*gammaK + gamma1
 			h := par.NewKHeap(k)
 			for j := range ords {
 				h.Push(c.repIDs[j], ords[j])
@@ -753,10 +687,8 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 			}
 			cnt := 0
 			for j := 0; j < nr; j++ {
-				if dists[j] >= gammaK+c.radii[j] {
-					continue
-				}
-				if !math.IsInf(tripleBound, 1) && dists[j] > tripleBound {
+				if core.PrunedByPsi(dists[j], gammaK, c.radii[j]) ||
+					core.PrunedByTriple(dists[j], gamma1, gammaK) {
 					continue
 				}
 				surv[cnt] = j

@@ -40,16 +40,13 @@
 //
 // See multi.go for the ordering contract and grade dispatch.
 //
-// # Tile shape autotuning
+// # Tile shapes
 //
-// The tiled consumer loops size their tiles via TileShape, which
-// resolves a per-tile footprint budget once per process: a valid
-// RBC_TILE_BUDGET env var pins it (the reproducibility hook — CI and
-// bench baselines set it so shape changes never masquerade as kernel
-// regressions); otherwise a micro-measurement over a small budget grid
-// picks the fastest shape for the host (~ms, once). TileBudget reports
-// the resolved value and its provenance for bench artifacts; TileShape
-// remains as the fixed historical reference shape. Shape can never
-// change results: every grade is tile-shape invariant by construction,
-// and the invariance tests sweep the full grid. See autotile.go.
+// The tiled consumer loops size their tiles via TileShape, against one
+// process-wide per-tile footprint budget: a static default, unless the
+// RBC_TILE_BUDGET env var (read at start-up) or SetTileBudget (tests,
+// harnesses) says otherwise. TileBudget reports the value and where it
+// came from for bench artifacts. Shape can never change results: every
+// grade is tile-shape invariant by construction, and the invariance
+// tests sweep a range of budgets. See tilebudget.go.
 package metric

@@ -55,7 +55,7 @@ import (
 // ChunkedErrorBound. Queries outside the envelope clamp to ±127 and the
 // bound no longer holds — consumers that need certified answers must not
 // read quantized distances at all (the grade reports IsFast(), so
-// core.Exact and core.GroupedScan reject it), and approximate consumers
+// core.Exact and core.ScanGrouped reject it), and approximate consumers
 // restore exact reported distances by rescoring candidates with an exact
 // kernel (bruteforce.RescoreK); see the two-pass contract on
 // bruteforce.SearchKQuantized.

@@ -33,9 +33,9 @@ const (
 	minTileBudget = 1024
 	maxTileBudget = 1 << 18
 
-	// TileBudgetEnv names the environment variable that sets the tile
+	// tileBudgetEnv names the environment variable that sets the tile
 	// budget at process start.
-	TileBudgetEnv = "RBC_TILE_BUDGET"
+	tileBudgetEnv = "RBC_TILE_BUDGET"
 )
 
 type tileBudgetSetting struct {
@@ -49,7 +49,7 @@ var tileBudget atomic.Pointer[tileBudgetSetting]
 
 func init() {
 	set := tileBudgetSetting{defaultTileBudget, "default"}
-	if v, ok := os.LookupEnv(TileBudgetEnv); ok {
+	if v, ok := os.LookupEnv(tileBudgetEnv); ok {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
 			set = tileBudgetSetting{clampTileBudget(n), "env"}
 		} else {

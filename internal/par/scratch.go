@@ -10,19 +10,24 @@ import "sync"
 // Slots are small fixed indices chosen by the caller; two live buffers must
 // use distinct slots. Requesting a slot again invalidates its previous
 // contents (the backing array is reused). Within internal/core the slot
-// ownership convention is: float64 0–2 and 5 belong to the per-query back
-// half (phase-1 orderings, bracket lows, bracket highs; slot 5 is
-// time-shared between the live-gamma buffer and the list-scan block that
-// is carved after it), 3–4 and 6 to the batched front half (rows, tile,
-// query norms). Float64 slot 7 is time-shared: the back halves use it
-// during per-query setup (the exact γ candidate buffer) and
-// core.GroupedScan — which only ever runs after setup completes —
-// re-carves it along with float32 slot 0 and int slots 2–3 for its block
-// bookkeeping. Grouped-scan callers own
-// int slots 0–1 (taker ids, taker windows) and 4–5 (segment grouping),
-// plus float64 slot 0 for per-taker window bounds that must stay live
-// across GroupedScan calls (free in that context: the per-query back
-// half that otherwise owns it never runs inside a grouped scan).
+// ownership convention is:
+//
+//   - float64 0–2 and 5 belong to the per-query pruning step: 0 holds the
+//     phase-1 orderings when a single query computes its own, 1 the query
+//     norm and then the bracket lows, 2 the bracket highs, 5 the
+//     list-scan block that doubles as the rescore cell;
+//   - float64 3, 4 and 6 belong to the batched front half
+//     (core.tileFrontHalf: rows, kernel tile, query norms);
+//   - float64 7 is time-shared within one query tile: the pruner uses it
+//     for the live-γ buffer and then the γ candidate buffer, and
+//     core.ScanGrouped — which only runs once every query of the tile has
+//     been pruned — re-carves it for its kernel tile, along with float32
+//     slot 0 and int slots 2–3 for its block bookkeeping;
+//   - int slot 0 holds a back half's kept (query, list, lo, hi)
+//     quadruples, and core.ScanGrouped owns int slots 1, 4 and 5 (taker
+//     windows, per-list taker counts, taker ids);
+//   - heap slot 0 is a single query's result heap (or OneShot's probe
+//     selector), heap slot 1 the k-th-smallest selector.
 type Scratch struct {
 	f64   [8][]float64
 	f32   [2][]float32
