@@ -9,7 +9,6 @@
 //	rbc-bench -exp fig2                     # one experiment
 //	rbc-bench -exp paper                    # table1 fig1 fig2 table2 table3 fig3
 //	rbc-bench -exp all -scale 0.02 -out results/
-//	rbc-bench -concurrency 64               # serving-style coalescer benchmark
 //	rbc-bench -shard-addrs a:1,b:2          # networked cluster vs loopback
 //	rbc-bench -shard-addrs a:1,a:2,b:1,b:2 -replicas 2 -max-hedges 1 -net-slow 50ms
 //	                                        # replicated + hedged tail-latency experiment
@@ -17,11 +16,6 @@
 // At -scale 1 the workloads match the paper's Table 1 sizes; the default
 // 0.01 runs in minutes on a laptop while preserving the √n parameter
 // couplings (so speedup shapes carry over).
-//
-// With -concurrency N the command switches to a serving-style mode: N
-// closed-loop clients drive the HTTP server's /query endpoint and the
-// run reports QPS and p50/p99 latency for the per-query path, the
-// request-coalescing path, and the raw single-stream index as a floor.
 //
 // With -shard-addrs the command benchmarks the distributed cluster over
 // TCP against the in-process loopback transport, checking bit-identity
@@ -40,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/metric"
 )
 
 func main() {
@@ -50,18 +43,14 @@ func main() {
 		queries  = flag.Int("queries", 200, "queries per experiment")
 		seed     = flag.Int64("seed", 20120501, "random seed")
 		repFac   = flag.Float64("repfactor", 2, "n_r multiplier on sqrt(n) for exact search")
-		kernel   = flag.String("kernel", "exact", "kernel grade, one of: exact | fast | chunked | quantized; applies to approximate-tolerant paths (timed BF baselines, one-shot probe selection, LSH rescoring; exact answers stay exact; quantized runs the two-pass int8 scan — see the quant-sweep experiment for its n-sweep); serving mode accepts only exact")
+		kernel   = flag.String("kernel", "exact", "kernel grade, one of: exact | fast | chunked | quantized; applies to approximate-tolerant paths (timed BF baselines, one-shot probe selection, LSH rescoring; exact answers stay exact; quantized runs the two-pass int8 scan — see the quant-sweep experiment for its n-sweep)")
 		outDir   = flag.String("out", "", "directory for .txt/.csv outputs (optional)")
 		listOnly = flag.Bool("list", false, "list experiments and exit")
 
-		concurrency = flag.Int("concurrency", 0, "serving mode: closed-loop clients driving /query (0 = run experiments instead)")
-		serveN      = flag.Int("serve-n", 10000, "serving mode: database size")
-		serveDim    = flag.Int("serve-dim", 64, "serving mode: dimension")
-		serveSecs   = flag.Float64("serve-secs", 3, "serving mode: seconds per measured configuration")
-		serveBatch  = flag.Int("serve-batch", 0, "serving mode: coalescer max batch (0 = concurrency)")
-		serveWait   = flag.Duration("serve-wait", 500*time.Microsecond, "serving mode: coalescer max wait")
-
-		shardAddrs = flag.String("shard-addrs", "", "networked mode: comma-separated rbc-shard addresses; benchmarks the cluster over TCP vs loopback (uses -serve-n/-serve-dim/-serve-secs)")
+		shardAddrs = flag.String("shard-addrs", "", "networked mode: comma-separated rbc-shard addresses; benchmarks the cluster over TCP vs loopback")
+		serveN     = flag.Int("serve-n", 10000, "networked mode: database size")
+		serveDim   = flag.Int("serve-dim", 64, "networked mode: dimension")
+		serveSecs  = flag.Float64("serve-secs", 3, "networked mode: seconds per measured backend")
 		netK       = flag.Int("net-k", 5, "networked mode: neighbors per query")
 		netBlock   = flag.Int("net-block", 64, "networked mode: queries per batched fan-out")
 		netTimeout = flag.Duration("net-timeout", 10*time.Second, "networked mode: per-attempt shard request deadline")
@@ -73,12 +62,8 @@ func main() {
 	flag.Parse()
 
 	// Validate -kernel up front, before any mode branch: an unknown grade
-	// must be rejected loudly, never silently defaulted, and serving mode
-	// must not silently ignore a non-exact request (its answers are served
-	// from the exact index, so accepting "-kernel chunked" there would
-	// just misreport what was measured).
-	grade, err := harness.Config{Kernel: *kernel}.Grade()
-	if err != nil {
+	// must be rejected loudly, never silently defaulted.
+	if _, err := (harness.Config{Kernel: *kernel}).Grade(); err != nil {
 		fmt.Fprintf(os.Stderr, "rbc-bench: %v\n", err)
 		os.Exit(2)
 	}
@@ -95,23 +80,6 @@ func main() {
 			k: *netK, block: *netBlock, secs: *serveSecs,
 			seed: *seed, timeout: *netTimeout,
 			hedgeDelay: *hedgeDelay, maxHedges: *maxHedges, slow: *netSlow,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rbc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *concurrency > 0 {
-		if grade != metric.GradeExact {
-			fmt.Fprintf(os.Stderr, "rbc-bench: serving mode answers on the exact grade only; -kernel %s is not supported with -concurrency\n", *kernel)
-			os.Exit(2)
-		}
-		err := runServeBench(serveBenchConfig{
-			n: *serveN, dim: *serveDim, concurrency: *concurrency,
-			secs: *serveSecs, batchMax: *serveBatch, batchWait: *serveWait,
-			seed: *seed,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rbc-bench: %v\n", err)

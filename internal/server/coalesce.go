@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -13,9 +14,9 @@ import (
 var errShuttingDown = errors.New("server: shutting down")
 
 // call is one parked /query or /range request awaiting a coalesced
-// flush. The flusher fills nbs/evals/batch (or err), marks released, and
-// closes done; released is only touched by the one goroutine running the
-// batch, so it needs no lock.
+// flush. The flusher fills nbs/evals/batch (or err) and releases it;
+// released is only touched by the one goroutine running the batch, so it
+// needs no lock.
 type call struct {
 	point []float32
 	k     int     // /query: neighbors requested
@@ -28,6 +29,12 @@ type call struct {
 	released bool
 
 	done chan struct{}
+}
+
+// release hands the call back to its waiting handler.
+func (c *call) release() {
+	c.released = true
+	close(c.done)
 }
 
 // coalescer parks concurrent queries briefly and flushes them as one
@@ -66,6 +73,7 @@ func newCoalescer(maxBatch int, maxWait time.Duration, run func([]*call)) *coale
 // submit parks c until the batch it joined is flushed. It returns
 // errShuttingDown (without running c) if the coalescer is closed.
 func (co *coalescer) submit(c *call) error {
+	c.done = make(chan struct{})
 	co.mu.Lock()
 	if co.closed {
 		co.mu.Unlock()
@@ -76,7 +84,7 @@ func (co *coalescer) submit(c *call) error {
 	if len(co.queue) >= co.maxBatch {
 		batch := co.takeLocked(&co.sizeFlushes)
 		co.mu.Unlock()
-		co.run(batch)
+		co.safeRun(batch)
 	} else {
 		if len(co.queue) == 1 {
 			gen := co.gen
@@ -99,7 +107,7 @@ func (co *coalescer) fire(gen uint64) {
 	}
 	batch := co.takeLocked(&co.waitFlushes)
 	co.mu.Unlock()
-	co.run(batch)
+	co.safeRun(batch)
 }
 
 // takeLocked detaches the open batch, advances the generation and
@@ -132,8 +140,25 @@ func (co *coalescer) close() {
 	}
 	co.mu.Unlock()
 	if batch != nil {
-		co.run(batch)
+		co.safeRun(batch)
 	}
+}
+
+// safeRun executes one flushed batch. Every call is released no matter
+// what: a panic out of the index (or a poisoned query) must not strand
+// the other parked handlers.
+func (co *coalescer) safeRun(batch []*call) {
+	defer func() {
+		if r := recover(); r != nil {
+			for _, c := range batch {
+				if !c.released {
+					c.err = fmt.Errorf("batch failed: %v", r)
+					c.release()
+				}
+			}
+		}
+	}()
+	co.run(batch)
 }
 
 // coalesceStats is the /stats projection of the coalescer's counters.

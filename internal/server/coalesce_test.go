@@ -19,7 +19,7 @@ import (
 	"repro/internal/vec"
 )
 
-func newCoalescedServer(t *testing.T, n, maxBatch int, maxWait time.Duration) (*Server, *Server, *vec.Dataset) {
+func newCoalescedServer(t testing.TB, n, maxBatch int, maxWait time.Duration) (*Server, *Server, *vec.Dataset) {
 	t.Helper()
 	db := testData(n)
 	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true})
@@ -212,6 +212,45 @@ func TestShutdownDrainsPending(t *testing.T) {
 		t.Fatalf("query after close: %d", rec.Code)
 	}
 	co.Close() // idempotent
+}
+
+// The evals of a coalesced block's responses must sum to the work the
+// block did — an equal share each, the remainder spread over the first
+// calls — so a client summing them sees the same total however requests
+// happened to batch.
+func TestCoalescedEvalsSumToBlockTotal(t *testing.T) {
+	const n, k = 7, 3
+	// Only the size trigger can flush: the seven queries leave as one block.
+	co, _, db := newCoalescedServer(t, 800, n, time.Hour)
+	defer co.Close()
+	block := vec.New(db.Dim, n)
+	for i := 0; i < n; i++ {
+		q := append([]float32(nil), db.Row(i)...)
+		q[0] += 0.25 // off the database points
+		block.Append(q)
+	}
+	var wg sync.WaitGroup
+	resps := make([]queryResponse, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, resps[i] = postQuery(co, block.Row(i), k)
+		}(i)
+	}
+	wg.Wait()
+	var sum int64
+	for i, resp := range resps {
+		if resp.Batch != n {
+			t.Fatalf("query %d left in a batch of %d, want one block of %d", i, resp.Batch, n)
+		}
+		sum += resp.Evals
+	}
+	_, st := co.exact.KNNBatch(block, k)
+	if sum != st.TotalEvals() {
+		t.Fatalf("responses' evals sum to %d, the block did %d (remainder %d of %d)",
+			sum, st.TotalEvals(), st.TotalEvals()%n, n)
+	}
 }
 
 // A client-supplied k beyond the database size must be clamped, not

@@ -14,7 +14,7 @@
 // the per-query path; the tradeoff is explicit and bounded — a lone
 // query pays at most MaxWait extra latency so that concurrent traffic
 // shares one tiled front half (and one lock acquisition) instead of n.
-// The per-response "evals" field reports an equal share of the batch's
+// The per-response "evals" fields of a block sum to the block's
 // aggregate work and "batch" reports the realized batch size; the
 // /stats endpoint exposes flush counters for tuning the two knobs. On
 // exact indexes, /range requests coalesce identically through a second
@@ -22,8 +22,10 @@
 // takes one radius per block), reported under "range_coalesce" in
 // /stats.
 //
-// Request bodies are decoded and validated before any lock is taken, so
-// a slow client cannot stall writers.
+// Request bodies are size-limited (413 beyond a bound computed from the
+// index dimension), decoded and validated before any lock is taken, so a
+// client can neither make the server allocate without bound nor stall
+// writers.
 //
 // Endpoints:
 //
@@ -34,10 +36,12 @@
 //	POST /insert               {"point":[…]}              → {"id":n}
 //	POST /delete               {"id":7}
 //	POST /rebuild              fold pending mutations
+//	POST /snapshot             commit a snapshot generation (durable servers)
 package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -46,6 +50,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metric"
 	"repro/internal/par"
+	"repro/internal/search"
 	"repro/internal/vec"
 )
 
@@ -54,8 +59,9 @@ type Server struct {
 	mu      sync.RWMutex
 	db      *vec.Dataset
 	m       metric.Metric[[]float32]
-	exact   *core.Exact   // non-nil in exact mode
-	oneshot *core.OneShot // non-nil in one-shot mode
+	idx     search.BatchSearcher // the index, as /query sees it
+	exact   *core.Exact          // the same index when it is exact, for /range, mutation, durability; else nil
+	numReps func() int
 	mux     *http.ServeMux
 	co      *coalescer  // non-nil when query coalescing is enabled
 	rco     *coalescer  // non-nil when coalescing is enabled on an exact index (/range)
@@ -74,28 +80,29 @@ type Option func(*Server)
 // does). See the package comment for the latency/throughput tradeoff.
 func WithCoalescing(maxBatch int, maxWait time.Duration) Option {
 	return func(s *Server) {
-		if maxBatch > 1 {
-			s.co = newCoalescer(maxBatch, maxWait, s.runBatch)
-			if s.exact != nil {
-				s.rco = newCoalescer(maxBatch, maxWait, s.runRangeBatch)
-			}
+		if maxBatch <= 1 {
+			return
+		}
+		byK := func(c *call) int { return s.clampK(c.k) }
+		s.co = newCoalescer(maxBatch, maxWait, func(batch []*call) { runBatch(s, batch, byK, s.idx.KNNBatch) })
+		if s.exact != nil {
+			byEps := func(c *call) float64 { return c.eps }
+			s.rco = newCoalescer(maxBatch, maxWait, func(batch []*call) { runBatch(s, batch, byEps, s.exact.RangeBatch) })
 		}
 	}
 }
 
 // NewExact builds a server around an exact index (mutations enabled).
 func NewExact(db *vec.Dataset, m metric.Metric[[]float32], idx *core.Exact, opts ...Option) *Server {
-	s := &Server{db: db, m: m, exact: idx}
-	for _, o := range opts {
-		o(s)
-	}
-	s.routes()
-	return s
+	return newServer(&Server{db: db, m: m, idx: idx, exact: idx, numReps: idx.NumReps}, opts)
 }
 
 // NewOneShot builds a read-only server around a one-shot index.
 func NewOneShot(db *vec.Dataset, m metric.Metric[[]float32], idx *core.OneShot, opts ...Option) *Server {
-	s := &Server{db: db, m: m, oneshot: idx}
+	return newServer(&Server{db: db, m: m, idx: idx, numReps: idx.NumReps}, opts)
+}
+
+func newServer(s *Server, opts []Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
@@ -171,17 +178,13 @@ type statsBody struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	body := statsBody{Metric: s.m.Name(), Points: s.db.N(), Live: s.db.N(), Dim: s.db.Dim}
+	body := statsBody{Mode: "oneshot", Metric: s.m.Name(), Points: s.db.N(), Live: s.db.N(), Dim: s.db.Dim, NumReps: s.numReps()}
 	if s.exact != nil {
 		body.Mode = "exact"
-		body.NumReps = s.exact.NumReps()
 		body.Live = s.exact.Live()
 		body.Dirty = s.exact.Dirty()
 		body.Buffered = s.exact.Buffered()
 		body.SegMerges = s.exact.SegMerges()
-	} else {
-		body.Mode = "oneshot"
-		body.NumReps = s.oneshot.NumReps()
 	}
 	if s.dur != nil {
 		body.Durability = s.dur.stats()
@@ -213,13 +216,37 @@ type queryResponse struct {
 	Batch     int            `json:"batch,omitempty"`
 }
 
-// decodePoint decodes and validates a request body. It takes no lock:
-// the body read can stall on a slow client, and db.Dim is immutable
-// after construction (Append never changes it).
+// Request bodies are bounded before they are decoded: a point is dim
+// JSON numbers, and bodyBytesPerCoord covers the longest spelling a
+// float64 encoder produces (24 bytes) plus separator and whitespace.
+const (
+	bodyBytesPerCoord = 32
+	bodySlack         = 1024 // field names, k/eps/id, punctuation
+)
+
+// decodeBody decodes a size-limited JSON request body into v, answering
+// 413 or 400 itself when it cannot. It takes no lock: the body read can
+// stall on a slow client, and db.Dim is immutable after construction
+// (Append never changes it).
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	limit := int64(s.db.Dim)*bodyBytesPerCoord + bodySlack
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	}
+	return false
+}
+
+// decodePoint decodes and validates a request body carrying a point.
 func (s *Server) decodePoint(w http.ResponseWriter, r *http.Request) (queryRequest, bool) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return req, false
 	}
 	if len(req.Point) != s.db.Dim {
@@ -237,6 +264,28 @@ func neighborBodies(nbs []par.Neighbor) []neighborBody {
 	return out
 }
 
+// answer serves one read request: through co when coalescing is on
+// (c parks until its batch is flushed), otherwise by calling one under
+// the read lock.
+func (s *Server) answer(w http.ResponseWriter, co *coalescer, c *call, one func() ([]par.Neighbor, core.Stats)) {
+	if co == nil {
+		s.mu.RLock()
+		nbs, st := one()
+		s.mu.RUnlock()
+		writeJSON(w, http.StatusOK, queryResponse{Neighbors: neighborBodies(nbs), Evals: st.TotalEvals()})
+		return
+	}
+	if err := co.submit(c); err != nil {
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
+	if c.err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", c.err)
+		return
+	}
+	writeJSON(w, http.StatusOK, queryResponse{Neighbors: neighborBodies(c.nbs), Evals: c.evals, Batch: c.batch})
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodePoint(w, r)
 	if !ok {
@@ -245,132 +294,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.K <= 0 {
 		req.K = 1
 	}
-	if s.co != nil {
-		c := &call{point: req.Point, k: req.K, done: make(chan struct{})}
-		if err := s.co.submit(c); err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		if c.err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", c.err)
-			return
-		}
-		writeJSON(w, http.StatusOK, queryResponse{
-			Neighbors: neighborBodies(c.nbs), Evals: c.evals, Batch: c.batch,
-		})
-		return
-	}
-	s.mu.RLock()
-	var nbs []par.Neighbor
-	var st core.Stats
-	if s.exact != nil {
-		nbs, st = s.exact.KNN(req.Point, s.clampK(req.K))
-	} else {
-		nbs, st = s.oneshot.KNN(req.Point, s.clampK(req.K))
-	}
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, queryResponse{Neighbors: neighborBodies(nbs), Evals: st.TotalEvals()})
-}
-
-// clampK bounds a client-supplied k by the database size: more
-// neighbors cannot exist, and an unbounded k would otherwise size heap
-// allocations. Callers hold at least the read lock (db can grow).
-func (s *Server) clampK(k int) int {
-	if n := s.db.N(); k > n {
-		return n
-	}
-	return k
-}
-
-// runBatch executes one coalesced batch: group the parked queries by k
-// (KNNBatch takes a single k for the whole block; mixed-k traffic splits
-// into one block per distinct k), run each group through the batch-first
-// index entry point under one read lock, and fan the rows back out to
-// their waiting handlers. Every call's done channel is closed no matter
-// what — a panic out of the index (or a poisoned query) must not strand
-// the other parked handlers.
-func (s *Server) runBatch(batch []*call) {
-	defer func() {
-		if r := recover(); r != nil {
-			for _, c := range batch {
-				if !c.released {
-					c.err = fmt.Errorf("batch query failed: %v", r)
-					c.released = true
-					close(c.done)
-				}
-			}
-		}
-	}()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	byK := make(map[int][]*call, 1)
-	for _, c := range batch {
-		k := s.clampK(c.k)
-		byK[k] = append(byK[k], c)
-	}
-	for k, calls := range byK {
-		ds := vec.New(s.db.Dim, len(calls))
-		for _, c := range calls {
-			ds.Append(c.point)
-		}
-		var nbs [][]par.Neighbor
-		var st core.Stats
-		if s.exact != nil {
-			nbs, st = s.exact.KNNBatch(ds, k)
-		} else {
-			nbs, st = s.oneshot.KNNBatch(ds, k)
-		}
-		// The batch path aggregates work across the block; report each
-		// query's amortized share.
-		share := st.TotalEvals() / int64(len(calls))
-		for i, c := range calls {
-			c.nbs = nbs[i]
-			c.evals = share
-			c.batch = len(batch)
-			c.released = true
-			close(c.done)
-		}
-	}
-}
-
-// runRangeBatch executes one coalesced /range batch: group the parked
-// requests by eps (RangeBatch takes a single radius for the whole
-// block), run each group through Exact.RangeBatch under one read lock,
-// and fan the rows back out. Same release discipline as runBatch: every
-// done channel closes even if the index panics.
-func (s *Server) runRangeBatch(batch []*call) {
-	defer func() {
-		if r := recover(); r != nil {
-			for _, c := range batch {
-				if !c.released {
-					c.err = fmt.Errorf("batch range query failed: %v", r)
-					c.released = true
-					close(c.done)
-				}
-			}
-		}
-	}()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	byEps := make(map[float64][]*call, 1)
-	for _, c := range batch {
-		byEps[c.eps] = append(byEps[c.eps], c)
-	}
-	for eps, calls := range byEps {
-		ds := vec.New(s.db.Dim, len(calls))
-		for _, c := range calls {
-			ds.Append(c.point)
-		}
-		nbs, st := s.exact.RangeBatch(ds, eps)
-		share := st.TotalEvals() / int64(len(calls))
-		for i, c := range calls {
-			c.nbs = nbs[i]
-			c.evals = share
-			c.batch = len(batch)
-			c.released = true
-			close(c.done)
-		}
-	}
+	s.answer(w, s.co, &call{point: req.Point, k: req.K}, func() ([]par.Neighbor, core.Stats) {
+		return s.idx.KNN(req.Point, s.clampK(req.K))
+	})
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
@@ -386,25 +312,54 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "range search requires an exact index")
 		return
 	}
-	if s.rco != nil {
-		c := &call{point: req.Point, eps: req.Eps, done: make(chan struct{})}
-		if err := s.rco.submit(c); err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		if c.err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", c.err)
-			return
-		}
-		writeJSON(w, http.StatusOK, queryResponse{
-			Neighbors: neighborBodies(c.nbs), Evals: c.evals, Batch: c.batch,
-		})
-		return
+	s.answer(w, s.rco, &call{point: req.Point, eps: req.Eps}, func() ([]par.Neighbor, core.Stats) {
+		return s.exact.Range(req.Point, req.Eps)
+	})
+}
+
+// clampK bounds a client-supplied k by the database size: more
+// neighbors cannot exist, and an unbounded k would otherwise size heap
+// allocations. Callers hold at least the read lock (db can grow).
+func (s *Server) clampK(k int) int {
+	if n := s.db.N(); k > n {
+		return n
 	}
+	return k
+}
+
+// runBatch executes one coalesced batch under one read lock: group the
+// calls by key (KNNBatch takes a single k and RangeBatch a single eps
+// for the whole block, so mixed traffic splits into one block per
+// distinct value), run each group through the index's batch entry point
+// block, and release each row to its waiting handler. The batch path
+// aggregates work across a block; its calls' evals sum to that total.
+func runBatch[K comparable](s *Server, batch []*call, key func(*call) K,
+	block func(*vec.Dataset, K) ([][]par.Neighbor, core.Stats)) {
 	s.mu.RLock()
-	nbs, st := s.exact.Range(req.Point, req.Eps)
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, queryResponse{Neighbors: neighborBodies(nbs), Evals: st.TotalEvals()})
+	defer s.mu.RUnlock()
+	groups := make(map[K][]*call, 1)
+	for _, c := range batch {
+		k := key(c)
+		groups[k] = append(groups[k], c)
+	}
+	for k, calls := range groups {
+		ds := vec.New(s.db.Dim, len(calls))
+		for _, c := range calls {
+			ds.Append(c.point)
+		}
+		nbs, st := block(ds, k)
+		n := int64(len(calls))
+		share, extra := st.TotalEvals()/n, st.TotalEvals()%n
+		for i, c := range calls {
+			c.nbs = nbs[i]
+			c.evals = share
+			if int64(i) < extra {
+				c.evals++
+			}
+			c.batch = len(batch)
+			c.release()
+		}
+	}
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -437,8 +392,7 @@ type deleteRequest struct {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req deleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.Lock()
