@@ -284,7 +284,7 @@ func TestRescoreKQuantizedMatchesRescoreK(t *testing.T) {
 
 // TestQuantizedTwoPassFasterSmoke pins the end-to-end claim on the CI
 // box: at n=100k/dim=64 the two-pass quantized k-NN scan beats the
-// chunked float32 scan. Gated like TestChunkedRowFasterSmoke because
+// chunked float32 scan. Gated like TestBlockedRowFasterSmoke because
 // wall-clock ratios are meaningless on loaded shared machines.
 func TestQuantizedTwoPassFasterSmoke(t *testing.T) {
 	if os.Getenv("RBC_BENCH_SMOKE") == "" {

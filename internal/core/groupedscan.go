@@ -8,9 +8,17 @@ import (
 // tileWasteFactor bounds how many surplus pairs a phase-2 tile may
 // evaluate relative to the takers' admissible windows: a block is tiled
 // only when takers×blockWidth ≤ tileWasteFactor × Σ window lengths.
-// Tiled pairs cost roughly half a row-path pair (no per-pair float32
-// widening), so 2 is the break-even point.
-const tileWasteFactor = 2
+// The break-even is the cost of a row-path pair over a tile pair, and on
+// the exact grade both read the float32 rows through the same AVX2 lane
+// loop, the tile sharing each point row between two queries: measured
+// (one core, M pairs/s, row vs 32-query tile) 252 vs 264 at dim 21, 108
+// vs 123 at dim 64, 30 vs 35 at dim 256 — a ratio of 1.05–1.2, not the 2
+// of the pre-widened float64 tiles this constant was first sized for,
+// and within run-to-run noise of 1 end to end (batch-pruned, factor 1 vs
+// 2: medians 48.1k vs 46.4k qps over six interleaved pairs). 1 never
+// loses at any dim: a block is tiled only when every taker wants all of
+// it, so a tile evaluates no surplus pair.
+const tileWasteFactor = 1
 
 // ScanGrouped is the grouped phase-2 driver shared by Exact.batchGrouped,
 // OneShot.batchGrouped and the distributed shard scan: given every
@@ -77,10 +85,12 @@ func ScanGrouped(ker *metric.Kernel, qflat []float32, dim int, gather []float32,
 // whenever enough takers share a point block and falling back to
 // per-taker row scans otherwise. ScanGrouped drives it per ownership list
 // (or shard segment), so every grouped path rides the same kernels and
-// inherits the same
-// bit-reproducibility guarantee (with an exact-grade kernel, tile and row
-// evaluations of a pair are bit-identical, making the emitted orderings
-// independent of the tile-vs-row choice and of the block composition).
+// inherits the same bit-reproducibility guarantee (with an exact-grade
+// kernel, tile and row evaluations of a pair are bit-identical, making
+// the emitted orderings independent of the tile-vs-row choice and of the
+// block composition). The choice is cost only, and a small one: a tile
+// pair is 5–15 % cheaper than a row pair (see tileWasteFactor), so tiles
+// are taken only where they evaluate nothing a row scan would not.
 //
 // qflat holds the query block as dim-major rows. tIdx[t] (t < takers)
 // selects taker t's row in qflat, and tWin[2t], tWin[2t+1] is taker t's

@@ -1,7 +1,6 @@
 package metric
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -125,22 +124,28 @@ func TestBlockedDuplicatesExactZero(t *testing.T) {
 	}
 }
 
-func BenchmarkRowKernelBlocked(b *testing.B) {
-	for _, dim := range []int{16, 64, 256, 784} {
-		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
-			q, flat, out := benchVectors(dim)
-			b.SetBytes(int64(len(flat) * 4))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				euclidChunkedRowBlocked(q, flat, dim, out)
-			}
-		})
+func BenchmarkRowKernelBlocked(b *testing.B) { benchmarkRowKernel(b, euclidChunkedRowBlocked) }
+
+// timeRow50 times 50 scans of the bench corpus through row, best of five.
+func timeRow50(dim int, row func(q, flat []float32, dim int, out []float64)) float64 {
+	q, flat, out := benchVectors(dim)
+	row(q, flat, dim, out) // warm
+	best := math.Inf(1)
+	for rep := 0; rep < 5; rep++ {
+		start := time.Now()
+		for i := 0; i < 50; i++ {
+			row(q, flat, dim, out)
+		}
+		if s := time.Since(start).Seconds(); s < best {
+			best = s
+		}
 	}
+	return best
 }
 
 // TestBlockedRowFasterSmoke asserts the blocked/unblocked chunked-row
 // throughput ratio exceeds 1 at the dims where the blocked path is the
-// point. Timing assertion, so gated on RBC_BENCH_SMOKE like the chunked
+// point. Timing assertion, so gated on RBC_BENCH_SMOKE like the exact
 // smoke; the strict >=1.15x gate lives in bench-regression via
 // cmd/benchcmp.
 func TestBlockedRowFasterSmoke(t *testing.T) {
@@ -148,22 +153,7 @@ func TestBlockedRowFasterSmoke(t *testing.T) {
 		t.Skip("timing assertion; set RBC_BENCH_SMOKE=1 to run")
 	}
 	for _, dim := range []int{64, 256} {
-		q, flat, out := benchVectors(dim)
-		time50 := func(row func(q, flat []float32, dim int, out []float64)) float64 {
-			row(q, flat, dim, out) // warm
-			best := math.Inf(1)
-			for rep := 0; rep < 5; rep++ {
-				start := time.Now()
-				for i := 0; i < 50; i++ {
-					row(q, flat, dim, out)
-				}
-				if s := time.Since(start).Seconds(); s < best {
-					best = s
-				}
-			}
-			return best
-		}
-		tc, tb := time50(euclidChunkedRow), time50(euclidChunkedRowBlocked)
+		tc, tb := timeRow50(dim, euclidChunkedRow), timeRow50(dim, euclidChunkedRowBlocked)
 		ratio := tc / tb
 		t.Logf("dim=%d: chunked %.3fms blocked %.3fms ratio %.2fx", dim, tc*1e3, tb*1e3, ratio)
 		if ratio <= 1 {

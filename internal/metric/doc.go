@@ -21,8 +21,12 @@
 //
 // Four kernel grades exist, trading reproducibility for throughput:
 //
-//   - exact: bit-reproducible float64 diff-square accumulation. The
-//     reference grade; all reported distances come from here.
+//   - exact: squared differences accumulated in four float64 lanes over
+//     the float32 rows in place — an AVX2 four-lane body on amd64 (four
+//     rows per pass; tiles also share each row between two queries), the
+//     scalar lane loop elsewhere, bit-identical to each other. The
+//     reference grade; all reported distances come from here. See
+//     exact.go, and exact_amd64.s for the identity argument.
 //   - Gram-fast: float64 Gram decomposition ‖q‖²+‖p‖²−2q·p over cached
 //     norms; drifts from exact by at most GramOrderingSlack, so consumers
 //     can bracket its orderings and make prune decisions that provably

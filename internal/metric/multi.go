@@ -32,8 +32,9 @@ import (
 //   - NewKernel (exact): per-pair arithmetic is bit-identical to the
 //     single-query Batch/OrderingBatch path, so results are reproducible
 //     against the per-query reference down to the last bit, including ties.
-//     Euclidean uses a cache-blocked difference kernel over pre-widened
-//     float64 tiles (widening is exact, so bits are unchanged).
+//     Euclidean accumulates squared differences in four float64 lanes
+//     over the float32 rows in place — an AVX2 body on amd64, the scalar
+//     lane loop elsewhere, the same bits either way (see exact.go).
 //   - NewFastKernel (Gram-fast): float64 throughout, but Euclidean uses
 //     the Gram decomposition ‖q−x‖² = ‖q‖² + ‖x‖² − 2·q·x over precomputed
 //     squared norms, which reassociates the summation: results can differ
@@ -117,7 +118,7 @@ func TileInvocations() int64 { return tileInvocations.Load() }
 
 // shapeForBudget sizes the query/point tile for dimension dim against a
 // per-tile footprint budget of roughly `budget` float32 elements, so the
-// widened tiles and the ordering tile stay cache-resident.
+// point rows and the ordering tile stay cache-resident.
 func shapeForBudget(budget, dim int) (tq, tp int) {
 	tq = 32
 	for tq > 4 && tq*dim > budget {
@@ -133,8 +134,9 @@ func shapeForBudget(budget, dim int) (tq, tp int) {
 	return tq, tp
 }
 
-// TileScratch holds a kernel's reusable buffers (widened tiles, norm
-// vectors) so steady-state tiled search performs no per-tile allocation.
+// TileScratch holds a kernel's reusable buffers (the Gram grade's widened
+// tiles and norm vectors, the quantized grade's query codes) so
+// steady-state tiled search performs no per-tile allocation.
 // Acquire with GetTileScratch, release with PutTileScratch.
 type TileScratch struct {
 	wq, wp []float64
@@ -421,26 +423,9 @@ func (k *Kernel) Tile(qflat []float32, qn []float64, pflat []float32, pn []float
 		widen(pflat, ts.wp)
 		euclidGramTile(ts.wq, qn, ts.wp, pn, dim, nq, np, out)
 	case k.euclid:
-		// The diff tile is bit-identical to the row path for any shape, so
-		// the cutover is purely a performance choice: even two rows amortize
-		// the one-time float64 widening of the point block (the row path
-		// re-converts both operands for every pair).
-		if nq < 2 {
-			e := Euclidean{}
-			for i := 0; i < nq; i++ {
-				e.OrderingDistances(qflat[i*dim:(i+1)*dim], pflat, dim, out[i*np:(i+1)*np])
-			}
-			return
-		}
-		if ts == nil {
-			ts = GetTileScratch()
-			defer PutTileScratch(ts)
-		}
-		ts.wq = growF64(ts.wq, nq*dim)
-		ts.wp = growF64(ts.wp, np*dim)
-		widen(qflat, ts.wq)
-		widen(pflat, ts.wp)
-		euclidDiffTile(ts.wq, ts.wp, dim, nq, np, out)
+		// Exact tile: the float32 rows scored in place, no widening, no
+		// norms, no scratch (see exact.go).
+		euclidExactTile(qflat, pflat, dim, nq, np, out)
 	case k.bm != nil:
 		k.bm.MultiDistances(qflat, pflat, dim, out)
 	case k.ob != nil:
@@ -469,11 +454,11 @@ func (k *Kernel) Tile(qflat []float32, qn []float64, pflat []float32, pn []float
 }
 
 // Ordering computes single-query ordering distances from q to every point
-// in flat — the streaming (matrix-vector) reference path. On the exact
-// and Gram-fast grades its per-pair arithmetic is the float64 reference,
-// bit-identical to the exact-mode Tile; on the chunked grade it is the
-// chunked float32 row kernel, bit-identical to the chunked Tile (and
-// within ChunkedErrorBound of the reference).
+// in flat — the streaming (matrix-vector) path. On the exact and
+// Gram-fast grades its per-pair arithmetic is the exact grade's four-lane
+// float64 sum, bit-identical to the exact-mode Tile; on the chunked grade
+// it is the chunked float32 row kernel, bit-identical to the chunked Tile
+// (and within ChunkedErrorBound of the reference).
 func (k *Kernel) Ordering(q, flat []float32, dim int, out []float64) {
 	switch {
 	case k.euclid && k.quant:
@@ -497,7 +482,8 @@ func (k *Kernel) Ordering(q, flat []float32, dim int, out []float64) {
 }
 
 // widen converts a float32 row block to float64 (exactly — every float32
-// is representable), so the inner tile loops run free of conversions.
+// is representable), so the Gram tile's inner loop runs free of
+// conversions.
 func widen(src []float32, dst []float64) {
 	for i, v := range src {
 		dst[i] = float64(v)
@@ -607,37 +593,6 @@ func euclidGramTile(qw, qn, pw, pn []float64, dim, nq, np int, out []float64) {
 				a += qrow[d] * prow[d]
 			}
 			orow[j] = gramFinish(qni, pn[j], a+b)
-		}
-	}
-}
-
-// euclidDiffTile is the exact-mode tiled kernel: the classic difference
-// form over widened tiles, with the same four-lane accumulation as
-// Euclidean.OrderingDistances so every pair is bit-identical to the
-// per-query reference.
-func euclidDiffTile(qw, pw []float64, dim, nq, np int, out []float64) {
-	for i := 0; i < nq; i++ {
-		qrow := qw[i*dim : (i+1)*dim]
-		orow := out[i*np : (i+1)*np]
-		for j := 0; j < np; j++ {
-			prow := pw[j*dim : (j+1)*dim]
-			var s0, s1, s2, s3 float64
-			d := 0
-			for ; d+4 <= dim; d += 4 {
-				e0 := qrow[d] - prow[d]
-				e1 := qrow[d+1] - prow[d+1]
-				e2 := qrow[d+2] - prow[d+2]
-				e3 := qrow[d+3] - prow[d+3]
-				s0 += e0 * e0
-				s1 += e1 * e1
-				s2 += e2 * e2
-				s3 += e3 * e3
-			}
-			for ; d < dim; d++ {
-				e := qrow[d] - prow[d]
-				s0 += e * e
-			}
-			orow[j] = s0 + s1 + s2 + s3
 		}
 	}
 }

@@ -24,8 +24,8 @@ import (
 // admissible pairs, not tiles.
 
 const (
-	// defaultTileBudget is 16K float32 elements ≈ 64 KiB widened — the
-	// value every bench gate pins.
+	// defaultTileBudget is 16K float32 elements = 64 KiB of point rows —
+	// the value every bench gate pins.
 	defaultTileBudget = 16384
 
 	// minTileBudget / maxTileBudget clamp overrides to shapes the tiled

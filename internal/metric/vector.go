@@ -23,7 +23,7 @@ func (Euclidean) Distance(a, b []float32) float64 {
 // Name implements Metric.
 func (Euclidean) Name() string { return "euclidean" }
 
-// Distances implements Batch with a 4-way unrolled inner loop.
+// Distances implements Batch: the sqrt of the exact-grade orderings.
 func (e Euclidean) Distances(q []float32, flat []float32, dim int, out []float64) {
 	e.OrderingDistances(q, flat, dim, out)
 	for i := range out {
@@ -31,29 +31,11 @@ func (e Euclidean) Distances(q []float32, flat []float32, dim int, out []float64
 	}
 }
 
-// OrderingDistances implements OrderingBatch: squared distances with the
-// same accumulation as Distances, the sqrt deferred to the caller.
+// OrderingDistances implements OrderingBatch: squared distances in the
+// exact grade's four-lane float64 accumulation (see exact.go), the sqrt
+// deferred to the caller.
 func (Euclidean) OrderingDistances(q []float32, flat []float32, dim int, out []float64) {
-	for i := range out {
-		row := flat[i*dim : (i+1)*dim]
-		var s0, s1, s2, s3 float64
-		j := 0
-		for ; j+4 <= dim; j += 4 {
-			d0 := float64(q[j]) - float64(row[j])
-			d1 := float64(q[j+1]) - float64(row[j+1])
-			d2 := float64(q[j+2]) - float64(row[j+2])
-			d3 := float64(q[j+3]) - float64(row[j+3])
-			s0 += d0 * d0
-			s1 += d1 * d1
-			s2 += d2 * d2
-			s3 += d3 * d3
-		}
-		for ; j < dim; j++ {
-			d := float64(q[j]) - float64(row[j])
-			s0 += d * d
-		}
-		out[i] = s0 + s1 + s2 + s3
-	}
+	euclidExactRows(q, flat, dim, out)
 }
 
 // ToDistance implements Orderer: the ordering distance is the square.
