@@ -10,7 +10,7 @@
 //	go test -run '^$' -bench ... ./... | tee bench-new.txt
 //	benchcmp -baseline BENCH_baseline.json -new bench-new.txt \
 //	    -out bench-new.json -max-regress 1.15 \
-//	    -assert-ratio 'BenchmarkRowKernelExact/dim=64;BenchmarkRowKernelChunked/dim=64;1.5'
+//	    -assert-ratio 'BenchmarkRowKernelExactRef/dim=64;BenchmarkRowKernelExact/dim=64;2.0'
 //
 // Refresh the baseline (after an intentional perf change, on the pinned
 // CI bench config) with:
@@ -21,7 +21,7 @@
 // is used on both sides — robust against scheduler noise spikes, which
 // only ever slow a run down. -assert-ratio (repeatable) asserts
 // ns/op(first) / ns/op(second) >= min in the NEW numbers; it is how CI
-// pins the chunked row kernel's >= 1.5x win over the exact row kernel.
+// pins the AVX2 exact row kernel's >= 2x win over its scalar reference.
 package main
 
 import (

@@ -13,16 +13,14 @@ import (
 // the block over workers; each worker walks its share in query tiles,
 // compares a tile against representative tiles through ker, and hands the
 // tile's phase-1 rows to back: queries [q0, q1), rows holding their
-// (q1−q0) × |R| ordering distances row-major, qnorms their squared norms
-// as ker.Norms reports them (nil when ker has no use for norms). back
-// runs the tile's back half (pruning or probing, list scans) and returns
-// its Stats. repNorms are optional precomputed squared norms for kernels
-// that consume them.
+// (q1−q0) × |R| ordering distances row-major. back runs the tile's back
+// half (pruning or probing, list scans) and returns its Stats. repNorms
+// are optional precomputed squared norms for kernels that consume them.
 //
 // The front half owns sc's float64 slots 3, 4 and 6 (rows, kernel tile,
-// query norms); rows and qnorms stay valid until back returns.
+// query norms); rows stay valid until back returns.
 func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []float64,
-	back func(q0, q1 int, rows, qnorms []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
+	back func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
 	nq := queries.N()
 	nr := reps.N()
 	dim := queries.Dim
@@ -61,7 +59,7 @@ func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []fl
 					copy(rows[i*nr+r0:i*nr+r1], t[i*bp:(i+1)*bp])
 				}
 			}
-			local.Add(back(q0, q1, rows[:bq*nr], qnorms, sc, ts))
+			local.Add(back(q0, q1, rows[:bq*nr], sc, ts))
 		}
 		mu.Lock()
 		agg.Add(local)
@@ -76,7 +74,7 @@ func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []fl
 	back func(i int, row []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
 	nr := reps.N()
 	return tileFrontHalf(ker, queries, reps, repNorms,
-		func(q0, q1 int, rows, _ []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
+		func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
 			var st Stats
 			for i := q0; i < q1; i++ {
 				st.Add(back(i, rows[(i-q0)*nr:(i-q0+1)*nr], sc, ts))

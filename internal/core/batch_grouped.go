@@ -26,37 +26,36 @@ import (
 // therefore bit-identical to the per-query path.
 
 // batchGrouped runs the grouped two-phase batch search for Exact: the
-// fast-grade front half, the same per-query pruner as Exact.one (so
+// exact-grade front half, the same per-query pruner as Exact.one (so
 // decisions, seeds and counters are the per-query path's by
-// construction), then one grouped scan per query tile on the exact
-// kernel. It requires a pristine index: dynamic state (tombstones,
-// insertion buffers) takes the per-query back half, which knows how to
-// consult it.
+// construction), then one grouped scan per query tile on the same kernel.
+// The emit admits candidates at the heap bound exactly as Exact.one does.
+// It requires a pristine index: dynamic state (tombstones, insertion
+// buffers) takes the per-query back half, which knows how to consult it.
 func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap)) Stats {
 	nr := e.NumReps()
 	dim := e.db.Dim
-	return tileFrontHalf(e.fker, queries, e.repData, e.repNorms,
-		func(q0, q1 int, rows, qnorms []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
+	return tileFrontHalf(e.ker, queries, e.repData, nil,
+		func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
 			bq := q1 - q0
 			st := Stats{RepEvals: int64(bq * nr)}
 			qflat := queries.Data[q0*dim : q1*dim]
 			heaps := sc.HeapSlab(bq, k)
-			cell := sc.Float64(5, 1)
 			kept := sc.Ints(0, 4*bq*nr)[:0]
 			for i := 0; i < bq; i++ {
-				var slack float64
-				if qnorms != nil {
-					slack = e.phase1Slack(qnorms[i])
-				}
-				p := e.newProbe(qflat[i*dim:(i+1)*dim], rows[i*nr:(i+1)*nr], slack, cell, sc)
+				p := e.newProbe(qflat[i*dim:(i+1)*dim], rows[i*nr:(i+1)*nr], nil, sc)
 				kept, _ = e.prune(&p, i, k, heaps[i], sc, &st, kept)
 			}
 			st.PointEvals += ScanGrouped(e.ker, qflat, dim, e.gather, nr, kept, sc, ts,
 				func(i, lo int, ords []float64) {
 					h := heaps[i]
+					bound, _ := h.Worst()
 					for t, o := range ords {
-						if id := int(e.ids[lo+t]); !e.isRep[id] {
-							h.Push(id, o)
+						if o > bound {
+							continue
+						}
+						if id := int(e.ids[lo+t]); !e.isRep[id] && h.Push(id, o) {
+							bound, _ = h.Worst()
 						}
 					}
 				})
@@ -81,7 +80,7 @@ func (o *OneShot) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *
 		probes = nr
 	}
 	return tileFrontHalf(o.ker, queries, o.repData, o.repNorms,
-		func(q0, q1 int, rows, _ []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
+		func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
 			bq := q1 - q0
 			st := Stats{RepEvals: int64(bq * nr)}
 			kept := sc.Ints(0, 4*bq*probes)[:0]

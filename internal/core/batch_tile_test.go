@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/metric"
+	"repro/internal/par"
 )
 
 // Tests for the tiled batch front halves: the BF(Q,R) phase of Exact and
@@ -43,6 +45,46 @@ func TestOneShotBatchGoesThroughTiledKernels(t *testing.T) {
 	o.Search(queries)
 	if metric.TileInvocations() == before {
 		t.Fatal("OneShot.Search performed no tiled kernel invocations")
+	}
+}
+
+// TestPhase1RowMatchesFrontHalf pins what lets one kernel serve both
+// phases of Exact: a single query's phase-1 row (phase1 with no batched
+// row: the row kernel over repData) equals that query's row of the
+// batched tileFrontHalf bit for bit — over every lane remainder of dims
+// 1…67, representative counts that are not multiples of the tile width or
+// of the four-row body, and a query block that ends on an odd query.
+func TestPhase1RowMatchesFrontHalf(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	sc := par.GetScratch()
+	defer par.PutScratch(sc)
+	for dim := 1; dim <= 67; dim++ {
+		_, tp := metric.TileShape(dim)
+		for _, nr := range []int{1, 7, tp + 5} {
+			db := randomDataset(rng, nr+20, dim)
+			e, err := BuildExact(db, metric.Euclidean{}, ExactParams{NumReps: nr, ExactCount: true, Seed: int64(dim)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.NumReps() != nr {
+				t.Fatalf("dim=%d: %d reps, want %d", dim, e.NumReps(), nr)
+			}
+			queries := randomDataset(rng, 11, dim)
+			rows := make([]float64, queries.N()*nr)
+			tileFrontHalf(e.ker, queries, e.repData, nil,
+				func(q0, q1 int, tile []float64, _ *par.Scratch, _ *metric.TileScratch) Stats {
+					copy(rows[q0*nr:q1*nr], tile)
+					return Stats{}
+				})
+			for i := 0; i < queries.N(); i++ {
+				row := e.phase1(queries.Row(i), nil, sc)
+				for j, o := range row {
+					if want := rows[i*nr+j]; math.Float64bits(o) != math.Float64bits(want) {
+						t.Fatalf("dim=%d nr=%d q=%d rep=%d: row %v, front half %v", dim, nr, i, j, o, want)
+					}
+				}
+			}
+		}
 	}
 }
 

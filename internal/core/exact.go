@@ -78,26 +78,19 @@ func (p ExactParams) withDefaults(n int) ExactParams {
 //
 // The database rows are gathered into a permuted flat buffer in which each
 // list is contiguous and sorted by distance to its representative, so the
-// phase-2 scan streams memory just like phase 1. Phase 2 — the list scans,
-// whose distances are the reported answers — always runs on the exact-mode
-// tiled kernels, bit-identical to the brute-force reference. Phase 1
-// (BF(Q,R)) runs on the fast kernel grade over cached representative
-// norms: its orderings are never reported, only *compared*, and every
-// comparison is made ulp-tolerant by bracketing each fast ordering with
-// metric.GramOrderingSlack — prune, window and seed decisions then
-// provably agree with the exact kernel's, so answers stay bit-identical
-// (see probe and prune for the bracketing rules). Distances convert from
-// ordering space only at the API boundary and for the pruning thresholds,
-// whose triangle-inequality math needs real distances.
+// phase-2 scan streams memory just like phase 1. Both phases — BF(Q,R) over
+// the representatives and BF(q, L_r) over the surviving lists — run on the
+// one exact-grade kernel, bit-identical to the brute-force reference: the
+// phase-1 orderings are the very values the pruning rules, windows and
+// heap seeds are defined on, and the list-scan orderings are the reported
+// answers. Distances convert from ordering space only at the API boundary
+// and for the pruning thresholds, whose triangle-inequality math needs
+// real distances.
 type Exact struct {
-	db   *vec.Dataset
-	m    metric.Metric[[]float32]
-	ker  *metric.Kernel // exact kernel: list scans (reported answers)
-	fker *metric.Kernel // fast kernel: phase-1 BF(Q,R) (bracketed orderings)
-	prm  ExactParams
-
-	repNorms   []float64 // cached ‖r‖² per representative (Gram phase 1)
-	maxRepNorm float64   // max of repNorms; one slack per query suffices
+	db  *vec.Dataset
+	m   metric.Metric[[]float32]
+	ker *metric.Kernel // exact kernel: both phases
+	prm ExactParams
 
 	repIDs  []int        // database ids of the representatives
 	repData *vec.Dataset // gathered representative vectors
@@ -117,222 +110,108 @@ type Exact struct {
 	segMerges int64
 }
 
-// initKernel resolves the tiled kernels and caches the representative
-// norms; called at build and load time. The exact-grade assertion is
-// scoped to the *answer path*: phase-2 scans and seed rescoring report
-// distances under the bit-reproducibility contract and must stay on
-// e.ker, while phase 1 deliberately runs the fast grade (e.fker) behind
-// the slack brackets. For metrics without a Gram decomposition the fast
-// kernel dispatches identically to the exact one and Norms reports no
-// use for norms, so repNorms stays nil and the slack degenerates to 0.
+// initKernel resolves the exact-grade kernel both phases run on; called
+// at build and load time. Phase-1 orderings are compared against the
+// pruning thresholds and seeded into the heap as answers, and phase-2
+// orderings are reported, so every distance the index computes is under
+// the bit-reproducibility contract.
 func (e *Exact) initKernel() {
 	e.ker = metric.NewKernel(e.m)
 	if e.ker.IsFast() {
-		panic("core: Exact requires an exact-grade kernel on the answer path")
-	}
-	e.fker = metric.NewFastKernel(e.m)
-	e.repNorms = e.fker.Norms(e.repData.Data, e.db.Dim, nil)
-	e.maxRepNorm = 0
-	for _, n := range e.repNorms {
-		if n > e.maxRepNorm {
-			e.maxRepNorm = n
-		}
+		panic("core: Exact requires an exact-grade kernel")
 	}
 }
 
-// phase1Slack returns the ordering slack of one query's fast phase-1
-// brackets: GramOrderingSlack against the largest representative norm
-// (slack is monotone in both norms, so one value per query bounds every
-// pair). qnorm is the query's squared norm as e.fker.Norms reports it.
-func (e *Exact) phase1Slack(qnorm float64) float64 {
-	return metric.GramOrderingSlack(e.db.Dim, qnorm, e.maxRepNorm)
-}
-
-// phase1 returns one query's fast-grade phase-1 orderings and their
-// slack. ordRow, when non-nil, is the query's row of the batched BF(Q,R)
-// front half; nil computes it here, through Tile rather than Ordering —
-// the Gram grade's Ordering entry point falls back to the exact row, and
-// Tile dispatches to the Gram row over the cached norms, the same
-// arithmetic the batched front half uses, which keeps per-query and
-// batched searches bit-identical. For metrics without a Gram path the
-// fast kernel equals the exact one and the slack is 0. Uses sc's float64
-// slots 0 and 1; the query norm in slot 1 is consumed here, so newProbe
-// may re-carve it.
-func (e *Exact) phase1(q []float32, ordRow []float64, sc *par.Scratch) (ords []float64, slack float64) {
-	var qn []float64
-	if e.fker.NeedsNorms() {
-		qn = e.fker.Norms(q, e.db.Dim, sc.Float64(1, 1))
-		slack = e.phase1Slack(qn[0])
-	}
+// phase1 returns one query's phase-1 orderings: ordRow, the query's row of
+// the batched BF(Q,R) front half, when non-nil, else the row computed here
+// into sc's float64 slot 0. On the exact grade the row kernel and the tile
+// are bit-identical, so per-query and batched searches see the same
+// orderings.
+func (e *Exact) phase1(q []float32, ordRow []float64, sc *par.Scratch) []float64 {
 	if ordRow != nil {
-		return ordRow, slack
+		return ordRow
 	}
-	ords = sc.Float64(0, e.NumReps())
-	e.fker.Tile(q, qn, e.repData.Data, e.repNorms, e.db.Dim, ords, nil)
-	return ords, slack
+	ords := sc.Float64(0, e.NumReps())
+	e.ker.Ordering(q, e.repData.Data, e.db.Dim, ords)
+	return ords
 }
 
-// probe is one query's certified view of phase 1: for every
-// representative j the exact distance ρ(q, r_j) lies in [lo[j], hi[j]].
-// Phase 1 runs on the fast kernel, whose ordering o is within slack of
-// the exact one; ToDistance (a correctly-rounded sqrt for l2) is
-// monotone, so [ToDistance(o−slack), ToDistance(o+slack)] brackets the
-// exact distance. A bracket collapses (lo == hi) once its representative
-// is rescored through the answer-grade kernel — or when the slack
-// interval rounds to one distance, which the exact distance, inside the
-// bracket by construction, must then equal. The pruning thresholds live
-// in distance space (their derivations add distances), hence one sqrt
-// pair per representative — ~2√n per query.
+// probe is one query's view of phase 1: for every representative j the
+// exact ordering ords[j] and distance d[j] = ρ(q, r_j). The pruning
+// thresholds live in distance space (their derivations add distances),
+// hence one ToDistance per representative — ~√n per query.
 type probe struct {
-	q      []float32
-	lo, hi []float64
-	cell   []float64 // caller-pooled kernel output cell for rescores (len ≥ 1)
+	q       []float32
+	ords, d []float64
+	cell    []float64 // caller-pooled kernel output cell for buffer scans (len ≥ 1)
 }
 
-// newProbe brackets one query's fast orderings into sc's float64 slots 1
-// and 2.
-func (e *Exact) newProbe(q []float32, ords []float64, slack float64, cell []float64, sc *par.Scratch) probe {
-	p := probe{q: q, lo: sc.Float64(1, len(ords)), hi: sc.Float64(2, len(ords)), cell: cell}
+// newProbe converts one query's phase-1 orderings into sc's float64 slot 1.
+func (e *Exact) newProbe(q []float32, ords, cell []float64, sc *par.Scratch) probe {
+	p := probe{q: q, ords: ords, d: sc.Float64(1, len(ords)), cell: cell}
 	for j, o := range ords {
-		ol := o - slack
-		if ol < 0 {
-			ol = 0
-		}
-		p.lo[j], p.hi[j] = e.ker.ToDistance(ol), e.ker.ToDistance(o+slack)
+		p.d[j] = e.ker.ToDistance(o)
 	}
 	return p
 }
 
-// rescore evaluates representative j through the answer-grade kernel (the
-// row path, bit for bit the gathered-scan arithmetic), collapses its
-// bracket and returns the exact ordering and distance. Rescores are not
-// counted as evals on any search path, so per-query and batched stats
-// agree.
-func (e *Exact) rescore(p *probe, j int) (ord, d float64) {
-	dim := e.db.Dim
-	e.ker.Ordering(p.q, e.repData.Data[j*dim:(j+1)*dim], dim, p.cell[:1])
-	ord = p.cell[0]
-	d = e.ker.ToDistance(ord)
-	p.lo[j], p.hi[j] = d, d
-	return ord, d
-}
-
-// exactRepDist returns the exact distance to representative j, rescoring
-// only if its bracket has not collapsed yet.
-func (e *Exact) exactRepDist(p *probe, j int) float64 {
-	if p.lo[j] != p.hi[j] {
-		e.rescore(p, j)
+// listWindow returns list j's scan extent in gather positions: the whole
+// list, or under EarlyExit its admissible window of half-width w around
+// the representative distance d.
+func (e *Exact) listWindow(j int, d, w float64) (lo, hi int) {
+	lo, hi = e.offsets[j], e.offsets[j+1]
+	if e.prm.EarlyExit {
+		a, b := AdmissibleWindow(e.dists[lo:hi], d-w, d+w)
+		lo, hi = lo+a, lo+b
 	}
-	return p.lo[j]
-}
-
-// prunes decides r on representative j exactly as the all-exact path
-// would: a rule is monotone in the distance, so when both bracket ends
-// agree the bracket certifies the decision; otherwise the threshold falls
-// inside the bracket (a razor case, vanishingly rare off engineered ties)
-// and the exact distance decides. Every prune decision — and therefore
-// every counter — equals the exact path's.
-func (e *Exact) prunes(r rule, p *probe, j int) bool {
-	if r.holds(p.lo[j]) {
-		return true
-	}
-	if !r.holds(p.hi[j]) {
-		return false
-	}
-	return r.holds(e.exactRepDist(p, j))
-}
-
-// exactWindow resolves the EarlyExit admissible window of half-width w
-// over list j's sorted distance column dists, so that it equals the
-// window the all-exact path computes from the exact distance d. Both
-// AdmissibleWindow bounds are monotone in their argument, so clipping
-// with the two bracket ends ([lo−w, hi+w] vs [hi−w, lo+w]) brackets each
-// bound of the exact window; when the two clips agree the window is
-// certified, otherwise the representative is rescored and the window
-// recomputed from the exact distance (a razor case: some member distance
-// falls within slack of a window edge).
-func (e *Exact) exactWindow(p *probe, j int, dists []float64, w float64) (a, b int) {
-	dLo, dHi := p.lo[j], p.hi[j]
-	a, b = AdmissibleWindow(dists, dLo-w, dHi+w)
-	if dLo != dHi {
-		a2, b2 := AdmissibleWindow(dists, dHi-w, dLo+w)
-		if a2 != a || b2 != b {
-			d := e.exactRepDist(p, j)
-			a, b = AdmissibleWindow(dists, d-w, d+w)
-		}
-	}
-	return a, b
+	return lo, hi
 }
 
 // prune is the per-query step between the paper's two brute-force calls:
-// from one query's phase-1 brackets it derives the exact γ's, seeds h,
-// applies the pruning rules to every representative and appends, per
-// survivor, a (qi, list, lo, hi) quadruple to kept — [lo, hi) being the
-// list's admissible window in gather positions (the whole list without
-// EarlyExit; possibly empty). It charges the pruning counters to st and
-// returns kept and the window half-width w. Exact.one scans the kept
-// windows row by row; Exact.batchGrouped hands a whole tile's quadruples
-// to ScanGrouped.
+// from one query's probe it derives γ_1 and γ_k over the live
+// representatives, seeds h, applies the pruning rules to every
+// representative and appends, per survivor, a (qi, list, lo, hi)
+// quadruple to kept — [lo, hi) being the list's scan extent (listWindow;
+// possibly empty). It charges the pruning counters to st and returns kept
+// and the window half-width w. Exact.one scans the kept windows row by
+// row; Exact.batchGrouped hands a whole tile's quadruples to ScanGrouped.
 //
-// Every decision is made exactly as an all-exact phase 1 would make it:
-//
-//   - γ's are exact: the candidate set {j : lo_j ≤ γ_k^hi} (γ_k^hi the
-//     k-th smallest bracket high over live reps) provably contains the k
-//     nearest live reps, is rescored exactly, and γ_1/γ_k are selected
-//     from those exact distances — any j outside the set has
-//     ρ(q,r_j) ≥ lo_j > γ_k^hi ≥ γ_k and cannot reach either γ;
-//   - prune decisions go through prunes, windows through exactWindow;
-//   - the heap is seeded with the rescored candidate set at its exact
-//     orderings. Representatives are database points; seeding realizes
-//     the paper's implicit "γ is itself a candidate answer" and —
-//     together with the list scans skipping representative ids — makes
-//     the returned k-NN multiset exact even at pruning-boundary ties. The
-//     heap only ever holds answer-grade orderings, and reps outside the
-//     set are strictly past the k-th answer, so the kept multiset
-//     (insertion-order independent) is unchanged.
-//
-// Answers, stats and scan extents are therefore bit-identical to an
-// all-exact phase 1; only the rescore evaluations (uncounted) differ. For
-// metrics without a Gram fast path brackets start collapsed and no
-// rescoring happens beyond the seeds. Uses sc's float64 slot 7 and heap
-// slot 1.
+// The heap is seeded with every live representative at or under γ_k, at
+// its phase-1 ordering. Representatives are database points; seeding
+// realizes the paper's implicit "γ is itself a candidate answer" and —
+// together with the list scans skipping representative ids — makes the
+// returned k-NN multiset exact even at pruning-boundary ties. At least k
+// seeds qualify (or every live representative, when fewer than k are
+// live), and any representative past γ_k has an ordering past every seed,
+// so it could never be kept. Uses sc's heap slot 1 (and float64 slot 7
+// through liveGammas).
 func (e *Exact) prune(p *probe, qi, k int, h *par.KHeap, sc *par.Scratch, st *Stats, kept []int) ([]int, float64) {
 	nr := e.NumReps()
-	_, gammaKHi := e.liveGammas(p.hi, k, sc)
-	cand := sc.Float64(7, nr)[:0]
+	gamma1, gammaK := e.liveGammas(p.d, k, sc)
 	for j := 0; j < nr; j++ {
-		if p.lo[j] > gammaKHi || e.isDeleted(e.repIDs[j]) {
+		if p.d[j] > gammaK || e.isDeleted(e.repIDs[j]) {
 			continue
 		}
-		ord, d := e.rescore(p, j)
-		h.Push(e.repIDs[j], ord)
-		cand = append(cand, d)
+		h.Push(e.repIDs[j], p.ords[j])
 	}
-	// Every live rep at or under the exact γ_k is in cand, so its order
-	// statistics below γ_k^hi match the full live set's.
-	gamma1, gammaK := kthSmallest(cand, k, sc)
 
-	// The thresholds are exact, since the γ's are. ApproxEps relaxes the
-	// radius rule and, to match, the window half-width:
-	// |ρ(q,r) − ρ(x,r)| ≤ ρ(q,x) ≤ γ_k for any answer x, so only
-	// ρ(x,r) ∈ [d−w, d+w] can qualify.
+	// ApproxEps relaxes the radius rule and, to match, the window
+	// half-width: |ρ(q,r) − ρ(x,r)| ≤ ρ(q,x) ≤ γ_k for any answer x, so
+	// only ρ(x,r) ∈ [d−w, d+w] can qualify.
 	w := relaxedGamma(gammaK, e.prm.ApproxEps)
 	triple := tripleRule(gamma1, gammaK)
 	for j := 0; j < nr; j++ {
-		if e.prm.PrunePsi && e.prunes(psiRule(w, e.radii[j]), p, j) {
+		d := p.d[j]
+		if e.prm.PrunePsi && psiRule(w, e.radii[j]).holds(d) {
 			st.PrunedPsi++
 			continue
 		}
-		if e.prm.PruneTriple && e.prunes(triple, p, j) {
+		if e.prm.PruneTriple && triple.holds(d) {
 			st.PrunedTriple++
 			continue
 		}
 		st.RepsKept++
-		lo, hi := e.offsets[j], e.offsets[j+1]
-		if e.prm.EarlyExit {
-			a, b := e.exactWindow(p, j, e.dists[lo:hi], w)
-			lo, hi = lo+a, lo+b
-		}
+		lo, hi := e.listWindow(j, d, w)
 		kept = append(kept, qi, j, lo, hi)
 	}
 	return kept, w
@@ -363,18 +242,13 @@ func BuildExact(db *vec.Dataset, m metric.Metric[[]float32], prm ExactParams) (*
 	// BF(X,R): nearest representative for every database point, through the
 	// tiled matrix-matrix primitive (ties break toward the lower rep index,
 	// matching the tile loops' lower-id rule).
-	owner := make([]int32, n)
-	ownerDist := make([]float64, n)
-	for i, r := range bruteforce.Search(db, repData, m, nil) {
-		owner[i] = int32(r.ID)
-		ownerDist[i] = r.Dist
-	}
+	owners := bruteforce.Search(db, repData, m, nil)
 
 	// Bucket into lists (counting sort by owner), then sort each list by
 	// distance to its representative to enable the EarlyExit window.
 	counts := make([]int, nr+1)
-	for _, o := range owner {
-		counts[o+1]++
+	for _, o := range owners {
+		counts[o.ID+1]++
 	}
 	for j := 0; j < nr; j++ {
 		counts[j+1] += counts[j]
@@ -383,11 +257,11 @@ func BuildExact(db *vec.Dataset, m metric.Metric[[]float32], prm ExactParams) (*
 	ids := make([]int32, n)
 	dists := make([]float64, n)
 	next := append([]int(nil), counts[:nr]...)
-	for i := 0; i < n; i++ {
-		pos := next[owner[i]]
-		next[owner[i]]++
+	for i, o := range owners {
+		pos := next[o.ID]
+		next[o.ID]++
 		ids[pos] = int32(i)
-		dists[pos] = ownerDist[i]
+		dists[pos] = o.Dist
 	}
 	radii := make([]float64, nr)
 	par.ForEach(nr, segSortGrain, func(j int) {
@@ -509,18 +383,24 @@ func (e *Exact) finish(h *par.KHeap) []par.Neighbor {
 // ordRow optionally carries the query's row of the batched BF(Q,R) front
 // half. Phase 2 scans each kept window through the row kernel, then the
 // list's insertion buffer if the index has been mutated.
+//
+// Admission tests the heap bound before anything else: an ordering past
+// the k-th kept one (+Inf until the heap is full) would be a no-op Push,
+// so it is skipped before ids and isRep are read. The test is strict, so
+// a tie at the bound (which may still win on id) and a NaN still reach
+// Push; the bound moves only when a Push keeps its candidate.
 func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par.KHeap, Stats) {
 	nr := e.NumReps()
 	dim := e.db.Dim
 	st := Stats{RepEvals: int64(nr)}
-	ords, slack := e.phase1(q, ordRow, sc)
-	// Block buffer for the list scans, doubling as the rescore cell; pooled
-	// because a local array would escape through the kernel's interface
-	// dispatch.
+	// Block buffer for the list scans, doubling as the buffer-scan cell;
+	// pooled because a local array would escape through the kernel's
+	// interface dispatch.
 	scratch := sc.Float64(5, 256)
-	p := e.newProbe(q, ords, slack, scratch, sc)
+	p := e.newProbe(q, e.phase1(q, ordRow, sc), scratch, sc)
 	h := sc.Heap(0, k)
 	kept, w := e.prune(&p, 0, k, h, sc, &st, sc.Ints(0, 4*nr)[:0])
+	bound, _ := h.Worst()
 	for t := 0; t < len(kept); t += 4 {
 		j, lo, hi := kept[t+1], kept[t+2], kept[t+3]
 		for blk := lo; blk < hi; blk += len(scratch) {
@@ -531,8 +411,11 @@ func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par
 			out := scratch[:end-blk]
 			e.ker.Ordering(q, e.gather[blk*dim:end*dim], dim, out)
 			for i, dd := range out {
-				if id := int(e.ids[blk+i]); !e.isRep[id] && !e.isDeleted(id) {
-					h.Push(id, dd)
+				if dd > bound {
+					continue
+				}
+				if id := int(e.ids[blk+i]); !e.isRep[id] && !e.isDeleted(id) && h.Push(id, dd) {
+					bound, _ = h.Worst()
 				}
 			}
 			st.PointEvals += int64(end - blk)
@@ -543,6 +426,7 @@ func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par
 					h.Push(id, dd)
 				}
 			})
+			bound, _ = h.Worst()
 		}
 	}
 	return h, st
@@ -597,7 +481,7 @@ func (e *Exact) batch(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap
 	if e.mut == nil {
 		return e.batchGrouped(queries, k, sink)
 	}
-	return TileFrontHalf(e.fker, queries, e.repData, e.repNorms,
+	return TileFrontHalf(e.ker, queries, e.repData, nil,
 		func(i int, row []float64, sc *par.Scratch, _ *metric.TileScratch) Stats {
 			h, st := e.one(queries.Row(i), k, row, sc)
 			sink(i, h)
@@ -621,7 +505,7 @@ func (e *Exact) Range(q []float32, eps float64) ([]par.Neighbor, Stats) {
 func (e *Exact) RangeBatch(queries *vec.Dataset, eps float64) ([][]par.Neighbor, Stats) {
 	e.checkDim(queries.Dim)
 	out := make([][]par.Neighbor, queries.N())
-	agg := TileFrontHalf(e.fker, queries, e.repData, e.repNorms,
+	agg := TileFrontHalf(e.ker, queries, e.repData, nil,
 		func(i int, row []float64, sc *par.Scratch, _ *metric.TileScratch) Stats {
 			hits, st := e.rangeOne(queries.Row(i), eps, row, sc)
 			out[i] = hits
@@ -632,18 +516,15 @@ func (e *Exact) RangeBatch(queries *vec.Dataset, eps float64) ([][]par.Neighbor,
 
 // rangeOne runs the two-phase range search. ordRow optionally carries the
 // query's row of the batched BF(Q,R) front half. It keeps its own loop —
-// no γ, no seeding, a strict radius rule — but decides through the same
-// probe, prunes and exactWindow as the k-NN pruner: ρ(q,r) is only ever
-// compared, never reported (hits are confirmed point by point in exact
-// arithmetic), so the prune decisions, scan extents and stats are
-// bit-identical to an all-exact phase 1.
+// no γ, no seeding, a strict radius rule — over the same probe and
+// listWindow as the k-NN pruner; hits are confirmed point by point in
+// exact arithmetic.
 func (e *Exact) rangeOne(q []float32, eps float64, ordRow []float64, sc *par.Scratch) ([]par.Neighbor, Stats) {
 	nr := e.NumReps()
 	dim := e.db.Dim
 	st := Stats{RepEvals: int64(nr)}
-	ords, slack := e.phase1(q, ordRow, sc)
 	scratch := sc.Float64(5, 256)
-	p := e.newProbe(q, ords, slack, scratch, sc)
+	p := e.newProbe(q, e.phase1(q, ordRow, sc), scratch, sc)
 	// Ordering-space prefilter bound for eps; survivors are confirmed in
 	// distance space, and OrderingBound guarantees the boundary stays exact.
 	epsHi := e.ker.OrderingBound(math.Abs(eps))
@@ -657,16 +538,12 @@ func (e *Exact) rangeOne(q []float32, eps float64, ordRow []float64, sc *par.Scr
 		}
 	}
 	for j := 0; j < nr; j++ {
-		if e.prunes(rangePsiRule(eps, e.radii[j]), &p, j) {
+		if rangePsiRule(eps, e.radii[j]).holds(p.d[j]) {
 			st.PrunedPsi++
 			continue
 		}
 		st.RepsKept++
-		lo, hi := e.offsets[j], e.offsets[j+1]
-		if e.prm.EarlyExit {
-			a, b := e.exactWindow(&p, j, e.dists[lo:hi], eps)
-			lo, hi = lo+a, lo+b
-		}
+		lo, hi := e.listWindow(j, p.d[j], eps)
 		for blk := lo; blk < hi; blk += len(scratch) {
 			end := blk + len(scratch)
 			if end > hi {

@@ -339,8 +339,6 @@ func (e *Exact) liveGammas(repDists []float64, k int, sc *par.Scratch) (float64,
 	if e.mut == nil || e.mut.numDeleted == 0 {
 		return kthSmallest(repDists, k, sc)
 	}
-	// Slot 7: the caller's brackets occupy slots 1–2 and must stay live
-	// past this call; the pruner re-carves slot 7 only afterwards.
 	live := sc.Float64(7, len(repDists))[:0]
 	for j, d := range repDists {
 		if !e.mut.deleted[e.repIDs[j]] {
@@ -357,14 +355,12 @@ func (e *Exact) liveGammas(repDists []float64, k int, sc *par.Scratch) (float64,
 // emit as ordering distances, and returns the number of distance
 // evaluations. Under EarlyExit the buffer — ascending in (dist, id) like
 // the segment — is clipped to the admissible window of half-width w by
-// the same binary search the segment scan uses; the window clips stored
-// member distances directly, so it is pinned to the exact representative
-// distance (rescoring if the bracket has not collapsed).
+// the same binary search the segment scan uses.
 func (e *Exact) scanBuffer(p *probe, j int, w float64, emit func(id int, ord float64)) int64 {
 	ids, ds := e.mut.bufIDs[j], e.mut.bufDists[j]
 	lo, hi := 0, len(ids)
 	if e.prm.EarlyExit {
-		d := e.exactRepDist(p, j)
+		d := p.d[j]
 		lo, hi = AdmissibleWindow(ds, d-w, d+w)
 	}
 	var evals int64

@@ -4,18 +4,15 @@ package core
 // Let γ_1 ≤ γ_k be the smallest and k-th smallest distances from the
 // query q to a representative; representatives are database points, so
 // γ_k upper-bounds the k-th nearest-neighbor distance. Every rule has the
-// form "prune r when ρ(q,r) is past a threshold", which is what lets one
-// comparison (rule.holds) serve exact distances and — through
-// Exact.prunes — certified brackets alike.
+// form "prune r when ρ(q,r) is past a threshold", one comparison
+// (rule.holds) on an exact distance.
 //
 // Exact, GenericExact and the distributed coordinator all decide through
 // this file; AdmissibleWindow (window.go) is the matching single home of
 // the EarlyExit window rule.
 
 // rule prunes a representative whose distance d to the query is past t:
-// d ≥ t, or d > t when strict. Being monotone in d is what makes a rule
-// certifiable from a bracket: if both ends agree, so does every distance
-// between them.
+// d ≥ t, or d > t when strict.
 type rule struct {
 	t      float64
 	strict bool

@@ -9,13 +9,13 @@ import (
 	"repro/internal/vec"
 )
 
-// Tests for the bracketed Gram phase 1 of Exact: BF(Q,R) runs on the fast
-// kernel grade, every comparison is certified through the slack bracket or
-// resolved by an exact rescore, and the answers — and the work counters —
-// must stay bit-identical to the all-exact reference on tie-rich inputs.
-// Integer lattices are the adversarial case: rep distances land exactly on
-// pruning thresholds (d == γ + ψ_r) and window edges, so a merely
-// conservative relaxation would admit tied candidates with different ids.
+// Tie-rich lattice tests for Exact: per-query and batched searches must
+// agree bit for bit — answers and work counters — and match the
+// brute-force reference. Integer lattices are the adversarial case: rep
+// distances land exactly on pruning thresholds (d == γ + ψ_r), window
+// edges and the heap bound, so any rule, window or admission test that is
+// off by one comparison would admit or drop tied candidates with
+// different ids.
 
 // tieGridDataset lays points on a small integer lattice with heavy
 // duplication, so distances collide and every threshold comparison is a
@@ -32,7 +32,9 @@ func tieGridDataset(rng *rand.Rand, n, dim, side int) *vec.Dataset {
 	return d
 }
 
-func TestGramPhase1TieRichBitIdentity(t *testing.T) {
+// TestTieLatticeKNNBitIdentity: k-NN on lattices, per-query ≡ batch ≡
+// brute force, across the EarlyExit and ApproxEps variants.
+func TestTieLatticeKNNBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	m := metric.Euclidean{}
 	for _, tc := range []struct {
@@ -123,9 +125,9 @@ func TestGramPhase1TieRichBitIdentity(t *testing.T) {
 	}
 }
 
-// TestGramPhase1RangeTieRich pins the range path the same way: per-query
-// vs batched range search, and both against the brute-force reference.
-func TestGramPhase1RangeTieRich(t *testing.T) {
+// TestTieLatticeRange pins the range path the same way: per-query vs
+// batched range search, and both against the brute-force reference.
+func TestTieLatticeRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	m := metric.Euclidean{}
 	db := tieGridDataset(rng, 400, 3, 4)
@@ -156,11 +158,10 @@ func TestGramPhase1RangeTieRich(t *testing.T) {
 	}
 }
 
-// TestGramPhase1MutatedPath drives the per-query back half with dynamic
-// state (inserts + deletes), where overflow windows and live-γ selection
-// take the rescore-guarded paths, and checks against brute force over the
-// live set.
-func TestGramPhase1MutatedPath(t *testing.T) {
+// TestTieLatticeMutatedPath drives the per-query back half with dynamic
+// state (inserts + deletes), where buffer windows and live-γ selection
+// come into play, and checks against brute force over the live set.
+func TestTieLatticeMutatedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	m := metric.Euclidean{}
 	db := tieGridDataset(rng, 300, 3, 3)

@@ -127,10 +127,11 @@ func perPairKNNBatch(cl *Cluster, queries *vec.Dataset, k int) [][]par.Neighbor 
 		go func(sid int, sb *shardBatch) {
 			s := cl.shards[sid]
 			knn := make([][]par.Neighbor, len(sb.qidx))
+			segs := sb.querySegs()
 			for t, qi := range sb.qidx {
 				q := queries.Row(qi)
 				h := par.NewKHeap(k)
-				for _, seg := range sb.segs[t] {
+				for _, seg := range segs[t] {
 					lo, hi := s.offsets[seg], s.offsets[seg+1]
 					for p := lo; p < hi; p++ {
 						if s.isRep[p] {

@@ -321,14 +321,25 @@ func (s *shard) scan(req shardRequest) shardReply {
 	}
 	rep.evals = core.ScanGrouped(s.ker, req.qs, s.dim, s.gather, len(s.offsets)-1, kept, sc, ts,
 		func(qi, lo int, ords []float64) {
-			bound := math.Inf(1)
+			limit := math.Inf(1)
 			if req.bounds != nil {
-				bound = req.bounds[qi]
+				limit = req.bounds[qi]
 			}
+			// Admission tests the bound before anything else: the
+			// coordinator's limit, tightened by the heap's k-th kept
+			// ordering (past which Push is a no-op), refreshed only when a
+			// Push keeps its candidate. Ties at the bound still reach Push;
+			// NaN never passes, as it never passed the limit.
 			h := heaps[qi]
+			worst, _ := h.Worst()
+			bound := min(limit, worst)
 			for t, o := range ords {
-				if p := lo + t; (req.includeReps || !s.isRep[p]) && o <= bound {
-					h.Push(int(s.ids[p]), o)
+				if !(o <= bound) {
+					continue
+				}
+				if p := lo + t; (req.includeReps || !s.isRep[p]) && h.Push(int(s.ids[p]), o) {
+					worst, _ = h.Worst()
+					bound = min(limit, worst)
 				}
 			}
 		})
@@ -498,13 +509,15 @@ const boundBytes = 8   // per-query pruning bound shipped with routed requests
 const WindowBytes = 16
 
 // shardBatch accumulates one shard's slice of a query block: which
-// global queries it serves, per query which segments to scan, and — on
-// windowed clusters — each segment's admissible window, stored as one
-// flat [dLo, dHi] pair sequence aligned with the concatenation of segs
-// (one backing array per shard per block).
+// global queries it serves, which segments each scans — one flat
+// sequence, query t's entries ending at ends[t] — and, on windowed
+// clusters, each entry's admissible window as a flat [dLo, dHi] pair
+// sequence aligned with segs. One backing array per column per shard per
+// block, however many queries the shard serves.
 type shardBatch struct {
 	qidx []int
-	segs [][]int
+	ends []int
+	segs []int
 	wins []float64
 }
 
@@ -515,13 +528,25 @@ type shardBatch struct {
 func (sb *shardBatch) add(qi, seg int, win []float64) {
 	if n := len(sb.qidx); n == 0 || sb.qidx[n-1] != qi {
 		sb.qidx = append(sb.qidx, qi)
-		sb.segs = append(sb.segs, nil)
+		sb.ends = append(sb.ends, len(sb.segs))
 	}
-	last := len(sb.segs) - 1
-	sb.segs[last] = append(sb.segs[last], seg)
+	sb.segs = append(sb.segs, seg)
+	sb.ends[len(sb.ends)-1]++
 	if win != nil {
 		sb.wins = append(sb.wins, win[0], win[1])
 	}
+}
+
+// querySegs returns query t's segment list for every served query t, as
+// views into the flat segs column.
+func (sb *shardBatch) querySegs() [][]int {
+	out := make([][]int, len(sb.ends))
+	start := 0
+	for t, end := range sb.ends {
+		out[t] = sb.segs[start:end:end]
+		start = end
+	}
+	return out
 }
 
 // Query answers one query with RBC routing: the coordinator prunes
@@ -672,10 +697,7 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 				h.Push(c.repIDs[j], ords[j])
 			}
 			heaps[qi] = h
-			bounds[qi] = math.Inf(1)
-			if w, full := h.Worst(); full {
-				bounds[qi] = w
-			}
+			bounds[qi], _ = h.Worst()
 			winW := math.Inf(1)
 			if c.windowed && !math.IsInf(bounds[qi], 1) {
 				winW = c.ker.ToDistance(bounds[qi])
@@ -812,7 +834,7 @@ func (c *Cluster) finish(queries *vec.Dataset, k int, batches []shardBatch, boun
 				bs[t] = bounds[qi]
 			}
 		}
-		req := &shardRequest{qs: qs, segs: sb.segs, wins: sb.wins, bounds: bs, k: k, epoch: c.epochs[sid], includeReps: includeReps}
+		req := &shardRequest{qs: qs, segs: sb.querySegs(), wins: sb.wins, bounds: bs, k: k, epoch: c.epochs[sid], includeReps: includeReps}
 		go func(sid int, req *shardRequest) {
 			rp, err := c.tr.scan(sid, req)
 			results <- scanResult{sid: sid, rp: rp, err: err}

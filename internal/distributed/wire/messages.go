@@ -91,7 +91,12 @@ func EncodeScanRequest(r *ScanRequest) []byte {
 	if r.Wins != nil {
 		flags |= flagWins
 	}
-	f := NewFrame(MsgScan)
+	size := frameHead + 2 + 17 + 4*len(r.Qs) + 4*len(r.Segs) + 8*len(r.Bounds) + 8*len(r.Wins)
+	for _, segs := range r.Segs {
+		size += 4 * len(segs)
+	}
+	f := make([]byte, frameHead, size)
+	f = append(f, Version, MsgScan)
 	f = appendU32(f, uint32(r.Dim))
 	f = appendU32(f, uint32(r.K))
 	f = appendU32(f, r.Epoch)
@@ -163,7 +168,12 @@ type ScanReply struct {
 
 // EncodeScanReply builds a wire-ready MsgScanReply frame.
 func EncodeScanReply(r *ScanReply) []byte {
-	f := NewFrame(MsgScanReply)
+	size := frameHead + 2 + 24
+	for _, nbs := range r.KNN {
+		size += 4 + 16*len(nbs)
+	}
+	f := make([]byte, frameHead, size)
+	f = append(f, Version, MsgScanReply)
 	f = appendU32(f, uint32(r.Shard))
 	f = appendU64(f, uint64(r.Evals))
 	f = appendU64(f, uint64(r.EmptyWins))

@@ -166,6 +166,24 @@ func TestScanReplyRoundTripBitExact(t *testing.T) {
 	}
 }
 
+// TestScanFramesPresized: the scan encoders size their frame exactly up
+// front (no append growth on the fan-out hot path).
+func TestScanFramesPresized(t *testing.T) {
+	for _, windowed := range []bool{false, true} {
+		req := &ScanRequest{Dim: 3, K: 2, Qs: make([]float32, 6), Segs: [][]int{{1, 4, 7}, {2}}, Bounds: []float64{1, 2}}
+		if windowed {
+			req.Wins = make([]float64, 8)
+		}
+		if f := EncodeScanRequest(req); len(f) != cap(f) {
+			t.Fatalf("windowed=%v: scan request frame len %d, cap %d", windowed, len(f), cap(f))
+		}
+	}
+	rep := &ScanReply{Shard: 1, Evals: 9, KNN: [][]par.Neighbor{{{ID: 3, Dist: 1}, {ID: 4, Dist: 2}}, nil}}
+	if f := EncodeScanReply(rep); len(f) != cap(f) {
+		t.Fatalf("scan reply frame len %d, cap %d", len(f), cap(f))
+	}
+}
+
 func TestShardStateRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, windowed := range []bool{false, true} {

@@ -28,9 +28,9 @@
 //     reference grade; all reported distances come from here. See
 //     exact.go, and exact_amd64.s for the identity argument.
 //   - Gram-fast: float64 Gram decomposition ‖q‖²+‖p‖²−2q·p over cached
-//     norms; drifts from exact by at most GramOrderingSlack, so consumers
-//     can bracket its orderings and make prune decisions that provably
-//     agree with the exact grade.
+//     norms; drifts from exact in the trailing ulps, so it serves
+//     consumers that tolerate documented drift (brute-force baselines,
+//     approximate probe selection) and never an answer path.
 //   - chunked: 8-lane float32 accumulation in chunks of at most 2¹¹
 //     dims, folded to float64 per chunk; relative error bounded by
 //     ChunkedErrorBound. Above a small point count the row scan is

@@ -326,32 +326,6 @@ func (k *Kernel) OrderingBound(d float64) float64 {
 	}
 }
 
-// GramOrderingSlack bounds |gram − exact| for the squared-distance
-// ordering of one query/point pair computed by the Gram fast path
-// (gramFinish over euclidNorms and the two-lane dot), given the exact
-// squared norms qn and pn of the two vectors.
-//
-// Derivation: each of the three accumulations (‖q‖², ‖p‖², q·p) is a
-// length-dim sum of products of exact float64 values (float32 inputs
-// widen exactly), so standard forward error analysis gives a relative
-// error of at most (dim+1)·u per term magnitude, u = 2⁻⁵³. Term
-// magnitudes are bounded by qn, pn, and √(qn·pn) ≤ (qn+pn)/2
-// respectively, and the final qn+pn−2·dot assembly adds three more
-// rounding steps on values bounded by 2(qn+pn). Collecting:
-//
-//	|gram − exact| ≤ u·(qn+pn)·(1.5·dim + 18)
-//
-// The returned bound 4·(dim+8)·u·(qn+pn) dominates that with ≥2×
-// margin for every dim ≥ 1, absorbing the exact-grade kernel's own
-// (smaller, same-form) rounding. Callers bracket the fast ordering as
-// [o−slack, o+slack] to make prune/seed decisions that provably agree
-// with the exact kernel; distances reported to users must still come
-// from the exact grade.
-func GramOrderingSlack(dim int, qn, pn float64) float64 {
-	const u = 0x1p-53
-	return 4 * float64(dim+8) * u * (qn + pn)
-}
-
 // NeedsNorms reports whether Tile consumes precomputed squared norms
 // (the Gram fast path; the chunked and quantized grades read their own
 // representations directly and have no use for norms). Callers that hold

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -340,5 +341,54 @@ func TestQuickKHeapKeepsKSmallest(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKHeapBoundAdmissionMatchesPush: the scans' admission filter — skip a
+// candidate whose dist > Worst() (+Inf until full), refresh the bound only
+// after a Push that keeps — must leave Kept() identical to offering every
+// candidate to Push. Streams draw from a small value lattice, so ties at
+// the bound with lower and higher ids, duplicate (id, dist) pairs, +Inf,
+// NaN and streams shorter than k all occur.
+func TestKHeapBoundAdmissionMatchesPush(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	vals := []float64{0, 1, 1, 2, 2, 2, 3, 5, math.Inf(1), math.NaN()}
+	check := func(k int, ids []int, dists []float64) {
+		plain, filtered := NewKHeap(k), NewKHeap(k)
+		for i, d := range dists {
+			plain.Push(ids[i], d)
+		}
+		bound, _ := filtered.Worst()
+		for i, d := range dists {
+			if d > bound {
+				continue
+			}
+			if filtered.Push(ids[i], d) {
+				bound, _ = filtered.Worst()
+			}
+		}
+		got, want := filtered.Kept(), plain.Kept()
+		if len(got) != len(want) {
+			t.Fatalf("k=%d stream %v/%v: kept %d, plain Push kept %d", k, ids, dists, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+				t.Fatalf("k=%d stream %v/%v: kept %v, plain Push kept %v", k, ids, dists, got, want)
+			}
+		}
+	}
+	for _, k := range []int{1, 3, 10} {
+		// A tie at the bound offered with a higher and then a lower id.
+		check(k, []int{5, 6, 7, 9, 1}, []float64{2, 2, 2, 2, 2})
+		for trial := 0; trial < 3000; trial++ {
+			n := rng.Intn(3*k + 3)
+			ids := make([]int, n)
+			dists := make([]float64, n)
+			for i := range ids {
+				ids[i] = rng.Intn(2*k + 4)
+				dists[i] = vals[rng.Intn(len(vals))]
+			}
+			check(k, ids, dists)
+		}
 	}
 }

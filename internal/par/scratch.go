@@ -12,17 +12,17 @@ import "sync"
 // contents (the backing array is reused). Within internal/core the slot
 // ownership convention is:
 //
-//   - float64 0–2 and 5 belong to the per-query pruning step: 0 holds the
-//     phase-1 orderings when a single query computes its own, 1 the query
-//     norm and then the bracket lows, 2 the bracket highs, 5 the
-//     list-scan block that doubles as the rescore cell;
+//   - float64 0, 1 and 5 belong to the per-query pruning step: 0 holds
+//     the phase-1 orderings when a single query computes its own, 1 the
+//     representative distances, 5 the list-scan block that doubles as
+//     the buffer-scan cell;
 //   - float64 3, 4 and 6 belong to the batched front half
 //     (core.tileFrontHalf: rows, kernel tile, query norms);
 //   - float64 7 is time-shared within one query tile: the pruner uses it
-//     for the live-γ buffer and then the γ candidate buffer, and
-//     core.ScanGrouped — which only runs once every query of the tile has
-//     been pruned — re-carves it for its kernel tile, along with float32
-//     slot 0 and int slots 2–3 for its block bookkeeping;
+//     for the live-γ buffer, and core.ScanGrouped — which only runs once
+//     every query of the tile has been pruned — re-carves it for its
+//     kernel tile, along with float32 slot 0 and int slots 2–3 for its
+//     block bookkeeping;
 //   - int slot 0 holds a back half's kept (query, list, lo, hi)
 //     quadruples, and core.ScanGrouped owns int slots 1, 4 and 5 (taker
 //     windows, per-list taker counts, taker ids);

@@ -1,6 +1,9 @@
 package par
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Neighbor is a candidate result: a point id and its distance to the
 // query.
@@ -39,11 +42,14 @@ func (h *KHeap) Len() int { return len(h.data) }
 // Full reports whether k neighbors are held.
 func (h *KHeap) Full() bool { return len(h.data) == h.k }
 
-// Worst returns the largest kept distance, or +Inf semantics via ok=false
-// when the heap is not yet full (meaning every candidate is admissible).
+// Worst returns the largest kept distance, or +Inf with ok=false when the
+// heap is not yet full (every candidate is admissible). A candidate with
+// dist > Worst is one Push would reject, so scans can test it first and
+// skip the rest of their per-candidate work; ties at Worst must still be
+// offered, since they win on a lower ID.
 func (h *KHeap) Worst() (dist float64, ok bool) {
 	if !h.Full() {
-		return 0, false
+		return math.Inf(1), false
 	}
 	return h.data[0].Dist, true
 }

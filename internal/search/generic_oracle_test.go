@@ -24,9 +24,8 @@ import (
 //     window (the whole list without EarlyExit), representatives
 //     included — they are skipped as candidates, not as work. See
 //     core.Stats.
-//   - Exact rescores razor-case representatives through the answer-grade
-//     kernel; those evaluations are uncounted on every path, so RepEvals
-//     is |R| per query on both sides.
+//   - Exact evaluates every representative once, in phase 1, so
+//     RepEvals is |R| per query on both sides.
 //   - GenericExact calls m.Distance where Exact calls the exact-grade
 //     kernel. Euclidean.Distance accumulates in one chain and the kernel
 //     in four, so the two agree bit for bit only where float64 sums are
