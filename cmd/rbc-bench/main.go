@@ -43,7 +43,6 @@ func main() {
 		queries  = flag.Int("queries", 200, "queries per experiment")
 		seed     = flag.Int64("seed", 20120501, "random seed")
 		repFac   = flag.Float64("repfactor", 2, "n_r multiplier on sqrt(n) for exact search")
-		kernel   = flag.String("kernel", "exact", "kernel grade, one of: exact | fast | chunked | quantized; applies to approximate-tolerant paths (timed BF baselines, one-shot probe selection, LSH rescoring; exact answers stay exact; quantized runs the two-pass int8 scan — see the quant-sweep experiment for its n-sweep)")
 		outDir   = flag.String("out", "", "directory for .txt/.csv outputs (optional)")
 		listOnly = flag.Bool("list", false, "list experiments and exit")
 
@@ -60,13 +59,6 @@ func main() {
 		netSlow    = flag.Duration("net-slow", 0, "networked mode: inject an in-process sleep proxy adding this delay in front of shard 0's primary replica")
 	)
 	flag.Parse()
-
-	// Validate -kernel up front, before any mode branch: an unknown grade
-	// must be rejected loudly, never silently defaulted.
-	if _, err := (harness.Config{Kernel: *kernel}).Grade(); err != nil {
-		fmt.Fprintf(os.Stderr, "rbc-bench: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *shardAddrs != "" {
 		var addrs []string
@@ -95,7 +87,7 @@ func main() {
 		return
 	}
 
-	cfg := harness.Config{Scale: *scale, Queries: *queries, Seed: *seed, RepFactor: *repFac, Kernel: *kernel}
+	cfg := harness.Config{Scale: *scale, Queries: *queries, Seed: *seed, RepFactor: *repFac}
 	ids := selectExperiments(*expFlag)
 	if len(ids) == 0 {
 		fmt.Fprintln(os.Stderr, "rbc-bench: no experiments selected")

@@ -117,56 +117,36 @@
 // monotone, ordering, top-k selection and tie-breaking (toward lower ids)
 // are unaffected.
 //
-// Four kernel grades exist (see repro/internal/metric for the full
-// contracts). The builds and the Exact query paths (BuildExact,
-// BuildOneShot, Exact.One/KNN/Search/SearchK/Range, and
-// bruteforce.Search/SearchK) use exact kernels whose per-pair arithmetic
-// is bit-identical to the per-query reference — results are reproducible
-// down to the last bit, ties included, for any tiling or batch shape.
-// (One caveat against pre-ordering-space code: when two *distinct*
-// squared distances round to the same sqrt, a post-sqrt comparison saw a
-// tie where ordering space sees a strict order and returns the strictly
-// nearer point.) BruteForce and BruteForceK use the Gram-fast kernels —
-// the Gram decomposition ‖q−x‖² = ‖q‖²+‖x‖²−2·q·x over precomputed
-// squared norms for Euclidean — which reassociate the summation and may
-// differ from the reference in the trailing ulps of the distance, never
-// in the handling of exact ties. The chunked-fast grade
-// (metric.NewChunkedKernel) goes further: its inner loop runs entirely
-// in float32, accumulating at most 2^11 products before folding into a
-// float64 total, so it is conversion-free and vectorizable — roughly
-// twice the row-scan throughput — at the price of a bounded RELATIVE
-// error (metric.ChunkedErrorBound, ~1e-5 at the chunk size) on every
-// distance. It is admitted only where approximate ordering is already
-// part of the contract: bruteforce.SearchChunked/SearchKChunked,
-// OneShot probe selection (OneShotParams.Phase1Chunked), LSH candidate
-// rescoring (lsh.Params.Rescore) and kd-tree leaf rescoring
-// (kdtree.BuildGrade); core.ScanGrouped and Exact refuse fast-grade
-// kernels outright. The quantized grade (metric.NewQuantizedKernel)
-// targets the memory-bound regime instead of the compute-bound one: the
-// database is encoded once into int8 codes plus a per-chunk scale
-// (metric.NewQuantizedView, 4x less memory traffic than float32), and
-// the scan runs on the codes, so at n >= 100k and dim 64 the row scan is
-// >= 2x the chunked grade's throughput. Its scan distances carry a
-// bounded ADDITIVE error (QuantizedView.ErrorBound), which makes the
-// grade a candidate generator, not an answer path — so the scan layout
-// codes the database in row-major int8 with one float32 scale per
-// 2^11-value chunk, and every consumer pairs it with exact rescoring.
+// Every answer path runs on the exact kernel grade (see
+// repro/internal/metric for the full contract): the builds, the Exact and
+// OneShot query paths (BuildExact, BuildOneShot, One/KNN/Search/SearchK/
+// Range, OneShot.Certify), BruteForce and BruteForceK, and
+// bruteforce.Search/SearchK. Its per-pair arithmetic is bit-identical to
+// the per-query reference — results are reproducible down to the last
+// bit, ties included, for any tiling or batch shape. (One caveat against
+// pre-ordering-space code: when two *distinct* squared distances round to
+// the same sqrt, a post-sqrt comparison saw a tie where ordering space
+// sees a strict order and returns the strictly nearer point.) OneShot's
+// probe selection is therefore exact too: which ownership list is scanned
+// is decided by the same distances the reported answers carry, ties
+// toward the lower representative index.
+//
+// The one other scan is the int8 two-pass brute force, for the
+// memory-bound regime: the database is encoded once into int8 codes plus
+// a per-chunk scale (metric.NewQuantizedView, 4x less memory traffic than
+// float32), and the candidate pass runs on the codes, so at n >= 100k and
+// dim 64 the row scan is >= 3x the exact row's throughput. Its code
+// distances carry a bounded ADDITIVE error (QuantizedView.ErrorBound),
+// which makes the pass a candidate generator, not an answer path.
 // bruteforce.SearchKQuantized runs the two-pass contract: pass 1 scans
 // the codes and keeps QuantOverfetch*k (floored at 64) candidates —
 // enough to cover the quantization noise band around the k-th distance —
-// and pass 2 rescores exactly those rows with the exact kernel
-// (bruteforce.RescoreKQuantized), so the reported neighbors carry
-// bit-true distances; when the over-fetch reaches n the result is exact
-// by construction. The same pattern backs
-// OneShotParams.Phase1Quantized (probe selection over quantized rep
-// scans), the lsh and kdtree quantized grades, and
-// rbc-bench -kernel=quantized; the quant-sweep experiment measures the
-// n-crossover. OneShot sits between the grades: its probe-selection
-// phase runs on a fast kernel against norms cached in the index (so
-// which ownership list is scanned can flip at near-ties inside that
-// grade's noise — within the algorithm's probabilistic contract), while
-// the list scans that produce the reported distances always use the
-// exact kernel.
+// and pass 2 rescores exactly those rows with the exact kernel, so the
+// reported neighbors carry bit-true distances; when the over-fetch
+// reaches n the result is exact by construction. The quant-sweep
+// experiment measures it against the exact SearchK. core.ScanGrouped and
+// Exact refuse the remaining Gram-fast kernel (metric.NewFastKernel),
+// which survives only for bruteforce.SearchKFast.
 //
 // Arbitrary metric spaces — edit distance on strings, shortest-path
 // distance on graph nodes — are supported through the generic API in

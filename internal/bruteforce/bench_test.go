@@ -65,10 +65,10 @@ func BenchmarkRangeSearch(b *testing.B) {
 }
 
 // BF(Q,X) benchmark setting from the acceptance criteria: n=10k, |Q|=256,
-// dim swept over {16, 64, 256, 784}. BFTiled is the tiled matrix-matrix
-// primitive (Gram kernel, SearchFast); BFTiledExact is the bit-reproducible
-// tiled kernel behind Search; BFPerQuery is the pre-tiling baseline (one
-// database stream and one sqrt per candidate per query).
+// dim swept over {16, 64, 256, 784}. BFTiledExact is the tiled
+// matrix-matrix primitive behind Search; BFTiledFast is its 1-NN form on
+// the Gram kernel (SearchKFast with k=1); BFPerQuery is the pre-tiling
+// baseline (one database stream and one sqrt per candidate per query).
 
 var bfDims = []int{16, 64, 256, 784}
 
@@ -105,23 +105,9 @@ func benchBF(b *testing.B, run func(queries, db *vec.Dataset)) {
 	}
 }
 
-func BenchmarkBFTiled(b *testing.B) {
-	benchBF(b, func(queries, db *vec.Dataset) {
-		SearchFast(queries, db, metric.Euclidean{}, nil)
-	})
-}
-
-// BenchmarkBFTiledFast is BenchmarkBFTiled under its grade name, so the
-// bench-regression baseline reads as exact vs fast vs chunked.
 func BenchmarkBFTiledFast(b *testing.B) {
 	benchBF(b, func(queries, db *vec.Dataset) {
-		SearchFast(queries, db, metric.Euclidean{}, nil)
-	})
-}
-
-func BenchmarkBFTiledChunked(b *testing.B) {
-	benchBF(b, func(queries, db *vec.Dataset) {
-		SearchChunked(queries, db, metric.Euclidean{}, nil)
+		SearchKFast(queries, db, 1, metric.Euclidean{}, nil)
 	})
 }
 

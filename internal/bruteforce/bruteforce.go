@@ -7,25 +7,23 @@
 //   - batch: BF(Q,X) for a set of queries — the "matrix-matrix" shape,
 //     computed as query-tile × point-tile loops over the tiled kernels in
 //     internal/metric, so each point tile loaded into cache is reused by a
-//     whole block of queries (Search, SearchK, SearchFast, SearchKFast);
+//     whole block of queries (Search, SearchK);
 //   - streaming: BF(q,X) for one query — the "matrix-vector" shape,
 //     parallelized over database blocks with a final reduction (SearchOne).
 //
 // All comparison steps run in squared-distance (ordering) space; the sqrt
-// is applied once per returned neighbor at the API boundary. Search and
-// SearchK use the exact-mode kernels: per-pair arithmetic, reported
-// distances and tie-breaking are bit-identical to an ordering-space
-// per-query scan regardless of tile shape. Relative to the legacy
+// is applied once per returned neighbor at the API boundary. Apart from
+// the three exceptions below, every entry point runs on the exact kernel
+// grade: per-pair arithmetic, reported distances and tie-breaking are
+// bit-identical to an ordering-space per-query scan regardless of tile
+// shape. Relative to the legacy
 // post-sqrt per-query scan, selections agree except when two *distinct*
 // squared distances round to the same sqrt (a one-ulp razor tie the old
 // comparison could not see); there the ordering-space paths return the
-// strictly nearer point. SearchFast and SearchKFast use the Gram-fast
-// kernels (the Gram decomposition for Euclidean), which can additionally
-// differ from the reference in the trailing ulps of the distance.
-// SearchChunked and SearchKChunked use the chunked float32 kernels —
-// conversion-free vectorizable inner loops whose distances carry a
-// bounded relative error (metric.ChunkedErrorBound) instead of ulp drift;
-// SearchWith and SearchKWith accept any caller-resolved kernel grade.
+// strictly nearer point. The exceptions: SearchKQuantized and
+// SearchKQuantizedView generate candidates over int8 codes and rescore
+// them exactly (quantized.go), and SearchKFast runs the Gram-fast kernel,
+// whose distances can differ in the trailing ulps.
 //
 // All functions optionally report work through a Counter so experiments
 // can measure distance evaluations independent of the machine.
@@ -191,33 +189,6 @@ func SearchOne(q []float32, db *vec.Dataset, m metric.Metric[[]float32], c *Coun
 // included; see the package comment for the one sqrt-rounding caveat
 // against the legacy post-sqrt scan).
 func Search(queries, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) []Result {
-	return searchTiled(queries, db, metric.NewKernel(m), c)
-}
-
-// SearchFast is Search on the Gram-fast kernel (the Gram decomposition
-// with precomputed squared norms for Euclidean). Distances can differ
-// from the per-query reference in the trailing ulps; ids agree except at
-// ties closer than that noise. Exact duplicates still tie toward the
-// lower id.
-func SearchFast(queries, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) []Result {
-	return searchTiled(queries, db, metric.NewFastKernel(m), c)
-}
-
-// SearchChunked is Search on the chunked float32 kernel: distances carry
-// a bounded relative error (metric.ChunkedErrorBound) rather than ulp
-// drift, ids agree except at ties within that noise, and exact duplicates
-// still tie toward the lower id (identical rows score exactly zero).
-func SearchChunked(queries, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) []Result {
-	return searchTiled(queries, db, metric.NewChunkedKernel(m), c)
-}
-
-// SearchWith is Search on a caller-resolved kernel, for consumers that
-// select the grade at run time (the rbc-bench -kernel knob).
-func SearchWith(queries, db *vec.Dataset, ker *metric.Kernel, c *Counter) []Result {
-	return searchTiled(queries, db, ker, c)
-}
-
-func searchTiled(queries, db *vec.Dataset, ker *metric.Kernel, c *Counter) []Result {
 	nq := queries.N()
 	out := make([]Result, nq)
 	if nq == 0 {
@@ -230,13 +201,11 @@ func searchTiled(queries, db *vec.Dataset, ker *metric.Kernel, c *Counter) []Res
 		}
 		return out
 	}
-	pnorms := normsParallel(ker, db)
+	ker := metric.NewKernel(m)
 	tq, tp := metric.TileShape(dim)
 	par.For(nq, 1, func(lo, hi int) {
 		sc := par.GetScratch()
 		defer par.PutScratch(sc)
-		ts := metric.GetTileScratch()
-		defer metric.PutTileScratch(ts)
 		tile := sc.Float64(0, tq*tp)
 		bestOrd := sc.Float64(1, tq)
 		bestID := sc.Ints(0, tq)
@@ -247,7 +216,6 @@ func searchTiled(queries, db *vec.Dataset, ker *metric.Kernel, c *Counter) []Res
 			}
 			bq := q1 - q0
 			qflat := queries.Data[q0*dim : q1*dim]
-			qnorms := ker.Norms(qflat, dim, sc.Float64(2, bq))
 			for i := 0; i < bq; i++ {
 				bestOrd[i] = math.Inf(1)
 				bestID[i] = -1
@@ -258,12 +226,8 @@ func searchTiled(queries, db *vec.Dataset, ker *metric.Kernel, c *Counter) []Res
 					p1 = n
 				}
 				bp := p1 - p0
-				var pn []float64
-				if pnorms != nil {
-					pn = pnorms[p0:p1]
-				}
 				t := tile[:bq*bp]
-				ker.Tile(qflat, qnorms, db.Data[p0*dim:p1*dim], pn, dim, t, ts)
+				ker.Tile(qflat, nil, db.Data[p0*dim:p1*dim], nil, dim, t, nil)
 				for i := 0; i < bq; i++ {
 					row := t[i*bp : (i+1)*bp]
 					bo, bi := bestOrd[i], bestID[i]
@@ -307,21 +271,13 @@ func SearchK(queries, db *vec.Dataset, k int, m metric.Metric[[]float32], c *Cou
 	return searchKTiled(queries, db, k, metric.NewKernel(m), c)
 }
 
-// SearchKFast is SearchK on the Gram-fast kernel; see SearchFast for the
-// reproducibility caveat.
+// SearchKFast is SearchK on the Gram-fast kernel (the Gram decomposition
+// with precomputed squared norms for Euclidean). Distances can differ
+// from the per-query reference in the trailing ulps; ids agree except at
+// ties closer than that noise, and exact duplicates still tie toward the
+// lower id.
 func SearchKFast(queries, db *vec.Dataset, k int, m metric.Metric[[]float32], c *Counter) [][]par.Neighbor {
 	return searchKTiled(queries, db, k, metric.NewFastKernel(m), c)
-}
-
-// SearchKChunked is SearchK on the chunked float32 kernel; see
-// SearchChunked for the error contract.
-func SearchKChunked(queries, db *vec.Dataset, k int, m metric.Metric[[]float32], c *Counter) [][]par.Neighbor {
-	return searchKTiled(queries, db, k, metric.NewChunkedKernel(m), c)
-}
-
-// SearchKWith is SearchK on a caller-resolved kernel.
-func SearchKWith(queries, db *vec.Dataset, k int, ker *metric.Kernel, c *Counter) [][]par.Neighbor {
-	return searchKTiled(queries, db, k, ker, c)
 }
 
 func searchKTiled(queries, db *vec.Dataset, k int, ker *metric.Kernel, c *Counter) [][]par.Neighbor {
@@ -442,10 +398,9 @@ const rescoreBlock = 256
 // Candidates are gathered into a contiguous scratch block and scored
 // through ker's row kernel — the BF(q, X[L]) candidate-rescoring shape
 // the approximate backends (lsh bucket unions, kdtree leaf sets) produce
-// — so the inner loop runs on the tiled kernel grades instead of
-// per-pair Distance calls. Duplicate ids in ids yield duplicate results;
-// callers dedupe beforehand. With a fast-grade kernel the returned
-// distances inherit that grade's error contract.
+// — so the inner loop runs on the row kernel instead of per-pair
+// Distance calls. Duplicate ids in ids yield duplicate results; callers
+// dedupe beforehand.
 func RescoreK(ker *metric.Kernel, q []float32, db *vec.Dataset, ids []int32, k int, c *Counter) []par.Neighbor {
 	if k <= 0 || len(ids) == 0 {
 		return nil

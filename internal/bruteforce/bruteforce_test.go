@@ -289,3 +289,78 @@ func TestQuickRangeComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRescoreK: rescoring a candidate list must match scoring those rows
+// through the same kernel directly, handle k > len(ids), and count evals.
+func TestRescoreK(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	db := randomDataset(rng, 500, 7)
+	q := randomDataset(rng, 1, 7).Row(0)
+	ids := make([]int32, 0, 300)
+	for i := 0; i < 300; i++ {
+		ids = append(ids, int32(rng.Intn(db.N())))
+	}
+	// Dedupe like callers do.
+	seen := map[int32]bool{}
+	uniq := ids[:0]
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			uniq = append(uniq, id)
+		}
+	}
+	ker := metric.NewKernel(metric.Euclidean{})
+	var c Counter
+	got := RescoreK(ker, q, db, uniq, 9, &c)
+	if c.Load() != int64(len(uniq)) {
+		t.Fatalf("counted %d evals, want %d", c.Load(), len(uniq))
+	}
+	// Reference: score every candidate through the same kernel's row
+	// scan one at a time.
+	ord := make([]float64, 1)
+	type cand struct {
+		id int
+		d  float64
+	}
+	ref := make([]cand, 0, len(uniq))
+	for _, id := range uniq {
+		ker.Ordering(q, db.Row(int(id)), db.Dim, ord)
+		ref = append(ref, cand{int(id), ker.ToDistance(ord[0])})
+	}
+	for j := 1; j < len(got); j++ {
+		if got[j].Dist < got[j-1].Dist {
+			t.Fatalf("not sorted at %d", j)
+		}
+	}
+	if len(got) != 9 {
+		t.Fatalf("%d results, want 9", len(got))
+	}
+	// Every returned (id, dist) must be present in the reference with
+	// identical bits, and no reference candidate may beat the worst
+	// returned one.
+	refDist := map[int]float64{}
+	for _, r := range ref {
+		refDist[r.id] = r.d
+	}
+	worst := got[len(got)-1].Dist
+	for _, nb := range got {
+		if d, ok := refDist[nb.ID]; !ok || d != nb.Dist {
+			t.Fatalf("returned (%d, %v), reference has %v", nb.ID, nb.Dist, d)
+		}
+	}
+	kept := map[int]bool{}
+	for _, nb := range got {
+		kept[nb.ID] = true
+	}
+	for _, r := range ref {
+		if !kept[r.id] && r.d < worst {
+			t.Fatalf("candidate (%d, %v) beats worst returned %v but was dropped", r.id, r.d, worst)
+		}
+	}
+	if got := RescoreK(ker, q, db, uniq[:3], 10, nil); len(got) != 3 {
+		t.Fatalf("k > len(ids): %d results, want 3", len(got))
+	}
+	if got := RescoreK(ker, q, db, nil, 5, nil); got != nil {
+		t.Fatalf("empty ids: %v", got)
+	}
+}

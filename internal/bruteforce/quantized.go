@@ -1,8 +1,6 @@
 package bruteforce
 
 import (
-	"math"
-
 	"repro/internal/metric"
 	"repro/internal/par"
 	"repro/internal/vec"
@@ -56,29 +54,14 @@ func quantPassK(k, n int) int {
 	return kp
 }
 
-// SearchQuantized is the 1-NN two-pass quantized scan: candidate
-// generation over int8 codes, exact rescoring of QuantOverfetch
-// survivors. Reported distances are bit-identical to Search for every
-// query whose true nearest neighbor survives pass 1 (see the two-pass
-// contract above). The view is built once per call (O(n·dim)) and
-// amortizes over the query batch; callers that scan the same database
-// repeatedly should hold a view and use SearchKQuantizedView.
-func SearchQuantized(queries, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) []Result {
-	nbs := SearchKQuantized(queries, db, 1, m, c)
-	out := make([]Result, len(nbs))
-	for i, ns := range nbs {
-		if len(ns) == 0 {
-			out[i] = Result{ID: -1, Dist: math.Inf(1)}
-			continue
-		}
-		out[i] = Result{ID: ns[0].ID, Dist: ns[0].Dist}
-	}
-	return out
-}
-
-// SearchKQuantized is the k-NN two-pass quantized scan; see
-// SearchQuantized. The Counter records both passes: n quantized
-// evaluations per query plus the exact rescores.
+// SearchKQuantized is the k-NN two-pass quantized scan: candidate
+// generation over int8 codes, exact rescoring of the over-fetch
+// survivors. Reported distances are bit-identical to SearchK for every
+// neighbor that survives pass 1 (see the two-pass contract above). The
+// Counter records both passes: n quantized evaluations per query plus the
+// exact rescores. The view is built once per call (O(n·dim)) and amortizes
+// over the query batch; callers that scan the same database repeatedly
+// should hold a view and use SearchKQuantizedView.
 func SearchKQuantized(queries, db *vec.Dataset, k int, m metric.Metric[[]float32], c *Counter) [][]par.Neighbor {
 	if queries.N() == 0 || db.N() == 0 || k <= 0 {
 		return make([][]par.Neighbor, queries.N())
@@ -132,43 +115,9 @@ func SearchKQuantizedView(queries, db *vec.Dataset, k int, v *metric.QuantizedVi
 	return out
 }
 
-// RescoreKQuantized is the candidate-set form of the two-pass scan, for
-// approximate backends that already hold a candidate list (lsh bucket
-// unions): the listed rows are ranked by quantized distance, the best
-// QuantOverfetch·k survive, and those are rescored exactly — same
-// contract as SearchKQuantized, with the candidate list taking the place
-// of the full database. When the list is not larger than the over-fetch
-// budget the quantized pass is skipped entirely.
-func RescoreKQuantized(v *metric.QuantizedView, q []float32, db *vec.Dataset, ids []int32, k int, m metric.Metric[[]float32], c *Counter) []par.Neighbor {
-	if k <= 0 || len(ids) == 0 {
-		return nil
-	}
-	xker := metric.NewKernel(m)
-	kp := quantPassK(k, len(ids))
-	if v == nil || kp >= len(ids) {
-		return RescoreK(xker, q, db, ids, k, c)
-	}
-	sc := par.GetScratch()
-	defer par.PutScratch(sc)
-	qc := v.QuantizeQuery(q, sc.Int8s(0, v.Stride()))
-	ords := sc.Float64(5, len(ids))
-	v.OrderingIDs(qc, ids, ords)
-	c.Add(len(ids))
-	h := sc.Heap(1, kp)
-	for j, o := range ords {
-		h.Push(int(ids[j]), o)
-	}
-	cands := h.Results()
-	kept := sc.Ints(4, len(cands))
-	for j, nb := range cands {
-		kept[j] = nb.ID
-	}
-	return rescoreTopK(xker, q, db, kept, k, sc, c)
-}
-
 // rescoreTopK gathers the candidate rows and scores them with the exact
-// kernel — the pass-2 refinement shared by the quantized scans. It is
-// RescoreK with caller-owned scratch (the candidate ids arrive as ints
+// kernel — the pass-2 refinement of the quantized scan. It is RescoreK
+// with caller-owned scratch (the candidate ids arrive as ints
 // straight from a heap).
 func rescoreTopK(xker *metric.Kernel, q []float32, db *vec.Dataset, ids []int, k int, sc *par.Scratch, c *Counter) []par.Neighbor {
 	if k <= 0 || len(ids) == 0 {

@@ -1,6 +1,7 @@
 package bruteforce
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -90,9 +91,24 @@ func TestTiledSearchKBitIdenticalToPerQuery(t *testing.T) {
 	})
 }
 
+// searchFast1 is the 1-NN view of SearchKFast: each query's nearest
+// neighbor on the Gram-fast kernel, ID -1 at +Inf when the database is
+// empty.
+func searchFast1(queries, db *vec.Dataset, m metric.Metric[[]float32]) []Result {
+	nbs := SearchKFast(queries, db, 1, m, nil)
+	out := make([]Result, len(nbs))
+	for i, ns := range nbs {
+		out[i] = Result{ID: -1, Dist: math.Inf(1)}
+		if len(ns) > 0 {
+			out[i] = Result{ID: ns[0].ID, Dist: ns[0].Dist}
+		}
+	}
+	return out
+}
+
 // fastPerQueryRef runs the fast (Gram) kernel one query at a time with
-// precomputed norms — the per-query reference for SearchFast. The kernel
-// is tile-shape stable, so SearchFast must match it bit for bit.
+// precomputed norms — the per-query reference for SearchKFast. The kernel
+// is tile-shape stable, so SearchKFast must match it bit for bit.
 func fastPerQueryRef(queries, db *vec.Dataset, m metric.Metric[[]float32]) []Result {
 	ker := metric.NewFastKernel(m)
 	dim := db.Dim
@@ -120,11 +136,11 @@ func fastPerQueryRef(queries, db *vec.Dataset, m metric.Metric[[]float32]) []Res
 func TestFastSearchBitIdenticalToFastReference(t *testing.T) {
 	m := metric.Euclidean{}
 	tiledCases(t, func(t *testing.T, queries, db *vec.Dataset) {
-		got := SearchFast(queries, db, m, nil)
+		got := searchFast1(queries, db, m)
 		want := fastPerQueryRef(queries, db, m)
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("query %d: SearchFast %+v, per-query fast reference %+v", i, got[i], want[i])
+				t.Fatalf("query %d: SearchKFast %+v, per-query fast reference %+v", i, got[i], want[i])
 			}
 		}
 	})
@@ -137,7 +153,7 @@ func TestFastSearchBitIdenticalToFastReference(t *testing.T) {
 func TestFastSearchAgreesWithNaive(t *testing.T) {
 	m := metric.Euclidean{}
 	tiledCases(t, func(t *testing.T, queries, db *vec.Dataset) {
-		got := SearchFast(queries, db, m, nil)
+		got := searchFast1(queries, db, m)
 		for i := range got {
 			want := naiveNN(queries.Row(i), db, m)
 			if got[i].ID != want.ID {
@@ -179,7 +195,7 @@ func TestTiledSearchEmptyInputs(t *testing.T) {
 	queries := vec.FromRows([][]float32{{1, 2}})
 	for _, fn := range []func(q, db *vec.Dataset) []Result{
 		func(q, db *vec.Dataset) []Result { return Search(q, db, m, nil) },
-		func(q, db *vec.Dataset) []Result { return SearchFast(q, db, m, nil) },
+		func(q, db *vec.Dataset) []Result { return searchFast1(q, db, m) },
 	} {
 		res := fn(queries, &empty)
 		if len(res) != 1 || res[0].ID != -1 {
@@ -207,7 +223,7 @@ func TestTiledSearchNonEuclidean(t *testing.T) {
 		metric.Manhattan{}, metric.Chebyshev{}, metric.NewMinkowski(3), metric.Angular{},
 	} {
 		got := Search(queries, db, m, nil)
-		fast := SearchFast(queries, db, m, nil)
+		fast := searchFast1(queries, db, m)
 		for i := range got {
 			want := naiveNN(queries.Row(i), db, m)
 			if got[i].ID != want.ID {
@@ -224,8 +240,8 @@ func TestTiledSearchNonEuclidean(t *testing.T) {
 }
 
 // TestSearchAllocsAmortizedZero guards the scratch pooling: a batch search
-// must not allocate per query (only the result slice, the norm vector and
-// O(workers) bookkeeping).
+// must not allocate per query (only the result slice and O(workers)
+// bookkeeping).
 func TestSearchAllocsAmortizedZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	db := randomDataset(rng, 2000, 16)
@@ -233,15 +249,8 @@ func TestSearchAllocsAmortizedZero(t *testing.T) {
 	m := metric.Euclidean{}
 	// Warm the pools.
 	Search(queries, db, m, nil)
-	SearchFast(queries, db, m, nil)
+	// out + goroutine/pool bookkeeping: far below one per query.
 	allocs := testing.AllocsPerRun(5, func() {
-		SearchFast(queries, db, m, nil)
-	})
-	// out + pnorms + goroutine/pool bookkeeping: far below one per query.
-	if allocs > float64(queries.N())/4 {
-		t.Fatalf("SearchFast allocated %.0f times for %d queries", allocs, queries.N())
-	}
-	allocs = testing.AllocsPerRun(5, func() {
 		Search(queries, db, m, nil)
 	})
 	if allocs > float64(queries.N())/4 {

@@ -14,12 +14,11 @@ import (
 // compares a tile against representative tiles through ker, and hands the
 // tile's phase-1 rows to back: queries [q0, q1), rows holding their
 // (q1−q0) × |R| ordering distances row-major. back runs the tile's back
-// half (pruning or probing, list scans) and returns its Stats. repNorms
-// are optional precomputed squared norms for kernels that consume them.
+// half (pruning or probing, list scans) and returns its Stats.
 //
-// The front half owns sc's float64 slots 3, 4 and 6 (rows, kernel tile,
-// query norms); rows stay valid until back returns.
-func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []float64,
+// The front half owns sc's float64 slots 3 and 4 (rows, kernel tile);
+// rows stay valid until back returns.
+func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
 	back func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
 	nq := queries.N()
 	nr := reps.N()
@@ -42,19 +41,14 @@ func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []fl
 			}
 			bq := q1 - q0
 			qflat := queries.Data[q0*dim : q1*dim]
-			qnorms := ker.Norms(qflat, dim, sc.Float64(6, bq))
 			for r0 := 0; r0 < nr; r0 += tp {
 				r1 := r0 + tp
 				if r1 > nr {
 					r1 = nr
 				}
 				bp := r1 - r0
-				var pn []float64
-				if repNorms != nil {
-					pn = repNorms[r0:r1]
-				}
 				t := tile[:bq*bp]
-				ker.Tile(qflat, qnorms, reps.Data[r0*dim:r1*dim], pn, dim, t, ts)
+				ker.Tile(qflat, nil, reps.Data[r0*dim:r1*dim], nil, dim, t, ts)
 				for i := 0; i < bq; i++ {
 					copy(rows[i*nr+r0:i*nr+r1], t[i*bp:(i+1)*bp])
 				}
@@ -70,10 +64,10 @@ func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []fl
 
 // TileFrontHalf is tileFrontHalf for back halves that run one query at a
 // time: back receives query i's full phase-1 ordering row.
-func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset, repNorms []float64,
+func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
 	back func(i int, row []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
 	nr := reps.N()
-	return tileFrontHalf(ker, queries, reps, repNorms,
+	return tileFrontHalf(ker, queries, reps,
 		func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
 			var st Stats
 			for i := q0; i < q1; i++ {

@@ -35,7 +35,7 @@ import (
 func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap)) Stats {
 	nr := e.NumReps()
 	dim := e.db.Dim
-	return tileFrontHalf(e.ker, queries, e.repData, nil,
+	return tileFrontHalf(e.ker, queries, e.repData,
 		func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
 			bq := q1 - q0
 			st := Stats{RepEvals: int64(bq * nr)}
@@ -67,29 +67,21 @@ func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *pa
 }
 
 // batchGrouped runs the grouped two-phase batch search for OneShot: the
-// fast-grade BF(Q,R) front half selects each query's probe lists, and
-// each probed list is scanned once per tile through the exact-mode
-// kernel (phase 2 distances are reported answers and must stay
-// bit-compatible with the reference — see the OneShot type comment).
+// BF(Q,R) front half selects each query's probe lists through the same
+// probe as the per-query path, and each probed list is scanned once per
+// tile on the same exact kernel.
 func (o *OneShot) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap)) Stats {
 	nr := o.NumReps()
 	dim := o.db.Dim
 	s := o.s
-	probes := o.prm.Probes
-	if probes > nr {
-		probes = nr
-	}
-	return tileFrontHalf(o.ker, queries, o.repData, o.repNorms,
+	probes := min(o.prm.Probes, nr)
+	return tileFrontHalf(o.ker, queries, o.repData,
 		func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
 			bq := q1 - q0
 			st := Stats{RepEvals: int64(bq * nr)}
 			kept := sc.Ints(0, 4*bq*probes)[:0]
 			for i := 0; i < bq; i++ {
-				ph := sc.Heap(0, probes)
-				for j, d := range rows[i*nr : (i+1)*nr] {
-					ph.Push(j, d)
-				}
-				for _, probe := range ph.Kept() {
+				for _, probe := range o.probe(nil, rows[i*nr:(i+1)*nr], sc).Kept() {
 					kept = append(kept, i, probe.ID, probe.ID*s, (probe.ID+1)*s)
 				}
 			}
@@ -104,7 +96,7 @@ func (o *OneShot) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *
 					seen[i] = make(map[int32]struct{}, probes*s)
 				}
 			}
-			st.PointEvals = ScanGrouped(o.xker, queries.Data[q0*dim:q1*dim], dim, o.gather, nr, kept, sc, ts,
+			st.PointEvals = ScanGrouped(o.ker, queries.Data[q0*dim:q1*dim], dim, o.gather, nr, kept, sc, ts,
 				func(i, lo int, ords []float64) {
 					h := heaps[i]
 					for t, d := range ords {

@@ -71,7 +71,7 @@ func TestPhase1RowMatchesFrontHalf(t *testing.T) {
 			}
 			queries := randomDataset(rng, 11, dim)
 			rows := make([]float64, queries.N()*nr)
-			tileFrontHalf(e.ker, queries, e.repData, nil,
+			tileFrontHalf(e.ker, queries, e.repData,
 				func(q0, q1 int, tile []float64, _ *par.Scratch, _ *metric.TileScratch) Stats {
 					copy(rows[q0*nr:q1*nr], tile)
 					return Stats{}
@@ -121,20 +121,6 @@ func TestOneShotSearchBatchMatchesOne(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestOneShotNormCacheSurvivesReload: the rep-norm cache must be rebuilt
-// by LoadOneShot so repeated searches pay zero setup after a reload.
-func TestOneShotNormCacheSurvivesReload(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	db := randomDataset(rng, 300, 4)
-	o, err := BuildOneShot(db, metric.Euclidean{}, OneShotParams{Seed: 5, ExactCount: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.repNorms == nil || len(o.repNorms) != o.NumReps() {
-		t.Fatalf("repNorms not cached at build: %d entries, want %d", len(o.repNorms), o.NumReps())
 	}
 }
 

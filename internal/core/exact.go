@@ -481,7 +481,7 @@ func (e *Exact) batch(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap
 	if e.mut == nil {
 		return e.batchGrouped(queries, k, sink)
 	}
-	return TileFrontHalf(e.ker, queries, e.repData, nil,
+	return TileFrontHalf(e.ker, queries, e.repData,
 		func(i int, row []float64, sc *par.Scratch, _ *metric.TileScratch) Stats {
 			h, st := e.one(queries.Row(i), k, row, sc)
 			sink(i, h)
@@ -505,7 +505,7 @@ func (e *Exact) Range(q []float32, eps float64) ([]par.Neighbor, Stats) {
 func (e *Exact) RangeBatch(queries *vec.Dataset, eps float64) ([][]par.Neighbor, Stats) {
 	e.checkDim(queries.Dim)
 	out := make([][]par.Neighbor, queries.N())
-	agg := TileFrontHalf(e.ker, queries, e.repData, nil,
+	agg := TileFrontHalf(e.ker, queries, e.repData,
 		func(i int, row []float64, sc *par.Scratch, _ *metric.TileScratch) Stats {
 			hits, st := e.rangeOne(queries.Row(i), eps, row, sc)
 			out[i] = hits

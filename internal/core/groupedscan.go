@@ -108,10 +108,10 @@ func scanTakers(ker *metric.Kernel, qflat []float32, dim int, gather []float32,
 	emit func(t, lo int, ords []float64)) int64 {
 	if ker.IsFast() {
 		// scanTakers output is reported answers under the
-		// bit-reproducibility contract; neither fast grade (Gram or
-		// chunked) is admissible here. Refusing loudly keeps a mis-wired
-		// consumer from silently shipping drifted distances.
-		panic("core: scanTakers requires an exact-grade kernel, got " + ker.Grade().String())
+		// bit-reproducibility contract; the Gram grade is not admissible
+		// here. Refusing loudly keeps a mis-wired consumer from silently
+		// shipping drifted distances.
+		panic("core: scanTakers requires an exact-grade kernel")
 	}
 	if takers == 0 {
 		return 0

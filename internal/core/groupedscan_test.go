@@ -108,25 +108,18 @@ func TestGroupedScanDegenerate(t *testing.T) {
 }
 
 // TestGroupedScanRejectsFastKernels: no exact-grade consumer may be
-// constructed over a fast kernel — scanTakers (Exact phase 2 and the
-// distributed shard scans both ride it) must refuse both fast grades at
+// constructed over a fast kernel — scanTakers (Exact phase 2, OneShot and
+// the distributed shard scans all ride it) must refuse the Gram grade at
 // the door rather than silently emit drifted orderings.
 func TestGroupedScanRejectsFastKernels(t *testing.T) {
-	for _, ker := range []*metric.Kernel{
-		metric.NewFastKernel(metric.Euclidean{}),
-		metric.NewChunkedKernel(metric.Euclidean{}),
-	} {
-		func() {
-			sc := par.GetScratch()
-			defer par.PutScratch(sc)
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("scanTakers accepted a %v-grade kernel", ker.Grade())
-				}
-			}()
-			q := []float32{0, 0, 0}
-			scanTakers(ker, q, 3, []float32{1, 2, 3}, []int{0}, []int{0, 1}, 1, sc, nil,
-				func(int, int, []float64) {})
-		}()
-	}
+	sc := par.GetScratch()
+	defer par.PutScratch(sc)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scanTakers accepted a Gram-grade kernel")
+		}
+	}()
+	q := []float32{0, 0, 0}
+	scanTakers(metric.NewFastKernel(metric.Euclidean{}), q, 3, []float32{1, 2, 3}, []int{0}, []int{0, 1}, 1, sc, nil,
+		func(int, int, []float64) {})
 }

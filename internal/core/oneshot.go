@@ -29,22 +29,6 @@ type OneShotParams struct {
 	// default); larger values trade time for accuracy, an extension in
 	// the spirit of multiprobe LSH.
 	Probes int
-	// Phase1Chunked selects the chunked float32 kernel grade for phase 1
-	// (probe selection) instead of the default float64 Gram grade. Probe
-	// choice can then flip at representative near-ties within
-	// metric.ChunkedErrorBound — the same class of perturbation OneShot
-	// already tolerates probabilistically — while phase 2, whose
-	// distances are the reported answers, stays on the exact kernel
-	// either way.
-	Phase1Chunked bool
-	// Phase1Quantized selects the int8-quantized kernel grade for phase 1:
-	// representative rows are encoded once at build (and again at load)
-	// into a metric.QuantizedView, and probe selection scans 1-byte codes
-	// instead of 4-byte floats. Probe choice can flip at representative
-	// near-ties within the view's additive error bound; phase 2 stays on
-	// the exact kernel, so reported distances are unchanged in kind.
-	// Takes precedence over Phase1Chunked when both are set.
-	Phase1Quantized bool
 }
 
 func (p OneShotParams) withDefaults(n int) OneShotParams {
@@ -69,26 +53,19 @@ func (p OneShotParams) withDefaults(n int) OneShotParams {
 // representative. The answer is exact with probability ≥ 1−δ when
 // n_r = s = c·sqrt(n·ln(1/δ)) (Theorem 2).
 //
-// Phase 1 (probe selection) runs on a fast kernel grade — the Gram
-// decomposition against squared representative norms cached at build
-// time, the chunked float32 kernel when Params.Phase1Chunked is set, or
-// the int8-quantized kernel over a representative view when
-// Params.Phase1Quantized is set — so repeated searches pay zero setup;
-// phase 2 (the list scan, whose
-// distances are the reported answers) runs on the exact ordering kernel,
-// bit-compatible with the brute-force reference, regardless of the
-// phase-1 grade. Both phases defer the sqrt to the API boundary.
+// Both phases — probe selection over the representatives and the list
+// scan whose distances are the reported answers — run on the exact
+// kernel, bit-compatible with the brute-force reference, and defer the
+// sqrt to the API boundary.
 type OneShot struct {
-	db   *vec.Dataset
-	m    metric.Metric[[]float32]
-	ker  *metric.Kernel // fast kernel: probe selection (Gram or chunked)
-	xker *metric.Kernel // exact kernel: list scans (reported answers)
-	prm  OneShotParams
+	db  *vec.Dataset
+	m   metric.Metric[[]float32]
+	ker *metric.Kernel // exact kernel: both phases
+	prm OneShotParams
 
-	repIDs   []int
-	repData  *vec.Dataset
-	repNorms []float64 // cached ‖r‖² per representative (Gram phase 1)
-	radii    []float64 // ψ_r = distance from r to its s-th neighbor
+	repIDs  []int
+	repData *vec.Dataset
+	radii   []float64 // ψ_r = distance from r to its s-th neighbor
 
 	// Ownership lists, gathered: list j occupies ids[j*s:(j+1)*s] and the
 	// matching rows of gather. Lists overlap, so gather duplicates rows by
@@ -98,22 +75,9 @@ type OneShot struct {
 	gather []float32
 }
 
-// initKernel resolves the tiled kernels and caches the representative
-// norms; called at build and load time. The chunked phase-1 grade reads
-// the float32 rows directly, so repNorms stays nil there (Norms reports
-// no use for them).
-func (o *OneShot) initKernel() {
-	switch {
-	case o.prm.Phase1Quantized:
-		o.ker = metric.NewQuantizedKernel(o.m, metric.NewQuantizedView(o.repData.Data, o.repData.Dim))
-	case o.prm.Phase1Chunked:
-		o.ker = metric.NewChunkedKernel(o.m)
-	default:
-		o.ker = metric.NewFastKernel(o.m)
-	}
-	o.xker = metric.NewKernel(o.m)
-	o.repNorms = o.ker.Norms(o.repData.Data, o.repData.Dim, nil)
-}
+// initKernel resolves the exact kernel both phases run on; called at
+// build and load time.
+func (o *OneShot) initKernel() { o.ker = metric.NewKernel(o.m) }
 
 // BuildOneShot constructs the one-shot RBC over db. The build is the
 // single brute-force call BF(R,X) (§4) — each representative finds its s
@@ -174,7 +138,7 @@ func (o *OneShot) Params() OneShotParams { return o.prm }
 func (o *OneShot) One(q []float32) (Result, Stats) {
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
-	h, st := o.knn(q, 1, nil, sc)
+	h, st := o.knn(q, 1, sc)
 	nb, ok := h.Best()
 	if !ok {
 		return Result{ID: -1, Dist: math.Inf(1)}, st
@@ -191,7 +155,7 @@ func (o *OneShot) KNN(q []float32, k int) ([]par.Neighbor, Stats) {
 	}
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
-	h, st := o.knn(q, k, nil, sc)
+	h, st := o.knn(q, k, sc)
 	return o.finish(h), st
 }
 
@@ -207,44 +171,41 @@ func (o *OneShot) finish(h *par.KHeap) []par.Neighbor {
 	return res
 }
 
-// knn runs the one-shot search, returning the candidate heap (in ordering
-// space) from sc's heap slot 1. ordRow optionally carries precomputed
-// phase-1 ordering distances from the batched BF(Q,R) front half.
-func (o *OneShot) knn(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par.KHeap, Stats) {
-	nr := o.NumReps()
-	dim := o.db.Dim
-	st := Stats{RepEvals: int64(nr)}
-
-	ords := ordRow
+// probe is phase 1: it returns the Probes nearest representatives of a
+// query as a heap in sc's heap slot 0, in ordering space, ties toward the
+// lower index. ords is the query's ordering row over the representatives;
+// pass nil to have probe compute it for q into sc's float64 slot 0 (the
+// row kernel, bit-identical to the batched front half's tile row).
+func (o *OneShot) probe(q []float32, ords []float64, sc *par.Scratch) *par.KHeap {
 	if ords == nil {
-		ords = sc.Float64(0, nr)
-		qn := o.ker.Norms(q, dim, sc.Float64(1, 1))
-		// nq=1 with precomputed norms takes the row-kernel path, which
-		// needs no tile scratch.
-		o.ker.Tile(q, qn, o.repData.Data, o.repNorms, dim, ords, nil)
+		ords = sc.Float64(0, o.NumReps())
+		o.ker.Ordering(q, o.repData.Data, o.db.Dim, ords)
 	}
-
-	probes := o.prm.Probes
-	if probes > nr {
-		probes = nr
-	}
-	probeHeap := sc.Heap(0, probes)
+	h := sc.Heap(0, min(o.prm.Probes, len(ords)))
 	for j, d := range ords {
-		probeHeap.Push(j, d)
+		h.Push(j, d)
 	}
+	return h
+}
+
+// knn runs the one-shot search, returning the candidate heap (in ordering
+// space) from sc's heap slot 1.
+func (o *OneShot) knn(q []float32, k int, sc *par.Scratch) (*par.KHeap, Stats) {
+	dim := o.db.Dim
+	st := Stats{RepEvals: int64(o.NumReps())}
+	probes := o.probe(q, nil, sc).Kept()
 
 	h := sc.Heap(1, k)
 	// With multiple probes a point may appear on several scanned lists;
 	// dedupe so k-NN result sets contain distinct ids.
 	var seen map[int32]struct{}
-	if probes > 1 {
-		seen = make(map[int32]struct{}, probes*o.s)
+	if len(probes) > 1 {
+		seen = make(map[int32]struct{}, len(probes)*o.s)
 	}
 	// Pooled block buffer: a local array would escape through the kernel's
-	// interface dispatch. The list scan runs on the exact kernel — its
-	// distances are the reported answers — whatever grade phase 1 used.
+	// interface dispatch.
 	scratch := sc.Float64(5, 256)
-	for _, probe := range probeHeap.Kept() {
+	for _, probe := range probes {
 		j := probe.ID
 		st.RepsKept++
 		lo, hi := j*o.s, (j+1)*o.s
@@ -254,7 +215,7 @@ func (o *OneShot) knn(q []float32, k int, ordRow []float64, sc *par.Scratch) (*p
 				end = hi
 			}
 			out := scratch[:end-blk]
-			o.xker.Ordering(q, o.gather[blk*dim:end*dim], dim, out)
+			o.ker.Ordering(q, o.gather[blk*dim:end*dim], dim, out)
 			for i, dd := range out {
 				id := o.ids[blk+i]
 				if seen != nil {
@@ -273,7 +234,7 @@ func (o *OneShot) knn(q []float32, k int, ordRow []float64, sc *par.Scratch) (*p
 
 // Search answers a batch of 1-NN queries in parallel and returns the
 // results plus aggregated stats. The phase-1 scans run as a tiled BF(Q,R)
-// front half on the Gram kernel with the cached representative norms.
+// front half.
 func (o *OneShot) Search(queries *vec.Dataset) ([]Result, Stats) {
 	o.checkDim(queries.Dim)
 	out := make([]Result, queries.N())
@@ -302,41 +263,32 @@ func (o *OneShot) SearchK(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats)
 }
 
 // KNNBatch is the batch-first k-NN entry point (search.BatchSearcher):
-// the whole query block shares one tiled Gram BF(Q,R) front half over the
-// cached representative norms before the per-query list scans run.
+// the whole query block shares one tiled BF(Q,R) front half before the
+// grouped list scans run.
 func (o *OneShot) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
 	return o.SearchK(queries, k)
 }
 
 // batch answers a query block through the fully grouped path
-// (batch_grouped.go): the tiled Gram BF(Q,R) front half selects probes
-// for the whole block, and each probed list is scanned once per query
-// tile through the exact-mode tiled kernel.
+// (batch_grouped.go): the tiled BF(Q,R) front half selects probes for
+// the whole block, and each probed list is scanned once per query tile.
 func (o *OneShot) batch(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap)) Stats {
 	return o.batchGrouped(queries, k, sink)
 }
 
 // Certify reports whether the one-shot answer for q is guaranteed exact:
-// if ρ(q,r) ≤ ψ_r/2 for the representative r whose list the search scans,
-// then (by the argument of Theorem 2, which needs only that r's list is
-// the one scanned) q's true NN is necessarily on L_r. The probe is chosen
-// with the same Gram phase-1 the search uses, so certificate and scan
-// always agree on r; the inequality itself is evaluated with the exact
-// kernel, because a hard witness must not inherit the fast kernel's ulp
-// noise. A false return does not mean the answer is wrong — only
-// unwitnessed.
+// if ρ(q,r) ≤ ψ_r/2 for the nearest representative r — whose list the
+// search always scans — then (by the argument of Theorem 2, which needs
+// only that r's list is scanned) q's true NN is necessarily on L_r. It
+// reads r and ρ(q,r) from the same phase 1 the search runs, so
+// certificate and scan always agree on r, and the exact kernel's ordering
+// is a hard witness with no drift to allow for. A false return does not
+// mean the answer is wrong — only unwitnessed.
 func (o *OneShot) Certify(q []float32) bool {
-	nr := o.NumReps()
-	dim := o.db.Dim
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
-	ords := sc.Float64(0, nr)
-	qn := o.ker.Norms(q, dim, sc.Float64(1, 1))
-	o.ker.Tile(q, qn, o.repData.Data, o.repNorms, dim, ords, nil)
-	j, _ := par.ArgMin(ords)
-	exact := sc.Float64(2, 1)
-	o.xker.Ordering(q, o.repData.Row(j), dim, exact)
-	return o.xker.ToDistance(exact[0]) <= o.radii[j]/2
+	r, _ := o.probe(q, nil, sc).Best()
+	return o.ker.ToDistance(r.Dist) <= o.radii[r.ID]/2
 }
 
 func (o *OneShot) checkDim(dim int) {

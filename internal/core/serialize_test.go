@@ -213,6 +213,90 @@ func TestOneShotSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// legacyOneShotParams mirrors OneShotParams as snapshots carried it while
+// it still had the phase-1 grade options (Phase1Chunked, Phase1Quantized).
+type legacyOneShotParams struct {
+	NumReps         int
+	S               int
+	Seed            int64
+	ExactCount      bool
+	Probes          int
+	Phase1Chunked   bool
+	Phase1Quantized bool
+}
+
+// legacyOneShotSnapshot is oneShotSnapshot around legacyOneShotParams.
+type legacyOneShotSnapshot struct {
+	Version    int
+	MetricName string
+	DBN, DBDim int
+	Params     legacyOneShotParams
+	RepIDs     []int
+	Radii      []float64
+	S          int
+	IDs        []int32
+}
+
+// TestLoadOneShotLegacyGradeParams: a snapshot written with the phase-1
+// grade options set still loads — gob drops the fields OneShotParams no
+// longer has — and the loaded index answers bit for bit like a fresh
+// build with the same structure, on the one exact kernel.
+func TestLoadOneShotLegacyGradeParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	db := clusteredDataset(rng, 600, 6, 6)
+	m := metric.Euclidean{}
+	o, err := BuildOneShot(db, m, OneShotParams{NumReps: 30, S: 40, Seed: 9, Probes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := o.Params()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&legacyOneShotSnapshot{
+		Version:    snapshotVersion,
+		MetricName: m.Name(),
+		DBN:        db.N(),
+		DBDim:      db.Dim,
+		Params: legacyOneShotParams{
+			NumReps: prm.NumReps, S: prm.S, Seed: prm.Seed, ExactCount: prm.ExactCount, Probes: prm.Probes,
+			Phase1Chunked: true, Phase1Quantized: true,
+		},
+		RepIDs: o.repIDs,
+		Radii:  o.radii,
+		S:      o.s,
+		IDs:    o.ids,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadOneShot(&buf, db, m)
+	if err != nil {
+		t.Fatalf("legacy snapshot rejected: %v", err)
+	}
+	if loaded.Params() != prm {
+		t.Fatalf("params %+v, want %+v", loaded.Params(), prm)
+	}
+	queries := randomDataset(rng, 40, 6)
+	want, wantSt := o.KNNBatch(queries, 5)
+	got, gotSt := loaded.KNNBatch(queries, 5)
+	if gotSt != wantSt {
+		t.Fatalf("stats %+v, want %+v", gotSt, wantSt)
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("query %d: %d results, want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("query %d pos %d: loaded %+v, fresh %+v", i, j, got[i][j], want[i][j])
+			}
+		}
+		a, _ := o.One(queries.Row(i))
+		b, _ := loaded.One(queries.Row(i))
+		if a != b {
+			t.Fatalf("query %d One: loaded %+v, fresh %+v", i, b, a)
+		}
+	}
+}
+
 func TestLoadExactValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := randomDataset(rng, 200, 3)

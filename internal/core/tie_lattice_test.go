@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -225,5 +226,66 @@ func TestTieLatticeMutatedPath(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTieLatticeOneShotCertifyAgreesWithOne: on lattices several
+// representatives often sit at exactly the nearest distance. Certify must
+// witness the list One scans, so both must resolve that tie the same way
+// — to the lowest representative index. Checked against the spec computed
+// independently: r is the lowest index at the minimum distance, One
+// returns the (dist, id)-least member of r's list, and Certify reports
+// ρ(q,r) ≤ ψ_r/2.
+func TestTieLatticeOneShotCertifyAgreesWithOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	m := metric.Euclidean{}
+	ties, certified := 0, 0
+	for _, shape := range []struct{ n, dim, side int }{
+		{300, 2, 4},
+		{500, 3, 3},
+		{400, 5, 2},
+	} {
+		db := tieGridDataset(rng, shape.n, shape.dim, shape.side)
+		o, err := BuildOneShot(db, m, OneShotParams{NumReps: 40, S: 30, Seed: 6, ExactCount: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := tieGridDataset(rng, 60, shape.dim, shape.side)
+		for i := 0; i < queries.N(); i++ {
+			q := queries.Row(i)
+			r, rd, atMin := -1, math.Inf(1), 0
+			for j, id := range o.RepIDs() {
+				switch d := m.Distance(q, db.Row(id)); {
+				case d < rd:
+					r, rd, atMin = j, d, 1
+				case d == rd:
+					atMin++
+				}
+			}
+			if atMin > 1 {
+				ties++
+			}
+			want := Result{ID: -1, Dist: math.Inf(1)}
+			for _, id := range o.ids[r*o.S() : (r+1)*o.S()] {
+				d := m.Distance(q, db.Row(int(id)))
+				if d < want.Dist || (d == want.Dist && int(id) < want.ID) {
+					want = Result{ID: int(id), Dist: d}
+				}
+			}
+			if got, _ := o.One(q); got != want {
+				t.Fatalf("n=%d dim=%d query %d: One %+v, best of list %d %+v", shape.n, shape.dim, i, got, r, want)
+			}
+			cert := rd <= o.Radii()[r]/2
+			if got := o.Certify(q); got != cert {
+				t.Fatalf("n=%d dim=%d query %d: Certify %v, want %v for representative %d (ρ=%v, ψ=%v)",
+					shape.n, shape.dim, i, got, cert, r, rd, o.Radii()[r])
+			}
+			if cert {
+				certified++
+			}
+		}
+	}
+	if ties == 0 || certified == 0 {
+		t.Fatalf("vacuous lattice: %d tied probes, %d certified queries", ties, certified)
 	}
 }

@@ -676,7 +676,7 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 	if kk > nr {
 		kk = nr
 	}
-	st := core.TileFrontHalf(c.ker, queries, c.repData, nil,
+	st := core.TileFrontHalf(c.ker, queries, c.repData,
 		func(qi int, ords []float64, sc *par.Scratch, _ *metric.TileScratch) core.Stats {
 			dists := sc.Float64(0, nr)
 			for j, o := range ords {

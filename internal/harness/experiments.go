@@ -41,11 +41,6 @@ var fig1Factors = []float64{0.25, 0.5, 1, 2, 4}
 // machine-independent work ratio n/(evals per query).
 func RunFig1(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
-	grade, err := cfg.Grade()
-	if err != nil {
-		return nil, err
-	}
-	bker := metric.NewGradeKernel(euclid, grade)
 	chart := stats.NewChart("Figure 1: one-shot speedup vs mean rank (log-log)",
 		"mean rank of returned neighbor", "work speedup over brute force")
 	chart.LogX, chart.LogY = true, true
@@ -54,21 +49,9 @@ func RunFig1(cfg Config) (*Output, error) {
 	for _, e := range dataset.Catalog() {
 		db, queries := workload(e, cfg, 0)
 		n := db.N()
-		// The timed baseline runs on the selected kernel grade (the
-		// quantized grade routes through the two-pass scan — its
-		// candidate pass has no meaning inside a plain SearchWith); the
-		// correctness reference (recall ground truth) always stays exact.
+		// The timed baseline is also the recall ground truth.
 		var bruteRes []bruteforce.Result
-		bruteSec := timeIt(func() {
-			if grade == metric.GradeQuantized {
-				bruteRes = bruteforce.SearchQuantized(queries, db, euclid, nil)
-			} else {
-				bruteRes = bruteforce.SearchWith(queries, db, bker, nil)
-			}
-		})
-		if grade != metric.GradeExact {
-			bruteRes = bruteforce.Search(queries, db, euclid, nil)
-		}
+		bruteSec := timeIt(func() { bruteRes = bruteforce.Search(queries, db, euclid, nil) })
 		wantDists := make([]float64, queries.N())
 		for i, r := range bruteRes {
 			wantDists[i] = r.Dist
@@ -84,9 +67,7 @@ func RunFig1(cfg Config) (*Output, error) {
 				nr = n
 			}
 			idx, err := core.BuildOneShot(db, euclid, core.OneShotParams{
-				NumReps: nr, S: nr, Seed: cfg.Seed, ExactCount: true,
-				Phase1Chunked:   grade == metric.GradeChunked,
-				Phase1Quantized: grade == metric.GradeQuantized})
+				NumReps: nr, S: nr, Seed: cfg.Seed, ExactCount: true})
 			if err != nil {
 				return nil, err
 			}
@@ -120,11 +101,6 @@ func RunFig1(cfg Config) (*Output, error) {
 // dataset, with n_r = RepFactor·√n (the standard setting).
 func RunFig2(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
-	grade, err := cfg.Grade()
-	if err != nil {
-		return nil, err
-	}
-	bker := metric.NewGradeKernel(euclid, grade)
 	t := stats.NewTable("Figure 2: exact RBC speedup over brute force",
 		"dataset", "n", "nr", "work speedup", "wall speedup", "evals/query", "reps kept/query")
 	for _, e := range dataset.Catalog() {
@@ -136,15 +112,9 @@ func RunFig2(cfg Config) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Timed baseline on the selected grade; the exactness check below
-		// stays on the exact per-query reference.
-		bruteSec := timeIt(func() {
-			if grade == metric.GradeQuantized {
-				bruteforce.SearchQuantized(queries, db, euclid, nil)
-			} else {
-				bruteforce.SearchWith(queries, db, bker, nil)
-			}
-		})
+		// Timed baseline; the exactness check below stays on the per-query
+		// reference.
+		bruteSec := timeIt(func() { bruteforce.Search(queries, db, euclid, nil) })
 		var res []core.Result
 		var st core.Stats
 		rbcSec := timeIt(func() { res, st = idx.Search(queries) })

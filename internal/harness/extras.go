@@ -309,10 +309,6 @@ func RunBaselines(cfg Config) (*Output, error) {
 // parameter-sensitive while the RBC has a single forgiving knob.
 func RunLSHCompare(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
-	grade, err := cfg.Grade()
-	if err != nil {
-		return nil, err
-	}
 	t := stats.NewTable("One-shot RBC vs E2LSH (approximate 1-NN)",
 		"dataset", "method", "params", "recall", "evals/query")
 	euclidM := euclid
@@ -328,25 +324,10 @@ func RunLSHCompare(cfg Config) (*Output, error) {
 		for i, r := range want {
 			truth[i] = r.Dist
 		}
-		// The one-shot index reports exact-kernel distances whatever the
-		// phase-1 grade, so its recall stays a bit comparison; LSH's
-		// reported distances inherit the rescoring grade, so recall under
-		// the chunked grade tolerates its documented relative error. The
-		// quantized grade needs no tolerance: its two-pass rescoring
-		// reports exact-kernel distances.
-		tol := 0.0
-		if grade == metric.GradeChunked {
-			tol = metric.ChunkedErrorBound(db.Dim)
-		}
-		hit := func(got, want float64) bool {
-			return got == want || math.Abs(got-want) <= tol*(1+want)
-		}
 		for _, f := range []float64{1, 2, 4} {
 			nr := int(f * math.Sqrt(float64(n)))
 			idx, err := core.BuildOneShot(db, euclidM, core.OneShotParams{
-				NumReps: nr, S: nr, Seed: cfg.Seed, ExactCount: true,
-				Phase1Chunked:   grade == metric.GradeChunked,
-				Phase1Quantized: grade == metric.GradeQuantized})
+				NumReps: nr, S: nr, Seed: cfg.Seed, ExactCount: true})
 			if err != nil {
 				return nil, err
 			}
@@ -365,7 +346,6 @@ func RunLSHCompare(cfg Config) (*Output, error) {
 			{L: 4, K: 8}, {L: 8, K: 12}, {L: 16, K: 16},
 		} {
 			p.Seed = cfg.Seed
-			p.Rescore = grade
 			idx, err := lsh.Build(db, p)
 			if err != nil {
 				return nil, err
@@ -373,7 +353,7 @@ func RunLSHCompare(cfg Config) (*Output, error) {
 			res, evals := idx.Search(queries)
 			correct := 0
 			for i := range res {
-				if res[i].ID >= 0 && hit(res[i].Dist, truth[i]) {
+				if res[i].ID >= 0 && res[i].Dist == truth[i] {
 					correct++
 				}
 			}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/metric"
 	"repro/internal/stats"
 	"repro/internal/vec"
 )
@@ -35,33 +34,10 @@ type Config struct {
 	// CoverTreeCap bounds the database size for cover-tree comparisons
 	// (sequential builds; default 30000).
 	CoverTreeCap int
-	// Kernel selects the kernel grade for the paths that tolerate
-	// approximate ordering: the timed brute-force baselines, one-shot
-	// probe selection and LSH candidate rescoring. "exact" (default),
-	// "fast" (float64 Gram), "chunked" (float32 chunked accumulation) or
-	// "quantized" (int8 codes with exact rescoring — baselines run the
-	// two-pass bruteforce scans). Correctness references and exact-search
-	// answers always stay on the exact grade.
-	Kernel string
 	// QuantSweepCap bounds the largest database size the quant-sweep
 	// experiment materializes (default 1,000,000 — the memory-bound
 	// regime the sweep exists to measure; tests set it low).
 	QuantSweepCap int
-}
-
-// Grade resolves the configured kernel grade.
-func (c Config) Grade() (metric.Grade, error) {
-	switch c.Kernel {
-	case "", "exact":
-		return metric.GradeExact, nil
-	case "fast":
-		return metric.GradeFast, nil
-	case "chunked":
-		return metric.GradeChunked, nil
-	case "quantized":
-		return metric.GradeQuantized, nil
-	}
-	return metric.GradeExact, fmt.Errorf("harness: unknown kernel grade %q (have exact, fast, chunked, quantized)", c.Kernel)
 }
 
 func (c Config) withDefaults() Config {
@@ -159,8 +135,8 @@ func Registry() []Experiment {
 		{ID: "lsh-compare", Title: "Extension: one-shot RBC vs locality-sensitive hashing",
 			Description: "recall and work of the two approximate schemes (§2 discussion)",
 			Run:         RunLSHCompare},
-		{ID: "quant-sweep", Title: "Extension: quantized-kernel n-sweep (memory-bound crossover)",
-			Description: "chunked float32 vs int8 two-pass brute force as n grows at dim 64 (§3's bandwidth argument on the CPU)",
+		{ID: "quant-sweep", Title: "Extension: int8 two-pass vs exact brute force (memory-bound crossover)",
+			Description: "exact float32 SearchK vs the int8 two-pass scan at dims {21, 64} × n {50k, 1M} (§3's bandwidth argument on the CPU)",
 			Run:         RunQuantSweep},
 	}
 }

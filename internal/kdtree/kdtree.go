@@ -4,20 +4,11 @@
 // effective" — this package provides that reference baseline so the
 // experiments can show where the crossover to metric methods happens.
 //
-// Leaf candidate rescoring rides the tiled row kernels: the database is
+// Leaf candidate rescoring rides the exact row kernel: the database is
 // gathered into tree order at build time so every leaf is a contiguous
 // block, and a leaf visit is one Kernel.Ordering call instead of
-// per-pair Distance calls. The default (Build) uses the exact kernel
-// grade — descents compare in ordering space, reported distances match
-// the brute-force reference. BuildGrade admits the chunked float32 grade
-// for an approximate tree whose leaf scans run conversion-free; its
-// pruning and distances then inherit the chunked error contract
-// (metric.ChunkedErrorBound), mirroring how the lsh package treats
-// candidate rescoring. It also admits the int8-quantized grade: the
-// gathered tree-order rows are encoded once into a metric.QuantizedView
-// at build time, leaf scans stream 1-byte codes, and pruning and
-// reported distances inherit the view's additive error contract
-// (QuantizedView.ErrorBound).
+// per-pair Distance calls. Descents compare in ordering space, and
+// reported distances match the brute-force reference.
 package kdtree
 
 import (
@@ -63,19 +54,9 @@ type buildCtx struct {
 	leaf  int
 }
 
-// Build constructs the tree on the exact kernel grade. leafSize controls
-// when recursion stops; values of 8-32 are typical (0 selects 16).
+// Build constructs the tree. leafSize controls when recursion stops;
+// values of 8-32 are typical (0 selects 16).
 func Build(db *vec.Dataset, leafSize int) *Tree {
-	return BuildGrade(db, leafSize, metric.GradeExact)
-}
-
-// BuildGrade constructs the tree with the given leaf-rescoring kernel
-// grade. GradeExact (and GradeFast, whose row scan is the same exact
-// arithmetic) keeps the tree's answers identical to brute force;
-// GradeChunked makes it approximate within metric.ChunkedErrorBound;
-// GradeQuantized encodes the gathered rows into an int8 view and is
-// approximate within the view's additive ErrorBound.
-func BuildGrade(db *vec.Dataset, leafSize int, g metric.Grade) *Tree {
 	if leafSize <= 0 {
 		leafSize = 16
 	}
@@ -84,7 +65,7 @@ func BuildGrade(db *vec.Dataset, leafSize int, g metric.Grade) *Tree {
 	for i := range ctx.order {
 		ctx.order[i] = int32(i)
 	}
-	t := &Tree{db: db, ker: metric.NewGradeKernel(metric.Euclidean{}, g), leafSize: leafSize}
+	t := &Tree{db: db, ker: metric.NewKernel(metric.Euclidean{}), leafSize: leafSize}
 	if n == 0 {
 		t.root = -1
 		return t
@@ -104,11 +85,6 @@ func BuildGrade(db *vec.Dataset, leafSize int, g metric.Grade) *Tree {
 				t.maxLeaf = w
 			}
 		}
-	}
-	if g == metric.GradeQuantized {
-		// Encode the gathered rows now that they exist: leaf scans pass
-		// t.flat sub-blocks, which the view resolves to its codes.
-		t.ker = metric.NewQuantizedKernel(metric.Euclidean{}, metric.NewQuantizedView(t.flat, db.Dim))
 	}
 	return t
 }

@@ -169,3 +169,25 @@ func TestQuickKDTreeExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestKNNMatchesBruteForceHigherDim: the gathered-leaf kernel scans must
+// keep the tree exact beyond the toy dimensions — the leaf arithmetic is
+// literally the brute-force row kernel.
+func TestKNNMatchesBruteForceHigherDim(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	m := metric.Euclidean{}
+	for _, dim := range []int{8, 64} {
+		db := randomDataset(rng, 1200, dim)
+		tr := Build(db, 16)
+		for trial := 0; trial < 15; trial++ {
+			q := randomDataset(rng, 1, dim).Row(0)
+			got := tr.KNN(q, 5)
+			want := bruteforce.SearchOneK(q, db, 5, m, nil)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("dim=%d trial %d pos %d: %+v want %+v", dim, trial, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}

@@ -11,16 +11,9 @@
 // quantized random projections h_i(x) = ⌊(a_i·x + b_i)/W⌋ with
 // a_i ~ N(0,I) and b_i ~ U[0,W). A query probes its bucket in every
 // table, collects the union of candidates, and ranks them by true
-// distance. The ranking (candidate rescoring) runs through the tiled
-// row kernels via bruteforce.RescoreK: exact grade by default, or the
-// chunked float32 grade when Params.Rescore selects it — LSH candidates
-// are approximate to begin with, so the chunked grade's bounded relative
-// error (metric.ChunkedErrorBound) only perturbs razor-thin ranking ties
-// while the rescoring loop runs conversion-free. metric.GradeQuantized
-// instead routes through the two-pass bruteforce.RescoreKQuantized:
-// candidates are pre-ranked over int8 codes and only the over-fetch
-// survivors are rescored exactly, so reported distances stay exact while
-// large bucket unions scan 1 byte per coordinate.
+// distance. The ranking (candidate rescoring) runs through the exact row
+// kernel via bruteforce.RescoreK, so reported distances match the
+// brute-force reference.
 package lsh
 
 import (
@@ -47,13 +40,6 @@ type Params struct {
 	W float64
 	// Seed drives the random projections.
 	Seed int64
-	// Rescore selects the kernel grade used to rank candidates (the
-	// zero value is metric.GradeExact: reported distances match the
-	// brute-force reference). metric.GradeChunked trades bounded
-	// relative error for a conversion-free rescoring loop.
-	// metric.GradeQuantized pre-ranks candidates over an int8 view built
-	// at Build time and rescores the over-fetch survivors exactly.
-	Rescore metric.Grade
 }
 
 func (p Params) withDefaults() Params {
@@ -70,10 +56,9 @@ func (p Params) withDefaults() Params {
 // of the structural limitations §2 notes relative to general-metric
 // methods like the RBC).
 type Index struct {
-	db    *vec.Dataset
-	prm   Params
-	ker   *metric.Kernel        // candidate-rescoring kernel (Params.Rescore grade)
-	qview *metric.QuantizedView // int8 codes over db, GradeQuantized only
+	db  *vec.Dataset
+	prm Params
+	ker *metric.Kernel // candidate-rescoring kernel (exact grade)
 
 	// proj holds L*K projection vectors of dimension dim, row-major;
 	// offsets holds the matching L*K uniform shifts.
@@ -99,14 +84,7 @@ func Build(db *vec.Dataset, prm Params) (*Index, error) {
 		offsets: make([]float64, prm.L*prm.K),
 		tables:  make([]map[uint64][]int32, prm.L),
 		hseed:   maphash.MakeSeed(),
-	}
-	if prm.Rescore == metric.GradeQuantized {
-		// Two-pass rescoring: the int8 view pre-ranks candidates, and the
-		// exact kernel scores the survivors (RescoreKQuantized's pass 2).
-		idx.qview = metric.NewQuantizedView(db.Data, db.Dim)
-		idx.ker = metric.NewKernel(metric.Euclidean{})
-	} else {
-		idx.ker = metric.NewGradeKernel(metric.Euclidean{}, prm.Rescore)
+		ker:     metric.NewKernel(metric.Euclidean{}),
 	}
 	for i := range idx.proj {
 		idx.proj[i] = rng.NormFloat64()
@@ -213,8 +191,7 @@ func (idx *Index) One(q []float32) (Result, int) {
 	return Result{ID: res[0].ID, Dist: res[0].Dist}, evals
 }
 
-// KNN returns up to k candidates ranked by distance under the rescoring
-// kernel (true distances on the default exact grade), and the number of
+// KNN returns up to k candidates ranked by true distance, and the number of
 // distance evaluations performed. The bucket union is deduplicated and
 // rescored in one pass through bruteforce.RescoreK, so the ranking inner
 // loop rides the row kernel instead of per-pair Distance calls.
@@ -234,9 +211,6 @@ func (idx *Index) KNN(q []float32, k int) ([]par.Neighbor, int) {
 			seen[id] = struct{}{}
 			cands = append(cands, id)
 		}
-	}
-	if idx.qview != nil {
-		return bruteforce.RescoreKQuantized(idx.qview, q, idx.db, cands, k, metric.Euclidean{}, nil), len(cands)
 	}
 	return bruteforce.RescoreK(idx.ker, q, idx.db, cands, k, nil), len(cands)
 }

@@ -208,93 +208,3 @@ func TestQuickLSHSound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuantizedRescoreMatchesExact: the quantized rescore grade probes
-// the same buckets (hashing is grade-independent), pre-ranks the union
-// over int8 codes and rescores survivors exactly — so against the exact
-// grade the reported distance at every rank must match bitwise, and each
-// returned id must achieve its reported distance.
-func TestQuantizedRescoreMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	db := clustered(rng, 2000, 8, 6)
-	m := metric.Euclidean{}
-	exact, err := Build(db, Params{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	quant, err := Build(db, Params{Seed: 9, Rescore: metric.GradeQuantized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query database rows so candidate unions are non-empty (a point
-	// always hashes to its own bucket) and the comparison is non-vacuous.
-	ids := make([]int, 40)
-	for i := range ids {
-		ids[i] = rng.Intn(db.N())
-	}
-	queries := db.Subset(ids)
-	nonEmpty := 0
-	for i := 0; i < queries.N(); i++ {
-		q := queries.Row(i)
-		want, wantEvals := exact.KNN(q, 5)
-		if wantEvals > 0 {
-			nonEmpty++
-		}
-		got, gotEvals := quant.KNN(q, 5)
-		if gotEvals != wantEvals {
-			t.Fatalf("query %d: candidate counts diverged (%d vs %d) — hashing must be grade-independent", i, gotEvals, wantEvals)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d results, want %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if math.Float64bits(got[j].Dist) != math.Float64bits(want[j].Dist) {
-				t.Fatalf("query %d pos %d: dist %v, want %v", i, j, got[j].Dist, want[j].Dist)
-			}
-			if d := m.Distance(q, db.Row(got[j].ID)); d != got[j].Dist {
-				t.Fatalf("query %d pos %d: id %d at distance %v, reported %v", i, j, got[j].ID, d, got[j].Dist)
-			}
-		}
-	}
-	if nonEmpty == 0 {
-		t.Fatal("every candidate union was empty — comparison is vacuous")
-	}
-}
-
-// TestQuantizedRescoreBatch: SearchK under the quantized grade stays
-// well-formed (sorted, deduplicated, achievable distances).
-func TestQuantizedRescoreBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	db := clustered(rng, 800, 6, 5)
-	idx, err := Build(db, Params{Seed: 5, Rescore: metric.GradeQuantized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Query database rows: a point hashes to its own bucket, so every
-	// query is guaranteed a non-empty candidate union.
-	ids := make([]int, 20)
-	for i := range ids {
-		ids[i] = rng.Intn(db.N())
-	}
-	queries := db.Subset(ids)
-	res, evals := idx.SearchK(queries, 4)
-	if evals <= 0 {
-		t.Fatal("no candidate evaluations recorded")
-	}
-	m := metric.Euclidean{}
-	for i, nbs := range res {
-		seen := map[int]bool{}
-		for j, nb := range nbs {
-			if j > 0 && nbs[j-1].Dist > nb.Dist {
-				t.Fatalf("query %d: unsorted at pos %d", i, j)
-			}
-			if seen[nb.ID] {
-				t.Fatalf("query %d: duplicate id %d", i, nb.ID)
-			}
-			seen[nb.ID] = true
-			if d := m.Distance(queries.Row(i), db.Row(nb.ID)); d != nb.Dist {
-				t.Fatalf("query %d id %d: distance %v, reported %v", i, nb.ID, d, nb.Dist)
-			}
-		}
-	}
-}

@@ -19,28 +19,23 @@
 //
 // # Kernel grades
 //
-// Four kernel grades exist, trading reproducibility for throughput:
+// Two kernel grades exist:
 //
 //   - exact: squared differences accumulated in four float64 lanes over
 //     the float32 rows in place — an AVX2 four-lane body on amd64 (four
 //     rows per pass; tiles also share each row between two queries), the
 //     scalar lane loop elsewhere, bit-identical to each other. The
-//     reference grade; all reported distances come from here. See
-//     exact.go, and exact_amd64.s for the identity argument.
+//     reference grade, and the only one any answer, baseline or probe
+//     runs on. See exact.go, and exact_amd64.s for the identity argument.
 //   - Gram-fast: float64 Gram decomposition ‖q‖²+‖p‖²−2q·p over cached
-//     norms; drifts from exact in the trailing ulps, so it serves
-//     consumers that tolerate documented drift (brute-force baselines,
-//     approximate probe selection) and never an answer path.
-//   - chunked: 8-lane float32 accumulation in chunks of at most 2¹¹
-//     dims, folded to float64 per chunk; relative error bounded by
-//     ChunkedErrorBound. Above a small point count the row scan is
-//     register-blocked — four point columns per query pass sharing one
-//     query load (AVX2 on amd64, pure Go elsewhere) — with the lane
-//     structure untouched, so blocked and unblocked rows are
-//     bit-identical and Tile≡Ordering still holds. See chunked.go for
-//     both derivations.
-//   - quantized: int8 codes with integer MAC (AVX2 on amd64) plus exact
-//     rescoring; see quant.go.
+//     norms; drifts from exact in the trailing ulps and is slower at every
+//     dimension. It remains only for bruteforce.SearchKFast, which the
+//     benchmark module's layer replay times.
+//
+// Beside the kernels, QuantizedView holds int8 codes with an integer MAC
+// scan (AVX2 on amd64): the candidate pass of the two-pass brute-force
+// scan, which moves a quarter of the bytes and rescores on the exact
+// grade; see quant.go.
 //
 // See multi.go for the ordering contract and grade dispatch.
 //
@@ -50,7 +45,7 @@
 // process-wide per-tile footprint budget: a static default, unless the
 // RBC_TILE_BUDGET env var (read at start-up) or SetTileBudget (tests,
 // harnesses) says otherwise. TileBudget reports the value and where it
-// came from for bench artifacts. Shape can never change results: every
-// grade is tile-shape invariant by construction, and the invariance
+// came from for bench artifacts. Shape can never change results: both
+// grades are tile-shape invariant by construction, and the invariance
 // tests sweep a range of budgets. See tilebudget.go.
 package metric

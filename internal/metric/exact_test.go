@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 // sameOrdering is the exact grade's identity relation: equal bit
@@ -143,4 +144,38 @@ func exactRowsRef(q, flat []float32, dim int, out []float64) {
 	for i := range out {
 		out[i] = euclidExactPair(q, flat[i*dim:(i+1)*dim])
 	}
+}
+
+func BenchmarkRowKernelExact(b *testing.B) { benchmarkRowKernel(b, NewKernel(Euclidean{}).Ordering) }
+
+// benchmarkRowKernel measures a single-query row scan (the shape the
+// per-query search paths live on) at the standard dimension sweep.
+func benchmarkRowKernel(b *testing.B, row func(q, flat []float32, dim int, out []float64)) {
+	for _, dim := range []int{16, 64, 256, 784} {
+		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
+			q, flat, out := benchVectors(dim)
+			b.SetBytes(int64(len(flat) * 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				row(q, flat, dim, out)
+			}
+		})
+	}
+}
+
+// timeRow50 times 50 scans of the bench corpus through row, best of five.
+func timeRow50(dim int, row func(q, flat []float32, dim int, out []float64)) float64 {
+	q, flat, out := benchVectors(dim)
+	row(q, flat, dim, out) // warm
+	best := math.Inf(1)
+	for rep := 0; rep < 5; rep++ {
+		start := time.Now()
+		for i := 0; i < 50; i++ {
+			row(q, flat, dim, out)
+		}
+		if s := time.Since(start).Seconds(); s < best {
+			best = s
+		}
+	}
+	return best
 }

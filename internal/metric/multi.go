@@ -26,45 +26,34 @@ import (
 //
 // # Kernel grades
 //
-// A Kernel resolves a metric's tile implementation once. Four grades
-// exist, ordered by how much reproducibility they trade for speed:
+// A Kernel resolves a metric's tile implementation once. Two grades
+// exist:
 //
 //   - NewKernel (exact): per-pair arithmetic is bit-identical to the
 //     single-query Batch/OrderingBatch path, so results are reproducible
 //     against the per-query reference down to the last bit, including ties.
 //     Euclidean accumulates squared differences in four float64 lanes
 //     over the float32 rows in place — an AVX2 body on amd64, the scalar
-//     lane loop elsewhere, the same bits either way (see exact.go).
+//     lane loop elsewhere, the same bits either way (see exact.go). Every
+//     answer, baseline and probe in the repository runs on this grade.
 //   - NewFastKernel (Gram-fast): float64 throughout, but Euclidean uses
 //     the Gram decomposition ‖q−x‖² = ‖q‖² + ‖x‖² − 2·q·x over precomputed
 //     squared norms, which reassociates the summation: results can differ
 //     from the exact kernel in the trailing ulps (never in ordering-space
 //     tie handling for bit-identical rows, e.g. duplicate points). The fast
 //     kernel is itself tile-shape stable: any tiling of the same (Q, X)
-//     yields bit-identical values.
-//   - NewChunkedKernel (chunked-fast): Euclidean runs the whole inner loop
-//     in float32 — at most 2^11 products accumulate in float32 lanes
-//     before folding into a float64 total — so it is conversion-free and
-//     vectorizable, roughly doubling row-scan throughput. Values differ
-//     from the exact kernel by a bounded RELATIVE error (ChunkedErrorBound,
-//     ≈1e-5 at 2^11 dims), far more than the Gram grade's ulp drift; see
-//     chunked.go for the bound, the overflow caveat and the tile-shape
-//     stability guarantee.
-//   - NewQuantizedKernel (quantized): Euclidean scans int8 codes from a
-//     prebuilt QuantizedView — 1 byte per coordinate instead of 4, an
-//     integer multiply-accumulate inner loop, and an ADDITIVE error bound
-//     (QuantErrorBound) instead of a relative one. Built for the
-//     memory-bound regime (n ≫ cache); candidate distances are
-//     approximate and consumers restore exactness by rescoring with an
-//     exact kernel. See quant.go.
+//     yields bit-identical values. It is slower than the exact grade at
+//     every dimension and survives only for bruteforce.SearchKFast, which
+//     the benchmark module's layer replay still times.
 //
-// All fast grades report IsFast() == true. Consumers whose outputs are
-// reported answers under a bit-reproducibility contract (core.Exact
-// phase 2, the distributed shard scans, range searches) must use the
-// exact grade and guard with !IsFast(); consumers that only need a
-// monotone-enough ordering (probe selection, candidate generation and
-// rescoring in approximate backends, brute-force baselines that tolerate
-// documented error) may use either fast grade.
+// The int8 two-pass scan is not a Kernel: QuantizedView (quant.go) scans
+// its own codes, and bruteforce.SearchKQuantized rescores the survivors
+// on the exact grade.
+//
+// NewFastKernel reports IsFast() == true. Consumers whose outputs are
+// reported answers under a bit-reproducibility contract (core.Exact,
+// OneShot, the distributed shard scans, range searches) guard with
+// !IsFast().
 
 // BatchMulti is the multi-query vector fast path: ordering distances from
 // every query in qflat (nq = len(qflat)/dim rows) to every point in pflat
@@ -135,13 +124,12 @@ func shapeForBudget(budget, dim int) (tq, tp int) {
 }
 
 // TileScratch holds a kernel's reusable buffers (the Gram grade's widened
-// tiles and norm vectors, the quantized grade's query codes) so
-// steady-state tiled search performs no per-tile allocation.
-// Acquire with GetTileScratch, release with PutTileScratch.
+// tiles and norm vectors) so steady-state tiled search performs no
+// per-tile allocation. Acquire with GetTileScratch, release with
+// PutTileScratch.
 type TileScratch struct {
 	wq, wp []float64
 	qn, pn []float64
-	qc     []int8 // quantized query codes (quantized grade only)
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(TileScratch) }}
@@ -159,101 +147,29 @@ func growF64(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// Grade identifies a kernel's arithmetic grade; see the package comment
-// for the three grades and their reproducibility contracts.
-type Grade uint8
-
-const (
-	// GradeExact is bit-identical to the per-query reference.
-	GradeExact Grade = iota
-	// GradeFast is the float64 Gram decomposition (ulp-level drift).
-	GradeFast
-	// GradeChunked is chunked float32 accumulation (bounded relative
-	// error, ChunkedErrorBound).
-	GradeChunked
-	// GradeQuantized is int8 scalar quantization with integer
-	// multiply-accumulate (bounded additive error, QuantErrorBound).
-	GradeQuantized
-)
-
-// String implements fmt.Stringer.
-func (g Grade) String() string {
-	switch g {
-	case GradeExact:
-		return "exact"
-	case GradeFast:
-		return "fast"
-	case GradeChunked:
-		return "chunked"
-	case GradeQuantized:
-		return "quantized"
-	}
-	return "unknown"
-}
-
 // Kernel binds a metric to its resolved tile implementation and ordering
 // conversions. Construct once (per index or per batch call) and reuse.
 type Kernel struct {
-	m       Metric[[]float32]
-	fast    bool
-	chunked bool
-	quant   bool
-	qv      *QuantizedView // prebuilt codes (quantized grade; may be nil)
-	euclid  bool
-	bm      BatchMulti
-	ob      OrderingBatch
-	b       Batch
-	ord     Orderer
+	m      Metric[[]float32]
+	fast   bool
+	euclid bool
+	bm     BatchMulti
+	ob     OrderingBatch
+	b      Batch
+	ord    Orderer
 }
 
 // NewKernel returns the exact-mode kernel for m: tiled, but bit-identical
 // to the per-query reference path.
-func NewKernel(m Metric[[]float32]) *Kernel { return newKernel(m, false, false) }
+func NewKernel(m Metric[[]float32]) *Kernel { return newKernel(m, false) }
 
-// NewFastKernel returns the Gram-fast kernel for m: the quickest float64
-// tile implementation (the Gram kernel for Euclidean). Values may differ
-// from the exact kernel in the last ulps; see the package comment.
-func NewFastKernel(m Metric[[]float32]) *Kernel { return newKernel(m, true, false) }
+// NewFastKernel returns the Gram-fast kernel for m (the Gram kernel for
+// Euclidean). Values may differ from the exact kernel in the last ulps;
+// see the package comment.
+func NewFastKernel(m Metric[[]float32]) *Kernel { return newKernel(m, true) }
 
-// NewChunkedKernel returns the chunked-fast kernel for m: float32 inner
-// loops with per-chunk float64 folds for Euclidean (bounded relative
-// error, see ChunkedErrorBound); metrics without a chunked implementation
-// behave exactly like their NewFastKernel form.
-func NewChunkedKernel(m Metric[[]float32]) *Kernel { return newKernel(m, true, true) }
-
-// NewQuantizedKernel returns the quantized-grade kernel for m bound to a
-// prebuilt view (built once over the point matrix the kernel will scan).
-// Tile and Ordering recognize whole-row sub-blocks of the view's source
-// buffer and score them from the int8 codes; any other point block is
-// quantized on the fly (correct, but it pays the O(rows·dim) view build
-// per call). v may be nil, in which case every call takes the on-the-fly
-// path. Metrics without a quantized implementation (non-Euclidean)
-// behave exactly like their NewFastKernel form.
-func NewQuantizedKernel(m Metric[[]float32], v *QuantizedView) *Kernel {
-	k := newKernel(m, true, false)
-	k.quant = true
-	k.qv = v
-	return k
-}
-
-// NewGradeKernel returns the kernel for m at the requested grade. The
-// quantized grade is returned without a prebuilt view (see
-// NewQuantizedKernel for the viewless cost model).
-func NewGradeKernel(m Metric[[]float32], g Grade) *Kernel {
-	switch g {
-	case GradeFast:
-		return NewFastKernel(m)
-	case GradeChunked:
-		return NewChunkedKernel(m)
-	case GradeQuantized:
-		return NewQuantizedKernel(m, nil)
-	default:
-		return NewKernel(m)
-	}
-}
-
-func newKernel(m Metric[[]float32], fast, chunked bool) *Kernel {
-	k := &Kernel{m: m, fast: fast, chunked: chunked}
+func newKernel(m Metric[[]float32], fast bool) *Kernel {
+	k := &Kernel{m: m, fast: fast}
 	_, k.euclid = m.(Euclidean)
 	k.bm, _ = m.(BatchMulti)
 	k.ob, _ = m.(OrderingBatch)
@@ -265,29 +181,12 @@ func newKernel(m Metric[[]float32], fast, chunked bool) *Kernel {
 // Metric returns the underlying metric.
 func (k *Kernel) Metric() Metric[[]float32] { return k.m }
 
-// IsFast reports whether the kernel was constructed with NewFastKernel or
-// NewChunkedKernel. Fast-grade values may differ from the per-query
-// reference (trailing ulps for the Gram grade, ChunkedErrorBound for the
-// chunked grade); callers whose results must stay bit-identical to the
+// IsFast reports whether the kernel was constructed with NewFastKernel.
+// Gram-grade tile values may differ from the per-query reference in the
+// trailing ulps; callers whose results must stay bit-identical to the
 // reference (Exact phase 2, the distributed shard scans) assert
 // !IsFast().
 func (k *Kernel) IsFast() bool { return k.fast }
-
-// Grade reports the kernel's arithmetic grade.
-func (k *Kernel) Grade() Grade {
-	switch {
-	case k.quant:
-		return GradeQuantized
-	case k.chunked:
-		return GradeChunked
-	case k.fast:
-		return GradeFast
-	}
-	return GradeExact
-}
-
-// View returns the kernel's prebuilt quantized view, or nil.
-func (k *Kernel) View() *QuantizedView { return k.qv }
 
 // ToDistance converts an ordering distance to the true distance.
 func (k *Kernel) ToDistance(o float64) float64 {
@@ -311,27 +210,22 @@ func (k *Kernel) FromDistance(d float64) float64 {
 // Identity orderings bound exactly; Euclidean one ulp above d² (sqrt is
 // correctly rounded, so no squared value at or below distance d can exceed
 // it); orderings built on math.Pow are not correctly rounded, so no finite
-// bound is safe and every candidate must be confirmed via ToDistance. The
-// chunked grade's orderings drift by ChunkedErrorBound rather than an ulp,
-// so no finite one-ulp bound is safe there either — range consumers stay
-// on the exact grade.
+// bound is safe and every candidate must be confirmed via ToDistance.
 func (k *Kernel) OrderingBound(d float64) float64 {
 	switch {
 	case k.ord == nil:
 		return d
-	case k.euclid && !k.chunked && !k.quant:
+	case k.euclid:
 		return math.Nextafter(d*d, math.Inf(1))
 	default:
 		return math.Inf(1)
 	}
 }
 
-// NeedsNorms reports whether Tile consumes precomputed squared norms
-// (the Gram fast path; the chunked and quantized grades read their own
-// representations directly and have no use for norms). Callers that hold
-// a dataset across many searches should precompute them once with Norms
-// and pass them to every Tile call.
-func (k *Kernel) NeedsNorms() bool { return k.fast && k.euclid && !k.chunked && !k.quant }
+// NeedsNorms reports whether Tile consumes precomputed squared norms (the
+// Gram fast path). Callers that hold a dataset across many searches
+// should precompute them once with Norms and pass them to every Tile call.
+func (k *Kernel) NeedsNorms() bool { return k.fast && k.euclid }
 
 // Norms fills dst (grown as needed) with the per-row squared l2 norms of
 // flat and returns it. It returns nil when the kernel has no use for norms,
@@ -360,16 +254,6 @@ func (k *Kernel) Tile(qflat []float32, qn []float64, pflat []float32, pn []float
 		return
 	}
 	switch {
-	case k.euclid && k.quant:
-		// Quantized tile: int8 codes, integer MAC. Sub-blocks of the
-		// prebuilt view's source score from the stored codes; other point
-		// blocks are quantized on the fly (see quant.go).
-		k.quantTile(qflat, pflat, dim, nq, np, out, ts)
-	case k.euclid && k.chunked:
-		// Chunked float32 tile: consumes the float32 rows in place — no
-		// widening, no norms, no scratch. Per-pair arithmetic is shared
-		// with the chunked row kernel (tile-shape stable; see chunked.go).
-		euclidChunkedTile(qflat, pflat, dim, nq, np, out)
 	case k.euclid && k.fast:
 		if ts == nil {
 			ts = GetTileScratch()
@@ -428,17 +312,11 @@ func (k *Kernel) Tile(qflat []float32, qn []float64, pflat []float32, pn []float
 }
 
 // Ordering computes single-query ordering distances from q to every point
-// in flat — the streaming (matrix-vector) path. On the exact and
-// Gram-fast grades its per-pair arithmetic is the exact grade's four-lane
-// float64 sum, bit-identical to the exact-mode Tile; on the chunked grade
-// it is the chunked float32 row kernel, bit-identical to the chunked Tile
-// (and within ChunkedErrorBound of the reference).
+// in flat — the streaming (matrix-vector) path. On both grades its
+// per-pair arithmetic is the exact grade's four-lane float64 sum,
+// bit-identical to the exact-mode Tile.
 func (k *Kernel) Ordering(q, flat []float32, dim int, out []float64) {
 	switch {
-	case k.euclid && k.quant:
-		k.quantOrdering(q, flat, dim, out)
-	case k.euclid && k.chunked:
-		euclidChunkedRow(q, flat, dim, out)
 	case k.ob != nil:
 		k.ob.OrderingDistances(q, flat, dim, out)
 	case k.b != nil:

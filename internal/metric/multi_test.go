@@ -237,20 +237,6 @@ func TestMinkowskiBatch(t *testing.T) {
 	batchMatchesScalar(t, NewMinkowski(4))
 }
 
-// TestEuclideanMultiDistances exercises the public BatchMulti entry point.
-func TestEuclideanMultiDistances(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	dim := 6
-	qflat := randFlat(rng, 5, dim)
-	pflat := randFlat(rng, 12, dim)
-	out := make([]float64, 5*12)
-	Euclidean{}.MultiDistances(qflat, pflat, dim, out)
-	want := tileRef(Euclidean{}, qflat, pflat, dim)
-	if e := maxRelErr(out, want); e > 1e-9 {
-		t.Fatalf("MultiDistances max rel err %v", e)
-	}
-}
-
 // customMulti is a metric with its own BatchMulti implementation; the
 // kernel must route through it in both modes.
 type customMulti struct {

@@ -1,21 +1,18 @@
 package metric
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
-// This file implements the quantized kernel grade: int8 scalar quantization
-// of a point matrix with an integer multiply-accumulate inner loop. It is
-// the fourth kernel grade (see the package comment in multi.go). Where the
-// chunked grade still streams 4 bytes per coordinate, the quantized grade
-// streams 1: beyond cache-resident n the scan is memory-bound, and the 4×
-// smaller resident set converts directly into row-scan throughput.
+// This file implements int8 scalar quantization of a point matrix with an
+// integer multiply-accumulate scan: the candidate pass of the two-pass
+// brute-force scan (bruteforce.SearchKQuantized). The exact grade streams
+// 4 bytes per coordinate; the codes stream 1, and beyond cache-resident n
+// the scan is memory-bound, so the 4× smaller resident set converts
+// directly into row-scan throughput.
 //
 // # Codes and memory layout
 //
 // A QuantizedView is built once over a flat row-major float32 matrix
-// (typically at index Build) and holds:
+// and holds:
 //
 //   - codes: one int8 per coordinate, row-major with a padded stride.
 //     Each dimension chunk of at most chunkDims = 2^11 coordinates is
@@ -38,9 +35,8 @@ import (
 // The inner sum is pure int8→int32 multiply-accumulate — no float
 // conversion per coordinate — folded to float64 once per (row, chunk).
 // Because integer accumulation is exact, ô is bit-identical for any
-// evaluation order: the quantized grade is tile-shape stable, Tile ≡
-// Ordering, and the AVX2 path (quant_amd64.s) agrees with the pure-Go
-// loop bit for bit.
+// evaluation order: any split of a row range scores the same bits, and
+// the AVX2 path (quant_amd64.s) agrees with the pure-Go loop bit for bit.
 //
 // # Error contract
 //
@@ -51,14 +47,11 @@ import (
 //	|d(q,x) − √ô(q,x)| ≤ sqrt(Σ_c w_c·scale_c²) ≤ QuantErrorBound(dim, maxScale)
 //
 // with w_c the chunk widths. ErrorBound reports the view's exact bound;
-// QuantErrorBound(dim, scale) is the conservative closed form mirroring
-// ChunkedErrorBound. Queries outside the envelope clamp to ±127 and the
-// bound no longer holds — consumers that need certified answers must not
-// read quantized distances at all (the grade reports IsFast(), so
-// core.Exact and core.ScanGrouped reject it), and approximate consumers
-// restore exact reported distances by rescoring candidates with an exact
-// kernel (bruteforce.RescoreK); see the two-pass contract on
-// bruteforce.SearchKQuantized.
+// QuantErrorBound(dim, scale) is the conservative closed form. Queries
+// outside the envelope clamp to ±127 and the bound no longer holds, so
+// quantized distances are never reported: the two-pass scan restores
+// exact reported distances by rescoring candidates on the exact kernel;
+// see the two-pass contract on bruteforce.SearchKQuantized.
 //
 // Degenerate chunks (constant across the data, scale 0) encode every
 // point as code 0 and contribute 0 to every ô: a constant offset in
@@ -66,6 +59,10 @@ import (
 // restored by the rescoring pass.
 
 const (
+	// chunkDims bounds how many coordinates share one scale and one int32
+	// accumulator fold: 2^11, far inside int32 range for the squared code
+	// differences a chunk sums.
+	chunkDims = 1 << 11
 	// quantLevels is the number of quantization steps across a chunk's
 	// widest per-dimension range: codes span [-127, 127].
 	quantLevels = 254
@@ -82,9 +79,8 @@ const quantSafety = 1 + 1e-9
 // QuantErrorBound returns the additive DISTANCE-space error bound of a
 // quantized view with maximum chunk scale `scale` at dimension dim: for
 // queries inside the view's per-dimension envelope,
-// |d(q,x) − √ô(q,x)| ≤ QuantErrorBound(dim, scale). Compare
-// ChunkedErrorBound, which is relative; quantization noise is absolute —
-// scale/2 per coordinate per operand — so the natural contract here is
+// |d(q,x) − √ô(q,x)| ≤ QuantErrorBound(dim, scale). Quantization noise is
+// absolute — scale/2 per coordinate per operand — so the contract is
 // additive.
 func QuantErrorBound(dim int, scale float64) float64 {
 	return scale * math.Sqrt(float64(dim)) * quantSafety
@@ -93,14 +89,12 @@ func QuantErrorBound(dim int, scale float64) float64 {
 // QuantizedView is the int8-quantized image of a flat row-major float32
 // matrix: codes plus the dequantization parameters needed to fold integer
 // accumulators back to float64 ordering distances. Build once (O(n·dim))
-// and reuse across scans; the view keeps a reference to the source buffer
-// so kernels can recognize sub-blocks of it and stay on the coded fast
-// path. A view must be rebuilt if the source data changes.
+// and reuse across scans. A view must be rebuilt if the source data
+// changes.
 type QuantizedView struct {
-	src    []float32 // aliased source matrix (never written)
-	dim    int       // logical dimension
-	n      int       // rows
-	stride int       // padded code-row width (sum of padded chunk widths)
+	dim    int // logical dimension
+	n      int // rows
+	stride int // padded code-row width (sum of padded chunk widths)
 
 	chunkW []int // logical width of each chunk
 	chunkP []int // padded width of each chunk (multiple of quantAlign)
@@ -116,9 +110,8 @@ type QuantizedView struct {
 	bound    float64 // sqrt(Σ_c w_c·scale_c²) · quantSafety
 }
 
-// NewQuantizedView quantizes the n = len(flat)/dim rows of flat. The
-// returned view aliases flat (read-only) so kernels can resolve row
-// sub-blocks of the same buffer; it never mutates it.
+// NewQuantizedView quantizes the n = len(flat)/dim rows of flat. The view
+// copies what it needs; flat is neither retained nor mutated.
 func NewQuantizedView(flat []float32, dim int) *QuantizedView {
 	if dim <= 0 {
 		panic("metric: NewQuantizedView with non-positive dim")
@@ -132,7 +125,7 @@ func NewQuantizedView(flat []float32, dim int) *QuantizedView {
 		nc = 1
 	}
 	v := &QuantizedView{
-		src: flat, dim: dim, n: n,
+		dim: dim, n: n,
 		chunkW: make([]int, nc), chunkP: make([]int, nc), chunkO: make([]int, nc),
 		offsets: make([]float64, dim),
 		scales:  make([]float64, nc), invs: make([]float64, nc), sqs: make([]float64, nc),
@@ -293,25 +286,6 @@ func (v *QuantizedView) QuantizeQuery(q []float32, dst []int8) []int8 {
 	return dst
 }
 
-// resolveRows reports whether flat is a whole-row sub-block of the view's
-// source buffer, and if so which row it starts at. The check is exact:
-// the capped-slice arithmetic locates the candidate offset and a pointer
-// comparison confirms the backing array, so false positives are
-// impossible.
-func (v *QuantizedView) resolveRows(flat []float32) (lo int, ok bool) {
-	if len(v.src) == 0 || len(flat) == 0 || len(flat)%v.dim != 0 || cap(flat) > cap(v.src) {
-		return 0, false
-	}
-	off := cap(v.src) - cap(flat)
-	if off%v.dim != 0 || off+len(flat) > len(v.src) {
-		return 0, false
-	}
-	if &v.src[off] != &flat[0] {
-		return 0, false
-	}
-	return off / v.dim, true
-}
-
 // quantAccBlock bounds how many rows the scan kernels score per integer
 // pass, so the int32 accumulator block stays stack-sized and hot.
 const quantAccBlock = 512
@@ -360,7 +334,7 @@ func (v *QuantizedView) OrderingRange(qc []int8, lo, hi int, out []float64) {
 
 // OrderingIDs writes quantized orderings from qc to the listed rows:
 // out[i] = ô(q, row ids[i]). The random-access companion of
-// OrderingRange for candidate rescoring.
+// OrderingRange for scoring a candidate list.
 func (v *QuantizedView) OrderingIDs(qc []int8, ids []int32, out []float64) {
 	if len(qc) != v.stride {
 		panic("metric: OrderingIDs query not encoded by this view")
@@ -397,45 +371,6 @@ func quantSqDiff(qc, row []int8) int32 {
 	var out [1]int32
 	quantScanRows(qc, row, len(qc), 1, out[:])
 	return out[0]
-}
-
-// viewFor resolves the point block for a quantized Tile/Ordering call:
-// the kernel's prebuilt view when flat is a whole-row sub-block of its
-// source (lo is the starting row), otherwise a transient view quantized
-// on the fly — correct, but it pays the O(rows·dim) encode per call, so
-// hot paths arrange to hit the prebuilt case.
-func (k *Kernel) viewFor(flat []float32, dim int) (v *QuantizedView, lo int) {
-	if k.qv != nil && k.qv.dim == dim {
-		if lo, ok := k.qv.resolveRows(flat); ok {
-			return k.qv, lo
-		}
-	}
-	return NewQuantizedView(flat, dim), 0
-}
-
-func (k *Kernel) quantTile(qflat, pflat []float32, dim, nq, np int, out []float64, ts *TileScratch) {
-	v, lo := k.viewFor(pflat, dim)
-	if ts == nil {
-		ts = GetTileScratch()
-		defer PutTileScratch(ts)
-	}
-	for i := 0; i < nq; i++ {
-		ts.qc = v.QuantizeQuery(qflat[i*dim:(i+1)*dim], ts.qc)
-		v.OrderingRange(ts.qc, lo, lo+np, out[i*np:(i+1)*np])
-	}
-}
-
-// qcPool recycles encoded-query buffers for the scratchless Ordering
-// path (leaf scans quantize the query once per call).
-var qcPool = sync.Pool{New: func() any { return new([]int8) }}
-
-func (k *Kernel) quantOrdering(q, flat []float32, dim int, out []float64) {
-	v, lo := k.viewFor(flat, dim)
-	buf := qcPool.Get().(*[]int8)
-	qc := v.QuantizeQuery(q, *buf)
-	v.OrderingRange(qc, lo, lo+len(flat)/dim, out)
-	*buf = qc
-	qcPool.Put(buf)
 }
 
 // quantScanRowsGo is the portable reference loop: four int32 lanes of

@@ -116,10 +116,9 @@ func TestQuantizedDuplicatesExactZero(t *testing.T) {
 	}
 }
 
-// TestQuantizedTileShapeInvariance: any tiling of the same (Q, X) over
-// the view's source must give bit-identical values, Tile must agree with
-// Ordering, and the viewless on-the-fly path must agree with the
-// prebuilt-view path (same codes either way).
+// TestQuantizedTileShapeInvariance: any split of the same row range —
+// the blocks a scan walks in — must give bit-identical quantized values,
+// planted ties included (integer accumulation has no evaluation order).
 func TestQuantizedTileShapeInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(331))
 	for _, dim := range []int{3, 17, 64} {
@@ -127,47 +126,23 @@ func TestQuantizedTileShapeInvariance(t *testing.T) {
 		qflat := randFlat(rng, nq, dim)
 		pflat := randFlat(rng, np, dim)
 		copy(pflat[5*dim:6*dim], qflat[2*dim:3*dim]) // plant a tie
-		k := NewQuantizedKernel(Euclidean{}, NewQuantizedView(pflat, dim))
-		full := make([]float64, nq*np)
-		k.Tile(qflat, nil, pflat, nil, dim, full, nil)
-		for _, tiling := range [][2]int{{1, np}, {nq, 1}, {4, 16}, {3, 7}} {
-			tq, tp := tiling[0], tiling[1]
-			got := make([]float64, nq*np)
-			for q0 := 0; q0 < nq; q0 += tq {
-				q1 := min(q0+tq, nq)
+		v := NewQuantizedView(pflat, dim)
+		var qc []int8
+		full := make([]float64, np)
+		got := make([]float64, np)
+		for i := 0; i < nq; i++ {
+			qc = v.QuantizeQuery(qflat[i*dim:(i+1)*dim], qc)
+			v.OrderingRange(qc, 0, np, full)
+			for _, tp := range []int{1, 7, 16, np} {
 				for p0 := 0; p0 < np; p0 += tp {
 					p1 := min(p0+tp, np)
-					tile := make([]float64, (q1-q0)*(p1-p0))
-					k.Tile(qflat[q0*dim:q1*dim], nil, pflat[p0*dim:p1*dim], nil, dim, tile, nil)
-					for i := q0; i < q1; i++ {
-						copy(got[i*np+p0:i*np+p1], tile[(i-q0)*(p1-p0):(i-q0+1)*(p1-p0)])
+					v.OrderingRange(qc, p0, p1, got[p0:p1])
+				}
+				for j := range full {
+					if got[j] != full[j] {
+						t.Fatalf("dim=%d q=%d split %d p=%d: block %v, full %v", dim, i, tp, j, got[j], full[j])
 					}
 				}
-			}
-			for i := range full {
-				if got[i] != full[i] {
-					t.Fatalf("dim=%d tiling %dx%d: tile[%d]=%v, full=%v", dim, tq, tp, i, got[i], full[i])
-				}
-			}
-		}
-		row := make([]float64, np)
-		for i := 0; i < nq; i++ {
-			k.Ordering(qflat[i*dim:(i+1)*dim], pflat, dim, row)
-			for j := range row {
-				if full[i*np+j] != row[j] {
-					t.Fatalf("dim=%d q=%d p=%d: tile %v, row %v (Tile and Ordering must share bits)",
-						dim, i, j, full[i*np+j], row[j])
-				}
-			}
-		}
-		// Viewless kernel (on-the-fly quantization of the same block)
-		// computes the same codes, hence the same bits.
-		free := NewQuantizedKernel(Euclidean{}, nil)
-		got := make([]float64, nq*np)
-		free.Tile(qflat, nil, pflat, nil, dim, got, nil)
-		for i := range full {
-			if got[i] != full[i] {
-				t.Fatalf("dim=%d pair %d: viewless %v, prebuilt %v", dim, i, got[i], full[i])
 			}
 		}
 	}
@@ -225,99 +200,6 @@ func TestQuantizedOrderingIDs(t *testing.T) {
 	}
 }
 
-// TestQuantizedSubBlockResolution: scoring a whole-row sub-block of the
-// view's source must hit the coded fast path and agree bitwise with the
-// corresponding slice of a full scan — the contract OneShot's grouped
-// phase 1 and the kd-tree leaf scans rely on.
-func TestQuantizedSubBlockResolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(361))
-	dim := 17
-	np := 53
-	pflat := randFlat(rng, np, dim)
-	v := NewQuantizedView(pflat, dim)
-	k := NewQuantizedKernel(Euclidean{}, v)
-	q := randFlat(rng, 1, dim)
-	full := make([]float64, np)
-	k.Ordering(q, pflat, dim, full)
-	for _, r := range [][2]int{{0, np}, {3, 9}, {40, 53}, {13, 14}} {
-		lo, hi := r[0], r[1]
-		if got, ok := v.resolveRows(pflat[lo*dim : hi*dim]); !ok || got != lo {
-			t.Fatalf("rows [%d,%d): resolve = (%d, %v), want (%d, true)", lo, hi, got, ok, lo)
-		}
-		out := make([]float64, hi-lo)
-		k.Ordering(q, pflat[lo*dim:hi*dim], dim, out)
-		for i := range out {
-			if out[i] != full[lo+i] {
-				t.Fatalf("rows [%d,%d) i=%d: sub-block %v, full %v", lo, hi, i, out[i], full[lo+i])
-			}
-		}
-	}
-	// Foreign buffers must not resolve.
-	other := randFlat(rng, np, dim)
-	if _, ok := v.resolveRows(other); ok {
-		t.Fatal("foreign buffer resolved into the view")
-	}
-	if _, ok := v.resolveRows(pflat[1 : 1+dim]); ok {
-		t.Fatal("row-misaligned slice resolved into the view")
-	}
-}
-
-// TestQuantizedKernelSurface pins the grade bookkeeping every consumer
-// gates on.
-func TestQuantizedKernelSurface(t *testing.T) {
-	e := Euclidean{}
-	k := NewQuantizedKernel(e, nil)
-	if !k.IsFast() {
-		t.Fatal("quantized kernel must report IsFast")
-	}
-	if k.Grade() != GradeQuantized {
-		t.Fatalf("grade %v", k.Grade())
-	}
-	if GradeQuantized.String() != "quantized" {
-		t.Fatalf("GradeQuantized.String() = %q", GradeQuantized.String())
-	}
-	if NewGradeKernel(e, GradeQuantized).Grade() != GradeQuantized {
-		t.Fatal("NewGradeKernel round trip failed for quantized")
-	}
-	if k.NeedsNorms() {
-		t.Fatal("quantized kernel must not request norms")
-	}
-	if n := k.Norms([]float32{1, 2, 3}, 3, nil); n != nil {
-		t.Fatalf("quantized Norms = %v, want nil", n)
-	}
-	if b := k.OrderingBound(2.0); !math.IsInf(b, 1) {
-		t.Fatalf("quantized OrderingBound = %v, want +Inf (no one-ulp bound is safe)", b)
-	}
-	pflat := []float32{0, 1, 2, 3, 4, 5}
-	v := NewQuantizedView(pflat, 3)
-	if NewQuantizedKernel(e, v).View() != v {
-		t.Fatal("View() must return the bound view")
-	}
-	if v.N() != 2 || v.Dim() != 3 || v.Stride() != quantAlign || v.Bytes() != 2*quantAlign {
-		t.Fatalf("view geometry: n=%d dim=%d stride=%d bytes=%d", v.N(), v.Dim(), v.Stride(), v.Bytes())
-	}
-}
-
-// TestQuantizedNonEuclideanFallsBackToFast: metrics without a quantized
-// implementation must behave exactly like their Gram-fast kernel.
-func TestQuantizedNonEuclideanFallsBackToFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(371))
-	for _, m := range []Metric[[]float32]{Manhattan{}, Chebyshev{}, NewMinkowski(2.5)} {
-		dim := 5
-		qflat := randFlat(rng, 3, dim)
-		pflat := randFlat(rng, 8, dim)
-		want := make([]float64, 24)
-		got := make([]float64, 24)
-		NewFastKernel(m).Tile(qflat, nil, pflat, nil, dim, want, nil)
-		NewQuantizedKernel(m, nil).Tile(qflat, nil, pflat, nil, dim, got, nil)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s pair %d: quantized %v, fast %v", m.Name(), i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestQuantizedDegenerateAndEmpty: constant dimensions (scale 0) score
 // zero everywhere, and empty/single-row views behave.
 func TestQuantizedDegenerateAndEmpty(t *testing.T) {
@@ -337,6 +219,10 @@ func TestQuantizedDegenerateAndEmpty(t *testing.T) {
 	v.OrderingRange(v.QuantizeQuery([]float32{7, 7, 7}, nil), 0, 2, out)
 	if out[0] != 0 || out[1] != 0 {
 		t.Fatalf("constant view distances %v, want zeros", out)
+	}
+	v = NewQuantizedView([]float32{0, 1, 2, 3, 4, 5}, 3)
+	if v.N() != 2 || v.Dim() != 3 || v.Stride() != quantAlign || v.Bytes() != 2*quantAlign {
+		t.Fatalf("view geometry: n=%d dim=%d stride=%d bytes=%d", v.N(), v.Dim(), v.Stride(), v.Bytes())
 	}
 }
 
@@ -368,11 +254,12 @@ func quantBenchData(n int) ([]float32, *QuantizedView) {
 }
 
 // BenchmarkRowScanN sweeps the single-query row scan across corpus sizes
-// at dim 64 — the memory-bound regime the quantized grade targets. The
-// quantized variant includes the per-scan query quantization; the view
-// (an index-build artifact) is excluded.
-func BenchmarkRowScanNChunked(b *testing.B) {
-	k := NewChunkedKernel(Euclidean{})
+// at dim 64 — the memory-bound regime the int8 view targets — on the
+// exact kernel and on the view. The quantized variant includes the
+// per-scan query quantization; the view (an index-build artifact) is
+// excluded.
+func BenchmarkRowScanNExact(b *testing.B) {
+	k := NewKernel(Euclidean{})
 	for _, n := range quantBenchN {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			flat, _ := quantBenchData(n)
@@ -391,21 +278,22 @@ func BenchmarkRowScanNQuantized(b *testing.B) {
 	for _, n := range quantBenchN {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			flat, v := quantBenchData(n)
-			k := NewQuantizedKernel(Euclidean{}, v)
 			q := flat[:64]
 			out := make([]float64, n)
+			var qc []int8
 			b.SetBytes(int64(v.Bytes()))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.Ordering(q, flat, 64, out)
+				qc = v.QuantizeQuery(q, qc)
+				v.OrderingRange(qc, 0, n, out)
 			}
 		})
 	}
 }
 
-// TestQuantizedRowFasterSmoke asserts the quantized/chunked row-scan
-// throughput ratio exceeds 1 at n=100k dim 64 — the memory-bound regime
-// the grade exists for. Timing assertion, so it only runs when
+// TestQuantizedRowFasterSmoke asserts the int8 row scan is faster than
+// the exact row scan at n=100k dim 64 — the memory-bound regime the view
+// exists for (measured ≥ 3×). Timing assertion, so it only runs when
 // RBC_BENCH_SMOKE=1; the stricter >=2x gate at n=1M lives in the
 // bench-regression job via cmd/benchcmp.
 func TestQuantizedRowFasterSmoke(t *testing.T) {
@@ -416,15 +304,15 @@ func TestQuantizedRowFasterSmoke(t *testing.T) {
 	flat, v := quantBenchData(n)
 	q := flat[:dim]
 	out := make([]float64, n)
-	chunked := NewChunkedKernel(Euclidean{})
-	quant := NewQuantizedKernel(Euclidean{}, v)
-	time10 := func(k *Kernel) float64 {
-		k.Ordering(q, flat, dim, out) // warm
+	exact := NewKernel(Euclidean{})
+	var qc []int8
+	time10 := func(scan func()) float64 {
+		scan() // warm
 		best := math.Inf(1)
 		for rep := 0; rep < 5; rep++ {
 			start := time.Now()
 			for i := 0; i < 10; i++ {
-				k.Ordering(q, flat, dim, out)
+				scan()
 			}
 			if s := time.Since(start).Seconds(); s < best {
 				best = s
@@ -432,10 +320,14 @@ func TestQuantizedRowFasterSmoke(t *testing.T) {
 		}
 		return best
 	}
-	tc, tq := time10(chunked), time10(quant)
-	ratio := tc / tq
-	t.Logf("n=%d dim=%d: chunked %.3fms quantized %.3fms ratio %.2fx", n, dim, tc*1e3, tq*1e3, ratio)
+	te := time10(func() { exact.Ordering(q, flat, dim, out) })
+	tq := time10(func() {
+		qc = v.QuantizeQuery(q, qc)
+		v.OrderingRange(qc, 0, n, out)
+	})
+	ratio := te / tq
+	t.Logf("n=%d dim=%d: exact %.3fms quantized %.3fms ratio %.2fx", n, dim, te*1e3, tq*1e3, ratio)
 	if ratio <= 1 {
-		t.Fatalf("quantized row scan not faster than chunked at n=%d (ratio %.2f)", n, ratio)
+		t.Fatalf("quantized row scan not faster than exact at n=%d (ratio %.2f)", n, ratio)
 	}
 }

@@ -18,9 +18,9 @@ import (
 // value and where it came from so bench artifacts can record the shape
 // that produced them.
 //
-// Changing the tile shape can never change results: every kernel grade is
-// tile-shape invariant by construction (see the shape-invariance tests in
-// chunked_test.go and blocked_test.go), and search statistics count
+// Changing the tile shape can never change results: both kernel grades
+// are tile-shape invariant by construction (see the shape-invariance tests
+// in multi_test.go and tilebudget_test.go), and search statistics count
 // admissible pairs, not tiles.
 
 const (

@@ -67,7 +67,7 @@ func TestSetTileBudgetPins(t *testing.T) {
 	}
 }
 
-// TestTileShapeInvarianceUnderBudgets: every kernel grade must produce
+// TestTileShapeInvarianceUnderBudgets: both kernel grades must produce
 // bit-identical tiles regardless of the tile shape consumers sweep with —
 // so a tile-budget override can never change answers. Emulates the
 // consumer loop at powers of two around the default budget and compares against the one-shot
@@ -80,7 +80,6 @@ func TestTileShapeInvarianceUnderBudgets(t *testing.T) {
 	for _, k := range []*Kernel{
 		NewKernel(Euclidean{}),
 		NewFastKernel(Euclidean{}),
-		NewChunkedKernel(Euclidean{}),
 	} {
 		qn := k.Norms(qflat, dim, nil)
 		pn := k.Norms(pflat, dim, nil)

@@ -44,13 +44,6 @@ func (Euclidean) ToDistance(o float64) float64 { return math.Sqrt(o) }
 // FromDistance implements Orderer.
 func (Euclidean) FromDistance(d float64) float64 { return d * d }
 
-// MultiDistances implements BatchMulti with the cache-blocked Gram kernel
-// (squared-distance ordering; norms computed per call). Callers that reuse
-// a point set across calls should go through Kernel with precomputed norms.
-func (Euclidean) MultiDistances(qflat, pflat []float32, dim int, out []float64) {
-	NewFastKernel(Euclidean{}).Tile(qflat, nil, pflat, nil, dim, out, nil)
-}
-
 // Manhattan is the l1 metric — the metric under which the paper's grid
 // example has expansion rate exactly 2^d.
 type Manhattan struct{}

@@ -118,21 +118,27 @@ func tieRich(rng *rand.Rand, n, dim int) *vec.Dataset {
 	return d
 }
 
-func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
+// equivalenceInputs materializes one corpus entry: the tie-rich database,
+// its query block and k.
+func equivalenceInputs(seed int64, dimSel, nSel, kSel uint8) (db, queries *vec.Dataset, k int) {
 	dim := []int{1, 3, 17, 64}[int(dimSel)%4]
 	n := []int{0, 1, 37, 1000}[int(nSel)%4]
-	k := [3]int{1, 3, n + 5}[int(kSel)%3]
-	m := metric.Euclidean{}
+	k = [3]int{1, 3, n + 5}[int(kSel)%3]
 	rng := rand.New(rand.NewSource(seed))
-	db := tieRich(rng, n, dim)
-
-	const nq = 12
-	queries := tieRich(rng, nq, dim)
+	db = tieRich(rng, n, dim)
+	queries = tieRich(rng, 12, dim)
 	if n > 0 {
 		// Plant exact self-queries: zero distances stress tie handling.
 		copy(queries.Row(0), db.Row(rng.Intn(n)))
 		copy(queries.Row(1), db.Row(rng.Intn(n)))
 	}
+	return db, queries, k
+}
+
+func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
+	db, queries, k := equivalenceInputs(seed, dimSel, nSel, kSel)
+	n, nq := db.N(), queries.N()
+	m := metric.Euclidean{}
 
 	want := make([][]par.Neighbor, nq)
 	for i := 0; i < nq; i++ {

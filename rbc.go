@@ -72,11 +72,10 @@ func Angular() Metric { return metric.Angular{} }
 // matrix-matrix primitive — no index, one pass over the database shared by
 // the whole query block. It is the baseline the RBC indexes are measured
 // against and the right tool for one-off batches too small to amortize an
-// index build. Distances may differ from the per-query scan in the last
-// ulps for Euclidean (the kernel reassociates the summation); exact
-// duplicates still tie toward the lower id.
+// index build. It runs on the exact kernel, so answers are bit-identical
+// to a per-query scan, ties toward the lower id.
 func BruteForce(queries, db *Dataset, m Metric) []Result {
-	rs := bruteforce.SearchFast(queries, db, m, nil)
+	rs := bruteforce.Search(queries, db, m, nil)
 	out := make([]Result, len(rs))
 	for i, r := range rs {
 		out[i] = Result{ID: r.ID, Dist: r.Dist}
@@ -87,7 +86,7 @@ func BruteForce(queries, db *Dataset, m Metric) []Result {
 // BruteForceK is the k-NN form of BruteForce; results are sorted by
 // ascending distance, ties toward the lower id.
 func BruteForceK(queries, db *Dataset, k int, m Metric) [][]Neighbor {
-	return bruteforce.SearchKFast(queries, db, k, m, nil)
+	return bruteforce.SearchK(queries, db, k, m, nil)
 }
 
 // Neighbor is a k-NN result entry: database id and distance.
