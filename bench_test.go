@@ -20,6 +20,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gpusim"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/vec"
 )
@@ -102,10 +103,10 @@ func BenchmarkFig1_OneShotTradeoff(b *testing.B) {
 				b.Fatal(err)
 			}
 			var st core.Stats
-			var res []core.Result
+			var res [][]par.Neighbor
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, st = idx.Search(queries)
+				res, st = idx.KNNBatch(queries, 1)
 			}
 			b.StopTimer()
 			evalsPerQ := float64(st.TotalEvals()) / float64(queries.N())
@@ -113,7 +114,7 @@ func BenchmarkFig1_OneShotTradeoff(b *testing.B) {
 			b.ReportMetric(float64(db.N())/evalsPerQ, "speedup")
 			dists := make([]float64, len(res))
 			for i, r := range res {
-				dists[i] = r.Dist
+				dists[i] = r[0].Dist
 			}
 			b.ReportMetric(stats.MeanRank(queries, db, dists, euclid), "mean-rank")
 		})
@@ -141,7 +142,7 @@ func BenchmarkFig2_ExactSpeedup(b *testing.B) {
 			var st core.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st = idx.Search(queries)
+				_, st = idx.KNNBatch(queries, 1)
 			}
 			b.StopTimer()
 			evalsPerQ := float64(st.TotalEvals()) / float64(queries.N())
@@ -192,13 +193,13 @@ func BenchmarkTable3_CoverTreeVsRBC(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for qi := 0; qi < queries.N(); qi++ {
-					tree.NN(queries.Row(qi))
+					tree.KNN(queries.Row(qi), 1)
 				}
 			}
 			b.StopTimer()
 			tree.DistEvals = 0
 			for qi := 0; qi < queries.N(); qi++ {
-				tree.NN(queries.Row(qi))
+				tree.KNN(queries.Row(qi), 1)
 			}
 			b.ReportMetric(float64(tree.DistEvals)/float64(queries.N()), "evals/query")
 		})
@@ -212,7 +213,7 @@ func BenchmarkTable3_CoverTreeVsRBC(b *testing.B) {
 			var st core.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st = idx.Search(queries)
+				_, st = idx.KNNBatch(queries, 1)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(st.TotalEvals())/float64(queries.N()), "evals/query")
@@ -235,7 +236,7 @@ func BenchmarkFig3_RepSweep(b *testing.B) {
 			var st core.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st = idx.Search(queries)
+				_, st = idx.KNNBatch(queries, 1)
 			}
 			b.StopTimer()
 			evalsPerQ := float64(st.TotalEvals()) / float64(queries.N())

@@ -10,12 +10,19 @@
 //   - every inline code span that starts with a command-line flag
 //     (`-name`, `-name value`, `-name=value`) names a flag that some
 //     command under cmd/ defines with flag.<Kind>("name", …), or one of
-//     the few Go tool flags the docs use.
+//     the few Go tool flags the docs use, and
+//   - every dotted name in an inline code span that starts at a package
+//     or type of this module (`core.Exact`, `Exact.KNN`,
+//     `core.ExactParams.EarlyExit`) names an exported declaration that
+//     exists: a package's top-level name, or a type's method or field
+//     (promoted ones included). Declarations in test files and in nested
+//     modules (bench/) do not count; chains that start anywhere else —
+//     stdlib packages, local variables — are not checked.
 //
 // It prints one line per violation and exits nonzero if there are any,
 // so CI can run `docscheck README.md ARCHITECTURE.md docs/OPERATIONS.md`
 // from the repository root and fail the build when an example rots, a
-// link dangles or a deleted flag lingers in the prose.
+// link dangles or a deleted flag or API lingers in the prose.
 package main
 
 import (
@@ -25,6 +32,7 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -33,8 +41,9 @@ import (
 )
 
 var (
-	linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
-	flagRe = regexp.MustCompile(`^-([A-Za-z][A-Za-z0-9-]*)`)
+	linkRe  = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
+	flagRe  = regexp.MustCompile(`^-([A-Za-z][A-Za-z0-9-]*)`)
+	chainRe = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+`)
 )
 
 // goToolFlags are flags of the go tool itself, which the docs may name
@@ -51,9 +60,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(2)
 	}
+	syms, err := declaredSymbols(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(2)
+	}
 	bad := 0
 	for _, path := range os.Args[1:] {
-		for _, problem := range checkFile(path, flags) {
+		for _, problem := range checkFile(path, flags, syms) {
 			fmt.Println(problem)
 			bad++
 		}
@@ -100,7 +114,198 @@ func definedFlags(cmdDir string) (map[string]bool, error) {
 	return flags, nil
 }
 
-func checkFile(path string, flags map[string]bool) []string {
+// symbols is the exported surface of the module's non-test code.
+type symbols struct {
+	pkgs    map[string]map[string]bool // package name → exported top-level names
+	members map[string]map[string]bool // type name → exported methods and fields
+	embeds  map[string][]string        // type name → embedded type names
+}
+
+// declaredSymbols parses every non-test Go file under root, skipping the
+// directories the go tool ignores and nested modules. Types are keyed by
+// bare name, so same-named types of different packages (and aliases such
+// as rbc.Exact = core.Exact) share one member set.
+func declaredSymbols(root string) (*symbols, error) {
+	s := &symbols{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{}}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		s.addFile(f)
+		return nil
+	})
+	return s, err
+}
+
+func (s *symbols) addFile(f *ast.File) {
+	pkg := s.pkgs[f.Name.Name]
+	if pkg == nil {
+		pkg = map[string]bool{}
+		s.pkgs[f.Name.Name] = pkg
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if d.Recv == nil {
+				pkg[d.Name.Name] = true
+			} else if typ := typeName(d.Recv.List[0].Type); typ != "" {
+				s.member(typ)[d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() {
+						pkg[sp.Name.Name] = true
+					}
+					s.addMembers(sp.Name.Name, sp.Type)
+				case *ast.ValueSpec:
+					for _, n := range sp.Names {
+						if n.IsExported() {
+							pkg[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// addMembers records a type's exported fields or interface methods and
+// its embedded types.
+func (s *symbols) addMembers(typ string, expr ast.Expr) {
+	set := s.member(typ)
+	var fields *ast.FieldList
+	switch t := expr.(type) {
+	case *ast.StructType:
+		fields = t.Fields
+	case *ast.InterfaceType:
+		fields = t.Methods
+	default:
+		return
+	}
+	for _, field := range fields.List {
+		if len(field.Names) == 0 {
+			if emb := typeName(field.Type); emb != "" {
+				s.embeds[typ] = append(s.embeds[typ], emb)
+				if ast.IsExported(emb) {
+					set[emb] = true
+				}
+			}
+			continue
+		}
+		for _, n := range field.Names {
+			if n.IsExported() {
+				set[n.Name] = true
+			}
+		}
+	}
+}
+
+func (s *symbols) member(typ string) map[string]bool {
+	set := s.members[typ]
+	if set == nil {
+		set = map[string]bool{}
+		s.members[typ] = set
+	}
+	return set
+}
+
+// hasMember reports whether typ, or a type it embeds, declares name.
+func (s *symbols) hasMember(typ, name string, seen map[string]bool) bool {
+	if s.members[typ][name] {
+		return true
+	}
+	seen[typ] = true
+	for _, emb := range s.embeds[typ] {
+		if !seen[emb] && s.hasMember(emb, name, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// typeName is the bare name of a receiver or embedded type expression:
+// T, *T, T[P], pkg.T.
+func typeName(expr ast.Expr) string {
+	switch t := expr.(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.StarExpr:
+		return typeName(t.X)
+	case *ast.IndexExpr:
+		return typeName(t.X)
+	case *ast.IndexListExpr:
+		return typeName(t.X)
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	}
+	return ""
+}
+
+// checkSymbols looks at the line's inline code spans and resolves every
+// dotted chain that starts at a package or type of this module, one link
+// at a time: after a package comes one of its exported names, after a
+// type one of its exported methods or fields. Links past a name that is
+// neither a package nor a type (a func's result, a field's value) are not
+// followed.
+func checkSymbols(path string, lineNo int, line string, syms *symbols) []string {
+	if syms == nil {
+		return nil
+	}
+	var problems []string
+	spans := strings.Split(line, "`")
+	for i := 1; i < len(spans); i += 2 {
+		for _, chain := range chainRe.FindAllString(spans[i], -1) {
+			parts := strings.Split(chain, ".")
+			for j := 0; j+1 < len(parts); j++ {
+				x, y := parts[j], parts[j+1]
+				_, isPkg := syms.pkgs[x]
+				_, isType := syms.members[x]
+				if j > 0 {
+					isPkg = false // only the chain's head may name a package
+				}
+				if !isPkg && !isType {
+					break
+				}
+				if !ast.IsExported(y) {
+					break
+				}
+				if (isPkg && syms.pkgs[x][y]) || (isType && syms.hasMember(x, y, map[string]bool{})) {
+					continue
+				}
+				problems = append(problems, fmt.Sprintf("%s:%d: `%s`: %s.%s is declared by no non-test code in this module", path, lineNo, chain, x, y))
+				break
+			}
+		}
+	}
+	return problems
+}
+
+func checkFile(path string, flags map[string]bool, syms *symbols) []string {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return []string{fmt.Sprintf("%s: %v", path, err)}
@@ -133,6 +338,7 @@ func checkFile(path string, flags map[string]bool) []string {
 		}
 		problems = append(problems, checkLinks(path, i+1, line)...)
 		problems = append(problems, checkFlags(path, i+1, line, flags)...)
+		problems = append(problems, checkSymbols(path, i+1, line, syms)...)
 	}
 	if inFence {
 		problems = append(problems, fmt.Sprintf("%s:%d: unclosed code fence", path, fenceStart))

@@ -19,10 +19,12 @@
 //	db := rbc.NewDataset(dim)          // or load with rbc.LoadDataset
 //	// ... db.Append(point) ...
 //	idx, err := rbc.BuildExact(db, rbc.Euclidean(), rbc.ExactParams{})
-//	res, _ := idx.One(query)           // res.ID, res.Dist
+//	nn, _ := idx.KNN(query, 1)         // nn[0].ID, nn[0].Dist
 //
-// Both index types support k-NN (KNN, SearchK) and batched parallel
-// search (Search); Exact additionally supports ε-range queries (Range,
+// There is one query shape: k-NN, per query (KNN) or for a whole block in
+// parallel (KNNBatch). The paper's 1-NN search is k = 1, where the k-NN
+// pruning rules reduce to its own; an empty answer means no point
+// qualified. Exact additionally supports ε-range queries (Range,
 // RangeBatch) and a (1+ε)-approximate mode (ExactParams.ApproxEps).
 // Every search returns work statistics (distance evaluations by phase)
 // for machine-independent performance analysis.
@@ -119,8 +121,8 @@
 //
 // Every answer path runs on the exact kernel grade (see
 // repro/internal/metric for the full contract): the builds, the Exact and
-// OneShot query paths (BuildExact, BuildOneShot, One/KNN/Search/SearchK/
-// Range, OneShot.Certify), BruteForce and BruteForceK, and
+// OneShot query paths (BuildExact, BuildOneShot, KNN/KNNBatch/Range/
+// RangeBatch, OneShot.Certify), BruteForceK, and
 // bruteforce.Search/SearchK. Its per-pair arithmetic is bit-identical to
 // the per-query reference — results are reproducible down to the last
 // bit, ties included, for any tiling or batch shape. (One caveat against

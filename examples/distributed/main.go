@@ -48,9 +48,9 @@ func main() {
 	diverged := 0
 	for qi := 0; qi < nQueries; qi++ {
 		q := all.Row(n + qi)
-		r, mr, _ := cluster.Query(q)
+		r, mr, _ := cluster.KNN(q, 1)
 		b, mb, _ := cluster.QueryBroadcast(q)
-		if r.Dist != b.Dist {
+		if r[0].Dist != b[0].Dist {
 			diverged++
 		}
 		routed.Add(mr)
@@ -80,11 +80,11 @@ func main() {
 	for i := range qids {
 		qids[i] = n + i
 	}
-	batch, bm, _ := cluster.QueryBatch(all.Subset(qids))
+	batch, bm, _ := cluster.KNNBatch(all.Subset(qids), 1)
 	divergedBatch := 0
 	for qi := 0; qi < nQueries; qi++ {
-		r, _, _ := cluster.Query(all.Row(n + qi))
-		if batch[qi] != r {
+		r, _, _ := cluster.KNN(all.Row(n+qi), 1)
+		if batch[qi][0] != r[0] {
 			divergedBatch++
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/metric"
+	"repro/internal/par"
 )
 
 // mutate applies up to edits random single-character edits to s.
@@ -83,9 +84,18 @@ func main() {
 		queries[i] = mutate(rng, words[rng.Intn(len(words))], 1+rng.Intn(2))
 	}
 
+	// 1-NN lookups (KNN at k = 1), in parallel like the brute force below.
 	start := time.Now()
-	res, st := idx.Search(queries)
+	res := make([][]par.Neighbor, nQueries)
+	perQuery := make([]core.Stats, nQueries)
+	par.ForEach(nQueries, 1, func(i int) {
+		res[i], perQuery[i] = idx.KNN(queries[i], 1)
+	})
 	rbcTime := time.Since(start)
+	var st core.Stats
+	for _, s := range perQuery {
+		st.Add(s)
+	}
 
 	start = time.Now()
 	want := bruteforce.SearchGeneric(queries, words, m, nil)
@@ -93,7 +103,7 @@ func main() {
 
 	mismatches := 0
 	for i := range res {
-		if res[i].Dist != want[i].Dist {
+		if res[i][0].Dist != want[i].Dist {
 			mismatches++
 		}
 	}
@@ -108,6 +118,6 @@ func main() {
 	fmt.Println("\nsample corrections:")
 	for i := 0; i < 5; i++ {
 		fmt.Printf("  %-14q -> %-14q (distance %.0f)\n",
-			queries[i], words[res[i].ID], res[i].Dist)
+			queries[i], words[res[i][0].ID], res[i][0].Dist)
 	}
 }

@@ -57,10 +57,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, st := idx.Search(queries)
+		res, st := idx.KNNBatch(queries, 1)
 		got := make([]float64, nQueries)
 		for i, r := range res {
-			got[i] = r.Dist
+			got[i] = r[0].Dist
 		}
 		evalsPerQ := float64(st.TotalEvals()) / nQueries
 		fmt.Printf("%-10d %-10.0f %-12.1f %-12.3f %-8.3f\n",

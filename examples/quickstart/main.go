@@ -38,13 +38,14 @@ func main() {
 	}
 	fmt.Printf("exact index: %d representatives over %d points\n", exact.NumReps(), db.N())
 
-	// 3. Query it. Stats show how much of the database was examined.
+	// 3. Query it: KNN at k = 1 is the paper's 1-NN search. Stats show how
+	// much of the database was examined.
 	query := db.Row(137) // a database point: its NN is itself
-	res, st := exact.One(query)
+	nn, st := exact.KNN(query, 1)
 	fmt.Printf("exact 1-NN: id=%d dist=%.4f — examined %d of %d points (%.1f%%)\n",
-		res.ID, res.Dist, st.TotalEvals(), db.N(), 100*float64(st.TotalEvals())/float64(db.N()))
+		nn[0].ID, nn[0].Dist, st.TotalEvals(), db.N(), 100*float64(st.TotalEvals())/float64(db.N()))
 
-	// 4. k-NN and range queries come along for free.
+	// 4. Larger k and range queries come along for free.
 	knn, _ := exact.KNN(query, 5)
 	fmt.Printf("exact 5-NN ids: ")
 	for _, nb := range knn {
@@ -69,13 +70,13 @@ func main() {
 	for i := 0; i < 1000; i++ {
 		queries.Append(db.Row(rng.Intn(n)))
 	}
-	batch, stBatch := exact.Search(queries)
+	batch, stBatch := exact.KNNBatch(queries, 1)
 	fmt.Printf("exact batch:    %d queries, mean %.0f evals/query (brute force would be %d)\n",
 		len(batch), float64(stBatch.TotalEvals())/float64(len(batch)), db.N())
-	osBatch, stOS := oneshot.Search(queries)
+	osBatch, stOS := oneshot.KNNBatch(queries, 1)
 	correct := 0
 	for i := range osBatch {
-		if osBatch[i].Dist == batch[i].Dist {
+		if osBatch[i][0].Dist == batch[i][0].Dist {
 			correct++
 		}
 	}

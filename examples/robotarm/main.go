@@ -82,9 +82,9 @@ func main() {
 	bad := 0
 	for qi := 0; qi < 50; qi++ {
 		state := all.Row(nDB + qi)
-		got, _ := idx.One(state)
+		got, _ := idx.KNN(state, 1)
 		want := bruteForce1NN(db, state)
-		if got.Dist != want {
+		if got[0].Dist != want {
 			bad++
 		}
 	}

@@ -374,21 +374,6 @@ func SearchOneK(q []float32, db *vec.Dataset, k int, m metric.Metric[[]float32],
 	return res
 }
 
-// SearchSubset is BF(q, X[L]): the nearest neighbor of q among the
-// database rows listed in ids. Returned IDs are database ids (not list
-// positions). Ties break toward the id appearing earliest in ids.
-func SearchSubset(q []float32, db *vec.Dataset, ids []int, m metric.Metric[[]float32], c *Counter) Result {
-	best := Result{ID: -1, Dist: math.Inf(1)}
-	for _, id := range ids {
-		d := m.Distance(q, db.Row(id))
-		if d < best.Dist {
-			best = Result{ID: id, Dist: d}
-		}
-	}
-	c.Add(len(ids))
-	return best
-}
-
 // rescoreBlock is how many candidate rows RescoreK gathers per kernel
 // call; sized so the gathered block and its ordering row stay cache-hot.
 const rescoreBlock = 256

@@ -142,23 +142,6 @@ func TestSearchKEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSearchSubset(t *testing.T) {
-	db := vec.FromRows([][]float32{{0}, {1}, {2}, {3}, {4}})
-	q := []float32{3.4}
-	var c Counter
-	r := SearchSubset(q, db, []int{0, 1, 4}, metric.Euclidean{}, &c)
-	if r.ID != 4 {
-		t.Fatalf("nearest in subset should be id 4, got %+v", r)
-	}
-	if c.Load() != 3 {
-		t.Fatalf("evals=%d, want 3", c.Load())
-	}
-	r = SearchSubset(q, db, nil, metric.Euclidean{}, nil)
-	if r.ID != -1 {
-		t.Fatal("empty subset should return ID -1")
-	}
-}
-
 func TestRangeSearch(t *testing.T) {
 	db := vec.FromRows([][]float32{{0}, {1}, {2}, {3}})
 	hits := RangeSearch([]float32{1.25}, db, 1.3, metric.Euclidean{}, nil)
@@ -227,10 +210,6 @@ func TestGenericStrings(t *testing.T) {
 	hits := RangeSearchGeneric("kitten", db, 1.0, metric.Edit{}, nil)
 	if len(hits) != 3 { // kitten(0), mitten(1), bitten(1)
 		t.Fatalf("range hits %v", hits)
-	}
-	sub := SearchSubsetGeneric("kitten", db, []int{2, 3}, metric.Edit{}, nil)
-	if sub.ID != 3 {
-		t.Fatalf("subset generic: %+v", sub)
 	}
 }
 

@@ -49,19 +49,6 @@ func SearchOneKGeneric[P any](q P, db []P, k int, m metric.Metric[P], c *Counter
 	return h.Results()
 }
 
-// SearchSubsetGeneric is BF(q, X[L]) for arbitrary point types.
-func SearchSubsetGeneric[P any](q P, db []P, ids []int, m metric.Metric[P], c *Counter) Result {
-	best := Result{ID: -1, Dist: math.Inf(1)}
-	for _, id := range ids {
-		d := m.Distance(q, db[id])
-		if d < best.Dist {
-			best = Result{ID: id, Dist: d}
-		}
-	}
-	c.Add(len(ids))
-	return best
-}
-
 // RangeSearchGeneric returns all points of db within eps of q, sorted by
 // ascending distance.
 func RangeSearchGeneric[P any](q P, db []P, eps float64, m metric.Metric[P], c *Counter) []par.Neighbor {

@@ -21,15 +21,12 @@ func TestExactBatchGoesThroughTiledKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := randomDataset(rng, 64, 6)
-	before := metric.TileInvocations()
-	e.Search(queries)
-	if metric.TileInvocations() == before {
-		t.Fatal("Exact.Search performed no tiled kernel invocations")
-	}
-	before = metric.TileInvocations()
-	e.SearchK(queries, 3)
-	if metric.TileInvocations() == before {
-		t.Fatal("Exact.SearchK performed no tiled kernel invocations")
+	for _, k := range []int{1, 3} {
+		before := metric.TileInvocations()
+		e.KNNBatch(queries, k)
+		if metric.TileInvocations() == before {
+			t.Fatalf("Exact.KNNBatch(k=%d) performed no tiled kernel invocations", k)
+		}
 	}
 }
 
@@ -42,9 +39,9 @@ func TestOneShotBatchGoesThroughTiledKernels(t *testing.T) {
 	}
 	queries := randomDataset(rng, 64, 6)
 	before := metric.TileInvocations()
-	o.Search(queries)
+	o.KNNBatch(queries, 1)
 	if metric.TileInvocations() == before {
-		t.Fatal("OneShot.Search performed no tiled kernel invocations")
+		t.Fatal("OneShot.KNNBatch performed no tiled kernel invocations")
 	}
 }
 
@@ -99,26 +96,26 @@ func TestOneShotSearchBatchMatchesOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		queries := randomDataset(rng, 40, 5)
-		batch, st := o.Search(queries)
-		if st.RepEvals != int64(queries.N()*o.NumReps()) {
-			t.Fatalf("RepEvals=%d, want %d", st.RepEvals, queries.N()*o.NumReps())
-		}
-		for i := 0; i < queries.N(); i++ {
-			one, _ := o.One(queries.Row(i))
-			if batch[i] != one {
-				t.Fatalf("probes=%d batch[%d]=%+v, One=%+v", probes, i, batch[i], one)
+		for _, k := range []int{1, 4} {
+			batchK, st := o.KNNBatch(queries, k)
+			if st.RepEvals != int64(queries.N()*o.NumReps()) {
+				t.Fatalf("k=%d: RepEvals=%d, want %d", k, st.RepEvals, queries.N()*o.NumReps())
 			}
-		}
-		batchK, _ := o.SearchK(queries, 4)
-		for i := 0; i < queries.N(); i++ {
-			oneK, _ := o.KNN(queries.Row(i), 4)
-			if len(batchK[i]) != len(oneK) {
-				t.Fatalf("probes=%d: batchK[%d] has %d results, KNN %d", probes, i, len(batchK[i]), len(oneK))
-			}
-			for j := range oneK {
-				if batchK[i][j] != oneK[j] {
-					t.Fatalf("probes=%d batchK[%d][%d]=%+v, KNN %+v", probes, i, j, batchK[i][j], oneK[j])
+			var sum Stats
+			for i := 0; i < queries.N(); i++ {
+				oneK, s := o.KNN(queries.Row(i), k)
+				sum.Add(s)
+				if len(batchK[i]) != len(oneK) {
+					t.Fatalf("probes=%d k=%d: batchK[%d] has %d results, KNN %d", probes, k, i, len(batchK[i]), len(oneK))
 				}
+				for j := range oneK {
+					if batchK[i][j] != oneK[j] {
+						t.Fatalf("probes=%d k=%d batchK[%d][%d]=%+v, KNN %+v", probes, k, i, j, batchK[i][j], oneK[j])
+					}
+				}
+			}
+			if sum != st {
+				t.Fatalf("probes=%d k=%d: per-query Stats %+v, batch %+v", probes, k, sum, st)
 			}
 		}
 	}
@@ -130,7 +127,7 @@ var raceEnabled bool
 
 // Allocation regression guards (-benchmem equivalent): per-query work must
 // come from pooled scratch. KNN may allocate only the returned slice (plus
-// Results' sort bookkeeping); batch Search must stay amortized zero.
+// Results' sort bookkeeping); KNNBatch only the per-query result slices.
 func TestSearchAllocGuards(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -149,29 +146,25 @@ func TestSearchAllocGuards(t *testing.T) {
 	q := db.Row(42)
 	queries := db.Subset(seqInts(0, 128))
 
-	e.One(q) // warm pools
-	if allocs := testing.AllocsPerRun(20, func() { e.One(q) }); allocs > 2 {
-		t.Fatalf("Exact.One allocates %.1f per query, want ~0", allocs)
-	}
-	e.KNN(q, 5)
-	if allocs := testing.AllocsPerRun(20, func() { e.KNN(q, 5) }); allocs > 3 {
-		t.Fatalf("Exact.KNN allocates %.1f per query, want only the result slice", allocs)
-	}
-	o.One(q)
-	if allocs := testing.AllocsPerRun(20, func() { o.One(q) }); allocs > 2 {
-		t.Fatalf("OneShot.One allocates %.1f per query, want ~0", allocs)
-	}
-	o.KNN(q, 5)
-	if allocs := testing.AllocsPerRun(20, func() { o.KNN(q, 5) }); allocs > 3 {
-		t.Fatalf("OneShot.KNN allocates %.1f per query, want only the result slice", allocs)
+	for _, k := range []int{1, 5} {
+		e.KNN(q, k) // warm pools
+		if allocs := testing.AllocsPerRun(20, func() { e.KNN(q, k) }); allocs > 3 {
+			t.Fatalf("Exact.KNN(k=%d) allocates %.1f per query, want only the result slice", k, allocs)
+		}
+		o.KNN(q, k)
+		if allocs := testing.AllocsPerRun(20, func() { o.KNN(q, k) }); allocs > 3 {
+			t.Fatalf("OneShot.KNN(k=%d) allocates %.1f per query, want only the result slice", k, allocs)
+		}
 	}
 
-	e.Search(queries)
-	if allocs := testing.AllocsPerRun(5, func() { e.Search(queries) }); allocs > float64(queries.N())/4 {
-		t.Fatalf("Exact.Search allocates %.0f for %d queries, want amortized zero", allocs, queries.N())
+	// One result slice per query, plus amortized-zero everything else.
+	budget := float64(queries.N()) * 5 / 4
+	e.KNNBatch(queries, 1)
+	if allocs := testing.AllocsPerRun(5, func() { e.KNNBatch(queries, 1) }); allocs > budget {
+		t.Fatalf("Exact.KNNBatch allocates %.0f for %d queries, want only the result slices", allocs, queries.N())
 	}
-	o.Search(queries)
-	if allocs := testing.AllocsPerRun(5, func() { o.Search(queries) }); allocs > float64(queries.N())/4 {
-		t.Fatalf("OneShot.Search allocates %.0f for %d queries, want amortized zero", allocs, queries.N())
+	o.KNNBatch(queries, 1)
+	if allocs := testing.AllocsPerRun(5, func() { o.KNNBatch(queries, 1) }); allocs > budget {
+		t.Fatalf("OneShot.KNNBatch allocates %.0f for %d queries, want only the result slices", allocs, queries.N())
 	}
 }

@@ -25,13 +25,6 @@ import (
 	"sort"
 )
 
-// Result is a nearest-neighbor answer: database id and distance.
-// ID is -1 when no point qualified.
-type Result struct {
-	ID   int
-	Dist float64
-}
-
 // Stats reports the work a search performed, split by phase, so
 // experiments can measure machine-independent speedups
 // (brute-force cost / (RepEvals+PointEvals)).

@@ -340,22 +340,11 @@ func (e *Exact) List(j int) (ids []int32, dists []float64, rows []float32) {
 // the requested value; see NumReps() for the realized count).
 func (e *Exact) Params() ExactParams { return e.prm }
 
-// One returns the exact nearest neighbor of q (or a (1+ε)-approximate one
-// when ApproxEps > 0), along with the work performed.
-func (e *Exact) One(q []float32) (Result, Stats) {
-	sc := par.GetScratch()
-	defer par.PutScratch(sc)
-	h, st := e.one(q, 1, nil, sc)
-	nb, ok := h.Best()
-	if !ok {
-		return Result{ID: -1, Dist: math.Inf(1)}, st
-	}
-	return Result{ID: nb.ID, Dist: e.ker.ToDistance(nb.Dist)}, st
-}
-
 // KNN returns the k exact nearest neighbors of q sorted by ascending
-// distance. Fewer than k are returned only if the database is smaller
-// than k.
+// distance (with ApproxEps > 0, (1+ε)-approximate ones), along with the
+// work performed. Fewer than k are returned only if fewer than k points
+// are live; k = 1 is the paper's 1-NN search, and an index whose every
+// row is deleted answers with an empty slice.
 func (e *Exact) KNN(q []float32, k int) ([]par.Neighbor, Stats) {
 	if k <= 0 {
 		return nil, Stats{}
@@ -432,26 +421,12 @@ func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par
 	return h, st
 }
 
-// Search answers a batch of queries in parallel and returns the per-query
-// results plus aggregated stats. The phase-1 scans run as a single tiled
-// BF(Q,R) front half — query tiles against representative tiles — before
-// the per-query pruning and list scans.
-func (e *Exact) Search(queries *vec.Dataset) ([]Result, Stats) {
-	e.checkDim(queries.Dim)
-	out := make([]Result, queries.N())
-	agg := e.batch(queries, 1, func(i int, h *par.KHeap) {
-		nb, ok := h.Best()
-		if !ok {
-			out[i] = Result{ID: -1, Dist: math.Inf(1)}
-			return
-		}
-		out[i] = Result{ID: nb.ID, Dist: e.ker.ToDistance(nb.Dist)}
-	})
-	return out, agg
-}
-
-// SearchK answers a batch of k-NN queries in parallel.
-func (e *Exact) SearchK(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
+// KNNBatch is the batch-first k-NN entry point (search.BatchSearcher): it
+// answers a query block in parallel and returns the per-query results plus
+// aggregated stats. The whole block shares one tiled BF(Q,R) front half —
+// query tiles against representative tiles — before the pruning and list
+// scans run. Results are bit-identical to calling KNN per query.
+func (e *Exact) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
 	e.checkDim(queries.Dim)
 	out := make([][]par.Neighbor, queries.N())
 	if k <= 0 {
@@ -461,14 +436,6 @@ func (e *Exact) SearchK(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
 		out[i] = e.finish(h)
 	})
 	return out, agg
-}
-
-// KNNBatch is the batch-first k-NN entry point (search.BatchSearcher):
-// the whole query block shares one tiled BF(Q,R) front half before the
-// per-query back halves run. Results are bit-identical to calling KNN per
-// query.
-func (e *Exact) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
-	return e.SearchK(queries, k)
 }
 
 // batch answers a query block. A pristine index takes the fully grouped

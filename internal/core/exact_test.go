@@ -130,9 +130,9 @@ func TestExactMatchesBruteForce(t *testing.T) {
 			queries := randomDataset(rng, 60, cfg.db.Dim)
 			for i := 0; i < queries.N(); i++ {
 				q := queries.Row(i)
-				got, _ := e.One(q)
+				got, _ := e.KNN(q, 1)
 				want := bruteforce.SearchOne(q, cfg.db, metric.Euclidean{}, nil)
-				if got.Dist != want.Dist {
+				if got[0].Dist != want.Dist {
 					t.Fatalf("query %d: got %+v want %+v", i, got, want)
 				}
 			}
@@ -149,9 +149,9 @@ func TestExactQueryOnDatabasePoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		got, _ := e.One(db.Row(i))
-		if got.Dist != 0 {
-			t.Fatalf("db point %d: dist %v", i, got.Dist)
+		got, _ := e.KNN(db.Row(i), 1)
+		if got[0].Dist != 0 {
+			t.Fatalf("db point %d: dist %v", i, got[0].Dist)
 		}
 	}
 }
@@ -250,24 +250,26 @@ func TestExactSearchBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := randomDataset(rng, 30, 4)
-	batch, st := e.Search(queries)
-	if st.RepEvals != int64(queries.N()*e.NumReps()) {
-		t.Fatalf("RepEvals=%d, want %d", st.RepEvals, queries.N()*e.NumReps())
-	}
-	for i := 0; i < queries.N(); i++ {
-		one, _ := e.One(queries.Row(i))
-		if batch[i] != one {
-			t.Fatalf("batch[%d]=%+v, One=%+v", i, batch[i], one)
+	for _, k := range []int{1, 3} {
+		batchK, st := e.KNNBatch(queries, k)
+		if st.RepEvals != int64(queries.N()*e.NumReps()) {
+			t.Fatalf("k=%d: RepEvals=%d, want %d", k, st.RepEvals, queries.N()*e.NumReps())
 		}
-	}
-	// k-NN batch too.
-	batchK, _ := e.SearchK(queries, 3)
-	for i := 0; i < queries.N(); i++ {
-		oneK, _ := e.KNN(queries.Row(i), 3)
-		for j := range oneK {
-			if batchK[i][j] != oneK[j] {
-				t.Fatalf("batchK[%d][%d] mismatch", i, j)
+		var sum Stats
+		for i := 0; i < queries.N(); i++ {
+			oneK, s := e.KNN(queries.Row(i), k)
+			sum.Add(s)
+			if len(batchK[i]) != len(oneK) {
+				t.Fatalf("k=%d: batchK[%d] has %d results, KNN %d", k, i, len(batchK[i]), len(oneK))
 			}
+			for j := range oneK {
+				if batchK[i][j] != oneK[j] {
+					t.Fatalf("k=%d: batchK[%d][%d]=%+v, KNN %+v", k, i, j, batchK[i][j], oneK[j])
+				}
+			}
+		}
+		if sum != st {
+			t.Fatalf("k=%d: per-query Stats %+v, batch %+v", k, sum, st)
 		}
 	}
 }
@@ -280,7 +282,7 @@ func TestExactDoesLessWorkThanBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := randomDataset(rng, 50, 8)
-	_, st := e.Search(queries)
+	_, st := e.KNNBatch(queries, 1)
 	perQuery := float64(st.TotalEvals()) / float64(queries.N())
 	if perQuery >= float64(db.N())/2 {
 		t.Fatalf("exact search examined %.0f points per query; brute force would be %d", perQuery, db.N())
@@ -307,10 +309,10 @@ func TestExactPruningBoundsIndividually(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st := e.Search(queries)
+		got, st := e.KNNBatch(queries, 1)
 		for i := range got {
-			if got[i].Dist != want[i].Dist {
-				t.Fatalf("params %+v query %d: %v want %v", prm, i, got[i].Dist, want[i].Dist)
+			if got[i][0].Dist != want[i].Dist {
+				t.Fatalf("params %+v query %d: %v want %v", prm, i, got[i][0].Dist, want[i].Dist)
 			}
 		}
 		if prm.PrunePsi && st.PrunedPsi == 0 {
@@ -333,10 +335,10 @@ func TestExactApproxGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stApprox := e.Search(queries)
+		got, stApprox := e.KNNBatch(queries, 1)
 		for i := range got {
-			if got[i].Dist > (1+eps)*want[i].Dist+1e-9 {
-				t.Fatalf("eps=%v query %d: got %v, exceeds (1+eps)*%v", eps, i, got[i].Dist, want[i].Dist)
+			if got[i][0].Dist > (1+eps)*want[i].Dist+1e-9 {
+				t.Fatalf("eps=%v query %d: got %v, exceeds (1+eps)*%v", eps, i, got[i][0].Dist, want[i].Dist)
 			}
 		}
 		exact, stExact := func() (*Exact, Stats) {
@@ -344,7 +346,7 @@ func TestExactApproxGuarantee(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, s := ee.Search(queries)
+			_, s := ee.KNNBatch(queries, 1)
 			return ee, s
 		}()
 		_ = exact
@@ -368,9 +370,9 @@ func TestExactDegenerateAllReps(t *testing.T) {
 		t.Fatalf("NumReps=%d, want %d", e.NumReps(), db.N())
 	}
 	q := []float32{0.2, -0.3, 0.5}
-	got, _ := e.One(q)
+	got, _ := e.KNN(q, 1)
 	want := bruteforce.SearchOne(q, db, m, nil)
-	if got.Dist != want.Dist {
+	if got[0].Dist != want.Dist {
 		t.Fatalf("got %+v want %+v", got, want)
 	}
 }
@@ -381,8 +383,8 @@ func TestExactSingletonDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := e.One([]float32{0, 0})
-	if got.ID != 0 {
+	got, _ := e.KNN([]float32{0, 0}, 1)
+	if len(got) != 1 || got[0].ID != 0 {
 		t.Fatalf("got %+v", got)
 	}
 	knn, _ := e.KNN([]float32{0, 0}, 5)
@@ -413,7 +415,7 @@ func TestExactDimMismatchPanics(t *testing.T) {
 			t.Fatal("dim mismatch should panic")
 		}
 	}()
-	e.Search(vec.FromRows([][]float32{{1, 2, 3}}))
+	e.KNNBatch(vec.FromRows([][]float32{{1, 2, 3}}), 1)
 }
 
 func TestExactAccessors(t *testing.T) {
@@ -512,9 +514,9 @@ func TestQuickExactAlwaysExact(t *testing.T) {
 		}
 		for trial := 0; trial < 4; trial++ {
 			q := randomDataset(rng, 1, 3).Row(0)
-			got, _ := e.One(q)
+			got, _ := e.KNN(q, 1)
 			want := bruteforce.SearchOne(q, db, m, nil)
-			if got.Dist != want.Dist {
+			if got[0].Dist != want.Dist {
 				return false
 			}
 		}

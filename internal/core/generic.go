@@ -79,31 +79,6 @@ func BuildGenericExact[P any](db []P, m metric.Metric[P], prm ExactParams) (*Gen
 // NumReps reports the realized number of representatives.
 func (g *GenericExact[P]) NumReps() int { return len(g.repIDs) }
 
-// One returns the exact nearest neighbor of q and the work performed: the
-// k = 1 case of KNN, where the pruning rules are the paper's own
-// (γ_k = γ_1 = γ, 2γ_k + γ_1 = 3γ).
-func (g *GenericExact[P]) One(q P) (Result, Stats) {
-	nbs, st := g.KNN(q, 1)
-	if len(nbs) == 0 {
-		return Result{ID: -1, Dist: math.Inf(1)}, st
-	}
-	return Result{ID: nbs[0].ID, Dist: nbs[0].Dist}, st
-}
-
-// Search answers a batch of queries in parallel.
-func (g *GenericExact[P]) Search(queries []P) ([]Result, Stats) {
-	out := make([]Result, len(queries))
-	stats := make([]Stats, len(queries))
-	par.ForEach(len(queries), 1, func(i int) {
-		out[i], stats[i] = g.One(queries[i])
-	})
-	var agg Stats
-	for i := range stats {
-		agg.Add(stats[i])
-	}
-	return out, agg
-}
-
 // GenericOneShot is the one-shot RBC over a []P database.
 type GenericOneShot[P any] struct {
 	db  []P
@@ -146,39 +121,3 @@ func BuildGenericOneShot[P any](db []P, m metric.Metric[P], prm OneShotParams) (
 
 // NumReps reports the realized number of representatives.
 func (g *GenericOneShot[P]) NumReps() int { return len(g.repIDs) }
-
-// One runs the one-shot search for q.
-func (g *GenericOneShot[P]) One(q P) (Result, Stats) {
-	nr := g.NumReps()
-	st := Stats{RepEvals: int64(nr)}
-	bestRep, bd := -1, math.Inf(1)
-	for j, rid := range g.repIDs {
-		if d := g.m.Distance(q, g.db[rid]); d < bd {
-			bestRep, bd = j, d
-		}
-	}
-	st.RepsKept = 1
-	best := Result{ID: -1, Dist: math.Inf(1)}
-	for _, id := range g.lists[bestRep] {
-		d := g.m.Distance(q, g.db[int(id)])
-		st.PointEvals++
-		if d < best.Dist || (d == best.Dist && int(id) < best.ID) {
-			best = Result{ID: int(id), Dist: d}
-		}
-	}
-	return best, st
-}
-
-// Search answers a batch of queries in parallel.
-func (g *GenericOneShot[P]) Search(queries []P) ([]Result, Stats) {
-	out := make([]Result, len(queries))
-	stats := make([]Stats, len(queries))
-	par.ForEach(len(queries), 1, func(i int) {
-		out[i], stats[i] = g.One(queries[i])
-	})
-	var agg Stats
-	for i := range stats {
-		agg.Add(stats[i])
-	}
-	return out, agg
-}

@@ -12,7 +12,8 @@ import (
 // per-point Distance calls in place of batched scans.
 
 // KNN returns the k exact nearest neighbors of q under the generic exact
-// index, sorted by ascending distance.
+// index, sorted by ascending distance. At k = 1 the pruning rules are the
+// paper's own 1-NN rules (γ_k = γ_1 = γ, 2γ_k + γ_1 = 3γ).
 func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 	if k <= 0 {
 		return nil, Stats{}
@@ -97,7 +98,8 @@ func (g *GenericExact[P]) Range(q P, eps float64) ([]par.Neighbor, Stats) {
 }
 
 // KNN returns the k (probabilistically correct) nearest neighbors under
-// the generic one-shot index.
+// the generic one-shot index, scanning the nearest representative's list;
+// ties break toward the lower id.
 func (g *GenericOneShot[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 	if k <= 0 {
 		return nil, Stats{}

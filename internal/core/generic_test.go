@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bruteforce"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -26,6 +27,19 @@ func randomStrings(rng *rand.Rand, n, maxLen int) []string {
 	return out
 }
 
+// knn1Each answers every query with knn at k = 1 and returns each
+// query's nearest neighbor plus the summed Stats.
+func knn1Each[P any](knn func(P, int) ([]par.Neighbor, Stats), queries []P) ([]par.Neighbor, Stats) {
+	out := make([]par.Neighbor, len(queries))
+	var st Stats
+	for i, q := range queries {
+		nbs, s := knn(q, 1)
+		out[i] = nbs[0]
+		st.Add(s)
+	}
+	return out, st
+}
+
 func TestGenericExactEditDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	db := randomStrings(rng, 500, 12)
@@ -35,7 +49,7 @@ func TestGenericExactEditDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := randomStrings(rng, 40, 12)
-	got, st := g.Search(queries)
+	got, st := knn1Each(g.KNN, queries)
 	want := bruteforce.SearchGeneric(queries, db, metric.Metric[string](m), nil)
 	for i := range got {
 		if got[i].Dist != want[i].Dist {
@@ -76,7 +90,7 @@ func TestGenericExactGraphMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := g.Search(queries)
+	got, _ := knn1Each(g.KNN, queries)
 	want := bruteforce.SearchGeneric(queries, db, metric.Metric[int](gm), nil)
 	for i := range got {
 		if got[i].Dist != want[i].Dist {
@@ -97,7 +111,7 @@ func TestGenericOneShotEditDistance(t *testing.T) {
 		t.Fatal("no representatives")
 	}
 	queries := randomStrings(rng, 60, 10)
-	got, st := g.Search(queries)
+	got, st := knn1Each(g.KNN, queries)
 	want := bruteforce.SearchGeneric(queries, db, metric.Metric[string](m), nil)
 	correct := 0
 	for i := range got {
@@ -143,9 +157,9 @@ func TestGenericExactIntPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for q, wantID := range map[int]int{3: 0, 12: 1, 29: 3, 44: 4, 100: 5} {
-		got, _ := g.One(q)
-		if got.ID != wantID {
-			t.Fatalf("q=%d: got id %d want %d", q, got.ID, wantID)
+		got, _ := g.KNN(q, 1)
+		if got[0].ID != wantID {
+			t.Fatalf("q=%d: got id %d want %d", q, got[0].ID, wantID)
 		}
 	}
 }
@@ -163,9 +177,9 @@ func TestQuickGenericExact(t *testing.T) {
 			return false
 		}
 		q := randomStrings(rng, 1, 8)[0]
-		got, _ := g.One(q)
+		got, _ := g.KNN(q, 1)
 		want := bruteforce.SearchOneGeneric(q, db, m, nil)
-		return got.Dist == want.Dist
+		return got[0].Dist == want.Dist
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -125,10 +125,10 @@ func TestMergeSegmentPreservesInvariants(t *testing.T) {
 	queries := randomDataset(rng, 30, 5)
 	for i := 0; i < queries.N(); i++ {
 		q := queries.Row(i)
-		got, _ := e.One(q)
+		got, _ := e.KNN(q, 1)
 		want := bruteforce.SearchOne(q, db, m, nil)
-		if got.Dist != want.Dist {
-			t.Fatalf("query %d after merges: %v want %v", i, got.Dist, want.Dist)
+		if got[0].Dist != want.Dist {
+			t.Fatalf("query %d after merges: %v want %v", i, got[0].Dist, want.Dist)
 		}
 	}
 }
@@ -222,8 +222,8 @@ func TestWindowedEvalsMonotoneAfterMutateBursts(t *testing.T) {
 	queries := randomDataset(rng, 25, 4)
 	for burst := 0; burst < 4; burst++ {
 		mutate(40)
-		gotW, stW := windowed.SearchK(queries, 5)
-		gotF, stF := full.SearchK(queries, 5)
+		gotW, stW := windowed.KNNBatch(queries, 5)
+		gotF, stF := full.KNNBatch(queries, 5)
 		for i := range gotW {
 			if len(gotW[i]) != len(gotF[i]) {
 				t.Fatalf("burst %d query %d: %d vs %d neighbors", burst, i, len(gotW[i]), len(gotF[i]))
@@ -243,8 +243,8 @@ func TestWindowedEvalsMonotoneAfterMutateBursts(t *testing.T) {
 	// And the same holds once everything is folded in.
 	windowed.Flush()
 	full.Flush()
-	_, stW := windowed.SearchK(queries, 5)
-	_, stF := full.SearchK(queries, 5)
+	_, stW := windowed.KNNBatch(queries, 5)
+	_, stF := full.KNNBatch(queries, 5)
 	if stW.PointEvals > stF.PointEvals {
 		t.Fatalf("after flush: windowed evals %d exceed full-scan evals %d", stW.PointEvals, stF.PointEvals)
 	}

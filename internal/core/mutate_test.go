@@ -34,15 +34,15 @@ func TestInsertRemainsExact(t *testing.T) {
 	queries := randomDataset(rng, 40, 5)
 	for i := 0; i < queries.N(); i++ {
 		q := queries.Row(i)
-		got, _ := e.One(q)
+		got, _ := e.KNN(q, 1)
 		want := bruteforce.SearchOne(q, db, m, nil) // db now holds 1000 rows
-		if got.Dist != want.Dist {
-			t.Fatalf("query %d after inserts: %v want %v", i, got.Dist, want.Dist)
+		if got[0].Dist != want.Dist {
+			t.Fatalf("query %d after inserts: %v want %v", i, got[0].Dist, want.Dist)
 		}
 	}
 	// An inserted point must find itself.
-	got, _ := e.One(extra.Row(7))
-	if got.Dist != 0 {
+	got, _ := e.KNN(extra.Row(7), 1)
+	if got[0].Dist != 0 {
 		t.Fatalf("inserted point not found: %+v", got)
 	}
 }
@@ -80,13 +80,13 @@ func TestDeleteRemainsExact(t *testing.T) {
 	queries := randomDataset(rng, 40, 4)
 	for i := 0; i < queries.N(); i++ {
 		q := queries.Row(i)
-		got, _ := e.One(q)
+		got, _ := e.KNN(q, 1)
 		want := bruteforce.SearchOne(q, liveDB, m, nil)
-		if got.Dist != want.Dist {
-			t.Fatalf("query %d after deletes: %v want %v", i, got.Dist, want.Dist)
+		if got[0].Dist != want.Dist {
+			t.Fatalf("query %d after deletes: %v want %v", i, got[0].Dist, want.Dist)
 		}
-		if deleted[got.ID] {
-			t.Fatalf("returned deleted id %d", got.ID)
+		if deleted[got[0].ID] {
+			t.Fatalf("returned deleted id %d", got[0].ID)
 		}
 	}
 }
@@ -150,10 +150,10 @@ func TestMixedMutationsAndRebuild(t *testing.T) {
 		queries := randomDataset(rng, 25, 4)
 		for i := 0; i < queries.N(); i++ {
 			q := queries.Row(i)
-			got, _ := e.One(q)
+			got, _ := e.KNN(q, 1)
 			want := bruteforce.SearchOne(q, liveDB, m, nil)
-			if got.Dist != want.Dist {
-				t.Fatalf("%s query %d: %v want %v", label, i, got.Dist, want.Dist)
+			if got[0].Dist != want.Dist {
+				t.Fatalf("%s query %d: %v want %v", label, i, got[0].Dist, want.Dist)
 			}
 		}
 		// k-NN and range must also respect tombstones.
@@ -269,10 +269,25 @@ func TestDeleteAllRepresentativesStillExact(t *testing.T) {
 	liveDB := db.Subset(liveIDs)
 	for trial := 0; trial < 20; trial++ {
 		q := randomDataset(rng, 1, 3).Row(0)
-		got, _ := e.One(q)
+		got, _ := e.KNN(q, 1)
 		want := bruteforce.SearchOne(q, liveDB, m, nil)
-		if got.Dist != want.Dist {
-			t.Fatalf("trial %d: %v want %v", trial, got.Dist, want.Dist)
+		if got[0].Dist != want.Dist {
+			t.Fatalf("trial %d: %v want %v", trial, got[0].Dist, want.Dist)
+		}
+	}
+
+	// Past the extreme: with every row deleted no point qualifies, and the
+	// 1-NN answer is an empty slice, per query and in a block.
+	for _, id := range liveIDs {
+		if err := e.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := randomDataset(rng, 5, 3)
+	batch, _ := e.KNNBatch(queries, 1)
+	for i := 0; i < queries.N(); i++ {
+		if got, _ := e.KNN(queries.Row(i), 1); len(got) != 0 || len(batch[i]) != 0 {
+			t.Fatalf("query %d on an all-deleted index: KNN %v, KNNBatch %v, want no answer", i, got, batch[i])
 		}
 	}
 }
@@ -323,9 +338,9 @@ func TestQuickMutationsStayExact(t *testing.T) {
 		liveDB := e.db.Subset(liveIDs)
 		for trial := 0; trial < 3; trial++ {
 			q := []float32{rng.Float32(), rng.Float32(), rng.Float32()}
-			got, _ := e.One(q)
+			got, _ := e.KNN(q, 1)
 			want := bruteforce.SearchOne(q, liveDB, m, nil)
-			if got.Dist != want.Dist {
+			if got[0].Dist != want.Dist {
 				return false
 			}
 		}

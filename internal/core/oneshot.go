@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/bruteforce"
 	"repro/internal/metric"
@@ -133,22 +132,10 @@ func (o *OneShot) Radii() []float64 { return o.radii }
 // Params returns the parameters the index was built with.
 func (o *OneShot) Params() OneShotParams { return o.prm }
 
-// One runs the one-shot search for q: BF(q,R) to find the nearest
-// representative, then BF(q, X[L_r]) over its ownership list.
-func (o *OneShot) One(q []float32) (Result, Stats) {
-	sc := par.GetScratch()
-	defer par.PutScratch(sc)
-	h, st := o.knn(q, 1, sc)
-	nb, ok := h.Best()
-	if !ok {
-		return Result{ID: -1, Dist: math.Inf(1)}, st
-	}
-	return Result{ID: nb.ID, Dist: o.ker.ToDistance(nb.Dist)}, st
-}
-
 // KNN returns the (probabilistically correct) k nearest neighbors of q,
-// sorted by ascending distance, scanning the Probes nearest
-// representatives' lists.
+// sorted by ascending distance: BF(q,R) finds the Probes nearest
+// representatives, then BF(q, X[L_r]) scans their ownership lists. k = 1
+// is the paper's one-shot 1-NN search.
 func (o *OneShot) KNN(q []float32, k int) ([]par.Neighbor, Stats) {
 	if k <= 0 {
 		return nil, Stats{}
@@ -232,48 +219,20 @@ func (o *OneShot) knn(q []float32, k int, sc *par.Scratch) (*par.KHeap, Stats) {
 	return h, st
 }
 
-// Search answers a batch of 1-NN queries in parallel and returns the
-// results plus aggregated stats. The phase-1 scans run as a tiled BF(Q,R)
-// front half.
-func (o *OneShot) Search(queries *vec.Dataset) ([]Result, Stats) {
-	o.checkDim(queries.Dim)
-	out := make([]Result, queries.N())
-	agg := o.batch(queries, 1, func(i int, h *par.KHeap) {
-		nb, ok := h.Best()
-		if !ok {
-			out[i] = Result{ID: -1, Dist: math.Inf(1)}
-			return
-		}
-		out[i] = Result{ID: nb.ID, Dist: o.ker.ToDistance(nb.Dist)}
-	})
-	return out, agg
-}
-
-// SearchK answers a batch of k-NN queries in parallel.
-func (o *OneShot) SearchK(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
+// KNNBatch is the batch-first k-NN entry point (search.BatchSearcher): it
+// answers a query block in parallel through the fully grouped path
+// (batch_grouped.go) — the tiled BF(Q,R) front half selects probes for the
+// whole block, and each probed list is scanned once per query tile.
+func (o *OneShot) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
 	o.checkDim(queries.Dim)
 	out := make([][]par.Neighbor, queries.N())
 	if k <= 0 {
 		return out, Stats{}
 	}
-	agg := o.batch(queries, k, func(i int, h *par.KHeap) {
+	agg := o.batchGrouped(queries, k, func(i int, h *par.KHeap) {
 		out[i] = o.finish(h)
 	})
 	return out, agg
-}
-
-// KNNBatch is the batch-first k-NN entry point (search.BatchSearcher):
-// the whole query block shares one tiled BF(Q,R) front half before the
-// grouped list scans run.
-func (o *OneShot) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
-	return o.SearchK(queries, k)
-}
-
-// batch answers a query block through the fully grouped path
-// (batch_grouped.go): the tiled BF(Q,R) front half selects probes for
-// the whole block, and each probed list is scanned once per query tile.
-func (o *OneShot) batch(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap)) Stats {
-	return o.batchGrouped(queries, k, sink)
 }
 
 // Certify reports whether the one-shot answer for q is guaranteed exact:

@@ -72,8 +72,9 @@ func TestOneShotAnswersAreRealPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := randomDataset(rng, 50, 6)
-	res, st := o.Search(queries)
-	for i, r := range res {
+	res, st := o.KNNBatch(queries, 1)
+	for i, nbs := range res {
+		r := nbs[0]
 		if r.ID < 0 || r.ID >= db.N() {
 			t.Fatalf("query %d: id %d out of range", i, r.ID)
 		}
@@ -105,10 +106,10 @@ func TestOneShotHighRecallAtTheoremSetting(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bruteforce.Search(queries, db, m, nil)
-	got, _ := o.Search(queries)
+	got, _ := o.KNNBatch(queries, 1)
 	correct := 0
 	for i := range got {
-		if got[i].Dist == want[i].Dist {
+		if got[i][0].Dist == want[i].Dist {
 			correct++
 		}
 	}
@@ -132,8 +133,8 @@ func TestOneShotCertify(t *testing.T) {
 	for i := 0; i < queries.N(); i++ {
 		if o.Certify(queries.Row(i)) {
 			certified++
-			got, _ := o.One(queries.Row(i))
-			if got.Dist == want[i].Dist {
+			got, _ := o.KNN(queries.Row(i), 1)
+			if got[0].Dist == want[i].Dist {
 				certifiedCorrect++
 			}
 		}
@@ -159,10 +160,10 @@ func TestOneShotProbesImproveRecall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _ := o.Search(queries)
+		got, _ := o.KNNBatch(queries, 1)
 		c := 0
 		for i := range got {
-			if got[i].Dist == want[i].Dist {
+			if got[i][0].Dist == want[i].Dist {
 				c++
 			}
 		}
@@ -183,7 +184,7 @@ func TestOneShotKNNNoDuplicatesAcrossProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := randomDataset(rng, 20, 4)
-	res, _ := o.SearchK(queries, 10)
+	res, _ := o.KNNBatch(queries, 10)
 	for i, nbs := range res {
 		seen := map[int]bool{}
 		for _, nb := range nbs {
@@ -217,8 +218,8 @@ func TestOneShotSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := o.One([]float32{0, 0})
-	if got.ID != 0 {
+	got, _ := o.KNN([]float32{0, 0}, 1)
+	if len(got) != 1 || got[0].ID != 0 {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -238,9 +239,9 @@ func TestOneShotSGreaterThanN(t *testing.T) {
 	}
 	queries := randomDataset(rng, 20, 3)
 	want := bruteforce.Search(queries, db, m, nil)
-	got, _ := o.Search(queries)
+	got, _ := o.KNNBatch(queries, 1)
 	for i := range got {
-		if got[i].Dist != want[i].Dist {
+		if got[i][0].Dist != want[i].Dist {
 			t.Fatalf("query %d should be exact when s=n", i)
 		}
 	}
@@ -257,7 +258,7 @@ func TestOneShotDimMismatchPanics(t *testing.T) {
 			t.Fatal("dim mismatch should panic")
 		}
 	}()
-	o.Search(vec.FromRows([][]float32{{1}}))
+	o.KNNBatch(vec.FromRows([][]float32{{1}}), 1)
 }
 
 // Property: one-shot with probes=nr (scan everything) is exact, because
@@ -274,9 +275,9 @@ func TestQuickOneShotFullProbeExact(t *testing.T) {
 			return false
 		}
 		q := randomDataset(rng, 1, 2).Row(0)
-		got, _ := o.One(q)
+		got, _ := o.KNN(q, 1)
 		want := bruteforce.SearchOne(q, db, m, nil)
-		return got.Dist == want.Dist
+		return got[0].Dist == want.Dist
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -298,12 +299,12 @@ func TestQuickOneShotNeverBeatsTruth(t *testing.T) {
 			return false
 		}
 		q := randomDataset(rng, 1, 3).Row(0)
-		got, _ := o.One(q)
+		got, _ := o.KNN(q, 1)
 		want := bruteforce.SearchOne(q, db, m, nil)
-		if got.Dist < want.Dist {
+		if got[0].Dist < want.Dist {
 			return false // impossible: claims better than the true NN
 		}
-		return math.Abs(m.Distance(q, db.Row(got.ID))-got.Dist) < 1e-9
+		return math.Abs(m.Distance(q, db.Row(got[0].ID))-got[0].Dist) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

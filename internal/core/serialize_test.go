@@ -30,9 +30,9 @@ func TestExactSaveLoadRoundTrip(t *testing.T) {
 	queries := randomDataset(rng, 40, 5)
 	for i := 0; i < queries.N(); i++ {
 		q := queries.Row(i)
-		a, _ := e.One(q)
-		b, _ := loaded.One(q)
-		if a != b {
+		a, _ := e.KNN(q, 1)
+		b, _ := loaded.KNN(q, 1)
+		if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
 			t.Fatalf("query %d: original %+v loaded %+v", i, a, b)
 		}
 	}
@@ -205,9 +205,9 @@ func TestOneShotSaveLoadRoundTrip(t *testing.T) {
 	queries := randomDataset(rng, 30, 4)
 	for i := 0; i < queries.N(); i++ {
 		q := queries.Row(i)
-		a, _ := o.One(q)
-		b, _ := loaded.One(q)
-		if a != b {
+		a, _ := o.KNN(q, 1)
+		b, _ := loaded.KNN(q, 1)
+		if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
 			t.Fatalf("query %d: original %+v loaded %+v", i, a, b)
 		}
 	}
@@ -289,10 +289,10 @@ func TestLoadOneShotLegacyGradeParams(t *testing.T) {
 				t.Fatalf("query %d pos %d: loaded %+v, fresh %+v", i, j, got[i][j], want[i][j])
 			}
 		}
-		a, _ := o.One(queries.Row(i))
-		b, _ := loaded.One(queries.Row(i))
-		if a != b {
-			t.Fatalf("query %d One: loaded %+v, fresh %+v", i, b, a)
+		a, _ := o.KNN(queries.Row(i), 1)
+		b, _ := loaded.KNN(queries.Row(i), 1)
+		if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
+			t.Fatalf("query %d KNN(q, 1): loaded %+v, fresh %+v", i, b, a)
 		}
 	}
 }
@@ -520,8 +520,8 @@ func TestSaveLoadPreservesStatsBehaviour(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := vec.FromRows([][]float32{db.Row(17)}).Row(0)
-	_, sa := e.One(q)
-	_, sb := loaded.One(q)
+	_, sa := e.KNN(q, 1)
+	_, sb := loaded.KNN(q, 1)
 	if sa != sb {
 		t.Fatalf("stats diverge: %+v vs %+v", sa, sb)
 	}

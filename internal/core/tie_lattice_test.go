@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bruteforce"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -67,7 +68,7 @@ func TestTieLatticeKNNBitIdentity(t *testing.T) {
 					queries.Append(row)
 				}
 				for _, k := range []int{1, 3, 7} {
-					batch, bst := e.SearchK(queries, k)
+					batch, bst := e.KNNBatch(queries, k)
 					var sum Stats
 					for i := 0; i < queries.N(); i++ {
 						q := queries.Row(i)
@@ -231,11 +232,11 @@ func TestTieLatticeMutatedPath(t *testing.T) {
 
 // TestTieLatticeOneShotCertifyAgreesWithOne: on lattices several
 // representatives often sit at exactly the nearest distance. Certify must
-// witness the list One scans, so both must resolve that tie the same way
-// — to the lowest representative index. Checked against the spec computed
-// independently: r is the lowest index at the minimum distance, One
-// returns the (dist, id)-least member of r's list, and Certify reports
-// ρ(q,r) ≤ ψ_r/2.
+// witness the list the 1-NN search (KNN at k = 1) scans, so both must
+// resolve that tie the same way — to the lowest representative index.
+// Checked against the spec computed independently: r is the lowest index
+// at the minimum distance, KNN(q, 1) returns the (dist, id)-least member
+// of r's list, and Certify reports ρ(q,r) ≤ ψ_r/2.
 func TestTieLatticeOneShotCertifyAgreesWithOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	m := metric.Euclidean{}
@@ -265,15 +266,15 @@ func TestTieLatticeOneShotCertifyAgreesWithOne(t *testing.T) {
 			if atMin > 1 {
 				ties++
 			}
-			want := Result{ID: -1, Dist: math.Inf(1)}
+			want := par.Neighbor{ID: -1, Dist: math.Inf(1)}
 			for _, id := range o.ids[r*o.S() : (r+1)*o.S()] {
 				d := m.Distance(q, db.Row(int(id)))
 				if d < want.Dist || (d == want.Dist && int(id) < want.ID) {
-					want = Result{ID: int(id), Dist: d}
+					want = par.Neighbor{ID: int(id), Dist: d}
 				}
 			}
-			if got, _ := o.One(q); got != want {
-				t.Fatalf("n=%d dim=%d query %d: One %+v, best of list %d %+v", shape.n, shape.dim, i, got, r, want)
+			if got, _ := o.KNN(q, 1); len(got) != 1 || got[0] != want {
+				t.Fatalf("n=%d dim=%d query %d: KNN(q, 1) %+v, best of list %d %+v", shape.n, shape.dim, i, got, r, want)
 			}
 			cert := rd <= o.Radii()[r]/2
 			if got := o.Certify(q); got != cert {

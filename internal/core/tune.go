@@ -63,7 +63,7 @@ func AutoTuneExact(db *vec.Dataset, m metric.Metric[[]float32], probes *vec.Data
 		if err != nil {
 			return AutoTuneResult{}, err
 		}
-		_, st := idx.Search(probes)
+		_, st := idx.KNNBatch(probes, 1)
 		evals := float64(st.TotalEvals()) / float64(probes.N())
 		res.Curve = append(res.Curve, AutoTunePoint{NumReps: nr, EvalsPerQuery: evals})
 		if evals < best {
@@ -93,7 +93,7 @@ func AutoTuneOneShot(db *vec.Dataset, m metric.Metric[[]float32], probes *vec.Da
 	if err != nil {
 		return AutoTuneResult{}, err
 	}
-	truth, _ := exact.Search(probes)
+	truth, _ := exact.KNNBatch(probes, 1)
 
 	var res AutoTuneResult
 	bestRecall := -1.0
@@ -110,10 +110,10 @@ func AutoTuneOneShot(db *vec.Dataset, m metric.Metric[[]float32], probes *vec.Da
 		if err != nil {
 			return AutoTuneResult{}, err
 		}
-		got, st := idx.Search(probes)
+		got, st := idx.KNNBatch(probes, 1)
 		correct := 0
 		for i := range got {
-			if got[i].Dist == truth[i].Dist {
+			if got[i][0].Dist == truth[i][0].Dist {
 				correct++
 			}
 		}

@@ -41,9 +41,9 @@ func TestAutoTuneExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		got, _ := idx.One(probes.Row(i))
+		got, _ := idx.KNN(probes.Row(i), 1)
 		want := bruteforce.SearchOne(probes.Row(i), db, m, nil)
-		if got.Dist != want.Dist {
+		if got[0].Dist != want.Dist {
 			t.Fatalf("tuned index inexact at probe %d", i)
 		}
 	}
@@ -86,11 +86,11 @@ func TestAutoTuneOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := idx.Search(probes)
+	got, _ := idx.KNNBatch(probes, 1)
 	want := bruteforce.Search(probes, db, m, nil)
 	correct := 0
 	for i := range got {
-		if got[i].Dist == want[i].Dist {
+		if got[i][0].Dist == want[i].Dist {
 			correct++
 		}
 	}

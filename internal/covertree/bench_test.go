@@ -35,7 +35,7 @@ func BenchmarkNN(b *testing.B) {
 	q := rows[99]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.NN(q)
+		tree.KNN(q, 1)
 	}
 }
 

@@ -181,17 +181,8 @@ func (t *Tree[P]) insert(p P, id int, qi []qnode[P], level int) bool {
 	return false
 }
 
-// NN returns the id and distance of the nearest stored point, or
-// (-1, +Inf) for an empty tree.
-func (t *Tree[P]) NN(q P) (int, float64) {
-	res := t.KNN(q, 1)
-	if len(res) == 0 {
-		return -1, math.Inf(1)
-	}
-	return res[0].ID, res[0].Dist
-}
-
-// KNN returns the k nearest stored points sorted by ascending distance.
+// KNN returns the k nearest stored points sorted by ascending distance; an
+// empty tree answers with an empty slice.
 // The search is the BKL batch descent: maintain a cover set per level,
 // expand children, and discard nodes whose subtrees provably cannot
 // contain a k-th nearest neighbor.

@@ -1,7 +1,6 @@
 package covertree
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,8 +25,8 @@ func asMetric() metric.Metric[[]float32] { return metric.Euclidean{} }
 
 func TestEmptyTree(t *testing.T) {
 	tr := New(asMetric())
-	if id, d := tr.NN([]float32{1}); id != -1 || !math.IsInf(d, 1) {
-		t.Fatalf("empty NN: %d %v", id, d)
+	if got := tr.KNN([]float32{1}, 1); len(got) != 0 {
+		t.Fatalf("empty 1-NN: %v, want no answer", got)
 	}
 	if got := tr.KNN([]float32{1}, 3); got != nil {
 		t.Fatal("empty KNN should be nil")
@@ -43,8 +42,8 @@ func TestEmptyTree(t *testing.T) {
 func TestSinglePoint(t *testing.T) {
 	tr := New(asMetric())
 	tr.Insert([]float32{1, 2}, 7)
-	if id, d := tr.NN([]float32{1, 2}); id != 7 || d != 0 {
-		t.Fatalf("NN: %d %v", id, d)
+	if got := tr.KNN([]float32{1, 2}, 1); len(got) != 1 || got[0].ID != 7 || got[0].Dist != 0 {
+		t.Fatalf("1-NN: %v", got)
 	}
 	if tr.Size() != 1 {
 		t.Fatal("size")
@@ -64,10 +63,10 @@ func TestNNMatchesBruteForce(t *testing.T) {
 		for j := range q {
 			q[j] = rng.Float32()*2 - 1
 		}
-		id, d := tr.NN(q)
+		got := tr.KNN(q, 1)[0]
 		want := bruteforce.SearchOne(q, db, metric.Euclidean{}, nil)
-		if d != want.Dist {
-			t.Fatalf("trial %d: got (%d,%v) want %+v", trial, id, d, want)
+		if got.Dist != want.Dist {
+			t.Fatalf("trial %d: got %+v want %+v", trial, got, want)
 		}
 	}
 }
@@ -164,12 +163,12 @@ func TestEditDistanceTree(t *testing.T) {
 	// The cover tree is generic over metrics, like the RBC.
 	words := []string{"kitten", "sitting", "mitten", "bitten", "flaw", "lawn", "claw", "paw"}
 	tr := Build(words, metric.Metric[string](metric.Edit{}))
-	id, d := tr.NN("fitten")
-	if d != 1 {
-		t.Fatalf("NN of fitten: id=%d d=%v", id, d)
+	got := tr.KNN("fitten", 1)[0]
+	if got.Dist != 1 {
+		t.Fatalf("NN of fitten: %+v", got)
 	}
 	want := bruteforce.SearchOneGeneric("crawl", words, metric.Metric[string](metric.Edit{}), nil)
-	_, d2 := tr.NN("crawl")
+	d2 := tr.KNN("crawl", 1)[0].Dist
 	if d2 != want.Dist {
 		t.Fatalf("crawl: %v want %v", d2, want.Dist)
 	}
@@ -183,7 +182,7 @@ func TestDistEvalsCounted(t *testing.T) {
 	if before == 0 {
 		t.Fatal("build should count evaluations")
 	}
-	tr.NN(rows[0])
+	tr.KNN(rows[0], 1)
 	if tr.DistEvals <= before {
 		t.Fatal("query should count evaluations")
 	}
@@ -203,7 +202,7 @@ func TestQueriesCheaperThanBruteForceOnClusteredData(t *testing.T) {
 	tr.DistEvals = 0
 	const queries = 50
 	for i := 0; i < queries; i++ {
-		tr.NN(rows[rng.Intn(n)])
+		tr.KNN(rows[rng.Intn(n)], 1)
 	}
 	perQuery := float64(tr.DistEvals) / queries
 	if perQuery > float64(n)/4 {
@@ -245,7 +244,7 @@ func TestQuickCoverTreeExact(t *testing.T) {
 			for j := range q {
 				q[j] = rng.Float32()*2 - 1
 			}
-			_, d := tr.NN(q)
+			d := tr.KNN(q, 1)[0].Dist
 			want := bruteforce.SearchOne(q, db, metric.Euclidean{}, nil)
 			if d != want.Dist {
 				return false

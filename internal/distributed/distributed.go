@@ -7,11 +7,11 @@
 // surviving representative — in contrast to a brute-force cluster, which
 // must broadcast every query to every shard.
 //
-// The query plane is batch-first: QueryBatch and KNNBatch take whole
-// query blocks, group the surviving (query, list) pairs by owning shard,
-// and send ONE request per shard per block — so a 64-query block that
-// routes to 8 shards costs 16 messages instead of up to 1024. Query and
-// KNN are the single-query special case of the same path.
+// The query plane is batch-first: KNNBatch takes whole query blocks,
+// groups the surviving (query, list) pairs by owning shard, and sends ONE
+// request per shard per block — so a 64-query block that routes to 8
+// shards costs 16 messages instead of up to 1024. KNN is the single-query
+// special case of the same path, and k = 1 is the paper's 1-NN search.
 //
 // # The tiled shard-scan contract
 //
@@ -549,20 +549,11 @@ func (sb *shardBatch) querySegs() [][]int {
 	return out
 }
 
-// Query answers one query with RBC routing: the coordinator prunes
+// KNN answers one k-NN query with RBC routing: the coordinator prunes
 // representatives exactly as the single-machine exact search does, then
-// contacts only the shards owning survivors. It is QueryBatch on a
-// one-query block.
-func (c *Cluster) Query(q []float32) (core.Result, QueryMetrics, error) {
-	res, met, err := c.QueryBatch(vec.FromFlat(q, len(q)))
-	if err != nil {
-		return core.Result{ID: -1, Dist: math.Inf(1)}, met, err
-	}
-	return res[0], met, nil
-}
-
-// KNN answers one k-NN query; it is KNNBatch on a one-query block and
-// bit-identical to the query's row in any batched call.
+// contacts only the shards owning survivors. It is KNNBatch on a
+// one-query block and bit-identical to the query's row in any batched
+// call.
 func (c *Cluster) KNN(q []float32, k int) ([]par.Neighbor, QueryMetrics, error) {
 	nbs, met, err := c.KNNBatch(vec.FromFlat(q, len(q)), k)
 	if err != nil {
@@ -571,30 +562,13 @@ func (c *Cluster) KNN(q []float32, k int) ([]par.Neighbor, QueryMetrics, error) 
 	return nbs[0], met, nil
 }
 
-// QueryBatch answers a block of 1-NN queries with batched shard fan-out.
-// It is KNNBatch at k = 1, where the pruning bounds degenerate to the
-// paper's exact-search rules (γ_k = γ_1, 2γ_k + γ_1 = 3γ).
-func (c *Cluster) QueryBatch(queries *vec.Dataset) ([]core.Result, QueryMetrics, error) {
-	nbs, met, err := c.KNNBatch(queries, 1)
-	if err != nil {
-		return nil, met, err
-	}
-	out := make([]core.Result, len(nbs))
-	for i, nb := range nbs {
-		if len(nb) == 0 {
-			out[i] = core.Result{ID: -1, Dist: math.Inf(1)}
-			continue
-		}
-		out[i] = core.Result{ID: nb[0].ID, Dist: nb[0].Dist}
-	}
-	return out, met, nil
-}
-
 // KNNBatch answers a block of k-NN queries with batched shard fan-out.
 // The pruning generalizes the exact-search bounds to k neighbors exactly
 // as the single-machine index does (see Exact.one): with γ_k the k-th
 // smallest representative distance, rule (1) discards representatives
-// with ρ(q,r) ≥ γ_k + ψ_r and rule (2) those with ρ(q,r) > 2γ_k + γ_1.
+// with ρ(q,r) ≥ γ_k + ψ_r and rule (2) those with ρ(q,r) > 2γ_k + γ_1;
+// at k = 1 these are the paper's exact-search rules (γ_k = γ_1,
+// 2γ_k + γ_1 = 3γ).
 // Every representative is seeded as a candidate (they are database
 // points whose distances are already paid for), which keeps the result
 // multiset exact at pruning-boundary ties; shards skip representatives
@@ -753,11 +727,12 @@ func (c *Cluster) toNeighbors(h *par.KHeap) []par.Neighbor {
 	return res
 }
 
-// QueryBroadcast answers one query the brute-force way: every shard scans
-// everything it holds, representatives included (the coordinator's
+// QueryBroadcast answers one 1-NN query the brute-force way: every shard
+// scans everything it holds, representatives included (the coordinator's
 // representative knowledge is deliberately unused). The baseline for the
-// §8 experiments.
-func (c *Cluster) QueryBroadcast(q []float32) (core.Result, QueryMetrics, error) {
+// §8 experiments. The answer has the shape of KNN(q, 1): at most one
+// neighbor, none when no shard answered.
+func (c *Cluster) QueryBroadcast(q []float32) ([]par.Neighbor, QueryMetrics, error) {
 	var met QueryMetrics
 	best := par.Neighbor{ID: -1, Dist: math.Inf(1)}
 	batches := make([]shardBatch, len(c.segCounts))
@@ -771,7 +746,7 @@ func (c *Cluster) QueryBroadcast(q []float32) (core.Result, QueryMetrics, error)
 	c.lifeMu.RLock()
 	defer c.lifeMu.RUnlock()
 	if c.closed {
-		return core.Result{ID: -1, Dist: math.Inf(1)}, met, ErrClusterClosed
+		return nil, met, ErrClusterClosed
 	}
 	err := c.finish(queries, 1, batches, nil, true, &met, func(rp shardReply, qidx []int) {
 		if len(rp.knn[0]) == 0 {
@@ -783,12 +758,12 @@ func (c *Cluster) QueryBroadcast(q []float32) (core.Result, QueryMetrics, error)
 		}
 	})
 	if err != nil {
-		return core.Result{ID: -1, Dist: math.Inf(1)}, met, err
+		return nil, met, err
 	}
 	if best.ID < 0 {
-		return core.Result{ID: -1, Dist: math.Inf(1)}, met, nil
+		return nil, met, nil
 	}
-	return core.Result{ID: best.ID, Dist: c.ker.ToDistance(best.Dist)}, met, nil
+	return []par.Neighbor{{ID: best.ID, Dist: c.ker.ToDistance(best.Dist)}}, met, nil
 }
 
 // finish fans a query block out to the shards with work, merges answers

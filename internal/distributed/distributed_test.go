@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,10 +124,10 @@ func TestRoutedQueryIsExact(t *testing.T) {
 		for j := range q {
 			q[j] = rng.Float32()*20 - 10
 		}
-		got, _, _ := cl.Query(q)
+		got, _, _ := cl.KNN(q, 1)
 		want := bruteforce.SearchOne(q, db, m, nil)
-		if got.Dist != want.Dist {
-			t.Fatalf("trial %d: got %v want %v", trial, got.Dist, want.Dist)
+		if got[0].Dist != want.Dist {
+			t.Fatalf("trial %d: got %v want %v", trial, got[0].Dist, want.Dist)
 		}
 	}
 }
@@ -147,8 +148,8 @@ func TestBroadcastQueryIsExact(t *testing.T) {
 		}
 		got, met, _ := cl.QueryBroadcast(q)
 		want := bruteforce.SearchOne(q, db, m, nil)
-		if got.Dist != want.Dist {
-			t.Fatalf("trial %d: got %v want %v", trial, got.Dist, want.Dist)
+		if len(got) != 1 || got[0].Dist != want.Dist {
+			t.Fatalf("trial %d: got %v want %+v", trial, got, want)
 		}
 		if met.ShardsContacted != 3 {
 			t.Fatalf("broadcast must contact all shards, got %d", met.ShardsContacted)
@@ -170,7 +171,7 @@ func TestRoutingContactsFewerShards(t *testing.T) {
 	const queries = 40
 	for trial := 0; trial < queries; trial++ {
 		q := db.Row(rng.Intn(db.N()))
-		_, mr, _ := cl.Query(q)
+		_, mr, _ := cl.KNN(q, 1)
 		routed.Add(mr)
 		_, mb, _ := cl.QueryBroadcast(q)
 		broadcast.Add(mb)
@@ -226,7 +227,7 @@ func TestQueryMetricsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	_, met, _ := cl.Query(db.Row(0))
+	_, met, _ := cl.KNN(db.Row(0), 1)
 	if met.Evals == 0 || met.SimTimeUS <= 0 && met.ShardsContacted > 0 {
 		t.Fatalf("metrics: %+v", met)
 	}
@@ -256,8 +257,8 @@ func TestSingleShardDegeneratesToExact(t *testing.T) {
 	}
 	defer cl.Close()
 	q := db.Row(42)
-	got, met, _ := cl.Query(q)
-	if got.Dist != 0 {
+	got, met, _ := cl.KNN(q, 1)
+	if got[0].Dist != 0 {
 		t.Fatalf("self-query: %+v", got)
 	}
 	if met.ShardsContacted > 1 {
@@ -265,8 +266,8 @@ func TestSingleShardDegeneratesToExact(t *testing.T) {
 	}
 }
 
-// A query block through QueryBatch must return exactly what per-query
-// Query returns, while contacting each shard at most once.
+// A 1-NN query block through KNNBatch must return exactly what per-query
+// KNN returns, while contacting each shard at most once.
 func TestQueryBatchMatchesPerQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	db := clustered(rng, 2000, 5, 10)
@@ -278,11 +279,11 @@ func TestQueryBatchMatchesPerQuery(t *testing.T) {
 	}
 	defer cl.Close()
 	queries := clustered(rand.New(rand.NewSource(29)), 64, 5, 10)
-	batch, bm, _ := cl.QueryBatch(queries)
+	batch, bm, _ := cl.KNNBatch(queries, 1)
 	var perQuery QueryMetrics
 	for i := 0; i < queries.N(); i++ {
-		one, om, _ := cl.Query(queries.Row(i))
-		if batch[i] != one {
+		one, om, _ := cl.KNN(queries.Row(i), 1)
+		if len(one) != 1 || !slices.Equal(batch[i], one) {
 			t.Fatalf("query %d: batch %+v, per-query %+v", i, batch[i], one)
 		}
 		perQuery.Add(om)
@@ -374,8 +375,8 @@ func TestQuickDistributedExact(t *testing.T) {
 			for j := range q {
 				q[j] = rng.Float32()*20 - 10
 			}
-			got, _, _ := cl.Query(q)
-			if got.Dist != bruteforce.SearchOne(q, db, m, nil).Dist {
+			got, _, _ := cl.KNN(q, 1)
+			if got[0].Dist != bruteforce.SearchOne(q, db, m, nil).Dist {
 				return false
 			}
 		}

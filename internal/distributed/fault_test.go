@@ -249,6 +249,14 @@ func TestShardDeathDegradePartial(t *testing.T) {
 			t.Fatalf("query %d lost all candidates — rep seeding should survive", i)
 		}
 	}
+
+	// With every shard dead the broadcast baseline, which seeds nothing
+	// from the representatives, has no answer: an empty slice, no error.
+	servers[1].Close()
+	nb, bm, err := netCl.QueryBroadcast(queries.Row(0))
+	if err != nil || len(nb) != 0 || bm.FailedShards != 2 {
+		t.Fatalf("broadcast with every shard dead: %v, %d failed shards, err %v; want no answer", nb, bm.FailedShards, err)
+	}
 }
 
 // TestInducedTimeout: a shard that accepts but never replies must

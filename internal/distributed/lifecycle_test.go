@@ -24,14 +24,8 @@ func TestQueryAfterCloseReturnsError(t *testing.T) {
 	cl.Close() // idempotent
 
 	q := db.Row(0)
-	if _, _, err := cl.Query(q); !errors.Is(err, ErrClusterClosed) {
-		t.Fatalf("Query: %v", err)
-	}
 	if _, _, err := cl.KNN(q, 3); !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("KNN: %v", err)
-	}
-	if _, _, err := cl.QueryBatch(db.Subset([]int{0, 1})); !errors.Is(err, ErrClusterClosed) {
-		t.Fatalf("QueryBatch: %v", err)
 	}
 	if _, _, err := cl.KNNBatch(db.Subset([]int{0, 1}), 2); !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("KNNBatch: %v", err)

@@ -12,8 +12,8 @@ import (
 )
 
 // Stress test for concurrent batch callers over shared shards, designed
-// for the -race CI job: many goroutines interleave KNNBatch, QueryBatch
-// and per-query calls against one cluster, and every result must stay
+// for the -race CI job: many goroutines interleave KNNBatch at several k,
+// 1-NN blocks and per-query calls against one cluster, and every result must stay
 // bit-identical to a single-threaded reference — concurrency must not
 // leak scratch state between requests. Runs against both the full-scan
 // and the windowed (EarlyExit) cluster, whose per-request window buffers
@@ -36,14 +36,14 @@ func runConcurrentBatchCallers(t *testing.T, earlyExit bool) {
 		queries *vec.Dataset
 		k       int
 		knn     [][]par.Neighbor // single-threaded reference
-		best    []core.Result
+		best    [][]par.Neighbor // single-threaded 1-NN reference
 	}
 	cases := make([]testCase, 4)
 	for b := range cases {
 		cases[b].queries = clustered(rand.New(rand.NewSource(int64(300+b))), 24, 6, 8)
 		cases[b].k = 1 + b*2
 		cases[b].knn, _, _ = cl.KNNBatch(cases[b].queries, cases[b].k)
-		cases[b].best, _, _ = cl.QueryBatch(cases[b].queries)
+		cases[b].best, _, _ = cl.KNNBatch(cases[b].queries, 1)
 	}
 
 	const workers = 8
@@ -67,10 +67,10 @@ func runConcurrentBatchCallers(t *testing.T, earlyExit bool) {
 						}
 					}
 				case 1:
-					got, _, _ := cl.QueryBatch(cse.queries)
+					got, _, _ := cl.KNNBatch(cse.queries, 1)
 					for i := range cse.best {
-						if got[i] != cse.best[i] {
-							t.Errorf("worker %d round %d: QueryBatch diverged at query %d", w, r, i)
+						if got[i][0] != cse.best[i][0] {
+							t.Errorf("worker %d round %d: 1-NN KNNBatch diverged at query %d", w, r, i)
 							return
 						}
 					}

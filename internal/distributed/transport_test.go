@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -116,16 +117,16 @@ func TestDistributeBitIdentical(t *testing.T) {
 
 		// Per-query and broadcast paths over the wire, against loopback.
 		q := queries.Row(3)
-		wq, _, err := loop.Query(q)
+		wq, _, err := loop.KNN(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gq, _, err := netCl.Query(q)
+		gq, _, err := netCl.KNN(q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gq != wq {
-			t.Fatalf("earlyExit=%v Query: %+v vs %+v", earlyExit, gq, wq)
+		if len(wq) != 1 || !slices.Equal(gq, wq) {
+			t.Fatalf("earlyExit=%v KNN(q, 1): %+v vs %+v", earlyExit, gq, wq)
 		}
 		wb, _, err := loop.QueryBroadcast(q)
 		if err != nil {
@@ -135,7 +136,7 @@ func TestDistributeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gb != wb {
+		if len(wb) != 1 || !slices.Equal(gb, wb) {
 			t.Fatalf("earlyExit=%v QueryBroadcast: %+v vs %+v", earlyExit, gb, wb)
 		}
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/expansion"
 	"repro/internal/gpusim"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -71,12 +72,12 @@ func RunFig1(cfg Config) (*Output, error) {
 			if err != nil {
 				return nil, err
 			}
-			var res []core.Result
+			var res [][]par.Neighbor
 			var st core.Stats
-			rbcSec := timeIt(func() { res, st = idx.Search(queries) })
+			rbcSec := timeIt(func() { res, st = idx.KNNBatch(queries, 1) })
 			gotDists := make([]float64, queries.N())
 			for i, r := range res {
-				gotDists[i] = r.Dist
+				gotDists[i] = r[0].Dist
 			}
 			meanRank := stats.MeanRank(queries, db, gotDists, euclid)
 			workSpeedup := float64(n) * float64(queries.N()) / float64(st.TotalEvals())
@@ -115,9 +116,9 @@ func RunFig2(cfg Config) (*Output, error) {
 		// Timed baseline; the exactness check below stays on the per-query
 		// reference.
 		bruteSec := timeIt(func() { bruteforce.Search(queries, db, euclid, nil) })
-		var res []core.Result
+		var res [][]par.Neighbor
 		var st core.Stats
-		rbcSec := timeIt(func() { res, st = idx.Search(queries) })
+		rbcSec := timeIt(func() { res, st = idx.KNNBatch(queries, 1) })
 		// Sanity: exact search must be exact; verify on a prefix.
 		check := queries.N()
 		if check > 25 {
@@ -125,8 +126,8 @@ func RunFig2(cfg Config) (*Output, error) {
 		}
 		for i := 0; i < check; i++ {
 			want := bruteforce.SearchOne(queries.Row(i), db, euclid, nil)
-			if res[i].Dist != want.Dist {
-				return nil, fmt.Errorf("fig2: %s query %d inexact (%v vs %v)", e.Name, i, res[i].Dist, want.Dist)
+			if res[i][0].Dist != want.Dist {
+				return nil, fmt.Errorf("fig2: %s query %d inexact (%v vs %v)", e.Name, i, res[i][0].Dist, want.Dist)
 			}
 		}
 		evalsPerQuery := float64(st.TotalEvals()) / float64(queries.N())
@@ -195,7 +196,7 @@ func RunTable3(cfg Config) (*Output, error) {
 		tree.DistEvals = 0
 		ctSec := timeIt(func() {
 			for i := 0; i < queries.N(); i++ {
-				tree.NN(queries.Row(i))
+				tree.KNN(queries.Row(i), 1)
 			}
 		})
 		ctEvals := float64(tree.DistEvals) / float64(queries.N())
@@ -207,7 +208,7 @@ func RunTable3(cfg Config) (*Output, error) {
 			return nil, err
 		}
 		var st core.Stats
-		rbcSec := timeIt(func() { _, st = idx.Search(queries) })
+		rbcSec := timeIt(func() { _, st = idx.KNNBatch(queries, 1) })
 		rbcEvals := float64(st.TotalEvals()) / float64(queries.N())
 		t.AddRow(e.Name, n, ctSec, rbcSec, ctEvals, rbcEvals, ctSec/rbcSec)
 	}
@@ -246,7 +247,7 @@ func RunFig3(cfg Config) (*Output, error) {
 			if err != nil {
 				return nil, err
 			}
-			_, st := idx.Search(queries)
+			_, st := idx.KNNBatch(queries, 1)
 			evalsPerQuery := float64(st.TotalEvals()) / float64(queries.N())
 			speedup := float64(n) / evalsPerQuery
 			table.AddRow(e.Name, n, idx.NumReps(), speedup, evalsPerQuery)

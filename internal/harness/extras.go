@@ -46,7 +46,7 @@ func RunAblationBounds(cfg Config) (*Output, error) {
 			if err != nil {
 				return nil, err
 			}
-			_, st := idx.Search(queries)
+			_, st := idx.KNNBatch(queries, 1)
 			row = append(row, float64(st.TotalEvals())/float64(queries.N()))
 		}
 		t.AddRow(row...)
@@ -69,7 +69,7 @@ func RunAblationEarlyExit(cfg Config) (*Output, error) {
 			if err != nil {
 				return math.NaN()
 			}
-			_, st := idx.Search(queries)
+			_, st := idx.KNNBatch(queries, 1)
 			return float64(st.TotalEvals()) / float64(queries.N())
 		}
 		off, on := run(false), run(true)
@@ -102,7 +102,7 @@ func RunScaling(cfg Config) (*Output, error) {
 	var base float64
 	for p := 1; p <= prev; p *= 2 {
 		runtime.GOMAXPROCS(p)
-		sec := timeIt(func() { idx.Search(queries) })
+		sec := timeIt(func() { idx.KNNBatch(queries, 1) })
 		qps := float64(queries.N()) / sec
 		if p == 1 {
 			base = qps
@@ -113,7 +113,7 @@ func RunScaling(cfg Config) (*Output, error) {
 		}
 		if 2*p > prev {
 			runtime.GOMAXPROCS(prev)
-			sec := timeIt(func() { idx.Search(queries) })
+			sec := timeIt(func() { idx.KNNBatch(queries, 1) })
 			qps := float64(queries.N()) / sec
 			t.AddRow(prev, qps, qps/base)
 			break
@@ -143,9 +143,9 @@ func RunDistributed(cfg Config) (*Output, error) {
 		}
 		var routed, broadcast distributed.QueryMetrics
 		for i := 0; i < queries.N(); i++ {
-			r, mr, _ := cl.Query(queries.Row(i))
-			b, mb, _ := cl.QueryBroadcast(queries.Row(i))
-			if r.Dist != b.Dist {
+			r, mr, errR := cl.KNN(queries.Row(i), 1)
+			b, mb, errB := cl.QueryBroadcast(queries.Row(i))
+			if errR != nil || errB != nil || r[0].Dist != b[0].Dist {
 				cl.Close()
 				return nil, fmt.Errorf("distributed: routed answer diverged at query %d", i)
 			}
@@ -279,14 +279,14 @@ func RunBaselines(cfg Config) (*Output, error) {
 
 		kt := kdtree.Build(db, 16)
 		for i := 0; i < queries.N(); i++ {
-			kt.NN(queries.Row(i))
+			kt.KNN(queries.Row(i), 1)
 		}
 		ktEvals := float64(kt.DistEvals) / q
 
 		ct := covertree.Build(db.Rows(), metric.Metric[[]float32](euclid))
 		ct.DistEvals = 0
 		for i := 0; i < queries.N(); i++ {
-			ct.NN(queries.Row(i))
+			ct.KNN(queries.Row(i), 1)
 		}
 		ctEvals := float64(ct.DistEvals) / q
 
@@ -296,7 +296,7 @@ func RunBaselines(cfg Config) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, st := idx.Search(queries)
+		_, st := idx.KNNBatch(queries, 1)
 		t.AddRow(name, db.Dim, n, ktEvals, ctEvals, float64(st.TotalEvals())/q)
 	}
 	return &Output{Tables: []*stats.Table{t}}, nil
@@ -331,10 +331,10 @@ func RunLSHCompare(cfg Config) (*Output, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, st := idx.Search(queries)
+			res, st := idx.KNNBatch(queries, 1)
 			correct := 0
 			for i := range res {
-				if res[i].Dist == truth[i] {
+				if res[i][0].Dist == truth[i] {
 					correct++
 				}
 			}
@@ -350,10 +350,10 @@ func RunLSHCompare(cfg Config) (*Output, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, evals := idx.Search(queries)
+			res, evals := idx.SearchK(queries, 1)
 			correct := 0
 			for i := range res {
-				if res[i].ID >= 0 && res[i].Dist == truth[i] {
+				if len(res[i]) > 0 && res[i][0].Dist == truth[i] {
 					correct++
 				}
 			}
@@ -387,7 +387,7 @@ func RunAblationApprox(cfg Config) (*Output, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, st := idx.Search(queries)
+			res, st := idx.KNNBatch(queries, 1)
 			evals := float64(st.TotalEvals()) / float64(queries.N())
 			if eps == 0 {
 				exactEvals = evals
@@ -398,7 +398,7 @@ func RunAblationApprox(cfg Config) (*Output, error) {
 				if want[i].Dist == 0 {
 					continue
 				}
-				r := res[i].Dist / want[i].Dist
+				r := res[i][0].Dist / want[i].Dist
 				sum += r
 				count++
 				if r > worst {

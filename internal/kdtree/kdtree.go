@@ -139,16 +139,8 @@ func (c *buildCtx) build(lo, hi int) int32 {
 	return idx
 }
 
-// NN returns the nearest database point to q, or (-1, +Inf) when empty.
-func (t *Tree) NN(q []float32) (int, float64) {
-	res := t.KNN(q, 1)
-	if len(res) == 0 {
-		return -1, math.Inf(1)
-	}
-	return res[0].ID, res[0].Dist
-}
-
-// KNN returns the k nearest database points sorted by ascending distance.
+// KNN returns the k nearest database points sorted by ascending distance;
+// an empty tree answers with an empty slice.
 func (t *Tree) KNN(q []float32, k int) []par.Neighbor {
 	res, evals := t.knn(q, k)
 	t.DistEvals += evals

@@ -1,7 +1,6 @@
 package kdtree
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -27,8 +26,8 @@ func TestEmptyTree(t *testing.T) {
 	var db vec.Dataset
 	db.Dim = 2
 	tr := Build(&db, 0)
-	if id, d := tr.NN([]float32{0, 0}); id != -1 || !math.IsInf(d, 1) {
-		t.Fatalf("empty NN: %d %v", id, d)
+	if got := tr.KNN([]float32{0, 0}, 1); len(got) != 0 {
+		t.Fatalf("empty 1-NN: %v, want no answer", got)
 	}
 	if tr.Range([]float32{0, 0}, 1) != nil {
 		t.Fatal("empty Range")
@@ -45,7 +44,7 @@ func TestNNMatchesBruteForce(t *testing.T) {
 	m := metric.Euclidean{}
 	for trial := 0; trial < 60; trial++ {
 		q := randomDataset(rng, 1, 3).Row(0)
-		_, d := tr.NN(q)
+		d := tr.KNN(q, 1)[0].Dist
 		want := bruteforce.SearchOne(q, db, m, nil)
 		if d != want.Dist {
 			t.Fatalf("trial %d: %v want %v", trial, d, want.Dist)
@@ -122,7 +121,7 @@ func TestPruningReducesWorkLowDim(t *testing.T) {
 	tr.DistEvals = 0
 	const queries = 40
 	for i := 0; i < queries; i++ {
-		tr.NN(randomDataset(rng, 1, 2).Row(0))
+		tr.KNN(randomDataset(rng, 1, 2).Row(0), 1)
 	}
 	perQuery := float64(tr.DistEvals) / queries
 	if perQuery > float64(db.N())/10 {
@@ -138,7 +137,7 @@ func TestLeafSizeVariants(t *testing.T) {
 	want := bruteforce.SearchOne(q, db, m, nil)
 	for _, leaf := range []int{1, 2, 7, 64, 1000} {
 		tr := Build(db, leaf)
-		if _, d := tr.NN(q); d != want.Dist {
+		if d := tr.KNN(q, 1)[0].Dist; d != want.Dist {
 			t.Fatalf("leafSize=%d: wrong NN", leaf)
 		}
 	}
@@ -158,7 +157,7 @@ func TestQuickKDTreeExact(t *testing.T) {
 		tr := Build(db, 4)
 		for trial := 0; trial < 3; trial++ {
 			q := randomDataset(rng, 1, 2).Row(0)
-			_, d := tr.NN(q)
+			d := tr.KNN(q, 1)[0].Dist
 			if d != bruteforce.SearchOne(q, db, m, nil).Dist {
 				return false
 			}

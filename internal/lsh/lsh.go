@@ -173,28 +173,12 @@ func (idx *Index) bucketKey(keys []int64) uint64 {
 	return h.Sum64()
 }
 
-// Result mirrors the brute-force result type.
-type Result struct {
-	ID   int
-	Dist float64
-}
-
-// One returns the best candidate found for q along with the number of
-// candidate distance evaluations performed (the LSH work measure). With
-// unlucky hashing the candidate set can be empty, in which case ID is -1
-// — approximation is inherent to the scheme.
-func (idx *Index) One(q []float32) (Result, int) {
-	res, evals := idx.KNN(q, 1)
-	if len(res) == 0 {
-		return Result{ID: -1, Dist: math.Inf(1)}, evals
-	}
-	return Result{ID: res[0].ID, Dist: res[0].Dist}, evals
-}
-
 // KNN returns up to k candidates ranked by true distance, and the number of
-// distance evaluations performed. The bucket union is deduplicated and
-// rescored in one pass through bruteforce.RescoreK, so the ranking inner
-// loop rides the row kernel instead of per-pair Distance calls.
+// distance evaluations performed (the LSH work measure). The bucket union
+// is deduplicated and rescored in one pass through bruteforce.RescoreK, so
+// the ranking inner loop rides the row kernel instead of per-pair Distance
+// calls. With unlucky hashing the candidate set can be empty, and so is
+// the answer — approximation is inherent to the scheme.
 func (idx *Index) KNN(q []float32, k int) ([]par.Neighbor, int) {
 	if k <= 0 {
 		return nil, 0
@@ -223,21 +207,6 @@ func (idx *Index) SearchK(queries *vec.Dataset, k int) ([][]par.Neighbor, int64)
 	evals := make([]int, queries.N())
 	par.ForEach(queries.N(), 1, func(i int) {
 		out[i], evals[i] = idx.KNN(queries.Row(i), k)
-	})
-	var total int64
-	for _, e := range evals {
-		total += int64(e)
-	}
-	return out, total
-}
-
-// Search answers a batch of 1-NN queries in parallel, returning results
-// and total distance evaluations.
-func (idx *Index) Search(queries *vec.Dataset) ([]Result, int64) {
-	out := make([]Result, queries.N())
-	evals := make([]int, queries.N())
-	par.ForEach(queries.N(), 1, func(i int) {
-		out[i], evals[i] = idx.One(queries.Row(i))
 	})
 	var total int64
 	for _, e := range evals {

@@ -3,6 +3,7 @@ package lsh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -63,9 +64,9 @@ func TestSelfQueryFindsSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		res, evals := idx.One(db.Row(i))
-		if res.Dist != 0 {
-			t.Fatalf("point %d: dist %v", i, res.Dist)
+		res, evals := idx.KNN(db.Row(i), 1)
+		if len(res) != 1 || res[0].Dist != 0 {
+			t.Fatalf("point %d: 1-NN %v, want itself at distance 0", i, res)
 		}
 		if evals == 0 {
 			t.Fatal("no candidates examined")
@@ -83,10 +84,10 @@ func TestRecallOnClusteredData(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := bruteforce.Search(queries, db, metric.Euclidean{}, nil)
-	res, evals := idx.Search(queries)
+	res, evals := idx.SearchK(queries, 1)
 	correct := 0
 	for i := range res {
-		if res[i].Dist == want[i].Dist {
+		if len(res[i]) > 0 && res[i][0].Dist == want[i].Dist {
 			correct++
 		}
 	}
@@ -134,8 +135,8 @@ func TestKNNWellFormed(t *testing.T) {
 }
 
 func TestMissIsPossibleAndReported(t *testing.T) {
-	// A query far from every bucket returns ID -1, not a wrong answer
-	// presented as confident.
+	// A query far from every bucket gets no answer — an empty slice with no
+	// candidates examined — not a wrong answer presented as confident.
 	rng := rand.New(rand.NewSource(5))
 	db := clustered(rng, 200, 3, 2)
 	idx, err := Build(db, Params{L: 2, K: 24, W: 0.01, Seed: 11})
@@ -143,9 +144,13 @@ func TestMissIsPossibleAndReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	far := []float32{1e6, 1e6, 1e6}
-	res, _ := idx.One(far)
-	if res.ID != -1 && res.Dist < 1e5 {
-		t.Fatalf("impossible hit: %+v", res)
+	res, evals := idx.KNN(far, 1)
+	if len(res) != 0 || evals != 0 {
+		t.Fatalf("far query: %v after %d evals, want a reported miss", res, evals)
+	}
+	batch, batchEvals := idx.SearchK(vec.FromRows([][]float32{far}), 1)
+	if len(batch) != 1 || len(batch[0]) != 0 || batchEvals != 0 {
+		t.Fatalf("far query in a batch: %v after %d evals, want a reported miss", batch, batchEvals)
 	}
 }
 
@@ -174,9 +179,9 @@ func TestDeterministicBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		ra, _ := a.One(db.Row(i))
-		rb, _ := b.One(db.Row(i))
-		if ra != rb {
+		ra, _ := a.KNN(db.Row(i), 1)
+		rb, _ := b.KNN(db.Row(i), 1)
+		if !slices.Equal(ra, rb) {
 			t.Fatalf("same seed diverged at %d: %+v vs %+v", i, ra, rb)
 		}
 	}
@@ -194,15 +199,15 @@ func TestQuickLSHSound(t *testing.T) {
 			return false
 		}
 		q := []float32{rng.Float32() * 10, rng.Float32() * 10, rng.Float32() * 10}
-		res, _ := idx.One(q)
+		res, _ := idx.KNN(q, 1)
 		want := bruteforce.SearchOne(q, db, m, nil)
-		if res.ID == -1 {
+		if len(res) == 0 {
 			return true // miss is allowed
 		}
-		if res.Dist < want.Dist {
+		if res[0].Dist < want.Dist {
 			return false // impossible
 		}
-		return math.Abs(m.Distance(q, db.Row(res.ID))-res.Dist) < 1e-9
+		return math.Abs(m.Distance(q, db.Row(res[0].ID))-res[0].Dist) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -332,24 +332,6 @@ func (v *QuantizedView) OrderingRange(qc []int8, lo, hi int, out []float64) {
 	}
 }
 
-// OrderingIDs writes quantized orderings from qc to the listed rows:
-// out[i] = ô(q, row ids[i]). The random-access companion of
-// OrderingRange for scoring a candidate list.
-func (v *QuantizedView) OrderingIDs(qc []int8, ids []int32, out []float64) {
-	if len(qc) != v.stride {
-		panic("metric: OrderingIDs query not encoded by this view")
-	}
-	for i, id := range ids {
-		row := v.codes[int(id)*v.stride : (int(id)+1)*v.stride]
-		var s float64
-		for c := range v.chunkW {
-			co, cp := v.chunkO[c], v.chunkP[c]
-			s += float64(quantSqDiff(qc[co:co+cp], row[co:co+cp])) * v.sqs[c]
-		}
-		out[i] = s
-	}
-}
-
 // quantScanRows computes, for each of rows code rows of width stride
 // (multiple of quantAlign) starting at codes[0], the int32 sum of squared
 // code differences against qc[:stride]. Results are exact — integer

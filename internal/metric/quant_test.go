@@ -178,28 +178,6 @@ func TestQuantizedAsmMatchesGo(t *testing.T) {
 	}
 }
 
-// TestQuantizedOrderingIDs: the random-access scorer must agree bitwise
-// with the range scan.
-func TestQuantizedOrderingIDs(t *testing.T) {
-	rng := rand.New(rand.NewSource(351))
-	for _, dim := range []int{5, 64, 4099} {
-		np := 29
-		pflat := randFlat(rng, np, dim)
-		v := NewQuantizedView(pflat, dim)
-		qc := v.QuantizeQuery(pflat[:dim], nil)
-		all := make([]float64, np)
-		v.OrderingRange(qc, 0, np, all)
-		ids := []int32{28, 0, 13, 13, 5}
-		got := make([]float64, len(ids))
-		v.OrderingIDs(qc, ids, got)
-		for i, id := range ids {
-			if got[i] != all[id] {
-				t.Fatalf("dim=%d id=%d: OrderingIDs %v, OrderingRange %v", dim, id, got[i], all[id])
-			}
-		}
-	}
-}
-
 // TestQuantizedDegenerateAndEmpty: constant dimensions (scale 0) score
 // zero everywhere, and empty/single-row views behave.
 func TestQuantizedDegenerateAndEmpty(t *testing.T) {

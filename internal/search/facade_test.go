@@ -2,7 +2,6 @@ package search_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -13,27 +12,21 @@ import (
 	"repro/internal/vec"
 )
 
-// TestPublicBruteForceBitIdentical: the public rbc.BruteForce and
-// rbc.BruteForceK are the exact primitive — bit-identical (ids, distance
-// bits, order) to the per-query reference bruteforce.SearchOneK on the
-// equivalence corpus and on off-lattice data, where a reassociating
-// kernel would drift in trailing ulps.
+// TestPublicBruteForceBitIdentical: the public rbc.BruteForceK is the
+// exact primitive — bit-identical (ids, distance bits, order) to the
+// per-query reference bruteforce.SearchOneK on the equivalence corpus and
+// on off-lattice data, where a reassociating kernel would drift in
+// trailing ulps — at the corpus k and at k = 1, the 1-NN search.
 func TestPublicBruteForceBitIdentical(t *testing.T) {
 	check := func(t *testing.T, db, queries *vec.Dataset, k int) {
 		m := rbc.Euclidean()
-		gotK := rbc.BruteForceK(queries, db, k, m)
-		got1 := rbc.BruteForce(queries, db, m)
-		for i := 0; i < queries.N(); i++ {
-			want := bruteforce.SearchOneK(queries.Row(i), db, k, m, nil)
-			if !neighborsEqual(gotK[i], want) {
-				t.Fatalf("query %d: BruteForceK %v, reference %v", i, gotK[i], want)
-			}
-			want1 := rbc.Result{ID: -1, Dist: math.Inf(1)}
-			if nbs := bruteforce.SearchOneK(queries.Row(i), db, 1, m, nil); len(nbs) > 0 {
-				want1 = rbc.Result{ID: nbs[0].ID, Dist: nbs[0].Dist}
-			}
-			if got1[i] != want1 {
-				t.Fatalf("query %d: BruteForce %+v, reference %+v", i, got1[i], want1)
+		for _, kk := range []int{k, 1} {
+			got := rbc.BruteForceK(queries, db, kk, m)
+			for i := 0; i < queries.N(); i++ {
+				want := bruteforce.SearchOneK(queries.Row(i), db, kk, m, nil)
+				if !neighborsEqual(got[i], want) {
+					t.Fatalf("k=%d query %d: BruteForceK %v, reference %v", kk, i, got[i], want)
+				}
 			}
 		}
 	}

@@ -19,9 +19,6 @@ type Dataset = vec.Dataset
 // Exact must satisfy the triangle inequality.
 type Metric = metric.Metric[[]float32]
 
-// Result is a 1-NN answer: database id and distance (ID -1 when empty).
-type Result = core.Result
-
 // Stats reports per-search work: distance evaluations by phase and
 // pruning counters. See core.Stats.
 type Stats = core.Stats
@@ -68,23 +65,13 @@ func Minkowski(p float64) Metric { return metric.NewMinkowski(p) }
 // unit sphere, unlike raw cosine "distance").
 func Angular() Metric { return metric.Angular{} }
 
-// BruteForce answers every query exactly with the tiled BF(Q,X)
+// BruteForceK answers every query exactly with the tiled BF(Q,X)
 // matrix-matrix primitive — no index, one pass over the database shared by
 // the whole query block. It is the baseline the RBC indexes are measured
 // against and the right tool for one-off batches too small to amortize an
 // index build. It runs on the exact kernel, so answers are bit-identical
-// to a per-query scan, ties toward the lower id.
-func BruteForce(queries, db *Dataset, m Metric) []Result {
-	rs := bruteforce.Search(queries, db, m, nil)
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{ID: r.ID, Dist: r.Dist}
-	}
-	return out
-}
-
-// BruteForceK is the k-NN form of BruteForce; results are sorted by
-// ascending distance, ties toward the lower id.
+// to a per-query scan; results are sorted by ascending distance, ties
+// toward the lower id.
 func BruteForceK(queries, db *Dataset, k int, m Metric) [][]Neighbor {
 	return bruteforce.SearchK(queries, db, k, m, nil)
 }

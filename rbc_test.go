@@ -34,14 +34,14 @@ func TestPublicAPIExactWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := buildTestData(rng, 40, 8)
-	res, st := idx.Search(queries)
+	res, st := idx.KNNBatch(queries, 1)
 	if st.TotalEvals() == 0 {
 		t.Fatal("no work recorded")
 	}
 	for i := 0; i < queries.N(); i++ {
 		want := bruteforce.SearchOne(queries.Row(i), db, metric.Euclidean{}, nil)
-		if res[i].Dist != want.Dist {
-			t.Fatalf("query %d: %v want %v", i, res[i].Dist, want.Dist)
+		if res[i][0].Dist != want.Dist {
+			t.Fatalf("query %d: %v want %v", i, res[i][0].Dist, want.Dist)
 		}
 	}
 	// Work reduction is the headline claim.
@@ -59,11 +59,11 @@ func TestPublicAPIOneShotWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := buildTestData(rng, 60, 6)
-	res, _ := idx.Search(queries)
+	res, _ := idx.KNNBatch(queries, 1)
 	correct := 0
 	for i := 0; i < queries.N(); i++ {
 		want := bruteforce.SearchOne(queries.Row(i), db, metric.Euclidean{}, nil)
-		if res[i].Dist == want.Dist {
+		if res[i][0].Dist == want.Dist {
 			correct++
 		}
 	}
@@ -88,9 +88,9 @@ func TestPublicAPISerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := db.Row(13)
-	a, _ := idx.One(q)
-	b, _ := loaded.One(q)
-	if a != b {
+	a, _ := idx.KNN(q, 1)
+	b, _ := loaded.KNN(q, 1)
+	if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
 		t.Fatalf("reload mismatch: %+v vs %+v", a, b)
 	}
 }
