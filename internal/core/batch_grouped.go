@@ -27,7 +27,7 @@ import (
 
 // batchGrouped runs the grouped two-phase batch search for Exact: the
 // exact-grade front half, the same per-query pruner as Exact.one (so
-// decisions, seeds and counters are the per-query path's by
+// decisions, seeds, home probes and counters are the per-query path's by
 // construction), then one grouped scan per query tile on the same kernel.
 // The emit admits candidates at the heap bound exactly as Exact.one does.
 // It requires a pristine index: dynamic state (tombstones, insertion
@@ -41,7 +41,7 @@ func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *pa
 			st := Stats{RepEvals: int64(bq * nr)}
 			qflat := queries.Data[q0*dim : q1*dim]
 			heaps := sc.HeapSlab(bq, k)
-			kept := sc.Ints(0, 4*bq*nr)[:0]
+			kept := sc.Ints(0, 4*bq*(nr+1))[:0]
 			for i := 0; i < bq; i++ {
 				p := e.newProbe(qflat[i*dim:(i+1)*dim], rows[i*nr:(i+1)*nr], nil, sc)
 				kept, _ = e.prune(&p, i, k, heaps[i], sc, &st, kept)

@@ -33,18 +33,20 @@ type Stats struct {
 	// representatives).
 	RepEvals int64
 	// PointEvals counts phase-2 distance evaluations (query to ownership
-	// list members): every position of a kept list's admissible window —
-	// the whole list without EarlyExit — representatives included (they
-	// are skipped as candidates, not as work), whatever mix of tiles and
-	// rows evaluated them. Every search path, GenericExact included,
-	// counts by this rule, so the field is comparable across paths. (The
-	// one exception is a mutated index's insertion buffers, scanned point
-	// by point: a tombstoned buffer member is never evaluated or counted.)
+	// list members): every position of the exact search's home-probe run
+	// and of a kept list's admissible window — the whole list without
+	// EarlyExit, less the probed run on the home list — representatives
+	// included (they are skipped as candidates, not as work), whatever mix
+	// of tiles and rows evaluated them. Every search path, GenericExact
+	// included, counts by this rule, so the field is comparable across
+	// paths. (The one exception is a mutated index's insertion buffers,
+	// scanned point by point: a tombstoned buffer member is never
+	// evaluated or counted.)
 	PointEvals int64
 	// RepsKept counts representatives surviving all pruning rules.
 	RepsKept int64
 	// PrunedPsi counts representatives discarded by the radius bound
-	// ρ(q,r) ≥ γ + ψ_r (inequality (1) in the paper).
+	// ρ(q,r) > γ + ψ_r (inequality (1) in the paper, strict).
 	PrunedPsi int64
 	// PrunedTriple counts representatives discarded by the Lemma 1 bound
 	// ρ(q,r) > 3γ (inequality (2)); a representative failing both rules is

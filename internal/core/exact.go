@@ -20,20 +20,26 @@ type ExactParams struct {
 	// ExactCount samples exactly NumReps representatives instead of the
 	// paper's independent-inclusion scheme (Binomial size).
 	ExactCount bool
-	// PrunePsi enables the radius bound ρ(q,r) ≥ γ + ψ_r (inequality (1)).
-	// Both bounds default to on in BuildExact when neither is set.
+	// PrunePsi enables the radius bound ρ(q,r) > γ + ψ_r (inequality (1),
+	// strict). γ is the home probe's tightened bound (see prune): the
+	// smaller of the nearest-representative distance and the best
+	// candidate distance found. Both bounds default to on in BuildExact
+	// when neither is set.
 	PrunePsi bool
-	// PruneTriple enables the Lemma 1 bound ρ(q,r) > 3γ (inequality (2)).
+	// PruneTriple enables the Lemma 1 bound ρ(q,r) > 3γ (inequality (2)),
+	// in its k-NN form ρ(q,r) > 2γ_k + γ_1 with γ_1 the
+	// nearest-representative distance and γ_k the tightened bound.
 	PruneTriple bool
 	// EarlyExit restricts the phase-2 scan of each surviving list to the
 	// admissible window of points x with ρ(x,r) ∈ [ρ(q,r)−γ, ρ(q,r)+γ]
 	// (the paper's Claim 2 "sorted list" refinement; exact because
 	// |ρ(q,r)−ρ(x,r)| ≤ ρ(q,x) by the triangle inequality).
 	EarlyExit bool
-	// ApproxEps, when > 0, relaxes the radius bound to prune r whenever
-	// ρ(q,r) ≥ γ/(1+ε) + ψ_r. The returned neighbor is then a
+	// ApproxEps, when > 0, relaxes the tightened γ to γ/(1+ε) in the
+	// radius bound and the window, pruning r whenever
+	// ρ(q,r) > γ/(1+ε) + ψ_r. The returned neighbor is then a
 	// (1+ε)-approximate NN: if the true NN x* was pruned we have
-	// ρ(q,x*) ≥ ρ(q,r) − ψ_r ≥ γ/(1+ε), while the returned distance is at
+	// ρ(q,x*) ≥ ρ(q,r) − ψ_r > γ/(1+ε), while the returned distance is at
 	// most γ. This is the footnote-1 variant of the paper.
 	ApproxEps float64
 	// BufferMerge bounds each representative's insertion buffer: a buffer
@@ -167,14 +173,19 @@ func (e *Exact) listWindow(j int, d, w float64) (lo, hi int) {
 	return lo, hi
 }
 
+// homeProbe sizes the home probe: prune scans the homeProbe·k members of
+// the home list nearest the query in ρ(·,r) before it applies any rule.
+const homeProbe = 8
+
 // prune is the per-query step between the paper's two brute-force calls:
 // from one query's probe it derives γ_1 and γ_k over the live
-// representatives, seeds h, applies the pruning rules to every
-// representative and appends, per survivor, a (qi, list, lo, hi)
-// quadruple to kept — [lo, hi) being the list's scan extent (listWindow;
-// possibly empty). It charges the pruning counters to st and returns kept
-// and the window half-width w. Exact.one scans the kept windows row by
-// row; Exact.batchGrouped hands a whole tile's quadruples to ScanGrouped.
+// representatives, seeds h, probes the home list, applies the pruning
+// rules to every representative and appends, per survivor, a
+// (qi, list, lo, hi) quadruple to kept — [lo, hi) being the list's scan
+// extent (listWindow; possibly empty). It charges the pruning counters
+// and the probe's evaluations to st and returns kept and the window
+// half-width w. Exact.one scans the kept windows row by row;
+// Exact.batchGrouped hands a whole tile's quadruples to ScanGrouped.
 //
 // The heap is seeded with every live representative at or under γ_k, at
 // its phase-1 ordering. Representatives are database points; seeding
@@ -183,8 +194,18 @@ func (e *Exact) listWindow(j int, d, w float64) (lo, hi int) {
 // returned k-NN multiset exact even at pruning-boundary ties. At least k
 // seeds qualify (or every live representative, when fewer than k are
 // live), and any representative past γ_k has an ordering past every seed,
-// so it could never be kept. Uses sc's heap slot 1 (and float64 slot 7
-// through liveGammas).
+// so it could never be kept.
+//
+// The home probe then tightens γ_k. The home list is the nearest
+// representative's (lowest index at ties, tombstoned ones included), and
+// probeRun picks the homeProbe·k of its members whose ρ(x,r) lie nearest
+// ρ(q,r). They are scanned like any window; once the heap is full its
+// worst candidate is a real answer bound, so γ_k drops to its distance
+// when that is smaller. Every rule and window holds for any upper bound on
+// the k-th neighbour distance, so the tighter γ_k prunes more and stays
+// exact. The home list's window then excludes the probed run and is kept
+// as two adjacent quadruples. Uses sc's heap slot 1, float64 slot 2 for
+// the probe and float64 slot 7 through liveGammas.
 func (e *Exact) prune(p *probe, qi, k int, h *par.KHeap, sc *par.Scratch, st *Stats, kept []int) ([]int, float64) {
 	nr := e.NumReps()
 	gamma1, gammaK := e.liveGammas(p.d, k, sc)
@@ -193,6 +214,15 @@ func (e *Exact) prune(p *probe, qi, k int, h *par.KHeap, sc *par.Scratch, st *St
 			continue
 		}
 		h.Push(e.repIDs[j], p.ords[j])
+	}
+
+	home, _ := par.ArgMin(p.d)
+	off := e.offsets[home]
+	pLo, pHi := probeRun(e.dists[off:e.offsets[home+1]], p.d[home], homeProbe*k)
+	pLo, pHi = off+pLo, off+pHi
+	st.PointEvals += e.scanRun(p.q, pLo, pHi, h, sc.Float64(2, pHi-pLo))
+	if worst, full := h.Worst(); full {
+		gammaK = min(gammaK, e.ker.ToDistance(worst))
 	}
 
 	// ApproxEps relaxes the radius rule and, to match, the window
@@ -212,9 +242,40 @@ func (e *Exact) prune(p *probe, qi, k int, h *par.KHeap, sc *par.Scratch, st *St
 		}
 		st.RepsKept++
 		lo, hi := e.listWindow(j, d, w)
+		if j == home {
+			a, b := max(lo, min(hi, pLo)), min(hi, max(lo, pHi))
+			kept = append(kept, qi, j, lo, a, qi, j, b, hi)
+			continue
+		}
 		kept = append(kept, qi, j, lo, hi)
 	}
 	return kept, w
+}
+
+// scanRun offers gathered positions [lo, hi) to h through the row
+// kernel, buf's length at a time, and returns the evaluation count
+// hi − lo. Admission tests the heap bound before anything else: an
+// ordering past the k-th kept one (+Inf until the heap is full) would be
+// a no-op Push, so it is skipped before ids and isRep are read. The test
+// is strict, so a tie at the bound (which may still win on id) and a NaN
+// still reach Push; the bound moves only when a Push keeps its candidate.
+// Representatives and tombstones are skipped as candidates, not as work.
+func (e *Exact) scanRun(q []float32, lo, hi int, h *par.KHeap, buf []float64) int64 {
+	dim := e.db.Dim
+	bound, _ := h.Worst()
+	for blk := lo; blk < hi; blk += len(buf) {
+		out := buf[:min(len(buf), hi-blk)]
+		e.ker.Ordering(q, e.gather[blk*dim:(blk+len(out))*dim], dim, out)
+		for i, dd := range out {
+			if dd > bound {
+				continue
+			}
+			if id := int(e.ids[blk+i]); !e.isRep[id] && !e.isDeleted(id) && h.Push(id, dd) {
+				bound, _ = h.Worst()
+			}
+		}
+	}
+	return int64(hi - lo)
 }
 
 // BuildExact constructs the exact-search RBC over db. The build is the
@@ -370,17 +431,11 @@ func (e *Exact) finish(h *par.KHeap) []par.Neighbor {
 // one runs the two-phase exact search for the k nearest neighbors,
 // returning the candidate heap (in ordering space) from sc's slot 0.
 // ordRow optionally carries the query's row of the batched BF(Q,R) front
-// half. Phase 2 scans each kept window through the row kernel, then the
-// list's insertion buffer if the index has been mutated.
-//
-// Admission tests the heap bound before anything else: an ordering past
-// the k-th kept one (+Inf until the heap is full) would be a no-op Push,
-// so it is skipped before ids and isRep are read. The test is strict, so
-// a tie at the bound (which may still win on id) and a NaN still reach
-// Push; the bound moves only when a Push keeps its candidate.
+// half. Phase 2 scans each kept window through the row kernel (scanRun),
+// then the list's insertion buffer if the index has been mutated — once
+// per list, after the first of the home list's two quadruples.
 func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par.KHeap, Stats) {
 	nr := e.NumReps()
-	dim := e.db.Dim
 	st := Stats{RepEvals: int64(nr)}
 	// Block buffer for the list scans, doubling as the buffer-scan cell;
 	// pooled because a local array would escape through the kernel's
@@ -388,34 +443,16 @@ func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par
 	scratch := sc.Float64(5, 256)
 	p := e.newProbe(q, e.phase1(q, ordRow, sc), scratch, sc)
 	h := sc.Heap(0, k)
-	kept, w := e.prune(&p, 0, k, h, sc, &st, sc.Ints(0, 4*nr)[:0])
-	bound, _ := h.Worst()
+	kept, w := e.prune(&p, 0, k, h, sc, &st, sc.Ints(0, 4*(nr+1))[:0])
 	for t := 0; t < len(kept); t += 4 {
 		j, lo, hi := kept[t+1], kept[t+2], kept[t+3]
-		for blk := lo; blk < hi; blk += len(scratch) {
-			end := blk + len(scratch)
-			if end > hi {
-				end = hi
-			}
-			out := scratch[:end-blk]
-			e.ker.Ordering(q, e.gather[blk*dim:end*dim], dim, out)
-			for i, dd := range out {
-				if dd > bound {
-					continue
-				}
-				if id := int(e.ids[blk+i]); !e.isRep[id] && !e.isDeleted(id) && h.Push(id, dd) {
-					bound, _ = h.Worst()
-				}
-			}
-			st.PointEvals += int64(end - blk)
-		}
-		if e.mut != nil && len(e.mut.bufIDs[j]) > 0 {
+		st.PointEvals += e.scanRun(q, lo, hi, h, scratch)
+		if e.mut != nil && len(e.mut.bufIDs[j]) > 0 && (t == 0 || kept[t-3] != j) {
 			st.PointEvals += e.scanBuffer(&p, j, w, func(id int, dd float64) {
 				if !e.isRep[id] {
 					h.Push(id, dd)
 				}
 			})
-			bound, _ = h.Worst()
 		}
 	}
 	return h, st

@@ -27,13 +27,31 @@ func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 	sc := par.GetScratch()
 	gamma1, gammaK := kthSmallest(repDists, k, sc)
 	par.PutScratch(sc)
-	w := relaxedGamma(gammaK, g.prm.ApproxEps)
-	triple := tripleRule(gamma1, gammaK)
 
 	h := par.NewKHeap(k)
 	for j, d := range repDists {
 		h.Push(g.repIDs[j], d)
 	}
+	scan := func(list []int32, lo, hi int) {
+		for _, id := range list[lo:hi] {
+			st.PointEvals++
+			if !g.isRep[id] {
+				h.Push(int(id), g.m.Distance(q, g.db[id]))
+			}
+		}
+	}
+	// The home probe (see Exact.prune): the homeProbe·k members of the
+	// nearest representative's list nearest ρ(q,r), then γ_k tightened to
+	// the k-th candidate distance.
+	home, _ := par.ArgMin(repDists)
+	pLo, pHi := probeRun(g.dists[home], repDists[home], homeProbe*k)
+	scan(g.lists[home], pLo, pHi)
+	if worst, full := h.Worst(); full {
+		gammaK = min(gammaK, worst)
+	}
+	w := relaxedGamma(gammaK, g.prm.ApproxEps)
+	triple := tripleRule(gamma1, gammaK)
+
 	for j := range g.repIDs {
 		d := repDists[j]
 		if g.prm.PrunePsi && psiRule(w, g.radii[j]).holds(d) {
@@ -50,14 +68,11 @@ func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 		if g.prm.EarlyExit {
 			lo, hi = AdmissibleWindow(dists, d-w, d+w)
 		}
-		for i := lo; i < hi; i++ {
-			st.PointEvals++
-			id := int(list[i])
-			if g.isRep[id] {
-				continue
-			}
-			h.Push(id, g.m.Distance(q, g.db[id]))
+		if j == home {
+			scan(list, lo, max(lo, min(hi, pLo)))
+			lo = min(hi, max(lo, pHi))
 		}
+		scan(list, lo, hi)
 	}
 	return h.Results(), st
 }

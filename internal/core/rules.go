@@ -1,29 +1,25 @@
 package core
 
 // The decisions of the paper's exact search (§5.2), each written once.
-// Let γ_1 ≤ γ_k be the smallest and k-th smallest distances from the
-// query q to a representative; representatives are database points, so
-// γ_k upper-bounds the k-th nearest-neighbor distance. Every rule has the
-// form "prune r when ρ(q,r) is past a threshold", one comparison
-// (rule.holds) on an exact distance.
+// Let γ_1 be the smallest distance from the query q to a representative
+// and γ_k any upper bound on the k-th nearest-neighbor distance: the k-th
+// smallest representative distance (representatives are database
+// points), or — in Exact and GenericExact — the smaller k-th candidate
+// distance the home probe finds. Every rule has the form "prune r when
+// ρ(q,r) is strictly past a threshold", one comparison (rule.holds) on an
+// exact distance. Strict rules keep every point at exactly γ_k on a
+// scanned list, so every exact path returns the brute-force (dist, id)
+// answer, ids included, whichever bound it prunes at.
 //
 // Exact, GenericExact and the distributed coordinator all decide through
 // this file; AdmissibleWindow (window.go) is the matching single home of
 // the EarlyExit window rule.
 
 // rule prunes a representative whose distance d to the query is past t:
-// d ≥ t, or d > t when strict.
-type rule struct {
-	t      float64
-	strict bool
-}
+// d > t.
+type rule struct{ t float64 }
 
-func (r rule) holds(d float64) bool {
-	if r.strict {
-		return d > r.t
-	}
-	return d >= r.t
-}
+func (r rule) holds(d float64) bool { return d > r.t }
 
 // relaxedGamma is the γ the radius rule and the EarlyExit window use:
 // γ_k itself, or γ_k/(1+ε) under ExactParams.ApproxEps (the paper's
@@ -36,13 +32,16 @@ func relaxedGamma(gammaK, approxEps float64) float64 {
 }
 
 // psiRule is inequality (1) generalized to k-NN: a representative with
-// ρ(q,r) ≥ γ + ψ_r owns no point within γ of q (triangle inequality), so
+// ρ(q,r) > γ + ψ_r owns no point within γ of q (triangle inequality), so
 // with γ = γ_k — or its relaxedGamma — its list cannot improve the answer.
+// The paper's non-strict form would also prune a list that can hold a
+// member at exactly γ from q, so which tied id survived would depend on
+// the bound a path prunes at.
 func psiRule(gamma, radius float64) rule { return rule{t: gamma + radius} }
 
 // rangePsiRule is the radius rule of range search: r can own a point
 // within eps of q only if ρ(q,r) ≤ eps + ψ_r.
-func rangePsiRule(eps, radius float64) rule { return rule{t: eps + radius, strict: true} }
+func rangePsiRule(eps, radius float64) rule { return rule{t: eps + radius} }
 
 // tripleRule is inequality (2), Lemma 1's ρ(q,r) > 3γ, in its k-NN form:
 // if x is one of the k NNs and r* owns x, then
@@ -50,7 +49,7 @@ func rangePsiRule(eps, radius float64) rule { return rule{t: eps + radius, stric
 // ρ(q,r*) ≤ ρ(q,x)+ρ(x,r*) ≤ 2γ_k+γ_1 (= 3γ at k = 1). An unbounded γ_k
 // (fewer than k representatives) makes the threshold +Inf, which no
 // distance is past.
-func tripleRule(gamma1, gammaK float64) rule { return rule{t: 2*gammaK + gamma1, strict: true} }
+func tripleRule(gamma1, gammaK float64) rule { return rule{t: 2*gammaK + gamma1} }
 
 // PrunedByPsi applies the k-NN radius rule to an exact distance d.
 func PrunedByPsi(d, gammaK, radius float64) bool { return psiRule(gammaK, radius).holds(d) }

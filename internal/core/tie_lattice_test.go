@@ -13,11 +13,11 @@ import (
 
 // Tie-rich lattice tests for Exact: per-query and batched searches must
 // agree bit for bit — answers and work counters — and match the
-// brute-force reference. Integer lattices are the adversarial case: rep
-// distances land exactly on pruning thresholds (d == γ + ψ_r), window
-// edges and the heap bound, so any rule, window or admission test that is
-// off by one comparison would admit or drop tied candidates with
-// different ids.
+// brute-force reference, ids included. Integer lattices are the
+// adversarial case: rep distances land exactly on pruning thresholds
+// (d == γ + ψ_r), window edges and the heap bound, so any rule, window or
+// admission test that is off by one comparison would admit or drop tied
+// candidates with different ids.
 
 // tieGridDataset lays points on a small integer lattice with heavy
 // duplication, so distances collide and every threshold comparison is a
@@ -85,39 +85,29 @@ func TestTieLatticeKNNBitIdentity(t *testing.T) {
 									tc.prm, shape.n, shape.dim, k, i, j, got[j], batch[i][j])
 							}
 						}
-						// Exact variants vs the brute-force reference,
-						// under the index's ordering-tie contract
-						// (distances bit-true at every rank; ids may
-						// permute within a tied distance — the ψ-prune is
-						// allowed to drop a point that exactly ties γ_k).
+						// Exact variants vs the brute-force reference, bit
+						// for bit, ids included: every rule is strict, so
+						// no list holding a point at exactly γ_k is pruned.
 						// The approx variant only guarantees (1+ε)
 						// distances, so it is exercised for path parity
 						// above but not pinned to the reference.
 						if tc.prm.ApproxEps == 0 {
 							want := bruteforce.SearchOneK(q, db, k, m, nil)
-							seen := map[int]bool{}
+							if len(got) != len(want) {
+								t.Fatalf("n=%d dim=%d k=%d q=%d: %d results, want %d",
+									shape.n, shape.dim, k, i, len(got), len(want))
+							}
 							for j := range got {
-								if got[j].Dist != want[j].Dist {
-									t.Fatalf("n=%d dim=%d k=%d q=%d pos=%d: dist %v, want %v (bit-for-bit)",
-										shape.n, shape.dim, k, i, j, got[j].Dist, want[j].Dist)
-								}
-								if seen[got[j].ID] {
-									t.Fatalf("n=%d dim=%d k=%d q=%d: duplicate id %d",
-										shape.n, shape.dim, k, i, got[j].ID)
-								}
-								seen[got[j].ID] = true
-								if d := bruteforce.SearchOneK(q, db.Subset([]int{got[j].ID}), 1, m, nil)[0].Dist; d != got[j].Dist {
-									t.Fatalf("n=%d dim=%d k=%d q=%d: id %d reported dist %v, true dist %v",
-										shape.n, shape.dim, k, i, got[j].ID, got[j].Dist, d)
+								if got[j] != want[j] {
+									t.Fatalf("n=%d dim=%d k=%d q=%d pos=%d: %+v, want %+v (bit-for-bit)",
+										shape.n, shape.dim, k, i, j, got[j], want[j])
 								}
 							}
 						}
 					}
-					// Work counters must agree between the paths too: the
-					// exact-rescore fallback is uncounted on both, and the
-					// certified decisions are the same decisions.
-					if sum.RepsKept != bst.RepsKept || sum.PrunedPsi != bst.PrunedPsi ||
-						sum.PrunedTriple != bst.PrunedTriple || sum.PointEvals != bst.PointEvals {
+					// Work counters must agree between the paths too: both
+					// run the one pruner, home probe included.
+					if sum != bst {
 						t.Fatalf("n=%d dim=%d k=%d: per-query stats %+v, batch %+v",
 							shape.n, shape.dim, k, sum, bst)
 					}
@@ -196,10 +186,6 @@ func TestTieLatticeMutatedPath(t *testing.T) {
 			liveIDs = append(liveIDs, id)
 		}
 	}
-	liveSet := map[int]bool{}
-	for _, id := range liveIDs {
-		liveSet[id] = true
-	}
 	queries := tieGridDataset(rng, 16, 3, 3)
 	for _, k := range []int{1, 4} {
 		for i := 0; i < queries.N(); i++ {
@@ -209,21 +195,11 @@ func TestTieLatticeMutatedPath(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("k=%d q=%d: %d results, want %d", k, i, len(got), len(want))
 			}
-			// Distances bit-true at every rank; ids under the ordering-tie
-			// contract, but always live, distinct, and dist-consistent.
-			seen := map[int]bool{}
+			// Bit for bit, ids included: liveIDs is monotone, so it keeps
+			// the reference's (dist, id) order.
 			for j := range want {
-				if got[j].Dist != want[j].Dist {
-					t.Fatalf("k=%d q=%d pos=%d: dist %v, want %v (bit-for-bit)",
-						k, i, j, got[j].Dist, want[j].Dist)
-				}
-				if !liveSet[got[j].ID] || seen[got[j].ID] {
-					t.Fatalf("k=%d q=%d: id %d deleted or duplicated", k, i, got[j].ID)
-				}
-				seen[got[j].ID] = true
-				if d := bruteforce.SearchOneK(q, e.db.Subset([]int{got[j].ID}), 1, m, nil)[0].Dist; d != got[j].Dist {
-					t.Fatalf("k=%d q=%d: id %d reported dist %v, true dist %v",
-						k, i, got[j].ID, got[j].Dist, d)
+				if w := (par.Neighbor{ID: liveIDs[want[j].ID], Dist: want[j].Dist}); got[j] != w {
+					t.Fatalf("k=%d q=%d pos=%d: %+v, want %+v (bit-for-bit)", k, i, j, got[j], w)
 				}
 			}
 		}

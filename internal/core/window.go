@@ -52,6 +52,25 @@ func AdmissibleWindow(repDists []float64, dLo, dHi float64) (lo, hi int) {
 	return lo, hi
 }
 
+// probeRun returns the half-open position window [lo, hi) of the m members
+// of the ascending distance slice repDists whose values lie nearest d —
+// one contiguous run grown outward from d's insertion point, taking the
+// lower side on equal gaps, clamped to the slice. It is the home probe's
+// extent (Exact.prune, GenericExact.KNN).
+func probeRun(repDists []float64, d float64, m int) (lo, hi int) {
+	m = min(m, len(repDists))
+	lo = sort.SearchFloat64s(repDists, d)
+	hi = lo
+	for hi-lo < m {
+		if hi == len(repDists) || (lo > 0 && d-repDists[lo-1] <= repDists[hi]-d) {
+			lo--
+		} else {
+			hi++
+		}
+	}
+	return lo, hi
+}
+
 // insertPos returns the position at which a member with distance d and
 // database id would splice into a segment already in ascending
 // (dist, id) order, preserving that order. It is the binary-search half

@@ -86,3 +86,29 @@ func TestAdmissibleWindowMatchesLinearScan(t *testing.T) {
 		}
 	}
 }
+
+func TestProbeRun(t *testing.T) {
+	dists := []float64{1, 2, 2, 3, 5, 8}
+	cases := []struct {
+		d      float64
+		m      int
+		lo, hi int
+	}{
+		{3, 1, 3, 4},   // the insertion point's member itself
+		{4, 2, 3, 5},   // gaps 1 (3) and 1 (5): both taken
+		{4, 1, 3, 4},   // equal gaps: the lower side wins
+		{2.4, 3, 1, 4}, // 2, 2 below and 3 above
+		{0, 3, 0, 3},   // clamped at the start
+		{9, 2, 4, 6},   // clamped at the end
+		{4, 10, 0, 6},  // m past the list: the whole list
+		{4, 0, 4, 4},   // empty run at the insertion point
+	}
+	for _, c := range cases {
+		if lo, hi := probeRun(dists, c.d, c.m); lo != c.lo || hi != c.hi {
+			t.Errorf("probeRun(d=%v, m=%d) = [%d,%d), want [%d,%d)", c.d, c.m, lo, hi, c.lo, c.hi)
+		}
+	}
+	if lo, hi := probeRun(nil, 1, 8); lo != 0 || hi != 0 {
+		t.Errorf("probeRun on an empty list = [%d,%d), want [0,0)", lo, hi)
+	}
+}

@@ -563,12 +563,15 @@ func (c *Cluster) KNN(q []float32, k int) ([]par.Neighbor, QueryMetrics, error) 
 }
 
 // KNNBatch answers a block of k-NN queries with batched shard fan-out.
-// The pruning generalizes the exact-search bounds to k neighbors exactly
-// as the single-machine index does (see Exact.one): with γ_k the k-th
-// smallest representative distance, rule (1) discards representatives
-// with ρ(q,r) ≥ γ_k + ψ_r and rule (2) those with ρ(q,r) > 2γ_k + γ_1;
-// at k = 1 these are the paper's exact-search rules (γ_k = γ_1,
-// 2γ_k + γ_1 = 3γ).
+// The pruning generalizes the exact-search bounds to k neighbors through
+// the single-machine index's rules (core.PrunedByPsi, core.PrunedByTriple):
+// with γ_k the k-th smallest representative distance, rule (1) discards
+// representatives with ρ(q,r) > γ_k + ψ_r and rule (2) those with
+// ρ(q,r) > 2γ_k + γ_1; at k = 1 these are the paper's exact-search rules
+// (γ_k = γ_1, 2γ_k + γ_1 = 3γ). The coordinator has no home probe, so it
+// prunes at the representative γ_k that core.Exact tightens; both rules
+// are strict, so both prune no list holding a tied answer and return the
+// same (dist, id) answer.
 // Every representative is seeded as a candidate (they are database
 // points whose distances are already paid for), which keeps the result
 // multiset exact at pruning-boundary ties; shards skip representatives

@@ -12,10 +12,10 @@ import "sync"
 // contents (the backing array is reused). Within internal/core the slot
 // ownership convention is:
 //
-//   - float64 0, 1 and 5 belong to the per-query pruning step: 0 holds
-//     the phase-1 orderings when a single query computes its own, 1 the
-//     representative distances, 5 the list-scan block that doubles as
-//     the buffer-scan cell;
+//   - float64 0, 1, 2 and 5 belong to the per-query pruning step: 0
+//     holds the phase-1 orderings when a single query computes its own,
+//     1 the representative distances, 2 the home probe's orderings, 5
+//     the list-scan block that doubles as the buffer-scan cell;
 //   - float64 3, 4 and 6 belong to the batched front half
 //     (core.tileFrontHalf: rows, kernel tile, query norms);
 //   - float64 7 is time-shared within one query tile: the pruner uses it

@@ -20,10 +20,10 @@ import (
 //
 // Rules for what "same" means, each structural rather than a tolerance:
 //
-//   - PointEvals counts every position of a kept list's admissible
-//     window (the whole list without EarlyExit), representatives
-//     included — they are skipped as candidates, not as work. See
-//     core.Stats.
+//   - PointEvals counts every position of the home probe's run and of a
+//     kept list's admissible window (the whole list without EarlyExit,
+//     less the probed run on the home list), representatives included —
+//     they are skipped as candidates, not as work. See core.Stats.
 //   - Exact evaluates every representative once, in phase 1, so
 //     RepEvals is |R| per query on both sides.
 //   - GenericExact calls m.Distance where Exact calls the exact-grade

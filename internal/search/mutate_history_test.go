@@ -23,9 +23,9 @@ import (
 //     representatives; windows and merge policy change work, never
 //     answers);
 //   - with a brute-force scan over exactly the live rows — the
-//     rebuilt-from-live-rows reference — bitwise in distances, with ids
-//     under the ordering-tie rule for KNN and bit-exact for Range
-//     (range answers are complete, so no tie substitution exists);
+//     rebuilt-from-live-rows reference — BIT-FOR-BIT, ids included, for
+//     KNN (every pruning rule is strict, so every tied id is seen) and
+//     for Range (range answers are complete);
 //   - at checkpoints, with a core.Exact freshly rebuilt from the live
 //     rows, and again after Rebuild() compacts the mutated index.
 //
@@ -133,7 +133,7 @@ func runMutateHistory(t *testing.T, seed int64, dim, n0, nops int) {
 		assertLiveIDs(t, fmt.Sprintf("step %d: mutated KNN", step), gotW, deleted, dbW.N())
 		live, idmap := liveView(dbW, deleted)
 		want := remapIDs(bruteforce.SearchOneK(q, live, k, m, nil), idmap)
-		assertOrderingTie(t, fmt.Sprintf("step %d: mutated KNN vs live-rows reference", step), gotW, want, q, dbW, m)
+		assertBitEqual(t, fmt.Sprintf("step %d: mutated KNN vs live-rows reference", step), gotW, want)
 	}
 	checkRange := func(step int, q []float32, eps float64) {
 		gotW, _ := windowed.Range(q, eps)
@@ -155,7 +155,7 @@ func runMutateHistory(t *testing.T, seed int64, dim, n0, nops int) {
 			q := queryPoint()
 			gotW, _ := windowed.KNN(q, 4)
 			want := remapIDs(firstK(rebuilt.KNN(q, 4)), idmap)
-			assertOrderingTie(t, fmt.Sprintf("step %d: mutated vs rebuilt-from-live Exact", step), gotW, want, q, dbW, m)
+			assertBitEqual(t, fmt.Sprintf("step %d: mutated vs rebuilt-from-live Exact", step), gotW, want)
 		}
 	}
 
