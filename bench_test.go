@@ -135,7 +135,7 @@ func BenchmarkFig2_ExactSpeedup(b *testing.B) {
 		b.Run("rbc/"+name, func(b *testing.B) {
 			nr := int(2 * math.Sqrt(float64(db.N())))
 			idx, err := core.BuildExact(db, euclid, core.ExactParams{
-				NumReps: nr, Seed: benchSeed, ExactCount: true, EarlyExit: true})
+				NumReps: nr, Seed: benchSeed, ExactCount: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func BenchmarkTable3_CoverTreeVsRBC(b *testing.B) {
 		b.Run("rbc/"+name, func(b *testing.B) {
 			nr := int(2 * math.Sqrt(float64(db.N())))
 			idx, err := core.BuildExact(db, euclid, core.ExactParams{
-				NumReps: nr, Seed: benchSeed, ExactCount: true, EarlyExit: true})
+				NumReps: nr, Seed: benchSeed, ExactCount: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func BenchmarkFig3_RepSweep(b *testing.B) {
 		nr := int(factor * math.Sqrt(float64(db.N())))
 		b.Run(fmt.Sprintf("nr=%d", nr), func(b *testing.B) {
 			idx, err := core.BuildExact(db, euclid, core.ExactParams{
-				NumReps: nr, Seed: benchSeed, ExactCount: true, EarlyExit: true})
+				NumReps: nr, Seed: benchSeed, ExactCount: true})
 			if err != nil {
 				b.Fatal(err)
 			}

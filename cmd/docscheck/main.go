@@ -13,7 +13,7 @@
 //     the few Go tool flags the docs use, and
 //   - every dotted name in an inline code span that starts at a package
 //     or type of this module (`core.Exact`, `Exact.KNN`,
-//     `core.ExactParams.EarlyExit`) names an exported declaration that
+//     `core.ExactParams.ApproxEps`) names an exported declaration that
 //     exists: a package's top-level name, or a type's method or field
 //     (promoted ones included). Declarations in test files and in nested
 //     modules (bench/) do not count; chains that start anywhere else —

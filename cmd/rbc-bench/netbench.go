@@ -74,7 +74,7 @@ func runNetBench(cfg netBenchConfig) error {
 	for i := 0; i < queryPool; i++ {
 		queries.Append(all.Row(cfg.n + i))
 	}
-	prm := core.ExactParams{Seed: cfg.seed, EarlyExit: true}
+	prm := core.ExactParams{Seed: cfg.seed}
 	buildCluster := func() (*distributed.Cluster, error) {
 		return distributed.Build(db, metric.Euclidean{}, prm, shards, distributed.DefaultCostModel())
 	}

@@ -151,7 +151,7 @@ func buildOrLoad(db *vec.Dataset, mode string, reps, s int, seed int64, loadPath
 			return exactSearcher{idx}, nil
 		}
 		start := time.Now()
-		idx, err := rbc.BuildExact(db, m, rbc.ExactParams{NumReps: reps, Seed: seed, EarlyExit: true})
+		idx, err := rbc.BuildExact(db, m, rbc.ExactParams{NumReps: reps, Seed: seed})
 		if err != nil {
 			return nil, err
 		}

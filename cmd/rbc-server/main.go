@@ -65,7 +65,7 @@ func main() {
 	start := time.Now()
 	switch *mode {
 	case "exact":
-		prm := rbc.ExactParams{NumReps: *numReps, Seed: *seed, EarlyExit: true}
+		prm := rbc.ExactParams{NumReps: *numReps, Seed: *seed}
 		if *dataDir != "" {
 			sm, err := wal.ParseSyncMode(*walSync)
 			if err != nil {

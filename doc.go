@@ -51,19 +51,18 @@
 // (query, segment) pairs to core.ScanGrouped — the same grouped phase-2
 // driver Exact's batch path uses — which inverts them into per-segment
 // taker sets and scans each owned segment once for the whole block,
-// tile or row per point block, on exact-grade kernels only. Shard segments are the index's own lists, copied at
-// build in their ascending distance-to-representative order, and a
-// cluster built with
-// ExactParams.EarlyExit extends the paper's Claim 2 admissible window to
-// the wire: each routed request ships a 16-byte [dLo, dHi] window per
-// (query, segment) — derived from the query's rep-seeded k-th candidate
-// — and the shard clips every taker's scan range to it with a binary
-// search (core.AdmissibleWindow) before the grouped scan runs, cutting
-// shard-side point evaluations without touching a single result bit.
-// The contract (spelled out in the distributed package comment) is that
-// cluster answers — windowed or not — are bit-identical to per-query
-// cluster calls and to the single-node Exact index built with the same
-// parameters; the fast Gram kernel grade is excluded from that path
+// tile or row per point block, on exact-grade kernels only. Shard
+// segments are the index's own lists, copied at build in their ascending
+// distance-to-representative order, and the cluster extends the paper's
+// Claim 2 admissible window to the wire: each routed request ships a
+// 16-byte [dLo, dHi] window per (query, segment) — derived from the
+// query's rep-seeded k-th candidate — and the shard clips every taker's
+// scan range to it with a binary search (core.AdmissibleWindow) before
+// the grouped scan runs, cutting shard-side point evaluations without
+// touching a single result bit. The contract (spelled out in the
+// distributed package comment) is that cluster answers are bit-identical
+// to per-query cluster calls and to the single-node Exact index built
+// with the same parameters; the fast Gram kernel grade is excluded from that path
 // because its ulp drift would break the guarantee. A cross-backend
 // equivalence fuzz harness (repro/internal/search) pins all of this
 // against the brute-force reference.
@@ -89,8 +88,8 @@
 // neither changes a single answer bit relative to a from-scratch
 // rebuild over the live rows — pending buffers are scanned with the
 // same window math as merged segments, and a buffer that reaches
-// ExactParams.BufferMerge rows is folded into its segment's flat
-// columns by one targeted back-to-front merge, never a full rebuild.
+// core.DefaultBufferMerge rows is folded into its segment's flat columns
+// by one targeted back-to-front merge, never a full rebuild.
 // Flush folds all buffers eagerly; Rebuild recompacts everything
 // (tombstones stay, ids are stable for the life of the index).
 //
@@ -110,7 +109,7 @@
 // # Tiled kernels and squared-distance ordering
 //
 // The brute-force primitive BF(Q,X) underneath every index is a tiled
-// matrix-matrix computation (repro/internal/metric.BatchMulti): blocks of
+// matrix-matrix computation (repro/internal/metric.Kernel.Tile): blocks of
 // queries are compared against blocks of points so each point tile loaded
 // into cache is reused by the whole query block. Internally all
 // comparisons run on *ordering distances* — squared distances for

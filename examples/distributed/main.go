@@ -96,7 +96,10 @@ func main() {
 	// Tiled k-NN blocks: each shard inverts the block into per-segment
 	// taker sets and scans every segment ONCE for all its takers through
 	// the exact-grade matrix-matrix kernels — no per-pair distance calls
-	// on the hot path, and results bit-identical to per-query k-NN.
+	// on the hot path, and results bit-identical to per-query k-NN. Each
+	// routed request ships a 16-byte admissible window per
+	// (query, segment), derived from the query's rep-seeded k-th
+	// candidate, and shards clip every scan to it.
 	const k = 10
 	queries := all.Subset(qids)
 	start := time.Now()
@@ -116,35 +119,10 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("\ntiled %d-NN block: %.0f queries/sec batched vs %.0f per-query (%.1fx), %d shard requests, %d point evals\n",
-		k, float64(nQueries)/batchSecs, float64(nQueries)/perSecs, perSecs/batchSecs, km.ShardsContacted, km.PointEvals)
+	fmt.Printf("\ntiled %d-NN block: %.0f queries/sec batched vs %.0f per-query (%.1fx), %d shard requests, %d point evals, %d windows (%d clipped empty)\n",
+		k, float64(nQueries)/batchSecs, float64(nQueries)/perSecs, perSecs/batchSecs, km.ShardsContacted, km.PointEvals,
+		km.Windows, km.EmptyWindows)
 	fmt.Printf("batched k-NN bit-identical to per-query: %d positions diverged (expect 0)\n", divergedKNN)
-
-	// Shard-side EarlyExit windows: segments are sorted by distance to
-	// their representative at build, and each routed request ships a
-	// 16-byte admissible window per (query, segment) derived from the
-	// query's rep-seeded k-th candidate. Shards clip every scan to the
-	// window — fewer point evals, identical bits.
-	winCluster, err := distributed.Build(db, metric.Euclidean{},
-		core.ExactParams{NumReps: nr, Seed: seed, ExactCount: true, EarlyExit: true},
-		shards, distributed.DefaultCostModel())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer winCluster.Close()
-	knnWin, wm, _ := winCluster.KNNBatch(queries, k)
-	divergedWin := 0
-	for qi := 0; qi < nQueries; qi++ {
-		for p := range knnBatch[qi] {
-			if knnWin[qi][p] != knnBatch[qi][p] {
-				divergedWin++
-			}
-		}
-	}
-	fmt.Printf("\nwindowed %d-NN block: %d point evals vs %d full-scan (%.2fx ratio), %d windows shipped (%.1f KB), %d clipped empty\n",
-		k, wm.PointEvals, km.PointEvals, float64(wm.PointEvals)/float64(km.PointEvals),
-		wm.Windows, float64(wm.Windows)*distributed.WindowBytes/1024, wm.EmptyWindows)
-	fmt.Printf("windowed answers bit-identical to full scan: %d positions diverged (expect 0)\n", divergedWin)
 
 	// Networked: the same cluster over a real wire. Each shard server
 	// here runs in-process on its own TCP listener — in production each
@@ -153,7 +131,7 @@ func main() {
 	// every later fan-out goes through pooled connections with deadlines
 	// and retries. Answers stay bit-identical to the in-process cluster.
 	netCluster, err := distributed.Build(db, metric.Euclidean{},
-		core.ExactParams{NumReps: nr, Seed: seed, ExactCount: true, EarlyExit: true},
+		core.ExactParams{NumReps: nr, Seed: seed, ExactCount: true},
 		shards, distributed.DefaultCostModel())
 	if err != nil {
 		log.Fatal(err)
@@ -177,16 +155,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	divergedNet := 0
-	for qi := 0; qi < nQueries; qi++ {
-		for p := range knnWin[qi] {
-			if knnNet[qi][p] != knnWin[qi][p] {
-				divergedNet++
-			}
-		}
-	}
 	fmt.Printf("\nnetworked %d-NN block over TCP to %d shard servers: %d shard requests, answers bit-identical: %d positions diverged (expect 0)\n",
-		k, shards, nm.ShardsContacted, divergedNet)
+		k, shards, nm.ShardsContacted, countDiverged(knnNet, knnBatch))
 	var wireOut, wireIn int64
 	for _, st := range netCluster.NetStats() {
 		wireOut += st.BytesSent
@@ -201,7 +171,7 @@ func main() {
 	// is cancelled), and if a replica dies outright the fan-out fails
 	// over inside the replica set — no failed shards, identical bits.
 	repCluster, err := distributed.Build(db, metric.Euclidean{},
-		core.ExactParams{NumReps: nr, Seed: seed, ExactCount: true, EarlyExit: true},
+		core.ExactParams{NumReps: nr, Seed: seed, ExactCount: true},
 		shards, distributed.DefaultCostModel())
 	if err != nil {
 		log.Fatal(err)
@@ -233,7 +203,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nreplicated %d-NN block (2 replicas/shard, hedging on): %d positions diverged from loopback (expect 0)\n",
-		k, countDiverged(knnRep, knnWin))
+		k, countDiverged(knnRep, knnBatch))
 
 	// Live rebalance while serving: rotate every representative one
 	// shard to the right. Every replica of every shard receives the new
@@ -252,7 +222,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("rebalanced (every rep moved one shard right): new loads %v, %d positions diverged (expect 0)\n",
-		repCluster.ShardLoads(), countDiverged(knnReb, knnWin))
+		repCluster.ShardLoads(), countDiverged(knnReb, knnBatch))
 
 	// Kill one replica of EVERY shard at once. The ordered replica sets
 	// absorb it: each scan fails over to the survivor, the batch still
@@ -272,7 +242,7 @@ func main() {
 		failures += st.Failures
 	}
 	fmt.Printf("killed one replica of every shard: %d failed shards (expect 0), %d positions diverged (expect 0)\n",
-		sm.FailedShards, countDiverged(knnSurv, knnWin))
+		sm.FailedShards, countDiverged(knnSurv, knnBatch))
 	fmt.Printf("replica stats: %d hedged scans, %d hedge wins, %d losing scans cancelled, %d hard failures failed over\n",
 		hedged, wins, cancelled, failures)
 }

@@ -71,7 +71,7 @@ func main() {
 	// n_r ≈ 3·roots keeps γ at 1-2 edits and makes pruning bite.
 	m := metric.Metric[string](metric.Edit{})
 	idx, err := core.BuildGenericExact(words, m, core.ExactParams{
-		NumReps: 3 * roots, Seed: 5, EarlyExit: true, ExactCount: true})
+		NumReps: 3 * roots, Seed: 5, ExactCount: true})
 	if err != nil {
 		log.Fatal(err)
 	}

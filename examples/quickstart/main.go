@@ -32,7 +32,7 @@ func main() {
 
 	// 2. Build the exact index. The zero-value params pick the paper's
 	// standard setting (≈√n representatives, both pruning bounds).
-	exact, err := rbc.BuildExact(db, rbc.Euclidean(), rbc.ExactParams{EarlyExit: true})
+	exact, err := rbc.BuildExact(db, rbc.Euclidean(), rbc.ExactParams{})
 	if err != nil {
 		log.Fatal(err)
 	}

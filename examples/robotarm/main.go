@@ -36,7 +36,7 @@ func main() {
 	// n_r = 2√n: the paper's standard setting with a small constant for
 	// the expansion-rate factor.
 	idx, err := rbc.BuildExact(db, rbc.Euclidean(), rbc.ExactParams{
-		NumReps: 2 * rbc.DefaultNumReps(nDB), Seed: seed, EarlyExit: true})
+		NumReps: 2 * rbc.DefaultNumReps(nDB), Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}

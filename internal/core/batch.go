@@ -19,7 +19,7 @@ import (
 // The front half owns sc's float64 slots 3 and 4 (rows, kernel tile);
 // rows stay valid until back returns.
 func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
-	back func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
+	back func(q0, q1 int, rows []float64, sc *par.Scratch) Stats) Stats {
 	nq := queries.N()
 	nr := reps.N()
 	dim := queries.Dim
@@ -29,8 +29,6 @@ func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
 	par.For(nq, 1, func(lo, hi int) {
 		sc := par.GetScratch()
 		defer par.PutScratch(sc)
-		ts := metric.GetTileScratch()
-		defer metric.PutTileScratch(ts)
 		var local Stats
 		rows := sc.Float64(3, tq*nr)
 		tile := sc.Float64(4, tq*tp)
@@ -48,12 +46,12 @@ func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
 				}
 				bp := r1 - r0
 				t := tile[:bq*bp]
-				ker.Tile(qflat, nil, reps.Data[r0*dim:r1*dim], nil, dim, t, ts)
+				ker.Tile(qflat, nil, reps.Data[r0*dim:r1*dim], nil, dim, t, nil)
 				for i := 0; i < bq; i++ {
 					copy(rows[i*nr+r0:i*nr+r1], t[i*bp:(i+1)*bp])
 				}
 			}
-			local.Add(back(q0, q1, rows[:bq*nr], sc, ts))
+			local.Add(back(q0, q1, rows[:bq*nr], sc))
 		}
 		mu.Lock()
 		agg.Add(local)
@@ -65,13 +63,13 @@ func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
 // TileFrontHalf is tileFrontHalf for back halves that run one query at a
 // time: back receives query i's full phase-1 ordering row.
 func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
-	back func(i int, row []float64, sc *par.Scratch, ts *metric.TileScratch) Stats) Stats {
+	back func(i int, row []float64, sc *par.Scratch) Stats) Stats {
 	nr := reps.N()
 	return tileFrontHalf(ker, queries, reps,
-		func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
+		func(q0, q1 int, rows []float64, sc *par.Scratch) Stats {
 			var st Stats
 			for i := q0; i < q1; i++ {
-				st.Add(back(i, rows[(i-q0)*nr:(i-q0+1)*nr], sc, ts))
+				st.Add(back(i, rows[(i-q0)*nr:(i-q0+1)*nr], sc))
 			}
 			return st
 		})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/metric"
 	"repro/internal/par"
 	"repro/internal/vec"
 )
@@ -36,7 +35,7 @@ func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *pa
 	nr := e.NumReps()
 	dim := e.db.Dim
 	return tileFrontHalf(e.ker, queries, e.repData,
-		func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
+		func(q0, q1 int, rows []float64, sc *par.Scratch) Stats {
 			bq := q1 - q0
 			st := Stats{RepEvals: int64(bq * nr)}
 			qflat := queries.Data[q0*dim : q1*dim]
@@ -46,7 +45,7 @@ func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *pa
 				p := e.newProbe(qflat[i*dim:(i+1)*dim], rows[i*nr:(i+1)*nr], nil, sc)
 				kept, _ = e.prune(&p, i, k, heaps[i], sc, &st, kept)
 			}
-			st.PointEvals += ScanGrouped(e.ker, qflat, dim, e.gather, nr, kept, sc, ts,
+			st.PointEvals += ScanGrouped(e.ker, qflat, dim, e.gather, nr, kept, sc,
 				func(i, lo int, ords []float64) {
 					h := heaps[i]
 					bound, _ := h.Worst()
@@ -76,7 +75,7 @@ func (o *OneShot) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *
 	s := o.s
 	probes := min(o.prm.Probes, nr)
 	return tileFrontHalf(o.ker, queries, o.repData,
-		func(q0, q1 int, rows []float64, sc *par.Scratch, ts *metric.TileScratch) Stats {
+		func(q0, q1 int, rows []float64, sc *par.Scratch) Stats {
 			bq := q1 - q0
 			st := Stats{RepEvals: int64(bq * nr)}
 			kept := sc.Ints(0, 4*bq*probes)[:0]
@@ -96,7 +95,7 @@ func (o *OneShot) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *
 					seen[i] = make(map[int32]struct{}, probes*s)
 				}
 			}
-			st.PointEvals = ScanGrouped(o.ker, queries.Data[q0*dim:q1*dim], dim, o.gather, nr, kept, sc, ts,
+			st.PointEvals = ScanGrouped(o.ker, queries.Data[q0*dim:q1*dim], dim, o.gather, nr, kept, sc,
 				func(i, lo int, ords []float64) {
 					h := heaps[i]
 					for t, d := range ords {

@@ -16,7 +16,7 @@ import (
 func TestExactBatchGoesThroughTiledKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	db := randomDataset(rng, 900, 6)
-	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 3, EarlyExit: true})
+	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPhase1RowMatchesFrontHalf(t *testing.T) {
 			queries := randomDataset(rng, 11, dim)
 			rows := make([]float64, queries.N()*nr)
 			tileFrontHalf(e.ker, queries, e.repData,
-				func(q0, q1 int, tile []float64, _ *par.Scratch, _ *metric.TileScratch) Stats {
+				func(q0, q1 int, tile []float64, _ *par.Scratch) Stats {
 					copy(rows[q0*nr:q1*nr], tile)
 					return Stats{}
 				})
@@ -135,7 +135,7 @@ func TestSearchAllocGuards(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	db := clusteredDataset(rng, 2000, 8, 10)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 7, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func BenchmarkBuildOneShot(b *testing.B) {
 // k = 1; their names are pinned in BENCH_baseline.json.
 func BenchmarkExactOne(b *testing.B) {
 	db := benchDB(20000, 16)
-	idx, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1, EarlyExit: true})
+	idx, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func BenchmarkExactOne(b *testing.B) {
 
 func BenchmarkExactKNN10(b *testing.B) {
 	db := benchDB(20000, 16)
-	idx, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1, EarlyExit: true})
+	idx, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func BenchmarkOneShotOne(b *testing.B) {
 
 func BenchmarkExactRange(b *testing.B) {
 	db := benchDB(20000, 16)
-	idx, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1, EarlyExit: true})
+	idx, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -34,12 +34,11 @@ type Stats struct {
 	RepEvals int64
 	// PointEvals counts phase-2 distance evaluations (query to ownership
 	// list members): every position of the exact search's home-probe run
-	// and of a kept list's admissible window — the whole list without
-	// EarlyExit, less the probed run on the home list — representatives
-	// included (they are skipped as candidates, not as work), whatever mix
-	// of tiles and rows evaluated them. Every search path, GenericExact
-	// included, counts by this rule, so the field is comparable across
-	// paths. (The one exception is a mutated index's insertion buffers,
+	// and of a kept list's admissible window — less the probed run on the
+	// home list — representatives included (they are skipped as
+	// candidates, not as work), whatever mix of tiles and rows evaluated
+	// them. Every search path, GenericExact included, counts by this rule,
+	// so the field is comparable across paths. (The one exception is a mutated index's insertion buffers,
 	// scanned point by point: a tombstoned buffer member is never
 	// evaluated or counted.)
 	PointEvals int64

@@ -9,9 +9,9 @@ import (
 )
 
 // TestExactPointEvalsRegression pins the phase-2 work of the pruned
-// search on the paper's low-dimensional workload: a 20 k-row Robot corpus
-// under EarlyExit, asked 256 held-out rows, corpus and representatives
-// drawn from the benchmark's corpus seed. Each bound is 2× the measured
+// search on the paper's low-dimensional workload: a 20 k-row Robot
+// corpus asked 256 held-out rows, corpus and representatives drawn from
+// the benchmark's corpus seed. Each bound is 2× the measured
 // mean PointEvals per query. Pruning at the representative γ alone costs
 // 1443 at k = 1 and 8317 at k = 10, so a change that loses the home probe,
 // or stops tightening γ_k with it, fails here.
@@ -21,7 +21,7 @@ func TestExactPointEvalsRegression(t *testing.T) {
 	cut := n * all.Dim
 	db := vec.FromFlat(all.Data[:cut:cut], all.Dim)
 	queries := vec.FromFlat(all.Data[cut:], all.Dim)
-	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: seed, EarlyExit: true})
+	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,10 +30,13 @@ type ExactParams struct {
 	// in its k-NN form ρ(q,r) > 2γ_k + γ_1 with γ_1 the
 	// nearest-representative distance and γ_k the tightened bound.
 	PruneTriple bool
-	// EarlyExit restricts the phase-2 scan of each surviving list to the
+	// EarlyExit is ignored. Every phase-2 scan is restricted to the
 	// admissible window of points x with ρ(x,r) ∈ [ρ(q,r)−γ, ρ(q,r)+γ]
 	// (the paper's Claim 2 "sorted list" refinement; exact because
 	// |ρ(q,r)−ρ(x,r)| ≤ ρ(q,x) by the triangle inequality).
+	//
+	// Deprecated: the window is always on; setting the field changes
+	// nothing.
 	EarlyExit bool
 	// ApproxEps, when > 0, relaxes the tightened γ to γ/(1+ε) in the
 	// radius bound and the window, pruning r whenever
@@ -42,12 +45,6 @@ type ExactParams struct {
 	// ρ(q,x*) ≥ ρ(q,r) − ψ_r > γ/(1+ε), while the returned distance is at
 	// most γ. This is the footnote-1 variant of the paper.
 	ApproxEps float64
-	// BufferMerge bounds each representative's insertion buffer: a buffer
-	// reaching this size is merged into its sorted segment (a targeted
-	// per-segment re-sort; see mutate.go). Zero selects DefaultBufferMerge;
-	// negative disables automatic merging (buffers grow until Flush or
-	// Rebuild). Answers are invariant to this knob.
-	BufferMerge int
 }
 
 // Spawn grains for the build loops. A goroutine hand-off costs on the
@@ -161,16 +158,12 @@ func (e *Exact) newProbe(q []float32, ords, cell []float64, sc *par.Scratch) pro
 	return p
 }
 
-// listWindow returns list j's scan extent in gather positions: the whole
-// list, or under EarlyExit its admissible window of half-width w around
-// the representative distance d.
+// listWindow returns list j's scan extent in gather positions: its
+// admissible window of half-width w around the representative distance d.
 func (e *Exact) listWindow(j int, d, w float64) (lo, hi int) {
-	lo, hi = e.offsets[j], e.offsets[j+1]
-	if e.prm.EarlyExit {
-		a, b := AdmissibleWindow(e.dists[lo:hi], d-w, d+w)
-		lo, hi = lo+a, lo+b
-	}
-	return lo, hi
+	lo = e.offsets[j]
+	a, b := AdmissibleWindow(e.dists[lo:e.offsets[j+1]], d-w, d+w)
+	return lo + a, lo + b
 }
 
 // homeProbe sizes the home probe: prune scans the homeProbe·k members of
@@ -181,10 +174,10 @@ const homeProbe = 8
 // from one query's probe it derives γ_1 and γ_k over the live
 // representatives, seeds h, probes the home list, applies the pruning
 // rules to every representative and appends, per survivor, a
-// (qi, list, lo, hi) quadruple to kept — [lo, hi) being the list's scan
-// extent (listWindow; possibly empty). It charges the pruning counters
-// and the probe's evaluations to st and returns kept and the window
-// half-width w. Exact.one scans the kept windows row by row;
+// (qi, list, lo, hi) quadruple to kept — [lo, hi) being the list's
+// admissible window (listWindow; possibly empty). It charges the pruning
+// counters and the probe's evaluations to st and returns kept and the
+// window half-width w. Exact.one scans the kept windows row by row;
 // Exact.batchGrouped hands a whole tile's quadruples to ScanGrouped.
 //
 // The heap is seeded with every live representative at or under γ_k, at
@@ -306,7 +299,7 @@ func BuildExact(db *vec.Dataset, m metric.Metric[[]float32], prm ExactParams) (*
 	owners := bruteforce.Search(db, repData, m, nil)
 
 	// Bucket into lists (counting sort by owner), then sort each list by
-	// distance to its representative to enable the EarlyExit window.
+	// distance to its representative to enable the admissible window.
 	counts := make([]int, nr+1)
 	for _, o := range owners {
 		counts[o.ID+1]++
@@ -486,7 +479,7 @@ func (e *Exact) batch(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap
 		return e.batchGrouped(queries, k, sink)
 	}
 	return TileFrontHalf(e.ker, queries, e.repData,
-		func(i int, row []float64, sc *par.Scratch, _ *metric.TileScratch) Stats {
+		func(i int, row []float64, sc *par.Scratch) Stats {
 			h, st := e.one(queries.Row(i), k, row, sc)
 			sink(i, h)
 			return st
@@ -510,7 +503,7 @@ func (e *Exact) RangeBatch(queries *vec.Dataset, eps float64) ([][]par.Neighbor,
 	e.checkDim(queries.Dim)
 	out := make([][]par.Neighbor, queries.N())
 	agg := TileFrontHalf(e.ker, queries, e.repData,
-		func(i int, row []float64, sc *par.Scratch, _ *metric.TileScratch) Stats {
+		func(i int, row []float64, sc *par.Scratch) Stats {
 			hits, st := e.rangeOne(queries.Row(i), eps, row, sc)
 			out[i] = hits
 			return st

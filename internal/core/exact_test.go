@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/bruteforce"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -123,7 +125,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		{"clustered", clusteredDataset(rng, 1200, 8, 12)},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			e, err := BuildExact(cfg.db, metric.Euclidean{}, ExactParams{Seed: 7, EarlyExit: true})
+			e, err := BuildExact(cfg.db, metric.Euclidean{}, ExactParams{Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +146,7 @@ func TestExactQueryOnDatabasePoints(t *testing.T) {
 	// Every database point's own NN must be itself (distance 0).
 	rng := rand.New(rand.NewSource(3))
 	db := randomDataset(rng, 500, 4)
-	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1, EarlyExit: true})
+	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestExactKNNMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	db := clusteredDataset(rng, 900, 6, 9)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 5, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestExactKNNWithDuplicates(t *testing.T) {
 	}
 	db := vec.FromRows(rows)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 3, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestExactRangeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := clusteredDataset(rng, 700, 5, 8)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 2, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +279,7 @@ func TestExactSearchBatch(t *testing.T) {
 func TestExactDoesLessWorkThanBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := clusteredDataset(rng, 4000, 8, 15)
-	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 11, EarlyExit: true})
+	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +301,9 @@ func TestExactPruningBoundsIndividually(t *testing.T) {
 	m := metric.Euclidean{}
 	want := bruteforce.Search(queries, db, m, nil)
 	for _, prm := range []ExactParams{
-		{Seed: 13, PrunePsi: true},                                     // bound (1) only
-		{Seed: 13, PruneTriple: true},                                  // bound (2) only
-		{Seed: 13, PrunePsi: true, PruneTriple: true},                  // both
-		{Seed: 13, PrunePsi: true, PruneTriple: true, EarlyExit: true}, // + 4γ window
-		{Seed: 13, PrunePsi: true, EarlyExit: true},                    // window without (2)
+		{Seed: 13, PrunePsi: true},                    // bound (1) only
+		{Seed: 13, PruneTriple: true},                 // bound (2) only
+		{Seed: 13, PrunePsi: true, PruneTriple: true}, // both
 	} {
 		e, err := BuildExact(db, m, prm)
 		if err != nil {
@@ -324,6 +324,45 @@ func TestExactPruningBoundsIndividually(t *testing.T) {
 	}
 }
 
+// assertSameSearches fails unless a and b answer every query bit for bit
+// alike and count the same Stats, on the per-query, batch and range
+// paths.
+func assertSameSearches(t *testing.T, label string, a, b *Exact, queries *vec.Dataset) {
+	t.Helper()
+	same := func(what string, x, y []par.Neighbor, sx, sy Stats) {
+		t.Helper()
+		if sx != sy {
+			t.Fatalf("%s %s: stats %+v vs %+v", label, what, sx, sy)
+		}
+		if len(x) != len(y) {
+			t.Fatalf("%s %s: %d vs %d neighbors", label, what, len(x), len(y))
+		}
+		for p := range x {
+			if x[p] != y[p] {
+				t.Fatalf("%s %s pos %d: %+v vs %+v", label, what, p, x[p], y[p])
+			}
+		}
+	}
+	for _, k := range []int{1, 7} {
+		ba, sa := a.KNNBatch(queries, k)
+		bb, sb := b.KNNBatch(queries, k)
+		if sa != sb {
+			t.Fatalf("%s KNNBatch k=%d: stats %+v vs %+v", label, k, sa, sb)
+		}
+		for i := 0; i < queries.N(); i++ {
+			same(fmt.Sprintf("KNNBatch k=%d query %d", k, i), ba[i], bb[i], Stats{}, Stats{})
+			x, sx := a.KNN(queries.Row(i), k)
+			y, sy := b.KNN(queries.Row(i), k)
+			same(fmt.Sprintf("KNN k=%d query %d", k, i), x, y, sx, sy)
+		}
+	}
+	for i := 0; i < queries.N(); i++ {
+		x, sx := a.Range(queries.Row(i), 1.5)
+		y, sy := b.Range(queries.Row(i), 1.5)
+		same(fmt.Sprintf("Range query %d", i), x, y, sx, sy)
+	}
+}
+
 func TestExactApproxGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := clusteredDataset(rng, 2000, 6, 10)
@@ -331,7 +370,7 @@ func TestExactApproxGuarantee(t *testing.T) {
 	queries := randomDataset(rng, 80, 6)
 	want := bruteforce.Search(queries, db, m, nil)
 	for _, eps := range []float64{0.1, 0.5, 2.0} {
-		e, err := BuildExact(db, m, ExactParams{Seed: 17, ApproxEps: eps, EarlyExit: true})
+		e, err := BuildExact(db, m, ExactParams{Seed: 17, ApproxEps: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +381,7 @@ func TestExactApproxGuarantee(t *testing.T) {
 			}
 		}
 		exact, stExact := func() (*Exact, Stats) {
-			ee, err := BuildExact(db, m, ExactParams{Seed: 17, EarlyExit: true})
+			ee, err := BuildExact(db, m, ExactParams{Seed: 17})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -503,12 +542,12 @@ func TestDefaultNumReps(t *testing.T) {
 // parameters — the core correctness theorem, checked end to end.
 func TestQuickExactAlwaysExact(t *testing.T) {
 	m := metric.Euclidean{}
-	f := func(seed int64, nRaw uint16, nrRaw uint8, early bool) bool {
+	f := func(seed int64, nRaw uint16, nrRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%400 + 2
 		nr := int(nrRaw)%n + 1
 		db := randomDataset(rng, n, 3)
-		e, err := BuildExact(db, m, ExactParams{NumReps: nr, Seed: seed, EarlyExit: early})
+		e, err := BuildExact(db, m, ExactParams{NumReps: nr, Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -540,7 +579,7 @@ func TestQuickExactKNN(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			copy(db.Row(rng.Intn(n)), db.Row(rng.Intn(n)))
 		}
-		e, err := BuildExact(db, m, ExactParams{Seed: seed, EarlyExit: true})
+		e, err := BuildExact(db, m, ExactParams{Seed: seed})
 		if err != nil {
 			return false
 		}

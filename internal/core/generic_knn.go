@@ -63,11 +63,8 @@ func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 			continue
 		}
 		st.RepsKept++
-		list, dists := g.lists[j], g.dists[j]
-		lo, hi := 0, len(list)
-		if g.prm.EarlyExit {
-			lo, hi = AdmissibleWindow(dists, d-w, d+w)
-		}
+		list := g.lists[j]
+		lo, hi := AdmissibleWindow(g.dists[j], d-w, d+w)
 		if j == home {
 			scan(list, lo, max(lo, min(hi, pLo)))
 			lo = min(hi, max(lo, pHi))
@@ -94,11 +91,8 @@ func (g *GenericExact[P]) Range(q P, eps float64) ([]par.Neighbor, Stats) {
 			continue
 		}
 		st.RepsKept++
-		list, dists := g.lists[j], g.dists[j]
-		lo, hi := 0, len(list)
-		if g.prm.EarlyExit {
-			lo, hi = AdmissibleWindow(dists, d-eps, d+eps)
-		}
+		list := g.lists[j]
+		lo, hi := AdmissibleWindow(g.dists[j], d-eps, d+eps)
 		for i := lo; i < hi; i++ {
 			id := int(list[i])
 			dd := g.m.Distance(q, g.db[id])

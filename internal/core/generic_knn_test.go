@@ -13,7 +13,7 @@ func TestGenericExactKNNMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	db := randomStrings(rng, 400, 10)
 	m := metric.Metric[string](metric.Edit{})
-	g, err := BuildGenericExact(db, m, ExactParams{Seed: 3, EarlyExit: true})
+	g, err := BuildGenericExact(db, m, ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestGenericExactRangeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	db := randomStrings(rng, 350, 9)
 	m := metric.Metric[string](metric.Edit{})
-	g, err := BuildGenericExact(db, m, ExactParams{Seed: 5, EarlyExit: true})
+	g, err := BuildGenericExact(db, m, ExactParams{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestQuickGenericKNN(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		db := randomStrings(rng, 100, 7)
 		k := int(kRaw)%8 + 1
-		g, err := BuildGenericExact(db, m, ExactParams{Seed: seed, EarlyExit: true})
+		g, err := BuildGenericExact(db, m, ExactParams{Seed: seed})
 		if err != nil {
 			return false
 		}

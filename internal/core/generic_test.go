@@ -44,7 +44,7 @@ func TestGenericExactEditDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	db := randomStrings(rng, 500, 12)
 	m := metric.Edit{}
-	g, err := BuildGenericExact(db, metric.Metric[string](m), ExactParams{Seed: 3, EarlyExit: true})
+	g, err := BuildGenericExact(db, metric.Metric[string](m), ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestQuickGenericExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		db := randomStrings(rng, 120, 8)
 		nr := int(nrRaw)%40 + 1
-		g, err := BuildGenericExact(db, m, ExactParams{NumReps: nr, Seed: seed, EarlyExit: true})
+		g, err := BuildGenericExact(db, m, ExactParams{NumReps: nr, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -39,7 +39,7 @@ const tileWasteFactor = 1
 // ScanGrouped reserves sc's int slots 1, 4 and 5 on top of what
 // scanTakers reserves; kept may live in int slot 0.
 func ScanGrouped(ker *metric.Kernel, qflat []float32, dim int, gather []float32, nlists int,
-	kept []int, sc *par.Scratch, ts *metric.TileScratch, emit func(query, lo int, ords []float64)) int64 {
+	kept []int, sc *par.Scratch, emit func(query, lo int, ords []float64)) int64 {
 	ends := sc.Ints(4, nlists+1)
 	for j := range ends {
 		ends[j] = 0
@@ -72,7 +72,7 @@ func ScanGrouped(ker *metric.Kernel, qflat []float32, dim int, gather []float32,
 	for j := 0; j < nlists; j++ {
 		if end := ends[j]; end > start {
 			evals += scanTakers(ker, qflat, dim, gather,
-				tIdx[start:end], tWin[2*start:2*end], end-start, sc, ts, toQuery)
+				tIdx[start:end], tWin[2*start:2*end], end-start, sc, toQuery)
 			start = end
 		}
 	}
@@ -104,7 +104,7 @@ func ScanGrouped(ker *metric.Kernel, qflat []float32, dim int, gather []float32,
 // scanTakers reserves sc's float64 slot 7, float32 slot 0 and int slots
 // 2–3 (see par.Scratch).
 func scanTakers(ker *metric.Kernel, qflat []float32, dim int, gather []float32,
-	tIdx, tWin []int, takers int, sc *par.Scratch, ts *metric.TileScratch,
+	tIdx, tWin []int, takers int, sc *par.Scratch,
 	emit func(t, lo int, ords []float64)) int64 {
 	if ker.IsFast() {
 		// scanTakers output is reported answers under the
@@ -168,7 +168,7 @@ func scanTakers(ker *metric.Kernel, qflat []float32, dim int, gather []float32,
 				copy(buf[ti*dim:(ti+1)*dim], qflat[q*dim:(q+1)*dim])
 			}
 			out := tile[:inter*bp]
-			ker.Tile(buf, nil, gather[blk*dim:end*dim], nil, dim, out, ts)
+			ker.Tile(buf, nil, gather[blk*dim:end*dim], nil, dim, out, nil)
 			for ti := 0; ti < inter; ti++ {
 				s0, s1 := bWin[2*ti], bWin[2*ti+1]
 				trow := out[ti*bp : (ti+1)*bp]

@@ -54,8 +54,7 @@ func TestGroupedScanMatchesRowKernel(t *testing.T) {
 				got[i] = make(map[int]float64)
 			}
 			sc := par.GetScratch()
-			ts := metric.GetTileScratch()
-			pairs := scanTakers(ker, queries.Data, dim, points.Data, tIdx, tWin, takers, sc, ts,
+			pairs := scanTakers(ker, queries.Data, dim, points.Data, tIdx, tWin, takers, sc,
 				func(ti, lo int, ords []float64) {
 					for p := lo; p < lo+len(ords); p++ {
 						if _, dup := got[ti][p]; dup {
@@ -64,7 +63,6 @@ func TestGroupedScanMatchesRowKernel(t *testing.T) {
 						got[ti][p] = ords[p-lo]
 					}
 				})
-			metric.PutTileScratch(ts)
 			par.PutScratch(sc)
 
 			if pairs != wantPairs {
@@ -94,13 +92,13 @@ func TestGroupedScanDegenerate(t *testing.T) {
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
 	points := []float32{1, 2, 3, 4, 5, 6}
-	if n := scanTakers(ker, nil, 3, points, nil, nil, 0, sc, nil, func(int, int, []float64) {
+	if n := scanTakers(ker, nil, 3, points, nil, nil, 0, sc, func(int, int, []float64) {
 		t.Fatal("emit called with zero takers")
 	}); n != 0 {
 		t.Fatalf("zero takers reported %d pairs", n)
 	}
 	q := []float32{0, 0, 0}
-	if n := scanTakers(ker, q, 3, points, []int{0}, []int{1, 1}, 1, sc, nil, func(int, int, []float64) {
+	if n := scanTakers(ker, q, 3, points, []int{0}, []int{1, 1}, 1, sc, func(int, int, []float64) {
 		t.Fatal("emit called with an empty window")
 	}); n != 0 {
 		t.Fatalf("empty window reported %d pairs", n)
@@ -120,6 +118,6 @@ func TestGroupedScanRejectsFastKernels(t *testing.T) {
 		}
 	}()
 	q := []float32{0, 0, 0}
-	scanTakers(metric.NewFastKernel(metric.Euclidean{}), q, 3, []float32{1, 2, 3}, []int{0}, []int{0, 1}, 1, sc, nil,
+	scanTakers(metric.NewFastKernel(metric.Euclidean{}), q, 3, []float32{1, 2, 3}, []int{0}, []int{0, 1}, 1, sc,
 		func(int, int, []float64) {})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/metric"
 	"repro/internal/par"
@@ -18,11 +17,11 @@ import (
 //     representative's *insertion buffer*, kept in the same ascending
 //     (distance-to-representative, id) order as the segment itself; the
 //     radius ψ_r grows if needed, so both pruning bounds remain sound.
-//     EarlyExit admissible windows clip the buffer by the same binary
-//     search they clip the segment with, so window validity survives
-//     mutation. When a buffer reaches the merge threshold it is folded
-//     into its sorted segment in place — a targeted re-sort of one
-//     segment (an O(segment) two-run merge), not a Rebuild.
+//     Admissible windows clip the buffer by the same binary search they
+//     clip the segment with, so window validity survives mutation. When
+//     a buffer reaches DefaultBufferMerge members it is folded into its
+//     sorted segment in place — a targeted re-sort of one segment (an
+//     O(segment) two-run merge), not a Rebuild.
 //   - Delete tombstones a point; searches skip tombstoned ids. Radii are
 //     left untouched — stale-high radii weaken pruning but never break
 //     correctness.
@@ -39,11 +38,11 @@ import (
 // exist.
 var ErrDirtyIndex = fmt.Errorf("core: index has pending insertion buffers; call Flush or Rebuild before Save")
 
-// DefaultBufferMerge is the per-segment insertion-buffer bound used when
-// ExactParams.BufferMerge is zero: buffers this large fold into their
-// sorted segment. Small enough that the linear buffer scan stays a
-// rounding error next to the windowed segment scan, large enough that
-// the O(n) column splice amortizes across many inserts.
+// DefaultBufferMerge is the per-segment insertion-buffer bound: a buffer
+// this large folds into its sorted segment. Small enough that the buffer
+// scan stays a rounding error next to the windowed segment scan, large
+// enough that the O(n) column splice amortizes across many inserts.
+// Answers do not depend on it.
 const DefaultBufferMerge = 64
 
 // mutableState carries the update-related fields of Exact.
@@ -102,20 +101,11 @@ func (e *Exact) Live() int {
 	return n
 }
 
-// mergeThreshold resolves ExactParams.BufferMerge: 0 selects
-// DefaultBufferMerge, negative disables automatic merging.
-func (e *Exact) mergeThreshold() int {
-	if e.prm.BufferMerge != 0 {
-		return e.prm.BufferMerge
-	}
-	return DefaultBufferMerge
-}
-
 // Insert appends p to the database and the index, returning its new id.
 // The point is assigned to its nearest representative, as at build time,
 // and parked in that representative's sorted insertion buffer. Cost: one
 // scan of R plus O(buffer) bookkeeping, amortizing the segment splice
-// across BufferMerge inserts.
+// across DefaultBufferMerge inserts.
 func (e *Exact) Insert(p []float32) int {
 	e.checkDim(len(p))
 	e.ensureMutable()
@@ -142,7 +132,7 @@ func (e *Exact) Insert(p []float32) int {
 
 // bufferInsert parks (id, d) in representative j's insertion buffer at
 // its (dist, id) position, then merges the buffer into the segment if it
-// reached the threshold.
+// reached DefaultBufferMerge.
 func (e *Exact) bufferInsert(j int, id int32, d float64) {
 	ids, ds := e.mut.bufIDs[j], e.mut.bufDists[j]
 	pos := insertPos(ds, ids, d, id)
@@ -154,7 +144,7 @@ func (e *Exact) bufferInsert(j int, id int32, d float64) {
 	ds[pos] = d
 	e.mut.bufIDs[j], e.mut.bufDists[j] = ids, ds
 	e.mut.numBuffered++
-	if t := e.mergeThreshold(); t > 0 && len(ids) >= t {
+	if len(ids) >= DefaultBufferMerge {
 		e.mergeSegment(j)
 		e.dropCleanState()
 	}
@@ -164,9 +154,9 @@ func (e *Exact) bufferInsert(j int, id int32, d float64) {
 // segment in place: the flat (ids, dists, gather) columns grow by the
 // buffer size, the tail shifts right, and the two ascending (dist, id)
 // runs merge back to front — a targeted re-sort of one segment that
-// preserves every invariant the EarlyExit admissible window
-// binary-searches over. Answer-neutral by construction: the member set
-// is unchanged, only its location moves from buffer to segment.
+// preserves every invariant the admissible window binary-searches over.
+// Answer-neutral by construction: the member set is unchanged, only its
+// location moves from buffer to segment.
 func (e *Exact) mergeSegment(j int) {
 	bIDs, bDists := e.mut.bufIDs[j], e.mut.bufDists[j]
 	b := len(bIDs)
@@ -267,52 +257,35 @@ func (e *Exact) Rebuild() {
 	}
 	nr := e.NumReps()
 	dim := e.db.Dim
-	// Merge each segment with its buffer, dropping tombstones.
-	type member struct {
-		id   int32
-		dist float64
-	}
+	// Merge each segment with its buffer, dropping tombstones, and re-sort
+	// it in place in the new columns.
 	newOffsets := make([]int, nr+1)
-	merged := make([][]member, nr)
-	total := 0
+	ids := make([]int32, 0, len(e.ids)+e.mut.numBuffered)
+	dists := make([]float64, 0, cap(ids))
 	for j := 0; j < nr; j++ {
-		lo, hi := e.offsets[j], e.offsets[j+1]
-		ms := make([]member, 0, hi-lo+len(e.mut.bufIDs[j]))
-		for p := lo; p < hi; p++ {
+		for p := e.offsets[j]; p < e.offsets[j+1]; p++ {
 			if id := e.ids[p]; !e.mut.deleted[id] {
-				ms = append(ms, member{id: id, dist: e.dists[p]})
+				ids = append(ids, id)
+				dists = append(dists, e.dists[p])
 			}
 		}
 		for i, id := range e.mut.bufIDs[j] {
 			if !e.mut.deleted[id] {
-				ms = append(ms, member{id: id, dist: e.mut.bufDists[j][i]})
+				ids = append(ids, id)
+				dists = append(dists, e.mut.bufDists[j][i])
 			}
 		}
-		sort.Slice(ms, func(a, b int) bool {
-			if ms[a].dist != ms[b].dist {
-				return ms[a].dist < ms[b].dist
-			}
-			return ms[a].id < ms[b].id
-		})
-		merged[j] = ms
-		total += len(ms)
-		newOffsets[j+1] = total
+		lo, hi := newOffsets[j], len(ids)
+		newOffsets[j+1] = hi
+		sortSegment(ids[lo:hi], dists[lo:hi])
+		e.radii[j] = 0
+		if hi > lo {
+			e.radii[j] = dists[hi-1]
+		}
 	}
-	ids := make([]int32, total)
-	dists := make([]float64, total)
-	gather := make([]float32, total*dim)
-	for j := 0; j < nr; j++ {
-		base := newOffsets[j]
-		for i, m := range merged[j] {
-			ids[base+i] = m.id
-			dists[base+i] = m.dist
-			copy(gather[(base+i)*dim:(base+i+1)*dim], e.db.Row(int(m.id)))
-		}
-		if len(merged[j]) > 0 {
-			e.radii[j] = merged[j][len(merged[j])-1].dist
-		} else {
-			e.radii[j] = 0
-		}
+	gather := make([]float32, len(ids)*dim)
+	for p, id := range ids {
+		copy(gather[p*dim:(p+1)*dim], e.db.Row(int(id)))
 	}
 	e.offsets = newOffsets
 	e.ids = ids
@@ -353,16 +326,12 @@ func (e *Exact) liveGammas(repDists []float64, k int, sc *par.Scratch) (float64,
 
 // scanBuffer feeds representative j's live insertion-buffer members to
 // emit as ordering distances, and returns the number of distance
-// evaluations. Under EarlyExit the buffer — ascending in (dist, id) like
-// the segment — is clipped to the admissible window of half-width w by
-// the same binary search the segment scan uses.
+// evaluations. The buffer — ascending in (dist, id) like the segment — is
+// clipped to the admissible window of half-width w by the same binary
+// search the segment scan uses.
 func (e *Exact) scanBuffer(p *probe, j int, w float64, emit func(id int, ord float64)) int64 {
-	ids, ds := e.mut.bufIDs[j], e.mut.bufDists[j]
-	lo, hi := 0, len(ids)
-	if e.prm.EarlyExit {
-		d := p.d[j]
-		lo, hi = AdmissibleWindow(ds, d-w, d+w)
-	}
+	ids, d := e.mut.bufIDs[j], p.d[j]
+	lo, hi := AdmissibleWindow(e.mut.bufDists[j], d-w, d+w)
 	var evals int64
 	out := p.cell[:1]
 	for i := lo; i < hi; i++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,16 +9,16 @@ import (
 
 	"repro/internal/bruteforce"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
-// Properties of the sorted insertion buffers and the per-segment merge
-// (PR 8): buffered inserts keep the (dist, id) invariant the EarlyExit
-// admissible window binary-searches over, the targeted segment merge
-// restores the canonical flat layout without touching answers, and the
-// windowed scans never do more work than the unwindowed ones — also
-// after arbitrary mutate bursts (extending the PR 4 eval-monotonicity
-// coverage to mutated indexes).
+// Properties of the sorted insertion buffers and the per-segment merge:
+// buffered inserts keep the (dist, id) invariant the admissible window
+// binary-searches over, the targeted segment merge restores the
+// canonical flat layout without touching answers, and the windowed scans
+// never evaluate more than the kept lists hold — also after arbitrary
+// mutate bursts.
 
 // insertPos must agree with re-sorting: splicing at the returned
 // position keeps the segment in sortSegment order.
@@ -67,42 +68,50 @@ func TestSegmentSorted(t *testing.T) {
 	}
 }
 
-// With auto-merge disabled every insert stays buffered, and each buffer
-// must hold the (dist, id) invariant that lets scanBuffer clip it with
-// AdmissibleWindow.
+// Rounds of fewer than DefaultBufferMerge inserts stay buffered, and each
+// buffer must hold the (dist, id) invariant that lets scanBuffer clip it
+// with AdmissibleWindow; Flush then forces the merges and restores the
+// flat layout.
 func TestInsertionBuffersStaySorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	db := clusteredDataset(rng, 500, 4, 6)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 3, EarlyExit: true, BufferMerge: -1})
+	e, err := BuildExact(db, m, ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	extra := clusteredDataset(rng, 300, 4, 6)
-	for i := 0; i < extra.N(); i++ {
-		e.Insert(extra.Row(i))
-	}
-	if e.Buffered() != 300 {
-		t.Fatalf("Buffered()=%d, want 300 (auto-merge disabled)", e.Buffered())
-	}
-	if e.SegMerges() != 0 {
-		t.Fatalf("SegMerges()=%d, want 0 (auto-merge disabled)", e.SegMerges())
-	}
-	for j := 0; j < e.NumReps(); j++ {
-		if !segmentSorted(e.mut.bufIDs[j], e.mut.bufDists[j]) {
-			t.Fatalf("buffer %d violates (dist, id) order", j)
+	const round = DefaultBufferMerge - 1 // no buffer can reach the threshold
+	for r := 0; r < 5; r++ {
+		merges := e.SegMerges()
+		extra := clusteredDataset(rng, round, 4, 6)
+		for i := 0; i < extra.N(); i++ {
+			e.Insert(extra.Row(i))
 		}
+		if e.Buffered() != round || e.SegMerges() != merges {
+			t.Fatalf("round %d: Buffered()=%d SegMerges()=%d, want %d and %d (below the threshold)",
+				r, e.Buffered(), e.SegMerges(), round, merges)
+		}
+		for j := 0; j < e.NumReps(); j++ {
+			if !segmentSorted(e.mut.bufIDs[j], e.mut.bufDists[j]) {
+				t.Fatalf("round %d: buffer %d violates (dist, id) order", r, j)
+			}
+		}
+		e.Flush()
+		if e.Buffered() != 0 || e.SegMerges() == merges {
+			t.Fatalf("round %d: Flush left Buffered()=%d, SegMerges()=%d", r, e.Buffered(), e.SegMerges())
+		}
+		checkFlatLayout(t, e, db)
 	}
 }
 
-// A tiny merge threshold forces many targeted merges; every structural
-// invariant of the flat layout must survive them, and Flush must drain
-// the rest.
+// Inserts piled onto one representative force threshold-triggered
+// targeted merges; every structural invariant of the flat layout must
+// survive them, and Flush must drain the rest.
 func TestMergeSegmentPreservesInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	db := clusteredDataset(rng, 400, 5, 7)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 5, EarlyExit: true, BufferMerge: 4})
+	e, err := BuildExact(db, m, ExactParams{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +119,12 @@ func TestMergeSegmentPreservesInvariants(t *testing.T) {
 	for i := 0; i < extra.N(); i++ {
 		e.Insert(extra.Row(i))
 	}
-	if e.SegMerges() == 0 {
-		t.Fatal("threshold 4 never triggered a merge across 250 inserts")
+	// Copies of one row all route to the same representative.
+	for i := 0; i < 3*DefaultBufferMerge; i++ {
+		e.Insert(db.Row(17))
+	}
+	if e.SegMerges() < 3 {
+		t.Fatalf("SegMerges()=%d after %d inserts onto one list, want ≥ 3", e.SegMerges(), 3*DefaultBufferMerge)
 	}
 	e.Flush()
 	if e.Buffered() != 0 {
@@ -172,22 +185,47 @@ func checkFlatLayout(t *testing.T, e *Exact, db *vec.Dataset) {
 	}
 }
 
+// fullListEvals is what a query's search would evaluate with every kept
+// list scanned whole instead of through its admissible window: per kept
+// list its segment plus its live buffer members, and the home probe's run
+// when the home list itself was pruned.
+func fullListEvals(e *Exact, q []float32, k int) int64 {
+	sc := par.GetScratch()
+	defer par.PutScratch(sc)
+	var st Stats
+	p := e.newProbe(q, e.phase1(q, nil, sc), sc.Float64(5, 256), sc)
+	kept, _ := e.prune(&p, 0, k, sc.Heap(0, k), sc, &st, nil)
+	home, _ := par.ArgMin(p.d)
+	evals := st.PointEvals // the probe run
+	for t := 0; t < len(kept); t += 4 {
+		j := kept[t+1]
+		if t > 0 && kept[t-3] == j {
+			continue // the home list's second quadruple
+		}
+		if j == home {
+			evals -= st.PointEvals // the probe run is part of the whole list
+		}
+		evals += int64(e.offsets[j+1] - e.offsets[j])
+		if e.mut != nil {
+			for _, id := range e.mut.bufIDs[j] {
+				if !e.mut.deleted[id] {
+					evals++
+				}
+			}
+		}
+	}
+	return evals
+}
+
 // After arbitrary mutate bursts — buffered inserts, threshold merges,
-// tombstones — the windowed (EarlyExit) index must answer bit-identically
-// to the unwindowed one while never evaluating more points, per query
-// batch. Extends the PR 4 monotonicity property to mutated indexes.
+// tombstones — the windowed index must answer bit-identically to brute
+// force over the live rows while never evaluating more points than its
+// kept lists hold whole, per query batch.
 func TestWindowedEvalsMonotoneAfterMutateBursts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	db1 := clusteredDataset(rng, 700, 4, 8)
-	db2 := vec.FromFlat(append([]float32(nil), db1.Data...), db1.Dim)
+	db := clusteredDataset(rng, 700, 4, 8)
 	m := metric.Euclidean{}
-	// Same seed, same dataset: identical representative choice, so eval
-	// counts are comparable structure-for-structure.
-	windowed, err := BuildExact(db1, m, ExactParams{Seed: 9, EarlyExit: true, BufferMerge: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := BuildExact(db2, m, ExactParams{Seed: 9, BufferMerge: 8})
+	e, err := BuildExact(db, m, ExactParams{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,59 +237,60 @@ func TestWindowedEvalsMonotoneAfterMutateBursts(t *testing.T) {
 				for c := range p {
 					p[c] = float32(rng.Intn(8)) / 2 // tie-rich grid
 				}
-				windowed.Insert(p)
-				full.Insert(append([]float32(nil), p...))
+				e.Insert(p)
 			case 2:
-				id := rng.Intn(windowed.db.N())
-				if !windowed.isDeleted(id) {
-					if err := windowed.Delete(id); err != nil {
-						t.Fatal(err)
-					}
-					if err := full.Delete(id); err != nil {
+				if id := rng.Intn(e.db.N()); !e.isDeleted(id) {
+					if err := e.Delete(id); err != nil {
 						t.Fatal(err)
 					}
 				}
 			case 3:
 				if rng.Intn(8) == 0 {
-					windowed.Flush()
-					full.Flush()
+					e.Flush()
 				}
 			}
 		}
 	}
 	queries := randomDataset(rng, 25, 4)
-	for burst := 0; burst < 4; burst++ {
-		mutate(40)
-		gotW, stW := windowed.KNNBatch(queries, 5)
-		gotF, stF := full.KNNBatch(queries, 5)
-		for i := range gotW {
-			if len(gotW[i]) != len(gotF[i]) {
-				t.Fatalf("burst %d query %d: %d vs %d neighbors", burst, i, len(gotW[i]), len(gotF[i]))
+	check := func(label string) {
+		var live []int
+		for id := 0; id < e.db.N(); id++ {
+			if !e.isDeleted(id) {
+				live = append(live, id)
 			}
-			for p := range gotW[i] {
-				if gotW[i][p] != gotF[i][p] {
-					t.Fatalf("burst %d query %d pos %d: windowed %+v != full %+v",
-						burst, i, p, gotW[i][p], gotF[i][p])
+		}
+		liveDB := e.db.Subset(live)
+		got, st := e.KNNBatch(queries, 5)
+		var full int64
+		for i := range got {
+			want := bruteforce.SearchOneK(queries.Row(i), liveDB, 5, m, nil)
+			if len(got[i]) != len(want) {
+				t.Fatalf("%s query %d: %d vs %d neighbors", label, i, len(got[i]), len(want))
+			}
+			for p := range want {
+				if want[p].ID = live[want[p].ID]; got[i][p] != want[p] {
+					t.Fatalf("%s query %d pos %d: %+v != live-rows reference %+v", label, i, p, got[i][p], want[p])
 				}
 			}
+			full += fullListEvals(e, queries.Row(i), 5)
 		}
-		if stW.PointEvals > stF.PointEvals {
-			t.Fatalf("burst %d: windowed evals %d exceed full-scan evals %d",
-				burst, stW.PointEvals, stF.PointEvals)
+		if st.PointEvals > full {
+			t.Fatalf("%s: windowed evals %d exceed whole-list evals %d", label, st.PointEvals, full)
 		}
+	}
+	for burst := 0; burst < 4; burst++ {
+		mutate(40)
+		check(fmt.Sprintf("burst %d", burst))
 	}
 	// And the same holds once everything is folded in.
-	windowed.Flush()
-	full.Flush()
-	_, stW := windowed.KNNBatch(queries, 5)
-	_, stF := full.KNNBatch(queries, 5)
-	if stW.PointEvals > stF.PointEvals {
-		t.Fatalf("after flush: windowed evals %d exceed full-scan evals %d", stW.PointEvals, stF.PointEvals)
-	}
+	e.Flush()
+	check("after flush")
 }
 
 // Segment merges must leave range searches exact too (the buffer and
-// segment scan share the window math but different code paths).
+// segment scan share the window math but different code paths). The
+// configurations merge at different times: never before the query,
+// every third insert, and every insert.
 func TestRangeExactAcrossMergeThresholds(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	base := clusteredDataset(rng, 300, 3, 5)
@@ -259,14 +298,17 @@ func TestRangeExactAcrossMergeThresholds(t *testing.T) {
 	m := metric.Euclidean{}
 	queries := randomDataset(rng, 10, 3)
 	var ref [][]float64 // distances per query, from the first config
-	for ci, bm := range []int{-1, 3, 0} {
+	for ci, every := range []int{0, 3, 1} {
 		db := vec.FromFlat(append([]float32(nil), base.Data...), base.Dim)
-		e, err := BuildExact(db, m, ExactParams{Seed: 7, EarlyExit: true, BufferMerge: bm})
+		e, err := BuildExact(db, m, ExactParams{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < extra.N(); i++ {
 			e.Insert(extra.Row(i))
+			if every > 0 && (i+1)%every == 0 {
+				e.Flush()
+			}
 		}
 		for qi := 0; qi < queries.N(); qi++ {
 			hits, _ := e.Range(queries.Row(qi), 1.5)

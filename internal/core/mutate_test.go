@@ -15,7 +15,7 @@ func TestInsertRemainsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	db := clusteredDataset(rng, 800, 5, 8)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 3, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestDeleteRemainsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	db := clusteredDataset(rng, 1000, 4, 6)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 5, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMixedMutationsAndRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	db := clusteredDataset(rng, 600, 4, 6)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 7, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRebuildRestoresInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := clusteredDataset(rng, 400, 3, 5)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 9, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestDeleteAllRepresentativesStillExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := clusteredDataset(rng, 300, 3, 4)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{NumReps: 10, Seed: 11, ExactCount: true, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{NumReps: 10, Seed: 11, ExactCount: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestQuickMutationsStayExact(t *testing.T) {
 	f := func(seed int64, ops []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		db := randomDataset(rng, 120, 3)
-		e, err := BuildExact(db, m, ExactParams{Seed: seed, EarlyExit: true})
+		e, err := BuildExact(db, m, ExactParams{Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -13,7 +13,7 @@ package core
 //
 // Exact, GenericExact and the distributed coordinator all decide through
 // this file; AdmissibleWindow (window.go) is the matching single home of
-// the EarlyExit window rule.
+// the admissible-window rule.
 
 // rule prunes a representative whose distance d to the query is past t:
 // d > t.
@@ -21,7 +21,7 @@ type rule struct{ t float64 }
 
 func (r rule) holds(d float64) bool { return d > r.t }
 
-// relaxedGamma is the γ the radius rule and the EarlyExit window use:
+// relaxedGamma is the γ the radius rule and the admissible window use:
 // γ_k itself, or γ_k/(1+ε) under ExactParams.ApproxEps (the paper's
 // footnote-1 variant — the answer is then (1+ε)-approximate).
 func relaxedGamma(gammaK, approxEps float64) float64 {

@@ -34,7 +34,7 @@ type exactSnapshot struct {
 
 // Snapshot versions. Version 1 already persists the sorted-segment
 // permutation (IDs in per-list (dist, id) order, Dists as the
-// position-aligned sort keys), so the EarlyExit admissible windows — and
+// position-aligned sort keys), so the admissible windows — and
 // any consumer of sortSegment order, such as the distributed shards —
 // round-trip without a layout change. Version 2 adds the Deleted
 // tombstone list; LoadExact accepts both. LoadExact verifies the sort
@@ -104,7 +104,7 @@ func LoadExact(r io.Reader, db *vec.Dataset, m metric.Metric[[]float32]) (*Exact
 	}
 	// The offsets table must cover ids exactly — [0, len(IDs)] end to
 	// end — and every list segment must be ascending in (dist, id), the
-	// invariant the EarlyExit admissible window binary-searches over. A
+	// invariant the admissible window binary-searches over. A
 	// violation means the stream is corrupt (builds always satisfy both),
 	// and accepting it would make searches silently drop answers.
 	if snap.Offsets[0] != 0 || snap.Offsets[len(snap.Offsets)-1] != len(snap.IDs) {

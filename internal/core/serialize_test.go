@@ -15,7 +15,7 @@ func TestExactSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	db := clusteredDataset(rng, 600, 5, 6)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 3, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestExactSaveLoadRoundTrip(t *testing.T) {
 }
 
 // The sorted-segment permutation must survive save/load byte for byte:
-// the EarlyExit admissible windows (and the distributed shards that
+// the admissible windows (and the distributed shards that
 // mirror this layout) binary-search the per-list Dists column, so a
 // loaded index must hold the identical (ids, dists, offsets) ordering —
 // not merely an equivalent one — and prune identically through the
@@ -59,7 +59,7 @@ func TestExactSaveLoadPreservesSortedSegments(t *testing.T) {
 		copy(db.Row(300+i), db.Row(i))
 	}
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 13, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +108,13 @@ func TestExactSaveLoadPreservesSortedSegments(t *testing.T) {
 }
 
 // A snapshot whose per-list Dists column is out of order is corrupt —
-// accepting it would make EarlyExit windows silently drop answers — and
+// accepting it would make admissible windows silently drop answers — and
 // so is one whose Dists length disagrees with IDs.
 func TestLoadExactRejectsCorruptSortedSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	db := clusteredDataset(rng, 300, 3, 4)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 19, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,6 +297,81 @@ func TestLoadOneShotLegacyGradeParams(t *testing.T) {
 	}
 }
 
+// legacyExactParams mirrors ExactParams as snapshots carried it while it
+// still had the full-list scan switch and the merge threshold.
+type legacyExactParams struct {
+	NumReps     int
+	Seed        int64
+	ExactCount  bool
+	PrunePsi    bool
+	PruneTriple bool
+	EarlyExit   bool
+	ApproxEps   float64
+	BufferMerge int
+}
+
+// legacyExactSnapshot is exactSnapshot around legacyExactParams.
+type legacyExactSnapshot struct {
+	Version    int
+	MetricName string
+	DBN, DBDim int
+	Params     legacyExactParams
+	RepIDs     []int
+	Radii      []float64
+	Offsets    []int
+	IDs        []int32
+	Dists      []float64
+	Deleted    []int32
+}
+
+// TestLoadExactLegacyScanParams: a snapshot written with the full-list
+// scan and automatic merging off still loads — gob drops BufferMerge, and
+// EarlyExit is ignored — and the loaded index answers bit for bit like a
+// fresh build, windowed, and merges at DefaultBufferMerge.
+func TestLoadExactLegacyScanParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	db := clusteredDataset(rng, 700, 5, 7)
+	m := metric.Euclidean{}
+	e, err := BuildExact(db, m, ExactParams{Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prm := e.Params()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&legacyExactSnapshot{
+		Version:    exactSnapshotVersion,
+		MetricName: m.Name(),
+		DBN:        db.N(),
+		DBDim:      db.Dim,
+		Params: legacyExactParams{
+			NumReps: prm.NumReps, Seed: prm.Seed, ExactCount: prm.ExactCount,
+			PrunePsi: prm.PrunePsi, PruneTriple: prm.PruneTriple, ApproxEps: prm.ApproxEps,
+			EarlyExit: false, BufferMerge: -1,
+		},
+		RepIDs:  e.repIDs,
+		Radii:   e.radii,
+		Offsets: e.offsets,
+		IDs:     e.ids,
+		Dists:   e.dists,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadExact(&buf, db, m)
+	if err != nil {
+		t.Fatalf("legacy snapshot rejected: %v", err)
+	}
+	if loaded.Params() != prm {
+		t.Fatalf("params %+v, want %+v", loaded.Params(), prm)
+	}
+	assertSameSearches(t, "legacy load vs fresh build", loaded, e, clusteredDataset(rng, 40, 5, 7))
+	for i := 0; i < DefaultBufferMerge; i++ {
+		loaded.Insert(db.Row(3))
+	}
+	if loaded.SegMerges() == 0 || loaded.Buffered() != 0 {
+		t.Fatalf("legacy BufferMerge -1 still in force: SegMerges()=%d Buffered()=%d", loaded.SegMerges(), loaded.Buffered())
+	}
+}
+
 func TestLoadExactValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := randomDataset(rng, 200, 3)
@@ -364,7 +439,7 @@ func TestSaveLoadWithTombstones(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db := clusteredDataset(rng, 500, 4, 6)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 3, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +498,7 @@ func TestSaveLoadWithTombstones(t *testing.T) {
 func TestSaveGateScopesToBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	db := randomDataset(rng, 120, 3)
-	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1, BufferMerge: -1})
+	e, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +582,7 @@ func TestSaveLoadPreservesStatsBehaviour(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := clusteredDataset(rng, 800, 5, 8)
 	m := metric.Euclidean{}
-	e, err := BuildExact(db, m, ExactParams{Seed: 6, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

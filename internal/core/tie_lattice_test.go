@@ -35,7 +35,7 @@ func tieGridDataset(rng *rand.Rand, n, dim, side int) *vec.Dataset {
 }
 
 // TestTieLatticeKNNBitIdentity: k-NN on lattices, per-query ≡ batch ≡
-// brute force, across the EarlyExit and ApproxEps variants.
+// brute force, exact and under ApproxEps.
 func TestTieLatticeKNNBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	m := metric.Euclidean{}
@@ -44,8 +44,7 @@ func TestTieLatticeKNNBitIdentity(t *testing.T) {
 		prm  ExactParams
 	}{
 		{"default", ExactParams{Seed: 5}},
-		{"earlyexit", ExactParams{Seed: 5, EarlyExit: true}},
-		{"approx", ExactParams{Seed: 5, EarlyExit: true, ApproxEps: 0.5}},
+		{"approx", ExactParams{Seed: 5, ApproxEps: 0.5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, shape := range []struct{ n, dim, side int }{
@@ -123,7 +122,7 @@ func TestTieLatticeRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	m := metric.Euclidean{}
 	db := tieGridDataset(rng, 400, 3, 4)
-	e, err := BuildExact(db, m, ExactParams{Seed: 6, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestTieLatticeMutatedPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	m := metric.Euclidean{}
 	db := tieGridDataset(rng, 300, 3, 3)
-	e, err := BuildExact(db, m, ExactParams{Seed: 7, EarlyExit: true})
+	e, err := BuildExact(db, m, ExactParams{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

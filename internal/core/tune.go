@@ -59,7 +59,7 @@ func AutoTuneExact(db *vec.Dataset, m metric.Metric[[]float32], probes *vec.Data
 		}
 		seen[nr] = true
 		idx, err := BuildExact(db, m, ExactParams{
-			NumReps: nr, Seed: seed, ExactCount: true, EarlyExit: true})
+			NumReps: nr, Seed: seed, ExactCount: true})
 		if err != nil {
 			return AutoTuneResult{}, err
 		}
@@ -89,7 +89,7 @@ func AutoTuneOneShot(db *vec.Dataset, m metric.Metric[[]float32], probes *vec.Da
 	n := db.N()
 	root := math.Sqrt(float64(n))
 	// Exact answers once, via the exact index (cheaper than brute force).
-	exact, err := BuildExact(db, m, ExactParams{Seed: seed, EarlyExit: true})
+	exact, err := BuildExact(db, m, ExactParams{Seed: seed})
 	if err != nil {
 		return AutoTuneResult{}, err
 	}

@@ -36,7 +36,7 @@ func TestAutoTuneExact(t *testing.T) {
 		t.Fatalf("tuned setting does no better than brute force: %v", res.EvalsPerQuery)
 	}
 	// The tuned index must still be exact.
-	idx, err := BuildExact(db, m, ExactParams{NumReps: res.NumReps, Seed: 7, ExactCount: true, EarlyExit: true})
+	idx, err := BuildExact(db, m, ExactParams{NumReps: res.NumReps, Seed: 7, ExactCount: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// This file holds the two primitives behind the EarlyExit admissible
+// This file holds the two primitives behind the admissible
 // window (the paper's Claim 2 "sorted list" refinement):
 //
 //   - sortSegment puts one ownership-list segment into the ascending
@@ -23,7 +23,7 @@ import (
 
 // sortSegment sorts one ownership-list segment in place by ascending
 // (distance-to-representative, id). ids and dists must be position-aligned
-// and of equal length. This is the layout the EarlyExit admissible window
+// and of equal length. This is the layout the admissible window
 // requires: with dists ascending, the set of positions admissible for a
 // query is a contiguous range found by binary search.
 func sortSegment(ids []int32, dists []float64) {
@@ -32,7 +32,7 @@ func sortSegment(ids []int32, dists []float64) {
 
 // AdmissibleWindow returns the half-open position window [lo, hi) of the
 // ascending distance slice repDists whose values lie in the inclusive
-// interval [dLo, dHi]. It is the binary-search step of the EarlyExit
+// interval [dLo, dHi]. It is the binary-search step of the window
 // refinement: for a query at distance d from a representative, only
 // members x with ρ(x,r) ∈ [d−w, d+w] can lie within w of the query (the
 // triangle inequality), so callers pass dLo = d−w, dHi = d+w and scan

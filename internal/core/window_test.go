@@ -69,7 +69,7 @@ func TestAdmissibleWindowEmptySegment(t *testing.T) {
 }
 
 // The window must agree with a full linear scan of the inclusive
-// interval on tie-rich data — the property EarlyExit exactness rests on.
+// interval on tie-rich data — the property window exactness rests on.
 func TestAdmissibleWindowMatchesLinearScan(t *testing.T) {
 	dists := []float64{0, 0, 1, 1, 1, 2.5, 2.5, 4, 4, 4, 4, 7}
 	for _, dLo := range []float64{-1, 0, 0.5, 1, 2.5, 4, 6, 7, 8} {

@@ -27,17 +27,11 @@ const (
 
 var benchState struct {
 	once    sync.Once
-	cl      *Cluster // full-scan shards
-	clWin   *Cluster // EarlyExit-windowed shards, same parameters otherwise
+	cl      *Cluster
 	queries *vec.Dataset
 }
 
 func benchCluster(b *testing.B) (*Cluster, *vec.Dataset) {
-	cl, _, queries := benchClusters(b)
-	return cl, queries
-}
-
-func benchClusters(b *testing.B) (*Cluster, *Cluster, *vec.Dataset) {
 	benchState.once.Do(func() {
 		rng := rand.New(rand.NewSource(5150))
 		db := clustered(rng, benchN, benchDim, 32)
@@ -46,23 +40,17 @@ func benchClusters(b *testing.B) (*Cluster, *Cluster, *vec.Dataset) {
 		if err != nil {
 			panic(err)
 		}
-		prm.EarlyExit = true
-		clWin, err := Build(db, metric.Euclidean{}, prm, benchShards, DefaultCostModel())
-		if err != nil {
-			panic(err)
-		}
 		benchState.cl = cl
-		benchState.clWin = clWin
 		benchState.queries = clustered(rand.New(rand.NewSource(5157)), benchQ, benchDim, 32)
 	})
-	return benchState.cl, benchState.clWin, benchState.queries
+	return benchState.cl, benchState.queries
 }
 
 // perPairKNNBatch is the pre-tiling reference implementation: the same
 // survivor routing, but distance-space heaps and one m.Distance call per
-// (query, point) pair inside each shard — the memory-bound shape the
-// paper argues against. Shards run concurrently, as the old serve loop
-// did.
+// (query, point) pair over each surviving segment, scanned whole, inside
+// each shard — the memory-bound shape the paper argues against. Shards
+// run concurrently, as the cluster's fan-out does.
 func perPairKNNBatch(cl *Cluster, queries *vec.Dataset, k int) [][]par.Neighbor {
 	nq := queries.N()
 	nr := cl.repData.N()
@@ -160,36 +148,19 @@ func perPairKNNBatch(cl *Cluster, queries *vec.Dataset, k int) [][]par.Neighbor 
 }
 
 // BenchmarkClusterKNNBatch measures the tiled batch-and-tile shard path
-// at the acceptance configuration (n=10k, dim 64, |Q|=256). Alongside
-// the timing it reports the shard-side PointEvals ratio of the
-// EarlyExit-windowed cluster against this full-scan baseline — the
-// work-saved headline of the window protocol (answers are bit-identical
-// by contract, so the ratio is a pure cost number).
+// at the acceptance configuration (n=10k, dim 64, |Q|=256): sorted
+// segments plus per-(query, segment) admissible windows clipping every
+// taker's scan range.
 func BenchmarkClusterKNNBatch(b *testing.B) {
-	cl, clWin, queries := benchClusters(b)
-	_, full, _ := cl.KNNBatch(queries, benchK)
-	_, win, _ := clWin.KNNBatch(queries, benchK)
+	cl, queries := benchCluster(b)
+	_, met, _ := cl.KNNBatch(queries, benchK)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cl.KNNBatch(queries, benchK)
 	}
 	// After the loop: ResetTimer would discard metrics reported before it.
-	b.ReportMetric(float64(win.PointEvals)/float64(full.PointEvals), "windowed-pointevals-ratio")
-}
-
-// BenchmarkClusterKNNBatchWindowed drives the same block through the
-// EarlyExit-windowed shards: sorted segments plus per-(query, segment)
-// admissible windows clipping every taker's scan range.
-func BenchmarkClusterKNNBatchWindowed(b *testing.B) {
-	_, clWin, queries := benchClusters(b)
-	_, win, _ := clWin.KNNBatch(queries, benchK)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clWin.KNNBatch(queries, benchK)
-	}
-	b.ReportMetric(float64(win.PointEvals)/float64(benchQ), "pointevals/query")
+	b.ReportMetric(float64(met.PointEvals)/float64(benchQ), "pointevals/query")
 }
 
 // BenchmarkClusterKNNBatchPerPair is the pre-tiling per-pair baseline on

@@ -45,21 +45,20 @@
 // routing phase), mirroring how core.OneShot restricts it to probe
 // selection.
 //
-// # Shard-side admissible windows (EarlyExit)
+// # Shard-side admissible windows
 //
-// Building with core.ExactParams.EarlyExit brings the paper's Claim 2
-// "sorted list" refinement to the cluster. Shard segments are the index's
-// own lists, copied at Build in their ascending
-// distance-to-representative order, and each routed request
-// ships, per (query, segment) pair, an admissible window [dLo, dHi] in
+// The cluster runs the paper's Claim 2 "sorted list" refinement. Shard
+// segments are the index's own lists, copied at Build in their ascending
+// distance-to-representative order, and each routed request ships, per
+// (query, segment) pair, an admissible window [dLo, dHi] in
 // distance-to-representative space: dLo = ρ(q,r) − w, dHi = ρ(q,r) + w,
 // where w is the true-distance form of the query's rep-seeded heap worst
 // (its current k-th candidate; +Inf while the heap is not full). By the
 // triangle inequality |ρ(q,r) − ρ(x,r)| ≤ ρ(q,x), a member outside the
 // window cannot beat that k-th candidate, so the shard clips each
 // taker's scan range to the window (core.AdmissibleWindow, a binary
-// search over the sorted segment) before handing it to core.ScanGrouped
-// — the single scan hook for windowed and full scans alike.
+// search over the sorted segment) before handing it to core.ScanGrouped.
+// QueryBroadcast ships no windows: its requests scan whole segments.
 //
 // The protocol cost is 16 bytes per (query, segment) window — two
 // float64 bounds — accounted in QueryMetrics.Bytes and counted by
@@ -68,20 +67,20 @@
 // results: both window boundaries are inclusive, the interval derives
 // from a true upper bound on the final k-th neighbor, and the arithmetic
 // (d−w, d+w, and the binary-search boundary rule) is byte-for-byte the
-// one Exact's own EarlyExit path runs — so windowed cluster answers stay
-// bit-identical to the full-scan cluster, to per-query calls, and to the
-// single-node core.Exact index. The window contract is EXACT-GRADE ONLY,
-// like the rest of the answer path: it presumes per-pair arithmetic that
-// is bit-identical to the row reference, and the fast Gram kernel grade
-// would void the window's boundary guarantees along with the rest of the
-// contract.
+// one Exact's own list scans run — so cluster answers stay bit-identical
+// to per-query calls, to brute force and to the single-node core.Exact
+// index. The window contract is EXACT-GRADE ONLY, like the rest of the
+// answer path: it presumes per-pair arithmetic that is bit-identical to
+// the row reference, and the fast Gram kernel grade would void the
+// window's boundary guarantees along with the rest of the contract.
 //
 // # Transports: loopback and TCP
 //
-// Build starts the cluster on the in-process loopback transport: shards
-// run as goroutines connected by channels (real concurrency), and a
-// cost model accounts for messages, bytes and simulated latency so the
-// experiments can report communication costs, as §8 calls for.
+// Build starts the cluster on the in-process loopback transport: the
+// fan-out calls each contacted shard's scan directly, one goroutine per
+// shard (real concurrency), and a cost model accounts for messages,
+// bytes and simulated latency so the experiments can report
+// communication costs, as §8 calls for.
 //
 // Cluster.Distribute lifts the same cluster onto real shard processes
 // (cmd/rbc-shard) speaking the length-prefixed, CRC-checked binary
@@ -187,8 +186,8 @@ type QueryMetrics struct {
 	// report.
 	Evals int64
 	// Windows counts per-(query, segment) admissible windows shipped with
-	// routed requests (16 bytes each; EarlyExit clusters only). Identical
-	// between the batched and the per-query path, like the eval counters.
+	// routed requests (16 bytes each). Identical between the batched and
+	// the per-query path, like the eval counters.
 	Windows int64
 	// EmptyWindows counts shipped windows that clipped to no positions
 	// shard-side: the query's current k-th candidate ruled the whole
@@ -225,13 +224,12 @@ type shard struct {
 	id       int
 	dim      int
 	ker      *metric.Kernel // exact grade — see the package comment
-	reqs     chan shardRequest
-	repIDs   []int32   // global database ids of owned representatives
-	offsets  []int     // per-owned-rep segment offsets into ids/gather
-	ids      []int32   // member database ids (gathered layout)
-	isRep    []bool    // position → member is itself a representative
-	gather   []float32 // member vectors
-	segDists []float64 // position → ρ(member, owning rep); ascending per segment
+	repIDs   []int32        // global database ids of owned representatives
+	offsets  []int          // per-owned-rep segment offsets into ids/gather
+	ids      []int32        // member database ids (gathered layout)
+	isRep    []bool         // position → member is itself a representative
+	gather   []float32      // member vectors
+	segDists []float64      // position → ρ(member, owning rep); ascending per segment
 }
 
 // shardRequest carries one block of queries: qs holds len(segs) packed
@@ -239,17 +237,17 @@ type shard struct {
 // query must scan. bounds optionally carries, per query, the
 // coordinator's current k-th candidate ordering (the rep-seeded heap's
 // worst): candidates strictly beyond it cannot enter the merged result
-// and are dropped shard-side. wins, present on EarlyExit clusters,
-// carries the admissible windows [dLo, dHi] (in distance-to-
-// representative space) as one flat pair sequence aligned with the
-// concatenation of segs — wins[2p], wins[2p+1] belong to the p-th
-// (query, segment) entry in segs iteration order; the shard clips each
-// taker's scan range to its window through the sorted segment. The flat
-// layout is one allocation per request instead of one per query (the
-// windowed path used to carry ~2× the full-scan path's allocations).
-// includeReps admits representative positions into the scan's results
-// (broadcast mode); routed searches leave it false because the
-// coordinator seeds every representative itself.
+// and are dropped shard-side. wins carries the admissible windows
+// [dLo, dHi] (in distance-to-representative space) as one flat pair
+// sequence aligned with the concatenation of segs — wins[2p], wins[2p+1]
+// belong to the p-th (query, segment) entry in segs iteration order; the
+// shard clips each taker's scan range to its window through the sorted
+// segment. The flat layout is one allocation per request instead of one
+// per query. Routed searches always ship windows; broadcast requests
+// leave wins nil and scan whole segments. includeReps admits
+// representative positions into the scan's results (broadcast mode);
+// routed searches leave it false because the coordinator seeds every
+// representative itself.
 type shardRequest struct {
 	qs          []float32
 	segs        [][]int
@@ -258,7 +256,6 @@ type shardRequest struct {
 	k           int
 	epoch       uint32 // shard-state generation the routing table was built for
 	includeReps bool
-	reply       chan shardReply
 }
 
 // shardReply carries per-query candidate sets in ORDERING space; the
@@ -270,18 +267,12 @@ type shardReply struct {
 	emptyWins int64 // windows that clipped to no admissible positions
 }
 
-func (s *shard) serve() {
-	for req := range s.reqs {
-		req.reply <- s.scan(req)
-	}
-}
-
 // scan answers one batched request. It resolves every (query, segment)
-// pair of the request to a scan window — the whole segment, or on
-// windowed requests the pair's admissible window clipped through the
-// segment's sorted distance-to-representative column
+// pair of the request to a scan window — the pair's admissible window
+// clipped through the segment's sorted distance-to-representative column
 // (core.AdmissibleWindow), so the scan only touches positions that can
-// still beat the query's current k-th candidate — and hands the lot to
+// still beat the query's current k-th candidate, or the whole segment
+// when the request carries no windows — and hands the lot to
 // core.ScanGrouped, which scans each segment once for all of its takers.
 // Representatives are excluded unless includeReps is set, because the
 // coordinator seeds every representative as a candidate (their distances
@@ -292,8 +283,6 @@ func (s *shard) scan(req shardRequest) shardReply {
 	rep := shardReply{sid: s.id, knn: make([][]par.Neighbor, nq)}
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
-	ts := metric.GetTileScratch()
-	defer metric.PutTileScratch(ts)
 	heaps := sc.HeapSlab(nq, req.k)
 
 	total := 0
@@ -319,7 +308,7 @@ func (s *shard) scan(req shardRequest) shardReply {
 			kept = append(kept, qi, seg, lo, hi)
 		}
 	}
-	rep.evals = core.ScanGrouped(s.ker, req.qs, s.dim, s.gather, len(s.offsets)-1, kept, sc, ts,
+	rep.evals = core.ScanGrouped(s.ker, req.qs, s.dim, s.gather, len(s.offsets)-1, kept, sc,
 		func(qi, lo int, ords []float64) {
 			limit := math.Inf(1)
 			if req.bounds != nil {
@@ -350,19 +339,19 @@ func (s *shard) scan(req shardRequest) shardReply {
 }
 
 // Cluster is an RBC-sharded deployment. Build starts it on the
-// in-process loopback transport (shard goroutines connected by
-// channels); Distribute lifts the same cluster onto TCP shard processes
-// without changing a single answer bit.
+// in-process loopback transport (shards scanned by direct calls);
+// Distribute lifts the same cluster onto TCP shard processes without
+// changing a single answer bit.
 type Cluster struct {
 	m    metric.Metric[[]float32]
 	ker  *metric.Kernel // exact grade, shared by coordinator and shards
 	dim  int
 	cost CostModel
 
-	// shards holds the in-process shard state. On loopback the shard
-	// goroutines serve from it; Distribute ships it to the remote
-	// processes and stops the goroutines but RETAINS the data — replica
-	// repair (AddShardReplica) and Rebalance re-push it. Close frees it.
+	// shards holds the in-process shard state. On loopback the fan-out
+	// scans it directly; Distribute ships it to the remote processes but
+	// RETAINS the data — replica repair (AddShardReplica) and Rebalance
+	// re-push it. Close frees it.
 	shards    []*shard
 	loads     []int // points held per shard
 	segCounts []int // segments held per shard
@@ -372,10 +361,6 @@ type Cluster struct {
 	// (Rebalance); every routed scan carries its shard's epoch so a
 	// stale replica rejects scans planned against a different layout.
 	epochs []uint32
-
-	// windowed enables the shard-side EarlyExit windows (set by Build
-	// from core.ExactParams.EarlyExit; see the package comment).
-	windowed bool
 
 	// Coordinator state: the full representative set with radii, plus the
 	// routing table rep → (shard, segment).
@@ -397,10 +382,9 @@ type Cluster struct {
 
 // Build constructs a cluster of `shards` shards over db. It builds a
 // standard exact RBC and deals representatives round-robin (by descending
-// list size, largest first) so shard loads balance. With prm.EarlyExit
-// set, routed queries additionally ship per-(query, segment) admissible
-// windows and shards clip their scans to them (see the package comment);
-// answers are bit-identical either way.
+// list size, largest first) so shard loads balance. Routed queries ship
+// per-(query, segment) admissible windows and shards clip their scans to
+// them (see the package comment).
 func Build(db *vec.Dataset, m metric.Metric[[]float32], prm core.ExactParams, shards int, cost CostModel) (*Cluster, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("distributed: need at least one shard, got %d", shards)
@@ -420,7 +404,6 @@ func Build(db *vec.Dataset, m metric.Metric[[]float32], prm core.ExactParams, sh
 	nr := idx.NumReps()
 	c := &Cluster{
 		m: m, ker: metric.NewKernel(m), dim: db.Dim, cost: cost,
-		windowed: prm.EarlyExit,
 		repData:  db.Subset(idx.RepIDs()),
 		repIDs:   idx.RepIDs(),
 		radii:    idx.Radii(),
@@ -455,10 +438,9 @@ func Build(db *vec.Dataset, m metric.Metric[[]float32], prm core.ExactParams, sh
 	// shard segments hold exactly the lists the radii were computed over,
 	// in the ascending (distance-to-representative, id) order core.Exact
 	// keeps them in — which is what makes the admissible windows a binary
-	// search shard-side. The distance column is only read back by the
-	// windowed clip, so a full-scan cluster does not carry it.
+	// search shard-side.
 	for sid := 0; sid < shards; sid++ {
-		sh := &shard{id: sid, dim: db.Dim, ker: c.ker, reqs: make(chan shardRequest, 16)}
+		sh := &shard{id: sid, dim: db.Dim, ker: c.ker}
 		sh.offsets = append(sh.offsets, 0)
 		sh.ids = make([]int32, 0, load[sid])
 		sh.isRep = make([]bool, 0, load[sid])
@@ -470,9 +452,7 @@ func Build(db *vec.Dataset, m metric.Metric[[]float32], prm core.ExactParams, sh
 			ids, dists, rows := idx.List(rep)
 			sh.ids = append(sh.ids, ids...)
 			sh.gather = append(sh.gather, rows...)
-			if c.windowed {
-				sh.segDists = append(sh.segDists, dists...)
-			}
+			sh.segDists = append(sh.segDists, dists...)
 			for _, id := range ids {
 				sh.isRep = append(sh.isRep, isRep[id])
 			}
@@ -482,9 +462,8 @@ func Build(db *vec.Dataset, m metric.Metric[[]float32], prm core.ExactParams, sh
 		c.loads = append(c.loads, len(sh.ids))
 		c.segCounts = append(c.segCounts, len(sh.offsets)-1)
 		c.epochs = append(c.epochs, 1)
-		go sh.serve()
 	}
-	c.tr = &loopback{shards: c.shards}
+	c.tr = &loopback{c: c}
 	return c, nil
 }
 
@@ -510,8 +489,8 @@ const WindowBytes = 16
 
 // shardBatch accumulates one shard's slice of a query block: which
 // global queries it serves, which segments each scans — one flat
-// sequence, query t's entries ending at ends[t] — and, on windowed
-// clusters, each entry's admissible window as a flat [dLo, dHi] pair
+// sequence, query t's entries ending at ends[t] — and, on routed
+// batches, each entry's admissible window as a flat [dLo, dHi] pair
 // sequence aligned with segs. One backing array per column per shard per
 // block, however many queries the shard serves.
 type shardBatch struct {
@@ -522,9 +501,10 @@ type shardBatch struct {
 }
 
 // add appends segment seg of query qi (queries arrive in ascending
-// order, so the last entry check suffices). win is nil for full scans,
-// or the segment's two-element [dLo, dHi] admissible window; a batch
-// must be fed uniformly (all-nil or all-windowed).
+// order, so the last entry check suffices). win is the segment's
+// two-element [dLo, dHi] admissible window, or nil for a broadcast's
+// whole-segment scan; a batch must be fed uniformly (all-nil or
+// all-windowed).
 func (sb *shardBatch) add(qi, seg int, win []float64) {
 	if n := len(sb.qidx); n == 0 || sb.qidx[n-1] != qi {
 		sb.qidx = append(sb.qidx, qi)
@@ -622,11 +602,11 @@ func (c *Cluster) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Query
 // survivor → (shard, segment) routing table. It returns the per-query
 // candidate heaps (ordering space), the per-query shard-side pruning
 // bound (the seeded heap's worst ordering, +Inf while not full), and the
-// per-shard batches. On windowed clusters each surviving segment also
-// gets its admissible window [ρ(q,r)−w, ρ(q,r)+w] attached, with w the
-// true-distance form of the seeded heap's worst — exactly the d±w
-// arithmetic Exact's EarlyExit path runs, so shard-side windows clip the
-// same admissible sets the single-node index scans.
+// per-shard batches. Each surviving segment gets its admissible window
+// [ρ(q,r)−w, ρ(q,r)+w] attached, with w the true-distance form of the
+// seeded heap's worst — exactly the d±w arithmetic Exact's list scans
+// run, so shard-side windows clip the same admissible sets the
+// single-node index scans.
 func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.KHeap, []float64, []shardBatch) {
 	nq := queries.N()
 	nr := c.repData.N()
@@ -638,23 +618,19 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 	// ranges and read back once while building the shard batches below.
 	// This Scratch belongs to plan, not to any front-half worker (those
 	// pull their own instances), so the slabs stay live across the whole
-	// block; pooling them removes the per-query survivor/window append
-	// allocations that made the windowed path carry ~2× the full-scan
-	// path's allocations.
+	// block; pooling them removes per-query survivor/window append
+	// allocations.
 	psc := par.GetScratch()
 	defer par.PutScratch(psc)
 	survAll := psc.Ints(0, nq*nr)
 	survN := psc.Ints(1, nq)
-	var winsAll []float64
-	if c.windowed {
-		winsAll = psc.Float64(0, 2*nq*nr)
-	}
+	winsAll := psc.Float64(0, 2*nq*nr)
 	kk := k
 	if kk > nr {
 		kk = nr
 	}
 	st := core.TileFrontHalf(c.ker, queries, c.repData,
-		func(qi int, ords []float64, sc *par.Scratch, _ *metric.TileScratch) core.Stats {
+		func(qi int, ords []float64, sc *par.Scratch) core.Stats {
 			dists := sc.Float64(0, nr)
 			for j, o := range ords {
 				dists[j] = c.ker.ToDistance(o)
@@ -676,14 +652,11 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 			heaps[qi] = h
 			bounds[qi], _ = h.Worst()
 			winW := math.Inf(1)
-			if c.windowed && !math.IsInf(bounds[qi], 1) {
+			if !math.IsInf(bounds[qi], 1) {
 				winW = c.ker.ToDistance(bounds[qi])
 			}
 			surv := survAll[qi*nr : (qi+1)*nr]
-			var wins []float64
-			if c.windowed {
-				wins = winsAll[2*qi*nr : 2*(qi+1)*nr]
-			}
+			wins := winsAll[2*qi*nr : 2*(qi+1)*nr]
 			cnt := 0
 			for j := 0; j < nr; j++ {
 				if core.PrunedByPsi(dists[j], gammaK, c.radii[j]) ||
@@ -691,10 +664,8 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 					continue
 				}
 				surv[cnt] = j
-				if c.windowed {
-					wins[2*cnt] = dists[j] - winW
-					wins[2*cnt+1] = dists[j] + winW
-				}
+				wins[2*cnt] = dists[j] - winW
+				wins[2*cnt+1] = dists[j] + winW
 				cnt++
 			}
 			survN[qi] = cnt
@@ -707,11 +678,7 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 		base := i * nr
 		for si := 0; si < survN[i]; si++ {
 			j := survAll[base+si]
-			var win []float64
-			if winsAll != nil {
-				win = winsAll[2*(base+si) : 2*(base+si)+2]
-			}
-			batches[c.repShard[j]].add(i, int(c.repSeg[j]), win)
+			batches[c.repShard[j]].add(i, int(c.repSeg[j]), winsAll[2*(base+si):2*(base+si)+2])
 		}
 	}
 	return heaps, bounds, batches
@@ -772,16 +739,16 @@ func (c *Cluster) QueryBroadcast(q []float32) ([]par.Neighbor, QueryMetrics, err
 // finish fans a query block out to the shards with work, merges answers
 // through sink and fills in the cost model. Per contacted shard it
 // accounts one request and one response message, the packed query
-// vectors (plus pruning bounds and — on windowed clusters — the
+// vectors (plus, on routed batches, pruning bounds and the
 // per-(query, segment) admissible windows, 16 bytes each) out and k
 // results per query back.
 //
 // Fan-out runs one goroutine per contacted shard through the installed
-// transport (loopback channels or TCP); sink runs only on the collector
-// goroutine, so merge state needs no locking. A shard the transport
-// gives up on either fails the batch (DegradeFailFast: first error
-// wins, returned after all replies drain) or is skipped with the miss
-// counted in met.FailedShards (DegradePartial). The caller holds
+// transport (loopback's direct call or TCP); sink runs only on the
+// collector goroutine, so merge state needs no locking. A shard the
+// transport gives up on either fails the batch (DegradeFailFast: first
+// error wins, returned after all replies drain) or is skipped with the
+// miss counted in met.FailedShards (DegradePartial). The caller holds
 // c.lifeMu.RLock, so the transport cannot be closed mid-flight.
 func (c *Cluster) finish(queries *vec.Dataset, k int, batches []shardBatch, bounds []float64, includeReps bool, met *QueryMetrics, sink func(rp shardReply, qidx []int)) error {
 	type scanResult struct {
@@ -885,13 +852,12 @@ func (c *Cluster) Distribute(addrs []string, opts TCPOptions) error {
 // with replication: assignment[i] is shard i's ordered replica set, and
 // every replica receives the shard's full state (MsgLoad, stamped with
 // the shard's current epoch). Once every replica of every shard has
-// acknowledged, the transport swaps over; the in-process shard
-// goroutines stop but their data is retained so AddShardReplica and
-// Rebalance can re-push it later. The gathered layouts cross the wire
-// bit-exactly, every replica of a shard holds identical state, and the
-// remote scan path is the same shard.scan code — so answers after
-// DistributeReplicas are bit-identical to before, whichever replica
-// serves them.
+// acknowledged, the transport swaps over; the in-process shard data is
+// retained so AddShardReplica and Rebalance can re-push it later. The
+// gathered layouts cross the wire bit-exactly, every replica of a shard
+// holds identical state, and the remote scan path is the same shard.scan
+// code — so answers after DistributeReplicas are bit-identical to
+// before, whichever replica serves them.
 //
 // On any load failure the cluster is left untouched on the loopback
 // transport and the error (a typed *ShardError naming the replica) is
@@ -1132,18 +1098,8 @@ func (c *Cluster) Rebalance(newAssign []int) error {
 			return pushErr
 		}
 	}
-	// Cutover. On loopback the affected shards get fresh serve
-	// goroutines and the old ones stop; either way the routing table,
-	// shard data and epochs swap while no query runs.
-	if lb, ok := c.tr.(*loopback); ok {
-		for _, sid := range affected {
-			sh := newShards[sid]
-			sh.reqs = make(chan shardRequest, 16)
-			go sh.serve()
-			close(c.shards[sid].reqs)
-			lb.shards[sid] = sh
-		}
-	}
+	// Cutover: the routing table, shard data and epochs swap while no
+	// query runs (loopback scans c.shards, so the swap reaches it too).
 	for _, sid := range affected {
 		c.shards[sid] = newShards[sid]
 		c.epochs[sid]++
@@ -1161,9 +1117,9 @@ func (c *Cluster) Rebalance(newAssign []int) error {
 
 // buildShard assembles a replacement shard holding reps' segments, in
 // order, copied out of the shards that currently own them. Segment
-// bytes move verbatim (ids, rep flags, gathered vectors, and — on
-// windowed clusters — the sorted distance-to-representative columns),
-// so a moved segment scans identically wherever it lives.
+// bytes move verbatim (ids, rep flags, gathered vectors and the sorted
+// distance-to-representative columns), so a moved segment scans
+// identically wherever it lives.
 func (c *Cluster) buildShard(sid int, reps []int) *shard {
 	sh := &shard{id: sid, dim: c.dim, ker: c.ker}
 	sh.offsets = append(sh.offsets, 0)
@@ -1175,9 +1131,7 @@ func (c *Cluster) buildShard(sid int, reps []int) *shard {
 		sh.ids = append(sh.ids, src.ids[lo:hi]...)
 		sh.isRep = append(sh.isRep, src.isRep[lo:hi]...)
 		sh.gather = append(sh.gather, src.gather[lo*c.dim:hi*c.dim]...)
-		if c.windowed {
-			sh.segDists = append(sh.segDists, src.segDists[lo:hi]...)
-		}
+		sh.segDists = append(sh.segDists, src.segDists[lo:hi]...)
 		sh.offsets = append(sh.offsets, len(sh.ids))
 	}
 	return sh
@@ -1207,8 +1161,8 @@ func (c *Cluster) NetStats() []ShardNetStats {
 	return c.tr.netStats()
 }
 
-// Close shuts down the transport (loopback shard goroutines, or the TCP
-// connection pools). It waits for in-flight queries to drain first, and
+// Close shuts down the transport (the TCP connection pools; loopback
+// holds none). It waits for in-flight queries to drain first, and
 // every query entry point afterwards returns ErrClusterClosed. Close is
 // idempotent. Remote rbc-shard processes are NOT stopped — they belong
 // to their own lifecycle.

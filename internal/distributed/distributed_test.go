@@ -72,41 +72,36 @@ func TestBuildSegmentsAreIndexLists(t *testing.T) {
 			}
 			db.Append(row)
 		}
-		for _, early := range []bool{false, true} {
-			prm := core.ExactParams{Seed: seed, EarlyExit: early}
-			idx, err := core.BuildExact(db, metric.Euclidean{}, prm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := Build(db, metric.Euclidean{}, prm, 1+int(seed%3), DefaultCostModel())
-			if err != nil {
-				t.Fatal(err)
-			}
-			isRep := make(map[int32]bool)
-			for _, id := range idx.RepIDs() {
-				isRep[int32(id)] = true
-			}
-			for rep := range idx.RepIDs() {
-				sh := c.shards[c.repShard[rep]]
-				lo, hi := sh.offsets[c.repSeg[rep]], sh.offsets[c.repSeg[rep]+1]
-				ids, dists, rows := idx.List(rep)
-				if !reflect.DeepEqual(sh.ids[lo:hi], ids) || !reflect.DeepEqual(sh.gather[lo*dim:hi*dim], rows) {
-					t.Fatalf("seed %d early=%v rep %d: segment differs from the index's list", seed, early, rep)
-				}
-				if early && !reflect.DeepEqual(sh.segDists[lo:hi], dists) {
-					t.Fatalf("seed %d rep %d: segment distance column differs from the index's", seed, rep)
-				}
-				if !early && sh.segDists != nil {
-					t.Fatalf("seed %d: full-scan shard carries a distance column", seed)
-				}
-				for p := lo; p < hi; p++ {
-					if sh.isRep[p] != isRep[sh.ids[p]] {
-						t.Fatalf("seed %d rep %d pos %d: rep flag %v for id %d", seed, rep, p, sh.isRep[p], sh.ids[p])
-					}
-				}
-			}
-			c.Close()
+		prm := core.ExactParams{Seed: seed}
+		idx, err := core.BuildExact(db, metric.Euclidean{}, prm)
+		if err != nil {
+			t.Fatal(err)
 		}
+		c, err := Build(db, metric.Euclidean{}, prm, 1+int(seed%3), DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		isRep := make(map[int32]bool)
+		for _, id := range idx.RepIDs() {
+			isRep[int32(id)] = true
+		}
+		for rep := range idx.RepIDs() {
+			sh := c.shards[c.repShard[rep]]
+			lo, hi := sh.offsets[c.repSeg[rep]], sh.offsets[c.repSeg[rep]+1]
+			ids, dists, rows := idx.List(rep)
+			if !reflect.DeepEqual(sh.ids[lo:hi], ids) || !reflect.DeepEqual(sh.gather[lo*dim:hi*dim], rows) {
+				t.Fatalf("seed %d rep %d: segment differs from the index's list", seed, rep)
+			}
+			if !reflect.DeepEqual(sh.segDists[lo:hi], dists) {
+				t.Fatalf("seed %d rep %d: segment distance column differs from the index's", seed, rep)
+			}
+			for p := lo; p < hi; p++ {
+				if sh.isRep[p] != isRep[sh.ids[p]] {
+					t.Fatalf("seed %d rep %d pos %d: rep flag %v for id %d", seed, rep, p, sh.isRep[p], sh.ids[p])
+				}
+			}
+		}
+		c.Close()
 	}
 }
 

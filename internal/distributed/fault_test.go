@@ -130,12 +130,12 @@ func startBlackHole(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-func buildSmall(t *testing.T, seed int64, shards int, earlyExit bool) (*Cluster, *vec.Dataset, *vec.Dataset) {
+func buildSmall(t *testing.T, seed int64, shards int) (*Cluster, *vec.Dataset, *vec.Dataset) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := clustered(rng, 600, 5, 6)
 	queries := clustered(rng, 24, 5, 6)
-	cl, err := Build(db, metric.Euclidean{}, core.ExactParams{Seed: seed, EarlyExit: earlyExit}, shards, DefaultCostModel())
+	cl, err := Build(db, metric.Euclidean{}, core.ExactParams{Seed: seed}, shards, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,8 @@ func buildSmall(t *testing.T, seed int64, shards int, earlyExit bool) (*Cluster,
 // undisturbed loopback cluster.
 func TestCorruptFramesAreRetriedToBitIdentity(t *testing.T) {
 	const shards = 2
-	netCl, db, queries := buildSmall(t, 301, shards, true)
-	loop, err := Build(db, metric.Euclidean{}, core.ExactParams{Seed: 301, EarlyExit: true}, shards, DefaultCostModel())
+	netCl, db, queries := buildSmall(t, 301, shards)
+	loop, err := Build(db, metric.Euclidean{}, core.ExactParams{Seed: 301}, shards, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCorruptFramesAreRetriedToBitIdentity(t *testing.T) {
 // queries fail with a typed *ShardError within the retry budget — no
 // hang, no panic.
 func TestShardDeathFailFast(t *testing.T) {
-	netCl, _, queries := buildSmall(t, 307, 2, false)
+	netCl, _, queries := buildSmall(t, 307, 2)
 	addrs, servers := startShardServers(t, 2)
 	if err := netCl.Distribute(addrs, fastOpts()); err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestShardDeathFailFast(t *testing.T) {
 // and the results still contain the rep-seeded candidates, so every
 // query keeps answering.
 func TestShardDeathDegradePartial(t *testing.T) {
-	netCl, _, queries := buildSmall(t, 311, 2, false)
+	netCl, _, queries := buildSmall(t, 311, 2)
 	addrs, servers := startShardServers(t, 2)
 	opts := fastOpts()
 	opts.Degrade = DegradePartial

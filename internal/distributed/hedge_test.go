@@ -297,7 +297,7 @@ func startStallingReplica(t *testing.T) (string, chan struct{}) {
 func TestHedgeCancellationReachesLosingReplica(t *testing.T) {
 	stallAddr, dead := startStallingReplica(t)
 	fastAddrs, _ := startShardServers(t, 1)
-	cl, _, queries := buildSmall(t, 401, 1, false)
+	cl, _, queries := buildSmall(t, 401, 1)
 	opts := fastOpts()
 	opts.RequestTimeout = 30 * time.Second // only cancellation may end the stalled attempt
 	opts.Hedge = HedgeOptions{MaxHedges: 1, Delay: 10 * time.Millisecond}
@@ -327,7 +327,7 @@ func TestHedgeCancellationReachesLosingReplica(t *testing.T) {
 // TestFailoverExhaustedSetNamed: when a shard's whole replica set is
 // down, the fail-fast error names every replica tried.
 func TestFailoverExhaustedSetNamed(t *testing.T) {
-	cl, _, queries := buildSmall(t, 409, 1, false)
+	cl, _, queries := buildSmall(t, 409, 1)
 	addrs, servers := startShardServers(t, 2)
 	if err := cl.DistributeReplicas([][]string{{addrs[0], addrs[1]}}, fastOpts()); err != nil {
 		t.Fatalf("DistributeReplicas: %v", err)
@@ -356,7 +356,7 @@ func TestHedgedStatsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(419))
 	db := clustered(rng, 800, 5, 6)
 	queries := clustered(rng, 32, 5, 6)
-	prm := core.ExactParams{Seed: 421, EarlyExit: true}
+	prm := core.ExactParams{Seed: 421}
 	loop, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +457,7 @@ func TestHedgedTailLatencyUnderSlowReplica(t *testing.T) {
 	const delay = 80 * time.Millisecond
 	backends, _ := startShardServers(t, 2)
 	run := func(hedge HedgeOptions) (time.Duration, time.Duration, *Cluster) {
-		cl, _, queries := buildSmall(t, 431, 1, false)
+		cl, _, queries := buildSmall(t, 431, 1)
 		slow := startSlowProxy(t, backends[0], delay)
 		opts := fastOpts()
 		opts.RequestTimeout = 10 * time.Second

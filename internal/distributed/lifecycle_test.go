@@ -39,16 +39,15 @@ func TestQueryAfterCloseReturnsError(t *testing.T) {
 }
 
 // TestCloseQueryRaceStress is the concurrent half: many goroutines
-// hammer every entry point while Close lands in the middle. Before the
-// fix the fan-out could send on a closed channel and panic; now each
-// call either completes normally or returns ErrClusterClosed, and Close
-// waits for in-flight fan-out to drain. Run under -race in CI.
+// hammer every entry point while Close lands in the middle: each call
+// either completes normally or returns ErrClusterClosed, and Close waits
+// for in-flight fan-out to drain. Run under -race in CI.
 func TestCloseQueryRaceStress(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
 		db := clustered(rng, 400, 4, 4)
 		queries := clustered(rng, 16, 4, 4)
-		cl, err := Build(db, metric.Euclidean{}, core.ExactParams{Seed: int64(trial), EarlyExit: trial%2 == 0}, 4, DefaultCostModel())
+		cl, err := Build(db, metric.Euclidean{}, core.ExactParams{Seed: int64(trial)}, 4, DefaultCostModel())
 		if err != nil {
 			t.Fatal(err)
 		}

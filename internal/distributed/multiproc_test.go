@@ -113,7 +113,7 @@ func TestMultiProcessEquivalenceAndShardKill(t *testing.T) {
 	rng := rand.New(rand.NewSource(907))
 	db := clustered(rng, 900, 6, 8)
 	queries := clustered(rng, 48, 6, 8)
-	prm := core.ExactParams{Seed: 911, EarlyExit: true}
+	prm := core.ExactParams{Seed: 911}
 
 	loop, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
 	if err != nil {
@@ -229,7 +229,7 @@ func TestMultiProcessReplicatedKillOneReplicaPerShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(947))
 	db := clustered(rng, 900, 6, 8)
 	queries := clustered(rng, 48, 6, 8)
-	prm := core.ExactParams{Seed: 953, EarlyExit: true}
+	prm := core.ExactParams{Seed: 953}
 
 	loop, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
 	if err != nil {

@@ -12,21 +12,23 @@ import (
 )
 
 // Stress test for concurrent batch callers over shared shards, designed
-// for the -race CI job: many goroutines interleave KNNBatch at several k,
-// 1-NN blocks and per-query calls against one cluster, and every result must stay
-// bit-identical to a single-threaded reference — concurrency must not
-// leak scratch state between requests. Runs against both the full-scan
-// and the windowed (EarlyExit) cluster, whose per-request window buffers
-// ride the same pooled scratch.
+// for the -race CI job: many goroutines interleave calls against one
+// cluster, and every result must stay bit-identical to a single-threaded
+// reference — concurrency must not leak scratch state between requests,
+// now that loopback scans run on the callers' fan-out goroutines. The
+// windowed run interleaves KNNBatch at several k, 1-NN blocks and
+// per-query calls, whose per-request window buffers ride the pooled
+// scratch; the full-scan run interleaves QueryBroadcast calls, whose
+// requests carry no windows and scan whole segments.
 func TestConcurrentBatchCallers(t *testing.T) {
-	t.Run("full-scan", func(t *testing.T) { runConcurrentBatchCallers(t, false) })
-	t.Run("windowed", func(t *testing.T) { runConcurrentBatchCallers(t, true) })
+	t.Run("full-scan", func(t *testing.T) { runConcurrentBatchCallers(t, true) })
+	t.Run("windowed", func(t *testing.T) { runConcurrentBatchCallers(t, false) })
 }
 
-func runConcurrentBatchCallers(t *testing.T, earlyExit bool) {
+func runConcurrentBatchCallers(t *testing.T, broadcast bool) {
 	rng := rand.New(rand.NewSource(211))
 	db := clustered(rng, 1500, 6, 8)
-	cl, err := Build(db, metric.Euclidean{}, core.ExactParams{Seed: 223, EarlyExit: earlyExit}, 5, DefaultCostModel())
+	cl, err := Build(db, metric.Euclidean{}, core.ExactParams{Seed: 223}, 5, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +57,16 @@ func runConcurrentBatchCallers(t *testing.T, earlyExit bool) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				cse := cases[(w+r)%len(cases)]
+				if broadcast {
+					for i := range cse.best {
+						got, _, _ := cl.QueryBroadcast(cse.queries.Row(i))
+						if len(got) != 1 || got[0] != cse.best[i][0] {
+							t.Errorf("worker %d round %d: QueryBroadcast diverged at query %d", w, r, i)
+							return
+						}
+					}
+					continue
+				}
 				switch (w + r) % 3 {
 				case 0:
 					got, _, _ := cl.KNNBatch(cse.queries, cse.k)

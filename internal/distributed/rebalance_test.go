@@ -30,68 +30,66 @@ func rotateAssign(c *Cluster) []int {
 
 // TestRebalanceLoopbackBitIdentical: rotating every segment across the
 // in-process shards preserves bit-identity with the pre-rebalance
-// answers and with core.Exact, windowed and full-scan alike, and the
-// load accounting follows the segments.
+// answers and with core.Exact, and the load accounting follows the
+// segments.
 func TestRebalanceLoopbackBitIdentical(t *testing.T) {
 	const shards, k = 3, 6
-	for _, earlyExit := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(501))
-		db := clustered(rng, 900, 6, 8)
-		queries := clustered(rng, 48, 6, 8)
-		prm := core.ExactParams{Seed: 503, EarlyExit: earlyExit}
-		cl, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		idx, err := core.BuildExact(db, metric.Euclidean{}, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantMet, err := cl.KNNBatch(queries, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loadsBefore := cl.ShardLoads()
-		if err := cl.Rebalance(rotateAssign(cl)); err != nil {
-			t.Fatalf("Rebalance: %v", err)
-		}
-		got, gotMet, err := cl.KNNBatch(queries, k)
-		if err != nil {
-			t.Fatalf("KNNBatch after Rebalance: %v", err)
-		}
-		wantExact, _ := idx.KNNBatch(queries, k)
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("earlyExit=%v query %d pos %d: %+v vs pre-rebalance %+v", earlyExit, i, j, got[i][j], want[i][j])
-				}
-				if got[i][j].ID != wantExact[i][j].ID ||
-					math.Float64bits(got[i][j].Dist) != math.Float64bits(wantExact[i][j].Dist) {
-					t.Fatalf("earlyExit=%v query %d pos %d: %+v vs exact %+v", earlyExit, i, j, got[i][j], wantExact[i][j])
-				}
+	rng := rand.New(rand.NewSource(501))
+	db := clustered(rng, 900, 6, 8)
+	queries := clustered(rng, 48, 6, 8)
+	prm := core.ExactParams{Seed: 503}
+	cl, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	idx, err := core.BuildExact(db, metric.Euclidean{}, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantMet, err := cl.KNNBatch(queries, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadsBefore := cl.ShardLoads()
+	if err := cl.Rebalance(rotateAssign(cl)); err != nil {
+		t.Fatalf("Rebalance: %v", err)
+	}
+	got, gotMet, err := cl.KNNBatch(queries, k)
+	if err != nil {
+		t.Fatalf("KNNBatch after Rebalance: %v", err)
+	}
+	wantExact, _ := idx.KNNBatch(queries, k)
+	for i := range want {
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("query %d pos %d: %+v vs pre-rebalance %+v", i, j, got[i][j], want[i][j])
+			}
+			if got[i][j].ID != wantExact[i][j].ID ||
+				math.Float64bits(got[i][j].Dist) != math.Float64bits(wantExact[i][j].Dist) {
+				t.Fatalf("query %d pos %d: %+v vs exact %+v", i, j, got[i][j], wantExact[i][j])
 			}
 		}
-		// Work counters are layout-independent: the same segments are
-		// scanned, just by different shards.
-		if gotMet.PointEvals != wantMet.PointEvals || gotMet.Windows != wantMet.Windows ||
-			gotMet.EmptyWindows != wantMet.EmptyWindows {
-			t.Fatalf("earlyExit=%v: work diverged after rebalance: %+v vs %+v", earlyExit, gotMet, wantMet)
-		}
-		// A full rotation moves every point; total load is conserved.
-		loadsAfter := cl.ShardLoads()
-		tb, ta := 0, 0
-		for s := 0; s < shards; s++ {
-			tb += loadsBefore[s]
-			ta += loadsAfter[s]
-		}
-		if tb != ta {
-			t.Fatalf("points lost in rebalance: %d before, %d after", tb, ta)
-		}
-		for s := range cl.epochs {
-			if cl.epochs[s] != 2 {
-				t.Fatalf("shard %d epoch %d after full rotation, want 2", s, cl.epochs[s])
-			}
+	}
+	// Work counters are layout-independent: the same segments are
+	// scanned, just by different shards.
+	if gotMet.PointEvals != wantMet.PointEvals || gotMet.Windows != wantMet.Windows ||
+		gotMet.EmptyWindows != wantMet.EmptyWindows {
+		t.Fatalf("work diverged after rebalance: %+v vs %+v", gotMet, wantMet)
+	}
+	// A full rotation moves every point; total load is conserved.
+	loadsAfter := cl.ShardLoads()
+	tb, ta := 0, 0
+	for s := 0; s < shards; s++ {
+		tb += loadsBefore[s]
+		ta += loadsAfter[s]
+	}
+	if tb != ta {
+		t.Fatalf("points lost in rebalance: %d before, %d after", tb, ta)
+	}
+	for s := range cl.epochs {
+		if cl.epochs[s] != 2 {
+			t.Fatalf("shard %d epoch %d after full rotation, want 2", s, cl.epochs[s])
 		}
 	}
 }
@@ -100,8 +98,8 @@ func TestRebalanceLoopbackBitIdentical(t *testing.T) {
 // shard 0 — leaves the emptied shards servable (zero segments) and the
 // answers untouched.
 func TestRebalanceDrainToOneShard(t *testing.T) {
-	cl, db, queries := buildSmall(t, 509, 3, true)
-	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 509, EarlyExit: true})
+	cl, db, queries := buildSmall(t, 509, 3)
+	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 509})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +139,7 @@ func TestRebalanceTCPBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(521))
 	db := clustered(rng, 900, 6, 8)
 	queries := clustered(rng, 48, 6, 8)
-	prm := core.ExactParams{Seed: 523, EarlyExit: true}
+	prm := core.ExactParams{Seed: 523}
 	loop, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +207,7 @@ func TestRebalanceTCPBitIdentical(t *testing.T) {
 // the wire level so the refusal itself is asserted, not just failover
 // hiding it.
 func TestStaleReplicaRejectsScan(t *testing.T) {
-	cl, _, _ := buildSmall(t, 541, 1, false)
+	cl, _, _ := buildSmall(t, 541, 1)
 	addrs, _ := startShardServers(t, 1)
 	if err := cl.Distribute(addrs, fastOpts()); err != nil {
 		t.Fatal(err)
@@ -250,7 +248,7 @@ func TestStaleReplicaRejectsScan(t *testing.T) {
 // TestRebalanceValidation: malformed assignments are refused without
 // touching the cluster, and a no-op assignment is free.
 func TestRebalanceValidation(t *testing.T) {
-	cl, _, queries := buildSmall(t, 547, 2, false)
+	cl, _, queries := buildSmall(t, 547, 2)
 	if err := cl.Rebalance([]int{0}); err == nil {
 		t.Fatal("short assignment accepted")
 	}
@@ -283,7 +281,7 @@ func TestRebalanceValidation(t *testing.T) {
 // TestAddRemoveShardReplica: a replica added online serves failover
 // traffic when the primary dies; removal guards the last replica.
 func TestAddRemoveShardReplica(t *testing.T) {
-	cl, _, queries := buildSmall(t, 557, 2, false)
+	cl, _, queries := buildSmall(t, 557, 2)
 	if err := cl.AddShardReplica(0, "127.0.0.1:1"); err == nil {
 		t.Fatal("AddShardReplica accepted on loopback")
 	}
@@ -338,8 +336,8 @@ func TestAddRemoveShardReplica(t *testing.T) {
 // rebalances with every replica of every shard re-pushed — the scan
 // keeps working whichever replica answers afterwards.
 func TestAddReplicaThenRebalance(t *testing.T) {
-	cl, db, queries := buildSmall(t, 563, 2, true)
-	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 563, EarlyExit: true})
+	cl, db, queries := buildSmall(t, 563, 2)
+	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 563})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ type ShardNetStats struct {
 }
 
 // transport carries one batched scan to one shard and returns its reply.
-// Implementations: loopback (the in-process channel shards Build starts —
-// the default, and the correctness oracle for the wire path) and
+// Implementations: loopback (the in-process shards Build starts — the
+// default, and the correctness oracle for the wire path) and
 // tcpTransport (real sockets to rbc-shard replica processes).
 type transport interface {
 	scan(sid int, req *shardRequest) (shardReply, error)
@@ -75,29 +75,22 @@ type transport interface {
 	close()
 }
 
-// loopback sends requests over the in-process shard channels exactly as
-// the pre-transport cluster did: one shardRequest per shard per block,
-// answered by the shard's serve goroutine.
+// loopback scans the cluster's in-process shards on the caller's
+// goroutine (Cluster.finish already runs one per contacted shard). It
+// reads c.shards at every call, so Rebalance's cutover reaches it.
 type loopback struct {
-	shards []*shard
+	c *Cluster
 }
 
 func (l *loopback) scan(sid int, req *shardRequest) (shardReply, error) {
-	r := *req
-	r.reply = make(chan shardReply, 1)
-	l.shards[sid].reqs <- r
-	return <-r.reply, nil
+	return l.c.shards[sid].scan(*req), nil
 }
 
 func (l *loopback) degrade() DegradePolicy { return DegradeFailFast }
 
 func (l *loopback) netStats() []ShardNetStats { return nil }
 
-func (l *loopback) close() {
-	for _, s := range l.shards {
-		close(s.reqs)
-	}
-}
+func (l *loopback) close() {}
 
 // HedgeOptions configures hedged requests on a replicated networked
 // cluster: after the hedge delay passes without an answer, the same

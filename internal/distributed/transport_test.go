@@ -56,107 +56,104 @@ func fastOpts() TCPOptions {
 
 // TestDistributeBitIdentical is the tentpole contract: the same cluster
 // answering over TCP shard processes must return bit-identical results
-// to its loopback twin and to the single-node exact index — windowed
-// and full-scan alike.
+// to its loopback twin and to the single-node exact index.
 func TestDistributeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	db := clustered(rng, 1200, 6, 8)
 	queries := clustered(rng, 64, 6, 8)
 	const k, shards = 7, 3
-	for _, earlyExit := range []bool{false, true} {
-		prm := core.ExactParams{Seed: 71, EarlyExit: earlyExit}
-		loop, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer loop.Close()
-		netCl, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer netCl.Close()
-		idx, err := core.BuildExact(db, metric.Euclidean{}, prm)
-		if err != nil {
-			t.Fatal(err)
-		}
+	prm := core.ExactParams{Seed: 71}
+	loop, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loop.Close()
+	netCl, err := Build(db, metric.Euclidean{}, prm, shards, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer netCl.Close()
+	idx, err := core.BuildExact(db, metric.Euclidean{}, prm)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		addrs, _ := startShardServers(t, shards)
-		if err := netCl.Distribute(addrs, TCPOptions{}); err != nil {
-			t.Fatalf("Distribute: %v", err)
-		}
+	addrs, _ := startShardServers(t, shards)
+	if err := netCl.Distribute(addrs, TCPOptions{}); err != nil {
+		t.Fatalf("Distribute: %v", err)
+	}
 
-		want, wantMet, err := loop.KNNBatch(queries, k)
-		if err != nil {
-			t.Fatal(err)
+	want, wantMet, err := loop.KNNBatch(queries, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotMet, err := netCl.KNNBatch(queries, k)
+	if err != nil {
+		t.Fatalf("networked KNNBatch: %v", err)
+	}
+	wantExact, _ := idx.KNNBatch(queries, k)
+	for i := range want {
+		if len(got[i]) != len(want[i]) || len(got[i]) != len(wantExact[i]) {
+			t.Fatalf("query %d: lengths %d/%d/%d", i, len(got[i]), len(want[i]), len(wantExact[i]))
 		}
-		got, gotMet, err := netCl.KNNBatch(queries, k)
-		if err != nil {
-			t.Fatalf("networked KNNBatch: %v", err)
-		}
-		wantExact, _ := idx.KNNBatch(queries, k)
-		for i := range want {
-			if len(got[i]) != len(want[i]) || len(got[i]) != len(wantExact[i]) {
-				t.Fatalf("earlyExit=%v query %d: lengths %d/%d/%d", earlyExit, i, len(got[i]), len(want[i]), len(wantExact[i]))
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("query %d pos %d: tcp %+v vs loopback %+v", i, j, got[i][j], want[i][j])
 			}
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("earlyExit=%v query %d pos %d: tcp %+v vs loopback %+v", earlyExit, i, j, got[i][j], want[i][j])
-				}
-				if got[i][j].ID != wantExact[i][j].ID ||
-					math.Float64bits(got[i][j].Dist) != math.Float64bits(wantExact[i][j].Dist) {
-					t.Fatalf("earlyExit=%v query %d pos %d: tcp %+v vs exact %+v", earlyExit, i, j, got[i][j], wantExact[i][j])
-				}
+			if got[i][j].ID != wantExact[i][j].ID ||
+				math.Float64bits(got[i][j].Dist) != math.Float64bits(wantExact[i][j].Dist) {
+				t.Fatalf("query %d pos %d: tcp %+v vs exact %+v", i, j, got[i][j], wantExact[i][j])
 			}
 		}
-		// The protocol-cost accounting is transport-independent: same
-		// fan-out, same windows, same eval counts.
-		if gotMet.PointEvals != wantMet.PointEvals || gotMet.Windows != wantMet.Windows ||
-			gotMet.ShardsContacted != wantMet.ShardsContacted || gotMet.Bytes != wantMet.Bytes {
-			t.Fatalf("earlyExit=%v: metrics diverged: tcp %+v vs loopback %+v", earlyExit, gotMet, wantMet)
-		}
+	}
+	// The protocol-cost accounting is transport-independent: same
+	// fan-out, same windows, same eval counts.
+	if gotMet.PointEvals != wantMet.PointEvals || gotMet.Windows != wantMet.Windows ||
+		gotMet.ShardsContacted != wantMet.ShardsContacted || gotMet.Bytes != wantMet.Bytes {
+		t.Fatalf("metrics diverged: tcp %+v vs loopback %+v", gotMet, wantMet)
+	}
 
-		// Per-query and broadcast paths over the wire, against loopback.
-		q := queries.Row(3)
-		wq, _, err := loop.KNN(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gq, _, err := netCl.KNN(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wq) != 1 || !slices.Equal(gq, wq) {
-			t.Fatalf("earlyExit=%v KNN(q, 1): %+v vs %+v", earlyExit, gq, wq)
-		}
-		wb, _, err := loop.QueryBroadcast(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, _, err := netCl.QueryBroadcast(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wb) != 1 || !slices.Equal(gb, wb) {
-			t.Fatalf("earlyExit=%v QueryBroadcast: %+v vs %+v", earlyExit, gb, wb)
-		}
+	// Per-query and broadcast paths over the wire, against loopback.
+	q := queries.Row(3)
+	wq, _, err := loop.KNN(q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gq, _, err := netCl.KNN(q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wq) != 1 || !slices.Equal(gq, wq) {
+		t.Fatalf("KNN(q, 1): %+v vs %+v", gq, wq)
+	}
+	wb, _, err := loop.QueryBroadcast(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, _, err := netCl.QueryBroadcast(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wb) != 1 || !slices.Equal(gb, wb) {
+		t.Fatalf("QueryBroadcast: %+v vs %+v", gb, wb)
+	}
 
-		if loop.NetStats() != nil {
-			t.Fatal("loopback cluster reports net stats")
+	if loop.NetStats() != nil {
+		t.Fatal("loopback cluster reports net stats")
+	}
+	stats := netCl.NetStats()
+	if len(stats) != shards {
+		t.Fatalf("%d net stats entries", len(stats))
+	}
+	for sid, st := range stats {
+		if st.Addr != addrs[sid] {
+			t.Fatalf("shard %d stats addr %s, want %s", sid, st.Addr, addrs[sid])
 		}
-		stats := netCl.NetStats()
-		if len(stats) != shards {
-			t.Fatalf("%d net stats entries", len(stats))
+		if st.Requests == 0 || st.BytesSent == 0 || st.BytesRecv == 0 {
+			t.Fatalf("shard %d stats empty: %+v", sid, st)
 		}
-		for sid, st := range stats {
-			if st.Addr != addrs[sid] {
-				t.Fatalf("shard %d stats addr %s, want %s", sid, st.Addr, addrs[sid])
-			}
-			if st.Requests == 0 || st.BytesSent == 0 || st.BytesRecv == 0 {
-				t.Fatalf("shard %d stats empty: %+v", sid, st)
-			}
-			if st.Failures != 0 || st.Retries != 0 {
-				t.Fatalf("shard %d saw failures on a healthy cluster: %+v", sid, st)
-			}
+		if st.Failures != 0 || st.Retries != 0 {
+			t.Fatalf("shard %d saw failures on a healthy cluster: %+v", sid, st)
 		}
 	}
 }

@@ -40,7 +40,7 @@
 //	3     MsgScan       coordinator → shard   ScanRequest: one batched
 //	                                          block scan (queries, segment
 //	                                          takers, optional bounds and
-//	                                          EarlyExit windows, epoch)
+//	                                          admissible windows, epoch)
 //	4     MsgScanReply  shard → coordinator   ScanReply: per-query
 //	                                          candidates in ordering
 //	                                          space + work counters

@@ -229,7 +229,7 @@ type ShardState struct {
 	IDs      []int32
 	IsRep    []bool
 	Gather   []float32
-	SegDists []float64 // nil when the cluster ships no windows
+	SegDists []float64 // sorted segment keys; a shard without them refuses windowed scans
 }
 
 // EncodeShardState builds a wire-ready MsgLoad frame.

@@ -109,7 +109,7 @@ func RunFig2(cfg Config) (*Output, error) {
 		n := db.N()
 		nr := int(cfg.RepFactor * math.Sqrt(float64(n)))
 		idx, err := core.BuildExact(db, euclid, core.ExactParams{
-			NumReps: nr, Seed: cfg.Seed, ExactCount: true, EarlyExit: true})
+			NumReps: nr, Seed: cfg.Seed, ExactCount: true})
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +203,7 @@ func RunTable3(cfg Config) (*Output, error) {
 
 		nr := int(cfg.RepFactor * math.Sqrt(float64(n)))
 		idx, err := core.BuildExact(db, euclid, core.ExactParams{
-			NumReps: nr, Seed: cfg.Seed, ExactCount: true, EarlyExit: true})
+			NumReps: nr, Seed: cfg.Seed, ExactCount: true})
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +243,7 @@ func RunFig3(cfg Config) (*Output, error) {
 				nr = n
 			}
 			idx, err := core.BuildExact(db, euclid, core.ExactParams{
-				NumReps: nr, Seed: cfg.Seed, ExactCount: true, EarlyExit: true})
+				NumReps: nr, Seed: cfg.Seed, ExactCount: true})
 			if err != nil {
 				return nil, err
 			}

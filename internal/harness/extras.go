@@ -23,22 +23,22 @@ import (
 
 // RunAblationBounds quantifies the §6 remark that "the simultaneous use
 // of both inequalities improved the empirical performance": per-query
-// work with rule (1), rule (2), and both.
+// work with rule (1), rule (2), and both, each over the admissible
+// windows of the kept lists.
 func RunAblationBounds(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	t := stats.NewTable("Ablation: pruning rules (evals per query)",
-		"dataset", "psi only", "triple only", "both", "both+window")
+		"dataset", "psi only", "triple only", "both")
 	variants := []core.ExactParams{
 		{PrunePsi: true},
 		{PruneTriple: true},
 		{PrunePsi: true, PruneTriple: true},
-		{PrunePsi: true, PruneTriple: true, EarlyExit: true},
 	}
 	for _, e := range dataset.Catalog() {
 		db, queries := workload(e, cfg, 0)
 		n := db.N()
 		nr := int(cfg.RepFactor * math.Sqrt(float64(n)))
-		row := make([]interface{}, 0, 5)
+		row := make([]interface{}, 0, 4)
 		row = append(row, e.Name)
 		for _, v := range variants {
 			v.NumReps, v.Seed, v.ExactCount = nr, cfg.Seed, true
@@ -50,30 +50,6 @@ func RunAblationBounds(cfg Config) (*Output, error) {
 			row = append(row, float64(st.TotalEvals())/float64(queries.N()))
 		}
 		t.AddRow(row...)
-	}
-	return &Output{Tables: []*stats.Table{t}}, nil
-}
-
-// RunAblationEarlyExit isolates the sorted-list admissible-window
-// refinement (Claim 2): same index, window on vs off.
-func RunAblationEarlyExit(cfg Config) (*Output, error) {
-	cfg = cfg.withDefaults()
-	t := stats.NewTable("Ablation: admissible window (Claim 2)",
-		"dataset", "evals/q (off)", "evals/q (on)", "reduction")
-	for _, e := range dataset.Catalog() {
-		db, queries := workload(e, cfg, 0)
-		nr := int(cfg.RepFactor * math.Sqrt(float64(db.N())))
-		run := func(early bool) float64 {
-			idx, err := core.BuildExact(db, euclid, core.ExactParams{
-				NumReps: nr, Seed: cfg.Seed, ExactCount: true, EarlyExit: early})
-			if err != nil {
-				return math.NaN()
-			}
-			_, st := idx.KNNBatch(queries, 1)
-			return float64(st.TotalEvals()) / float64(queries.N())
-		}
-		off, on := run(false), run(true)
-		t.AddRow(e.Name, off, on, fmt.Sprintf("%.1f%%", 100*(off-on)/off))
 	}
 	return &Output{Tables: []*stats.Table{t}}, nil
 }
@@ -93,7 +69,7 @@ func RunScaling(cfg Config) (*Output, error) {
 	db, queries := workload(e, cfg, 0)
 	nr := int(cfg.RepFactor * math.Sqrt(float64(db.N())))
 	idx, err := core.BuildExact(db, euclid, core.ExactParams{
-		NumReps: nr, Seed: cfg.Seed, ExactCount: true, EarlyExit: true})
+		NumReps: nr, Seed: cfg.Seed, ExactCount: true})
 	if err != nil {
 		return nil, err
 	}
@@ -209,56 +185,6 @@ func RunDistBatch(cfg Config) (*Output, error) {
 	return &Output{Tables: []*stats.Table{t}}, nil
 }
 
-// RunDistWindow measures the shard-side EarlyExit windows: the same
-// routed k-NN block workload on a full-scan cluster versus one whose
-// segments are sorted and whose requests ship per-(query, segment)
-// admissible windows. Answers are bit-identical by the window contract
-// (verified here per block), so the table is a pure cost comparison:
-// shard PointEvals saved against the 16-byte-per-window protocol
-// overhead.
-func RunDistWindow(cfg Config) (*Output, error) {
-	cfg = cfg.withDefaults()
-	e, err := dataset.ByName("robot")
-	if err != nil {
-		return nil, err
-	}
-	db, queries := workload(e, cfg, 0)
-	nr := int(cfg.RepFactor * math.Sqrt(float64(db.N())))
-	const shards = 8
-	prm := core.ExactParams{NumReps: nr, Seed: cfg.Seed, ExactCount: true}
-	full, err := distributed.Build(db, euclid, prm, shards, distributed.DefaultCostModel())
-	if err != nil {
-		return nil, err
-	}
-	defer full.Close()
-	prm.EarlyExit = true
-	win, err := distributed.Build(db, euclid, prm, shards, distributed.DefaultCostModel())
-	if err != nil {
-		return nil, err
-	}
-	defer win.Close()
-	t := stats.NewTable(
-		fmt.Sprintf("Distributed EarlyExit windows (robot, n=%d, %d shards): full scan vs windowed", db.N(), shards),
-		"k", "mode", "point evals/query", "evals ratio", "window KB/query", "empty windows/query")
-	q := float64(queries.N())
-	for _, k := range []int{1, 10} {
-		fres, fm, _ := full.KNNBatch(queries, k)
-		wres, wm, _ := win.KNNBatch(queries, k)
-		for i := range fres {
-			for p := range fres[i] {
-				if fres[i][p] != wres[i][p] {
-					return nil, fmt.Errorf("dist-window: windowed answer diverged at query %d pos %d", i, p)
-				}
-			}
-		}
-		t.AddRow(k, "full-scan", float64(fm.PointEvals)/q, 1.0, 0.0, 0.0)
-		t.AddRow(k, "windowed", float64(wm.PointEvals)/q,
-			float64(wm.PointEvals)/float64(fm.PointEvals),
-			float64(wm.Windows)*distributed.WindowBytes/q/1024, float64(wm.EmptyWindows)/q)
-	}
-	return &Output{Tables: []*stats.Table{t}}, nil
-}
-
 // RunBaselines compares every implemented search structure on one low-
 // and one higher-dimensional workload — quantifying §7.1's remark that
 // "in very low-dimensional spaces, basic data structures like kd-trees
@@ -292,7 +218,7 @@ func RunBaselines(cfg Config) (*Output, error) {
 
 		nr := int(cfg.RepFactor * math.Sqrt(float64(n)))
 		idx, err := core.BuildExact(db, euclid, core.ExactParams{
-			NumReps: nr, Seed: cfg.Seed, ExactCount: true, EarlyExit: true})
+			NumReps: nr, Seed: cfg.Seed, ExactCount: true})
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +309,7 @@ func RunAblationApprox(cfg Config) (*Output, error) {
 		var exactEvals float64
 		for _, eps := range []float64{0, 0.25, 1, 3} {
 			idx, err := core.BuildExact(db, euclid, core.ExactParams{
-				NumReps: nr, Seed: cfg.Seed, ExactCount: true, EarlyExit: true, ApproxEps: eps})
+				NumReps: nr, Seed: cfg.Seed, ExactCount: true, ApproxEps: eps})
 			if err != nil {
 				return nil, err
 			}

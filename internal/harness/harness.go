@@ -108,9 +108,6 @@ func Registry() []Experiment {
 		{ID: "ablation-bounds", Title: "Ablation: pruning bounds (1), (2) and both",
 			Description: "work per query with each pruning rule in isolation (§6 remark)",
 			Run:         RunAblationBounds},
-		{ID: "ablation-earlyexit", Title: "Ablation: sorted lists + admissible window",
-			Description: "effect of the Claim 2 early-exit refinement",
-			Run:         RunAblationEarlyExit},
 		{ID: "ablation-approx", Title: "Ablation: (1+eps)-approximate exact search",
 			Description: "footnote-1 variant: work saved vs observed error ratio",
 			Run:         RunAblationApprox},
@@ -123,9 +120,6 @@ func Registry() []Experiment {
 		{ID: "dist-batch", Title: "Extension (§8): tiled batched shard scans",
 			Description: "distributed k-NN per-query vs block fan-out (throughput + message amortization)",
 			Run:         RunDistBatch},
-		{ID: "dist-window", Title: "Extension (§8): shard-side EarlyExit windows",
-			Description: "sorted shard segments + per-(query, segment) admissible windows: PointEvals saved vs protocol bytes",
-			Run:         RunDistWindow},
 		{ID: "gpu-divergence", Title: "Extension: SIMT divergence ablation",
 			Description: "why conditional tree search under-utilizes vector hardware (§3)",
 			Run:         RunGPUDivergence},

@@ -21,7 +21,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestRegistryAndByID(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 17 {
+	if len(reg) != 15 {
 		t.Fatalf("registry size %d", len(reg))
 	}
 	seen := map[string]bool{}
@@ -151,9 +151,6 @@ func TestAblationsRun(t *testing.T) {
 	if _, err := RunAblationBounds(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAblationEarlyExit(cfg); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestScalingRuns(t *testing.T) {
@@ -175,18 +172,6 @@ func TestDistributedRuns(t *testing.T) {
 	}
 	if out.Tables[0].NumRows() != 10 { // 5 shard counts × 2 modes
 		t.Fatalf("distributed rows: %d", out.Tables[0].NumRows())
-	}
-}
-
-func TestDistWindowRuns(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Queries = 12
-	out, err := RunDistWindow(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Tables[0].NumRows() != 4 { // 2 k values × 2 modes
-		t.Fatalf("dist-window rows: %d", out.Tables[0].NumRows())
 	}
 }
 

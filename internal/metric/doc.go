@@ -8,7 +8,7 @@
 //   - Batch: distances from one query to a contiguous block of points
 //     (the matrix-vector shape), plus OrderingBatch, its squared-distance
 //     companion;
-//   - BatchMulti: distances from a block of queries to a block of points
+//   - Kernel.Tile: distances from a block of queries to a block of points
 //     into a row-major tile (the matrix-matrix shape of BF(Q,X)), resolved
 //     per metric through the Kernel type.
 //

@@ -55,14 +55,6 @@ import (
 // OneShot, the distributed shard scans, range searches) guard with
 // !IsFast().
 
-// BatchMulti is the multi-query vector fast path: ordering distances from
-// every query in qflat (nq = len(qflat)/dim rows) to every point in pflat
-// (np = len(pflat)/dim rows), written to out as a row-major nq×np tile:
-// out[i*np+j] holds the ordering distance from query i to point j.
-type BatchMulti interface {
-	MultiDistances(qflat, pflat []float32, dim int, out []float64)
-}
-
 // Orderer is implemented by metrics whose kernels emit a monotone surrogate
 // of the true distance. ToDistance(FromDistance(d)) == d need not hold
 // bitwise; only strict monotonicity on [0, ∞) is required.
@@ -153,7 +145,6 @@ type Kernel struct {
 	m      Metric[[]float32]
 	fast   bool
 	euclid bool
-	bm     BatchMulti
 	ob     OrderingBatch
 	b      Batch
 	ord    Orderer
@@ -171,7 +162,6 @@ func NewFastKernel(m Metric[[]float32]) *Kernel { return newKernel(m, true) }
 func newKernel(m Metric[[]float32], fast bool) *Kernel {
 	k := &Kernel{m: m, fast: fast}
 	_, k.euclid = m.(Euclidean)
-	k.bm, _ = m.(BatchMulti)
 	k.ob, _ = m.(OrderingBatch)
 	k.b, _ = m.(Batch)
 	k.ord, _ = m.(Orderer)
@@ -284,8 +274,6 @@ func (k *Kernel) Tile(qflat []float32, qn []float64, pflat []float32, pn []float
 		// Exact tile: the float32 rows scored in place, no widening, no
 		// norms, no scratch (see exact.go).
 		euclidExactTile(qflat, pflat, dim, nq, np, out)
-	case k.bm != nil:
-		k.bm.MultiDistances(qflat, pflat, dim, out)
 	case k.ob != nil:
 		for i := 0; i < nq; i++ {
 			k.ob.OrderingDistances(qflat[i*dim:(i+1)*dim], pflat, dim, out[i*np:(i+1)*np])

@@ -69,8 +69,8 @@ func TestTileManhattan(t *testing.T) { kernelMatchesScalar(t, Manhattan{}) }
 func TestTileChebyshev(t *testing.T) { kernelMatchesScalar(t, Chebyshev{}) }
 func TestTileMinkowski(t *testing.T) { kernelMatchesScalar(t, NewMinkowski(2.5)) }
 func TestTileAngularFallback(t *testing.T) {
-	// Angular has no Batch/BatchMulti path; the kernel must fall back to
-	// per-pair Distance calls.
+	// Angular has no Batch path; the kernel must fall back to per-pair
+	// Distance calls.
 	kernelMatchesScalar(t, Angular{})
 }
 
@@ -235,38 +235,6 @@ func TestMinkowskiBatch(t *testing.T) {
 	batchMatchesScalar(t, NewMinkowski(2.5))
 	batchMatchesScalar(t, NewMinkowski(1))
 	batchMatchesScalar(t, NewMinkowski(4))
-}
-
-// customMulti is a metric with its own BatchMulti implementation; the
-// kernel must route through it in both modes.
-type customMulti struct {
-	Manhattan
-	calls int
-}
-
-func (c *customMulti) MultiDistances(qflat, pflat []float32, dim int, out []float64) {
-	c.calls++
-	nq, np := len(qflat)/dim, len(pflat)/dim
-	for i := 0; i < nq; i++ {
-		c.Distances(qflat[i*dim:(i+1)*dim], pflat, dim, out[i*np:(i+1)*np])
-	}
-}
-
-func TestKernelUsesCustomBatchMulti(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	cm := &customMulti{}
-	k := NewKernel(cm)
-	qflat := randFlat(rng, 3, 4)
-	pflat := randFlat(rng, 6, 4)
-	out := make([]float64, 18)
-	k.Tile(qflat, nil, pflat, nil, 4, out, nil)
-	if cm.calls != 1 {
-		t.Fatalf("custom MultiDistances called %d times, want 1", cm.calls)
-	}
-	want := tileRef(Manhattan{}, qflat, pflat, 4)
-	if e := maxRelErr(out, want); e > 1e-9 {
-		t.Fatalf("custom tile max rel err %v", e)
-	}
 }
 
 func TestTileInvocationsCounter(t *testing.T) {

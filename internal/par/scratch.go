@@ -16,8 +16,8 @@ import "sync"
 //     holds the phase-1 orderings when a single query computes its own,
 //     1 the representative distances, 2 the home probe's orderings, 5
 //     the list-scan block that doubles as the buffer-scan cell;
-//   - float64 3, 4 and 6 belong to the batched front half
-//     (core.tileFrontHalf: rows, kernel tile, query norms);
+//   - float64 3 and 4 belong to the batched front half
+//     (core.tileFrontHalf: rows, kernel tile); float64 6 is unused;
 //   - float64 7 is time-shared within one query tile: the pruner uses it
 //     for the live-γ buffer, and core.ScanGrouped — which only runs once
 //     every query of the tile has been pruned — re-carves it for its

@@ -26,13 +26,12 @@ import (
 //   - BIT-FOR-BIT (same ids, same distance bits, same order): every
 //     backend's KNNBatch against its own per-query KNN; bruteforce and
 //     OneShot-at-S=n against the reference (their scans see every point,
-//     so (dist, id) selection is total); core.Exact ± EarlyExit against
-//     the reference (every pruning rule is strict, so no list holding a
-//     point at exactly γ_k is pruned and every tied id is seen); the
-//     distributed cluster against the single-node core.Exact built with
-//     the same parameters; and the EarlyExit-windowed cluster against the
-//     full-scan cluster and against core.Exact{EarlyExit: true} (windows
-//     change work done, never results — the shard-side window contract).
+//     so (dist, id) selection is total); core.Exact against the
+//     reference (every pruning rule is strict, so no list holding a point
+//     at exactly γ_k is pruned and every tied id is seen); and the
+//     windowed distributed cluster against the single-node core.Exact
+//     built with the same parameters (windows change work done, never
+//     results — the shard-side window contract).
 //   - ORDERING-TIE RULE (distance bits pinned position by position, ids
 //     free within an equal-distance class but verified to achieve the
 //     class distance, no duplicates): the quantized two-pass scan. Exact
@@ -67,9 +66,7 @@ var equivalenceCorpus = []struct {
 	{12, 1, 3, 1},
 	{13, 2, 0, 1},
 	{14, 3, 2, 2},
-	// Seeds 15–20 joined with the EarlyExit-windowed cluster configs:
-	// they re-cover the selector grid now that every entry also checks
-	// windowed-vs-full-scan and windowed-vs-Exact{EarlyExit} bit equality.
+	// Seeds 15–20 re-cover the selector grid for the cluster checks.
 	{15, 0, 2, 1},
 	{16, 1, 2, 2},
 	{17, 2, 3, 0},
@@ -158,7 +155,7 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 		"bruteforce": NewBruteForce(db, m),
 	}
 	tolerant := map[string]BatchSearcher{}
-	var exactIdx, exactEE *core.Exact
+	var exactIdx *core.Exact
 	if n > 0 {
 		var err error
 		exactIdx, err = core.BuildExact(db, m, core.ExactParams{Seed: seed})
@@ -166,11 +163,6 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 			t.Fatalf("BuildExact: %v", err)
 		}
 		exactBits["exact"] = exactIdx
-		exactEE, err = core.BuildExact(db, m, core.ExactParams{Seed: seed, EarlyExit: true})
-		if err != nil {
-			t.Fatalf("BuildExact(EarlyExit): %v", err)
-		}
-		exactBits["exact-earlyexit"] = exactEE
 		// One-shot is approximate in general, but with S = n every
 		// ownership list holds the whole database, so any probed list
 		// yields the exact answer through the same ordering-space
@@ -207,10 +199,8 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 
 	// The distributed cluster must match the single-node exact index
 	// BIT-FOR-BIT — same parameters, same reported distance bits, same
-	// ids at razor ties (the tiled shard-scan contract). The
-	// EarlyExit-windowed cluster must additionally match the full-scan
-	// cluster and core.Exact{EarlyExit: true}: its per-(query, segment)
-	// admissible windows clip work, never answers.
+	// ids at razor ties (the tiled shard-scan contract): its
+	// per-(query, segment) admissible windows clip work, never answers.
 	if n > 0 {
 		shards := 1 + int(seed&3)
 		cl, err := distributed.Build(db, m, core.ExactParams{Seed: seed}, shards, distributed.DefaultCostModel())
@@ -218,27 +208,12 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 			t.Fatalf("distributed.Build: %v", err)
 		}
 		defer cl.Close()
-		got, mFull, _ := cl.KNNBatch(queries, k)
+		got, _, _ := cl.KNNBatch(queries, k)
 		wantIdx, _ := exactIdx.KNNBatch(queries, k)
 		for i := 0; i < nq; i++ {
 			assertBitEqual(t, fmt.Sprintf("cluster(shards=%d) query %d vs core.Exact", shards, i), got[i], wantIdx[i])
-		}
-
-		clWin, err := distributed.Build(db, m, core.ExactParams{Seed: seed, EarlyExit: true}, shards, distributed.DefaultCostModel())
-		if err != nil {
-			t.Fatalf("distributed.Build(EarlyExit): %v", err)
-		}
-		defer clWin.Close()
-		gotWin, mWin, _ := clWin.KNNBatch(queries, k)
-		wantEE, _ := exactEE.KNNBatch(queries, k)
-		for i := 0; i < nq; i++ {
-			assertBitEqual(t, fmt.Sprintf("windowed cluster(shards=%d) query %d vs full-scan cluster", shards, i), gotWin[i], got[i])
-			assertBitEqual(t, fmt.Sprintf("windowed cluster(shards=%d) query %d vs core.Exact(EarlyExit)", shards, i), gotWin[i], wantEE[i])
-			one, _, _ := clWin.KNN(queries.Row(i), k)
-			assertBitEqual(t, fmt.Sprintf("windowed cluster(shards=%d) query %d batch vs per-query", shards, i), gotWin[i], one)
-		}
-		if mWin.PointEvals > mFull.PointEvals {
-			t.Fatalf("windowed cluster PointEvals %d exceed full-scan %d (eval monotonicity)", mWin.PointEvals, mFull.PointEvals)
+			one, _, _ := cl.KNN(queries.Row(i), k)
+			assertBitEqual(t, fmt.Sprintf("cluster(shards=%d) query %d batch vs per-query", shards, i), got[i], one)
 		}
 	}
 }

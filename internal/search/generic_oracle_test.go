@@ -21,9 +21,9 @@ import (
 // Rules for what "same" means, each structural rather than a tolerance:
 //
 //   - PointEvals counts every position of the home probe's run and of a
-//     kept list's admissible window (the whole list without EarlyExit,
-//     less the probed run on the home list), representatives included —
-//     they are skipped as candidates, not as work. See core.Stats.
+//     kept list's admissible window (less the probed run on the home
+//     list), representatives included — they are skipped as candidates,
+//     not as work. See core.Stats.
 //   - Exact evaluates every representative once, in phase 1, so
 //     RepEvals is |R| per query on both sides.
 //   - GenericExact calls m.Distance where Exact calls the exact-grade
@@ -100,57 +100,55 @@ func kernelMetric(m metric.Metric[[]float32], dim int) metric.Metric[[]float32] 
 
 // checkGenericOracle compares core.Exact (built with Euclidean) against
 // core.GenericExact (built with gm over the same rows) on every query
-// path, ± EarlyExit, k ∈ {1, 10}.
+// path, k ∈ {1, 10}.
 func checkGenericOracle(t *testing.T, seed int64, db, queries *vec.Dataset, gm metric.Metric[[]float32]) {
 	t.Helper()
 	m := metric.Euclidean{}
 	nq := queries.N()
-	for _, early := range []bool{false, true} {
-		prm := core.ExactParams{Seed: seed, EarlyExit: early}
-		idx, err := core.BuildExact(db, m, prm)
-		if err != nil {
-			t.Fatalf("BuildExact: %v", err)
-		}
-		gen, err := core.BuildGenericExact(db.Rows(), gm, prm)
-		if err != nil {
-			t.Fatalf("BuildGenericExact: %v", err)
-		}
-		if idx.NumReps() != gen.NumReps() {
-			t.Fatalf("early=%v: %d representatives, generic %d", early, idx.NumReps(), gen.NumReps())
-		}
-		for _, k := range []int{1, 10} {
-			label := fmt.Sprintf("early=%v k=%d", early, k)
-			var wantAgg core.Stats
-			want := make([][]Neighbor, nq)
-			for i := 0; i < nq; i++ {
-				var st core.Stats
-				want[i], st = gen.KNN(queries.Row(i), k)
-				wantAgg.Add(st)
-				got, gst := idx.KNN(queries.Row(i), k)
-				assertBitEqual(t, fmt.Sprintf("%s query %d Exact.KNN vs generic", label, i), got, want[i])
-				if gst != st {
-					t.Fatalf("%s query %d: Exact.KNN stats %+v, generic %+v", label, i, gst, st)
-				}
-			}
-			batch, bst := idx.KNNBatch(queries, k)
-			for i := 0; i < nq; i++ {
-				assertBitEqual(t, fmt.Sprintf("%s query %d Exact.KNNBatch vs generic", label, i), batch[i], want[i])
-			}
-			if bst != wantAgg {
-				t.Fatalf("%s: Exact.KNNBatch stats %+v, generic sum %+v", label, bst, wantAgg)
-			}
-		}
+	prm := core.ExactParams{Seed: seed}
+	idx, err := core.BuildExact(db, m, prm)
+	if err != nil {
+		t.Fatalf("BuildExact: %v", err)
+	}
+	gen, err := core.BuildGenericExact(db.Rows(), gm, prm)
+	if err != nil {
+		t.Fatalf("BuildGenericExact: %v", err)
+	}
+	if idx.NumReps() != gen.NumReps() {
+		t.Fatalf("%d representatives, generic %d", idx.NumReps(), gen.NumReps())
+	}
+	for _, k := range []int{1, 10} {
+		label := fmt.Sprintf("k=%d", k)
+		var wantAgg core.Stats
+		want := make([][]Neighbor, nq)
 		for i := 0; i < nq; i++ {
-			// eps at a neighbour's distance, so the inclusive boundary and
-			// its ties are on the path.
-			nbs := bruteforce.SearchOneK(queries.Row(i), db, 5, m, nil)
-			eps := nbs[len(nbs)-1].Dist
-			want, st := gen.Range(queries.Row(i), eps)
-			got, gst := idx.Range(queries.Row(i), eps)
-			assertBitEqual(t, fmt.Sprintf("early=%v query %d Exact.Range vs generic", early, i), got, want)
+			var st core.Stats
+			want[i], st = gen.KNN(queries.Row(i), k)
+			wantAgg.Add(st)
+			got, gst := idx.KNN(queries.Row(i), k)
+			assertBitEqual(t, fmt.Sprintf("%s query %d Exact.KNN vs generic", label, i), got, want[i])
 			if gst != st {
-				t.Fatalf("early=%v query %d: Exact.Range stats %+v, generic %+v", early, i, gst, st)
+				t.Fatalf("%s query %d: Exact.KNN stats %+v, generic %+v", label, i, gst, st)
 			}
+		}
+		batch, bst := idx.KNNBatch(queries, k)
+		for i := 0; i < nq; i++ {
+			assertBitEqual(t, fmt.Sprintf("%s query %d Exact.KNNBatch vs generic", label, i), batch[i], want[i])
+		}
+		if bst != wantAgg {
+			t.Fatalf("%s: Exact.KNNBatch stats %+v, generic sum %+v", label, bst, wantAgg)
+		}
+	}
+	for i := 0; i < nq; i++ {
+		// eps at a neighbour's distance, so the inclusive boundary and
+		// its ties are on the path.
+		nbs := bruteforce.SearchOneK(queries.Row(i), db, 5, m, nil)
+		eps := nbs[len(nbs)-1].Dist
+		want, st := gen.Range(queries.Row(i), eps)
+		got, gst := idx.Range(queries.Row(i), eps)
+		assertBitEqual(t, fmt.Sprintf("query %d Exact.Range vs generic", i), got, want)
+		if gst != st {
+			t.Fatalf("query %d: Exact.Range stats %+v, generic %+v", i, gst, st)
 		}
 	}
 }

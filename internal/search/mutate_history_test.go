@@ -14,14 +14,13 @@ import (
 
 // Interleaved mutate/query histories (PR 8): a deterministic seeded
 // generator drives Insert/Delete/KNN/Range sequences over tie-rich
-// grids against two mutated core.Exact indexes — EarlyExit-windowed
-// with auto-merge disabled (so pending insertion buffers are always in
-// play) and full-scan with an aggressive merge threshold (so targeted
-// segment merges fire constantly). At every query step both must agree:
+// grids against two mutated core.Exact indexes — one left to its
+// default merge threshold (so pending insertion buffers are in play) and
+// one flushed after every insert (so targeted segment merges fire
+// constantly). At every query step both must agree:
 //
 //   - with each other BIT-FOR-BIT (same data, same seed → same
-//     representatives; windows and merge policy change work, never
-//     answers);
+//     representatives; merge timing changes work, never answers);
 //   - with a brute-force scan over exactly the live rows — the
 //     rebuilt-from-live-rows reference — BIT-FOR-BIT, ids included, for
 //     KNN (every pruning rule is strict, so every tied id is seen) and
@@ -97,13 +96,13 @@ func runMutateHistory(t *testing.T, seed int64, dim, n0, nops int) {
 	// grows the backing store, so they must not share it). Same seed →
 	// same representatives → bit-identical answers are required, not just
 	// tie-equivalent.
-	dbW := vec.FromFlat(append([]float32(nil), base.Data...), base.Dim)
-	dbF := vec.FromFlat(append([]float32(nil), base.Data...), base.Dim)
-	windowed, err := core.BuildExact(dbW, m, core.ExactParams{Seed: seed, EarlyExit: true, BufferMerge: -1})
+	dbB := vec.FromFlat(append([]float32(nil), base.Data...), base.Dim)
+	dbM := vec.FromFlat(append([]float32(nil), base.Data...), base.Dim)
+	buffered, err := core.BuildExact(dbB, m, core.ExactParams{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.BuildExact(dbF, m, core.ExactParams{Seed: seed, BufferMerge: 3})
+	merged, err := core.BuildExact(dbM, m, core.ExactParams{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +110,12 @@ func runMutateHistory(t *testing.T, seed int64, dim, n0, nops int) {
 	deleted := map[int]bool{}
 	row := make([]float32, dim)
 	queryPoint := func() []float32 {
-		if rng.Intn(4) == 0 && dbW.N() > len(deleted) {
+		if rng.Intn(4) == 0 && dbB.N() > len(deleted) {
 			// Planted self-query on a live row: zero distances stress ties.
 			for {
-				id := rng.Intn(dbW.N())
+				id := rng.Intn(dbB.N())
 				if !deleted[id] {
-					return append([]float32(nil), dbW.Row(id)...)
+					return append([]float32(nil), dbB.Row(id)...)
 				}
 			}
 		}
@@ -127,35 +126,35 @@ func runMutateHistory(t *testing.T, seed int64, dim, n0, nops int) {
 	}
 
 	checkKNN := func(step int, q []float32, k int) {
-		gotW, _ := windowed.KNN(q, k)
-		gotF, _ := full.KNN(q, k)
-		assertBitEqual(t, fmt.Sprintf("step %d: windowed vs full KNN", step), gotW, gotF)
-		assertLiveIDs(t, fmt.Sprintf("step %d: mutated KNN", step), gotW, deleted, dbW.N())
-		live, idmap := liveView(dbW, deleted)
+		gotB, _ := buffered.KNN(q, k)
+		gotM, _ := merged.KNN(q, k)
+		assertBitEqual(t, fmt.Sprintf("step %d: buffered vs merged KNN", step), gotB, gotM)
+		assertLiveIDs(t, fmt.Sprintf("step %d: mutated KNN", step), gotB, deleted, dbB.N())
+		live, idmap := liveView(dbB, deleted)
 		want := remapIDs(bruteforce.SearchOneK(q, live, k, m, nil), idmap)
-		assertBitEqual(t, fmt.Sprintf("step %d: mutated KNN vs live-rows reference", step), gotW, want)
+		assertBitEqual(t, fmt.Sprintf("step %d: mutated KNN vs live-rows reference", step), gotB, want)
 	}
 	checkRange := func(step int, q []float32, eps float64) {
-		gotW, _ := windowed.Range(q, eps)
-		gotF, _ := full.Range(q, eps)
-		assertBitEqual(t, fmt.Sprintf("step %d: windowed vs full Range", step), gotW, gotF)
-		live, idmap := liveView(dbW, deleted)
+		gotB, _ := buffered.Range(q, eps)
+		gotM, _ := merged.Range(q, eps)
+		assertBitEqual(t, fmt.Sprintf("step %d: buffered vs merged Range", step), gotB, gotM)
+		live, idmap := liveView(dbB, deleted)
 		want := remapIDs(bruteforce.RangeSearch(q, live, eps, m, nil), idmap)
 		// Range answers are complete — every live point within eps, sorted
 		// by (dist, id) — so the comparison is bit-exact including ids.
-		assertBitEqual(t, fmt.Sprintf("step %d: mutated Range vs live-rows reference", step), gotW, want)
+		assertBitEqual(t, fmt.Sprintf("step %d: mutated Range vs live-rows reference", step), gotB, want)
 	}
 	checkRebuilt := func(step int) {
-		live, idmap := liveView(dbW, deleted)
-		rebuilt, err := core.BuildExact(live, m, core.ExactParams{Seed: seed, EarlyExit: true})
+		live, idmap := liveView(dbB, deleted)
+		rebuilt, err := core.BuildExact(live, m, core.ExactParams{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 6; i++ {
 			q := queryPoint()
-			gotW, _ := windowed.KNN(q, 4)
+			gotB, _ := buffered.KNN(q, 4)
 			want := remapIDs(firstK(rebuilt.KNN(q, 4)), idmap)
-			assertBitEqual(t, fmt.Sprintf("step %d: mutated vs rebuilt-from-live Exact", step), gotW, want)
+			assertBitEqual(t, fmt.Sprintf("step %d: mutated vs rebuilt-from-live Exact", step), gotB, want)
 		}
 	}
 
@@ -163,23 +162,24 @@ func runMutateHistory(t *testing.T, seed int64, dim, n0, nops int) {
 		switch r := rng.Intn(20); {
 		case r < 8: // insert
 			p := queryPoint()
-			id := windowed.Insert(p)
-			if id2 := full.Insert(append([]float32(nil), p...)); id2 != id {
+			id := buffered.Insert(p)
+			if id2 := merged.Insert(append([]float32(nil), p...)); id2 != id {
 				t.Fatalf("step %d: insert ids diverge (%d vs %d)", step, id, id2)
 			}
+			merged.Flush()
 		case r < 12: // delete
-			if dbW.N()-len(deleted) <= 1 {
+			if dbB.N()-len(deleted) <= 1 {
 				continue // keep at least one live row
 			}
 			for {
-				id := rng.Intn(dbW.N())
+				id := rng.Intn(dbB.N())
 				if deleted[id] {
 					continue
 				}
-				if err := windowed.Delete(id); err != nil {
+				if err := buffered.Delete(id); err != nil {
 					t.Fatalf("step %d: delete %d: %v", step, id, err)
 				}
-				if err := full.Delete(id); err != nil {
+				if err := merged.Delete(id); err != nil {
 					t.Fatalf("step %d: delete %d: %v", step, id, err)
 				}
 				deleted[id] = true
@@ -197,13 +197,16 @@ func runMutateHistory(t *testing.T, seed int64, dim, n0, nops int) {
 		}
 	}
 
-	// Compact the mutated indexes and re-verify: Rebuild folds buffers
-	// and re-sorts, Flush drains what BufferMerge: -1 accumulated.
-	if windowed.Buffered() == 0 {
-		t.Fatal("auto-merge disabled yet nothing stayed buffered — history never exercised pending buffers")
+	// Compact the mutated indexes and re-verify: Rebuild folds the
+	// pending buffers, drops tombstones and re-sorts.
+	if buffered.Buffered() == 0 {
+		t.Fatal("nothing stayed buffered — history never exercised pending buffers")
 	}
-	windowed.Rebuild()
-	full.Rebuild()
+	if merged.SegMerges() == 0 {
+		t.Fatal("no segment merge fired — history never exercised merged segments")
+	}
+	buffered.Rebuild()
+	merged.Rebuild()
 	for i := 0; i < 8; i++ {
 		q := queryPoint()
 		checkKNN(nops+i, q, 5)

@@ -53,7 +53,7 @@ func TestBatchMatchesPerQuery(t *testing.T) {
 	m := metric.Euclidean{}
 	const k = 4
 
-	exact, err := core.BuildExact(db, m, core.ExactParams{Seed: 1, EarlyExit: true})
+	exact, err := core.BuildExact(db, m, core.ExactParams{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestExactBackendsMatchReference(t *testing.T) {
 	m := metric.Euclidean{}
 	const k = 3
 
-	exact, err := core.BuildExact(db, m, core.ExactParams{Seed: 2, EarlyExit: true})
+	exact, err := core.BuildExact(db, m, core.ExactParams{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRangeBatchMatchesPerQuery(t *testing.T) {
 	m := metric.Euclidean{}
 	const eps = 1.2
 
-	exact, err := core.BuildExact(db, m, core.ExactParams{Seed: 4, EarlyExit: true})
+	exact, err := core.BuildExact(db, m, core.ExactParams{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

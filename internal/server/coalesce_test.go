@@ -22,7 +22,7 @@ import (
 func newCoalescedServer(t testing.TB, n, maxBatch int, maxWait time.Duration) (*Server, *Server, *vec.Dataset) {
 	t.Helper()
 	db := testData(n)
-	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true})
+	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func benchServer(b *testing.B, coalesce bool) {
 		ids[i] = i
 	}
 	db := all.Subset(ids)
-	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true})
+	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}

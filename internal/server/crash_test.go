@@ -45,7 +45,7 @@ func TestHelperDurableServer(t *testing.T) {
 	}
 	dir := os.Getenv(crashDirEnv)
 	s, _, err := OpenDurable(testData(crashBaseN), metric.Euclidean{},
-		core.ExactParams{Seed: 3, EarlyExit: true},
+		core.ExactParams{Seed: 3},
 		DurabilityOptions{Dir: dir, Sync: wal.SyncAlways})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "helper: %v\n", err)
@@ -188,7 +188,7 @@ func TestCrashRecoveryKillAndReplay(t *testing.T) {
 	// The reference replays everything that ever hit a surviving WAL or
 	// snapshot. Tracked ops: all records recovered after each crash.
 	ref, err := core.BuildExact(cloneData(testData(crashBaseN)), metric.Euclidean{},
-		core.ExactParams{Seed: 3, EarlyExit: true})
+		core.ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func cloneData(db *vec.Dataset) *vec.Dataset {
 func openDurable(t *testing.T, dir string, bootstrap *vec.Dataset, d DurabilityOptions) *Server {
 	t.Helper()
 	d.Dir = dir
-	s, _, err := OpenDurable(bootstrap, metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true}, d)
+	s, _, err := OpenDurable(bootstrap, metric.Euclidean{}, core.ExactParams{Seed: 3}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDurableRestartReplaysWAL(t *testing.T) {
 	s2 := openDurable(t, dir, cloneData(base), DurabilityOptions{Sync: wal.SyncAlways})
 	defer s2.Close()
 
-	ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true})
+	ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSnapshotBarrierTruncatesWAL(t *testing.T) {
 	// needed anymore. Reference replays the full acknowledged history.
 	s2 := openDurable(t, dir, nil, DurabilityOptions{Sync: wal.SyncAlways})
 	defer s2.Close()
-	ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true})
+	ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSnapshotRestartCycles(t *testing.T) {
 	dir := t.TempDir()
 	base := testData(200)
 	rng := rand.New(rand.NewSource(47))
-	ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true})
+	ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestDurableFaultInjectionRecovery(t *testing.T) {
 		s.Close()
 
 		s2 := openDurable(t, dir, cloneData(base), DurabilityOptions{Sync: wal.SyncAlways})
-		ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true})
+		ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,7 +494,7 @@ func TestRecoveryIgnoresUncommittedGeneration(t *testing.T) {
 
 	s2 := openDurable(t, dir, cloneData(base), DurabilityOptions{Sync: wal.SyncAlways})
 	defer s2.Close()
-	ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true})
+	ref, err := core.BuildExact(cloneData(base), metric.Euclidean{}, core.ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

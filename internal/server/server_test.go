@@ -29,7 +29,7 @@ func testData(n int) *vec.Dataset {
 func newExactServer(t *testing.T, n int) (*Server, *vec.Dataset) {
 	t.Helper()
 	db := testData(n)
-	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 3, EarlyExit: true})
+	idx, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func buildTestData(rng *rand.Rand, n, dim int) *rbc.Dataset {
 func TestPublicAPIExactWorkflow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	db := buildTestData(rng, 2000, 8)
-	idx, err := rbc.BuildExact(db, rbc.Euclidean(), rbc.ExactParams{Seed: 3, EarlyExit: true})
+	idx, err := rbc.BuildExact(db, rbc.Euclidean(), rbc.ExactParams{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPublicAPISerializationRoundTrip(t *testing.T) {
 func TestPublicAPIKNNAndRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	db := buildTestData(rng, 1000, 4)
-	idx, err := rbc.BuildExact(db, rbc.Euclidean(), rbc.ExactParams{Seed: 9, EarlyExit: true})
+	idx, err := rbc.BuildExact(db, rbc.Euclidean(), rbc.ExactParams{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
