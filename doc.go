@@ -35,11 +35,12 @@
 // BatchSearcher interfaces (repro/internal/search) make "answer this
 // block of queries" the common currency between the indexes, the HTTP
 // server, the distributed cluster and the experiment harness. KNNBatch
-// on Exact and OneShot answers a whole block through one tiled BF(Q,R)
-// front half and grouped phase-2 scans — each surviving ownership list
-// is scanned once per query tile as a small matrix-matrix call shared by
-// every query that kept it — with results bit-identical to per-query
-// KNN. The HTTP server (repro/internal/server) converts concurrent
+// on Exact answers a whole block through one tiled BF(Q,R) front half
+// and grouped phase-2 scans — each surviving ownership list is scanned
+// once per query tile as a small matrix-matrix call shared by every
+// query that kept it; OneShot's shares the front half and then scans
+// each query's one list. Results are bit-identical to per-query KNN.
+// The HTTP server (repro/internal/server) converts concurrent
 // single-query traffic into such blocks by request coalescing — /query
 // through KNNBatch and /range through RangeBatch, each queue with its
 // own flush accounting in /stats — and the

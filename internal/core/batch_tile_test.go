@@ -86,37 +86,36 @@ func TestPhase1RowMatchesFrontHalf(t *testing.T) {
 }
 
 // TestOneShotSearchBatchMatchesOne mirrors TestExactSearchBatch: the tiled
-// batch front half must agree with the per-query path bit for bit.
+// batch front half must agree with the per-query path bit for bit, ids and
+// distance bits, with summed Stats equal.
 func TestOneShotSearchBatchMatchesOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	db := clusteredDataset(rng, 700, 5, 8)
-	for _, probes := range []int{1, 3} {
-		o, err := BuildOneShot(db, metric.Euclidean{}, OneShotParams{Seed: 9, Probes: probes})
-		if err != nil {
-			t.Fatal(err)
+	o, err := BuildOneShot(db, metric.Euclidean{}, OneShotParams{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := randomDataset(rng, 40, 5)
+	for _, k := range []int{1, 4, 10} {
+		batchK, st := o.KNNBatch(queries, k)
+		if st.RepEvals != int64(queries.N()*o.NumReps()) {
+			t.Fatalf("k=%d: RepEvals=%d, want %d", k, st.RepEvals, queries.N()*o.NumReps())
 		}
-		queries := randomDataset(rng, 40, 5)
-		for _, k := range []int{1, 4} {
-			batchK, st := o.KNNBatch(queries, k)
-			if st.RepEvals != int64(queries.N()*o.NumReps()) {
-				t.Fatalf("k=%d: RepEvals=%d, want %d", k, st.RepEvals, queries.N()*o.NumReps())
+		var sum Stats
+		for i := 0; i < queries.N(); i++ {
+			oneK, s := o.KNN(queries.Row(i), k)
+			sum.Add(s)
+			if len(batchK[i]) != len(oneK) {
+				t.Fatalf("k=%d: batchK[%d] has %d results, KNN %d", k, i, len(batchK[i]), len(oneK))
 			}
-			var sum Stats
-			for i := 0; i < queries.N(); i++ {
-				oneK, s := o.KNN(queries.Row(i), k)
-				sum.Add(s)
-				if len(batchK[i]) != len(oneK) {
-					t.Fatalf("probes=%d k=%d: batchK[%d] has %d results, KNN %d", probes, k, i, len(batchK[i]), len(oneK))
-				}
-				for j := range oneK {
-					if batchK[i][j] != oneK[j] {
-						t.Fatalf("probes=%d k=%d batchK[%d][%d]=%+v, KNN %+v", probes, k, i, j, batchK[i][j], oneK[j])
-					}
+			for j := range oneK {
+				if batchK[i][j].ID != oneK[j].ID || math.Float64bits(batchK[i][j].Dist) != math.Float64bits(oneK[j].Dist) {
+					t.Fatalf("k=%d batchK[%d][%d]=%+v, KNN %+v", k, i, j, batchK[i][j], oneK[j])
 				}
 			}
-			if sum != st {
-				t.Fatalf("probes=%d k=%d: per-query Stats %+v, batch %+v", probes, k, sum, st)
-			}
+		}
+		if sum != st {
+			t.Fatalf("k=%d: per-query Stats %+v, batch %+v", k, sum, st)
 		}
 	}
 }

@@ -89,6 +89,22 @@ func BenchmarkOneShotOne(b *testing.B) {
 	}
 }
 
+// BenchmarkOneShotKNNBatch times a 128-query block at k = 1 over
+// BenchmarkOneShotOne's index: the tiled front half plus one list scan per
+// query. Its name is pinned in BENCH_baseline.json.
+func BenchmarkOneShotKNNBatch(b *testing.B) {
+	db := benchDB(20000, 16)
+	idx, err := BuildOneShot(db, metric.Euclidean{}, OneShotParams{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := db.Subset(seqInts(0, 128))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx.KNNBatch(queries, 1)
+	}
+}
+
 func BenchmarkExactRange(b *testing.B) {
 	db := benchDB(20000, 16)
 	idx, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1})

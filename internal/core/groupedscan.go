@@ -20,8 +20,8 @@ import (
 // it, so a tile evaluates no surplus pair.
 const tileWasteFactor = 1
 
-// ScanGrouped is the grouped phase-2 driver shared by Exact.batchGrouped,
-// OneShot.batchGrouped and the distributed shard scan: given every
+// ScanGrouped is the grouped phase-2 driver shared by Exact.batchGrouped
+// and the distributed shard scan: given every
 // (query, list, window) a query block decided to scan, it inverts
 // query → lists into list → takers with one counting sort and scans each
 // list once for all of its takers through scanTakers.

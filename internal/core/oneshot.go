@@ -23,11 +23,6 @@ type OneShotParams struct {
 	// ExactCount samples exactly NumReps representatives instead of the
 	// paper's independent-inclusion scheme.
 	ExactCount bool
-	// Probes is the number of nearest representatives whose lists are
-	// scanned per query. The paper's algorithm is Probes = 1 (the
-	// default); larger values trade time for accuracy, an extension in
-	// the spirit of multiprobe LSH.
-	Probes int
 }
 
 func (p OneShotParams) withDefaults(n int) OneShotParams {
@@ -40,9 +35,6 @@ func (p OneShotParams) withDefaults(n int) OneShotParams {
 	if p.S > n {
 		p.S = n
 	}
-	if p.Probes <= 0 {
-		p.Probes = 1
-	}
 	return p
 }
 
@@ -52,8 +44,8 @@ func (p OneShotParams) withDefaults(n int) OneShotParams {
 // representative. The answer is exact with probability ≥ 1−δ when
 // n_r = s = c·sqrt(n·ln(1/δ)) (Theorem 2).
 //
-// Both phases — probe selection over the representatives and the list
-// scan whose distances are the reported answers — run on the exact
+// Both phases — the nearest-representative scan and the list scan whose
+// distances are the reported answers — run on the exact
 // kernel, bit-compatible with the brute-force reference, and defer the
 // sqrt to the API boundary.
 type OneShot struct {
@@ -133,16 +125,16 @@ func (o *OneShot) Radii() []float64 { return o.radii }
 func (o *OneShot) Params() OneShotParams { return o.prm }
 
 // KNN returns the (probabilistically correct) k nearest neighbors of q,
-// sorted by ascending distance: BF(q,R) finds the Probes nearest
-// representatives, then BF(q, X[L_r]) scans their ownership lists. k = 1
-// is the paper's one-shot 1-NN search.
+// sorted by ascending distance: BF(q,R) finds the nearest representative
+// r, then BF(q, X[L_r]) scans its ownership list. k = 1 is the paper's
+// one-shot 1-NN search.
 func (o *OneShot) KNN(q []float32, k int) ([]par.Neighbor, Stats) {
 	if k <= 0 {
 		return nil, Stats{}
 	}
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
-	h, st := o.knn(q, k, sc)
+	h, st := o.knn(q, nil, k, sc)
 	return o.finish(h), st
 }
 
@@ -158,80 +150,61 @@ func (o *OneShot) finish(h *par.KHeap) []par.Neighbor {
 	return res
 }
 
-// probe is phase 1: it returns the Probes nearest representatives of a
-// query as a heap in sc's heap slot 0, in ordering space, ties toward the
-// lower index. ords is the query's ordering row over the representatives;
-// pass nil to have probe compute it for q into sc's float64 slot 0 (the
-// row kernel, bit-identical to the batched front half's tile row).
-func (o *OneShot) probe(q []float32, ords []float64, sc *par.Scratch) *par.KHeap {
-	if ords == nil {
-		ords = sc.Float64(0, o.NumReps())
-		o.ker.Ordering(q, o.repData.Data, o.db.Dim, ords)
+// nearestRep is phase 1: the index of q's nearest representative and its
+// ordering, ties toward the lower index. ordRow is the query's row of the
+// batched BF(Q,R) front half; pass nil to compute it here into sc's
+// float64 slot 0 on the row kernel, bit-identical to the tile row.
+func (o *OneShot) nearestRep(q []float32, ordRow []float64, sc *par.Scratch) (int, float64) {
+	if ordRow == nil {
+		ordRow = sc.Float64(0, o.NumReps())
+		o.ker.Ordering(q, o.repData.Data, o.db.Dim, ordRow)
 	}
-	h := sc.Heap(0, min(o.prm.Probes, len(ords)))
-	for j, d := range ords {
-		h.Push(j, d)
-	}
-	return h
+	return par.ArgMin(ordRow)
 }
 
-// knn runs the one-shot search, returning the candidate heap (in ordering
-// space) from sc's heap slot 1.
-func (o *OneShot) knn(q []float32, k int, sc *par.Scratch) (*par.KHeap, Stats) {
+// knn runs the one-shot search for the k nearest neighbors, returning the
+// candidate heap (in ordering space) from sc's heap slot 0. ordRow
+// optionally carries the query's row of the batched BF(Q,R) front half.
+// Phase 2 scans the nearest representative's list, positions
+// [j·s, (j+1)·s), through the row kernel.
+func (o *OneShot) knn(q []float32, ordRow []float64, k int, sc *par.Scratch) (*par.KHeap, Stats) {
 	dim := o.db.Dim
-	st := Stats{RepEvals: int64(o.NumReps())}
-	probes := o.probe(q, nil, sc).Kept()
-
-	h := sc.Heap(1, k)
-	// With multiple probes a point may appear on several scanned lists;
-	// dedupe so k-NN result sets contain distinct ids.
-	var seen map[int32]struct{}
-	if len(probes) > 1 {
-		seen = make(map[int32]struct{}, len(probes)*o.s)
-	}
+	st := Stats{RepEvals: int64(o.NumReps()), RepsKept: 1}
+	h := sc.Heap(0, k)
+	j, _ := o.nearestRep(q, ordRow, sc)
 	// Pooled block buffer: a local array would escape through the kernel's
 	// interface dispatch.
-	scratch := sc.Float64(5, 256)
-	for _, probe := range probes {
-		j := probe.ID
-		st.RepsKept++
-		lo, hi := j*o.s, (j+1)*o.s
-		for blk := lo; blk < hi; blk += len(scratch) {
-			end := blk + len(scratch)
-			if end > hi {
-				end = hi
-			}
-			out := scratch[:end-blk]
-			o.ker.Ordering(q, o.gather[blk*dim:end*dim], dim, out)
-			for i, dd := range out {
-				id := o.ids[blk+i]
-				if seen != nil {
-					if _, dup := seen[id]; dup {
-						continue
-					}
-					seen[id] = struct{}{}
-				}
-				h.Push(int(id), dd)
-			}
-			st.PointEvals += int64(end - blk)
+	buf := sc.Float64(5, 256)
+	lo, hi := j*o.s, (j+1)*o.s
+	for blk := lo; blk < hi; blk += len(buf) {
+		out := buf[:min(len(buf), hi-blk)]
+		o.ker.Ordering(q, o.gather[blk*dim:(blk+len(out))*dim], dim, out)
+		for i, d := range out {
+			h.Push(int(o.ids[blk+i]), d)
 		}
 	}
+	st.PointEvals = int64(hi - lo)
 	return h, st
 }
 
 // KNNBatch is the batch-first k-NN entry point (search.BatchSearcher): it
-// answers a query block in parallel through the fully grouped path
-// (batch_grouped.go) — the tiled BF(Q,R) front half selects probes for the
-// whole block, and each probed list is scanned once per query tile.
+// answers a query block in parallel, sharing one tiled BF(Q,R) front half
+// across the block, then scans each query's one list as KNN does. A
+// one-shot list rarely has two takers in a query tile, so there is no
+// grouped list scan. Results and summed Stats are bit-identical to
+// calling KNN per query.
 func (o *OneShot) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
 	o.checkDim(queries.Dim)
 	out := make([][]par.Neighbor, queries.N())
 	if k <= 0 {
 		return out, Stats{}
 	}
-	agg := o.batchGrouped(queries, k, func(i int, h *par.KHeap) {
-		out[i] = o.finish(h)
-	})
+	agg := TileFrontHalf(o.ker, queries, o.repData,
+		func(i int, row []float64, sc *par.Scratch) Stats {
+			h, st := o.knn(queries.Row(i), row, k, sc)
+			out[i] = o.finish(h)
+			return st
+		})
 	return out, agg
 }
 
@@ -246,8 +219,8 @@ func (o *OneShot) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats
 func (o *OneShot) Certify(q []float32) bool {
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
-	r, _ := o.probe(q, nil, sc).Best()
-	return o.ker.ToDistance(r.Dist) <= o.radii[r.ID]/2
+	j, ord := o.nearestRep(q, nil, sc)
+	return o.ker.ToDistance(ord) <= o.radii[j]/2
 }
 
 func (o *OneShot) checkDim(dim int) {

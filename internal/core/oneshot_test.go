@@ -49,9 +49,6 @@ func TestOneShotDefaults(t *testing.T) {
 	if o.S() != 20 {
 		t.Fatalf("default S=%d, want 20", o.S())
 	}
-	if o.Params().Probes != 1 {
-		t.Fatalf("default Probes=%d", o.Params().Probes)
-	}
 }
 
 func TestOneShotErrors(t *testing.T) {
@@ -148,59 +145,6 @@ func TestOneShotCertify(t *testing.T) {
 	}
 }
 
-func TestOneShotProbesImproveRecall(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	all := clusteredDataset(rng, 3100, 8, 12)
-	db := all.Subset(seqInts(0, 3000))
-	queries := all.Subset(seqInts(3000, 3100))
-	m := metric.Euclidean{}
-	want := bruteforce.Search(queries, db, m, nil)
-	recall := func(probes int) float64 {
-		o, err := BuildOneShot(db, m, OneShotParams{NumReps: 40, S: 40, Seed: 8, Probes: probes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := o.KNNBatch(queries, 1)
-		c := 0
-		for i := range got {
-			if got[i][0].Dist == want[i].Dist {
-				c++
-			}
-		}
-		return float64(c) / float64(len(got))
-	}
-	r1, r4 := recall(1), recall(4)
-	if r4 < r1 {
-		t.Fatalf("probes=4 recall %.3f worse than probes=1 recall %.3f", r4, r1)
-	}
-}
-
-func TestOneShotKNNNoDuplicatesAcrossProbes(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	db := clusteredDataset(rng, 500, 4, 5)
-	m := metric.Euclidean{}
-	o, err := BuildOneShot(db, m, OneShotParams{NumReps: 20, S: 60, Seed: 9, Probes: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := randomDataset(rng, 20, 4)
-	res, _ := o.KNNBatch(queries, 10)
-	for i, nbs := range res {
-		seen := map[int]bool{}
-		for _, nb := range nbs {
-			if seen[nb.ID] {
-				t.Fatalf("query %d: duplicate id %d", i, nb.ID)
-			}
-			seen[nb.ID] = true
-		}
-		for j := 1; j < len(nbs); j++ {
-			if nbs[j].Dist < nbs[j-1].Dist {
-				t.Fatalf("query %d: results not sorted", i)
-			}
-		}
-	}
-}
-
 func TestOneShotKNNZeroK(t *testing.T) {
 	db := vec.FromRows([][]float32{{1}, {2}})
 	o, err := BuildOneShot(db, metric.Euclidean{}, OneShotParams{})
@@ -261,16 +205,15 @@ func TestOneShotDimMismatchPanics(t *testing.T) {
 	o.KNNBatch(vec.FromRows([][]float32{{1}}), 1)
 }
 
-// Property: one-shot with probes=nr (scan everything) is exact, because
-// the union of all lists covers every point that is some rep's s-NN — and
-// with s=n it covers the whole database.
+// Property: one-shot with s=n is exact, because the one scanned list then
+// covers the whole database.
 func TestQuickOneShotFullProbeExact(t *testing.T) {
 	m := metric.Euclidean{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 80
 		db := randomDataset(rng, n, 2)
-		o, err := BuildOneShot(db, m, OneShotParams{NumReps: 8, S: n, Seed: seed, Probes: 1})
+		o, err := BuildOneShot(db, m, OneShotParams{NumReps: 8, S: n, Seed: seed})
 		if err != nil {
 			return false
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/metric"
 	"repro/internal/vec"
@@ -13,6 +15,11 @@ import (
 // structure — so a saved index is small (O(n) integers) and reattaches to
 // the database it was built from. The metric is identified by name and
 // verified at load time.
+
+// errCorrupt is wrapped by every load error for a snapshot whose structure
+// disagrees with itself or with the database. Builds never write one;
+// accepting one would make searches panic or silently drop answers.
+var errCorrupt = errors.New("core: corrupt index structure")
 
 type exactSnapshot struct {
 	Version    int
@@ -97,33 +104,43 @@ func LoadExact(r io.Reader, db *vec.Dataset, m metric.Metric[[]float32]) (*Exact
 			snap.DBN, snap.DBDim, db.N(), db.Dim)
 	}
 	if len(snap.IDs) > db.N() || len(snap.Offsets) != len(snap.RepIDs)+1 {
-		return nil, fmt.Errorf("core: corrupt index structure")
+		return nil, fmt.Errorf("%w: %d ids, %d offsets for %d representatives",
+			errCorrupt, len(snap.IDs), len(snap.Offsets), len(snap.RepIDs))
 	}
 	if len(snap.Dists) != len(snap.IDs) {
-		return nil, fmt.Errorf("core: corrupt index structure: %d dists for %d ids", len(snap.Dists), len(snap.IDs))
+		return nil, fmt.Errorf("%w: %d dists for %d ids", errCorrupt, len(snap.Dists), len(snap.IDs))
+	}
+	if len(snap.Radii) != len(snap.RepIDs) {
+		return nil, fmt.Errorf("%w: %d radii for %d representatives", errCorrupt, len(snap.Radii), len(snap.RepIDs))
 	}
 	// The offsets table must cover ids exactly — [0, len(IDs)] end to
 	// end — and every list segment must be ascending in (dist, id), the
-	// invariant the admissible window binary-searches over. A
-	// violation means the stream is corrupt (builds always satisfy both),
-	// and accepting it would make searches silently drop answers.
+	// invariant the admissible window binary-searches over. Each radius
+	// ψ_r must be a number no smaller than its list's last distance, since
+	// the radius rule prunes with it (Insert may leave ψ_r stale-high,
+	// never low). A violation means the stream is corrupt (builds always
+	// satisfy all three), and accepting it would make searches silently
+	// drop answers.
 	if snap.Offsets[0] != 0 || snap.Offsets[len(snap.Offsets)-1] != len(snap.IDs) {
-		return nil, fmt.Errorf("core: corrupt index structure: offsets cover [%d, %d) of %d ids",
-			snap.Offsets[0], snap.Offsets[len(snap.Offsets)-1], len(snap.IDs))
+		return nil, fmt.Errorf("%w: offsets cover [%d, %d) of %d ids",
+			errCorrupt, snap.Offsets[0], snap.Offsets[len(snap.Offsets)-1], len(snap.IDs))
 	}
 	for j := 0; j+1 < len(snap.Offsets); j++ {
 		lo, hi := snap.Offsets[j], snap.Offsets[j+1]
 		if lo < 0 || hi < lo || hi > len(snap.IDs) {
-			return nil, fmt.Errorf("core: corrupt index structure: bad offsets [%d, %d)", lo, hi)
+			return nil, fmt.Errorf("%w: bad offsets [%d, %d)", errCorrupt, lo, hi)
 		}
 		if !segmentSorted(snap.IDs[lo:hi], snap.Dists[lo:hi]) {
-			return nil, fmt.Errorf("core: corrupt index structure: list %d not in (dist, id) order", j)
+			return nil, fmt.Errorf("%w: list %d not in (dist, id) order", errCorrupt, j)
+		}
+		if r := snap.Radii[j]; math.IsNaN(r) || (hi > lo && r < snap.Dists[hi-1]) {
+			return nil, fmt.Errorf("%w: list %d radius %v below its members", errCorrupt, j, r)
 		}
 	}
 	isRep := make([]bool, db.N())
 	for _, id := range snap.RepIDs {
 		if id < 0 || id >= db.N() {
-			return nil, fmt.Errorf("core: representative id %d out of range", id)
+			return nil, fmt.Errorf("%w: representative id %d out of range", errCorrupt, id)
 		}
 		isRep[id] = true
 	}
@@ -136,10 +153,10 @@ func LoadExact(r io.Reader, db *vec.Dataset, m metric.Metric[[]float32]) (*Exact
 	gather := make([]float32, len(snap.IDs)*db.Dim)
 	for p, id := range snap.IDs {
 		if int(id) < 0 || int(id) >= db.N() {
-			return nil, fmt.Errorf("core: member id %d out of range", id)
+			return nil, fmt.Errorf("%w: member id %d out of range", errCorrupt, id)
 		}
 		if inList[id] {
-			return nil, fmt.Errorf("core: corrupt index structure: member id %d listed twice", id)
+			return nil, fmt.Errorf("%w: member id %d listed twice", errCorrupt, id)
 		}
 		inList[id] = true
 		copy(gather[p*db.Dim:(p+1)*db.Dim], db.Row(int(id)))
@@ -149,17 +166,17 @@ func LoadExact(r io.Reader, db *vec.Dataset, m metric.Metric[[]float32]) (*Exact
 		deleted = make([]bool, db.N())
 		for _, id := range snap.Deleted {
 			if int(id) < 0 || int(id) >= db.N() {
-				return nil, fmt.Errorf("core: deleted id %d out of range", id)
+				return nil, fmt.Errorf("%w: deleted id %d out of range", errCorrupt, id)
 			}
 			if deleted[id] {
-				return nil, fmt.Errorf("core: corrupt index structure: id %d tombstoned twice", id)
+				return nil, fmt.Errorf("%w: id %d tombstoned twice", errCorrupt, id)
 			}
 			deleted[id] = true
 		}
 	}
 	for id := 0; id < db.N(); id++ {
 		if !inList[id] && (deleted == nil || !deleted[id]) {
-			return nil, fmt.Errorf("core: corrupt index structure: id %d neither listed nor tombstoned", id)
+			return nil, fmt.Errorf("%w: id %d neither listed nor tombstoned", errCorrupt, id)
 		}
 	}
 	e := &Exact{
@@ -209,7 +226,8 @@ func (o *OneShot) Save(w io.Writer) error {
 }
 
 // LoadOneShot reads an index saved by OneShot.Save and reattaches it to db
-// and m.
+// and m. A snapshot written while OneShotParams had Probes loads too (gob
+// drops the field) and answers with one probe, like every OneShot.
 func LoadOneShot(r io.Reader, db *vec.Dataset, m metric.Metric[[]float32]) (*OneShot, error) {
 	var snap oneShotSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -225,13 +243,22 @@ func LoadOneShot(r io.Reader, db *vec.Dataset, m metric.Metric[[]float32]) (*One
 		return nil, fmt.Errorf("core: index was built over a %dx%d database, got %dx%d",
 			snap.DBN, snap.DBDim, db.N(), db.Dim)
 	}
-	if len(snap.IDs) != len(snap.RepIDs)*snap.S {
-		return nil, fmt.Errorf("core: corrupt index structure")
+	nr := len(snap.RepIDs)
+	if nr == 0 || snap.S < 1 || len(snap.IDs) != nr*snap.S {
+		return nil, fmt.Errorf("%w: %d ids for %d lists of %d", errCorrupt, len(snap.IDs), nr, snap.S)
+	}
+	if len(snap.Radii) != nr {
+		return nil, fmt.Errorf("%w: %d radii for %d representatives", errCorrupt, len(snap.Radii), nr)
+	}
+	for _, id := range snap.RepIDs {
+		if id < 0 || id >= db.N() {
+			return nil, fmt.Errorf("%w: representative id %d out of range", errCorrupt, id)
+		}
 	}
 	gather := make([]float32, len(snap.IDs)*db.Dim)
 	for p, id := range snap.IDs {
 		if int(id) < 0 || int(id) >= db.N() {
-			return nil, fmt.Errorf("core: member id %d out of range", id)
+			return nil, fmt.Errorf("%w: member id %d out of range", errCorrupt, id)
 		}
 		copy(gather[p*db.Dim:(p+1)*db.Dim], db.Row(int(id)))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -184,6 +185,25 @@ func TestLoadExactRejectsCorruptSortedSegments(t *testing.T) {
 	}); err == nil {
 		t.Fatal("nonzero first offset should be rejected")
 	}
+	// Radii: one per list, a number, never below the list's last distance
+	// (the radius rule would prune lists holding answers); stale-high
+	// radii, which Insert leaves behind, stay legal.
+	for name, mutate := range map[string]func(snap *exactSnapshot){
+		"short radii":    func(snap *exactSnapshot) { snap.Radii = snap.Radii[:len(snap.Radii)-1] },
+		"all-zero radii": func(snap *exactSnapshot) { clear(snap.Radii) },
+		"NaN radius":     func(snap *exactSnapshot) { snap.Radii[0] = math.NaN() },
+	} {
+		if err := corrupt(mutate); !errors.Is(err, errCorrupt) {
+			t.Fatalf("%s: want errCorrupt, got %v", name, err)
+		}
+	}
+	if err := corrupt(func(snap *exactSnapshot) {
+		for j := range snap.Radii {
+			snap.Radii[j]++
+		}
+	}); err != nil {
+		t.Fatalf("stale-high radii should load: %v", err)
+	}
 }
 
 func TestOneShotSaveLoadRoundTrip(t *testing.T) {
@@ -238,14 +258,15 @@ type legacyOneShotSnapshot struct {
 }
 
 // TestLoadOneShotLegacyGradeParams: a snapshot written with the phase-1
-// grade options set still loads — gob drops the fields OneShotParams no
-// longer has — and the loaded index answers bit for bit like a fresh
-// build with the same structure, on the one exact kernel.
+// grade options and Probes = 3 still loads — gob drops the fields
+// OneShotParams no longer has — and the loaded index answers bit for bit
+// like a fresh build with the same structure, on the one exact kernel,
+// scanning one list per query.
 func TestLoadOneShotLegacyGradeParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	db := clusteredDataset(rng, 600, 6, 6)
 	m := metric.Euclidean{}
-	o, err := BuildOneShot(db, m, OneShotParams{NumReps: 30, S: 40, Seed: 9, Probes: 2})
+	o, err := BuildOneShot(db, m, OneShotParams{NumReps: 30, S: 40, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +278,7 @@ func TestLoadOneShotLegacyGradeParams(t *testing.T) {
 		DBN:        db.N(),
 		DBDim:      db.Dim,
 		Params: legacyOneShotParams{
-			NumReps: prm.NumReps, S: prm.S, Seed: prm.Seed, ExactCount: prm.ExactCount, Probes: prm.Probes,
+			NumReps: prm.NumReps, S: prm.S, Seed: prm.Seed, ExactCount: prm.ExactCount, Probes: 3,
 			Phase1Chunked: true, Phase1Quantized: true,
 		},
 		RepIDs: o.repIDs,
@@ -277,8 +298,8 @@ func TestLoadOneShotLegacyGradeParams(t *testing.T) {
 	queries := randomDataset(rng, 40, 6)
 	want, wantSt := o.KNNBatch(queries, 5)
 	got, gotSt := loaded.KNNBatch(queries, 5)
-	if gotSt != wantSt {
-		t.Fatalf("stats %+v, want %+v", gotSt, wantSt)
+	if gotSt != wantSt || gotSt.RepsKept != int64(queries.N()) {
+		t.Fatalf("stats %+v, want %+v with one list per query", gotSt, wantSt)
 	}
 	for i := range want {
 		if len(got[i]) != len(want[i]) {
@@ -289,10 +310,10 @@ func TestLoadOneShotLegacyGradeParams(t *testing.T) {
 				t.Fatalf("query %d pos %d: loaded %+v, fresh %+v", i, j, got[i][j], want[i][j])
 			}
 		}
-		a, _ := o.KNN(queries.Row(i), 1)
-		b, _ := loaded.KNN(queries.Row(i), 1)
-		if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
-			t.Fatalf("query %d KNN(q, 1): loaded %+v, fresh %+v", i, b, a)
+		a, sa := o.KNN(queries.Row(i), 1)
+		b, sb := loaded.KNN(queries.Row(i), 1)
+		if len(a) != 1 || len(b) != 1 || a[0] != b[0] || sa != sb || sb.RepsKept != 1 {
+			t.Fatalf("query %d KNN(q, 1): loaded %+v %+v, fresh %+v %+v", i, b, sb, a, sa)
 		}
 	}
 }
@@ -428,6 +449,38 @@ func TestLoadOneShotValidation(t *testing.T) {
 	other := randomDataset(rng, 150, 5)
 	if _, err := LoadOneShot(bytes.NewReader(buf.Bytes()), other, m); err == nil {
 		t.Fatal("dim mismatch should error")
+	}
+	corrupt := func(mutate func(snap *oneShotSnapshot)) error {
+		var snap oneShotSnapshot
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&snap)
+		var out bytes.Buffer
+		if err := gob.NewEncoder(&out).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadOneShot(&out, db, m)
+		return err
+	}
+	if err := corrupt(func(snap *oneShotSnapshot) {}); err != nil {
+		t.Fatalf("unmutated snapshot should load: %v", err)
+	}
+	for name, mutate := range map[string]func(snap *oneShotSnapshot){
+		"rep id past n":   func(snap *oneShotSnapshot) { snap.RepIDs[0] = db.N() },
+		"negative rep id": func(snap *oneShotSnapshot) { snap.RepIDs[0] = -1 },
+		"short radii":     func(snap *oneShotSnapshot) { snap.Radii = snap.Radii[:len(snap.Radii)-1] },
+		"empty lists":     func(snap *oneShotSnapshot) { snap.S, snap.IDs = 0, nil },
+		"no representatives": func(snap *oneShotSnapshot) {
+			snap.RepIDs, snap.Radii, snap.IDs = nil, nil, nil
+		},
+		"member id past n": func(snap *oneShotSnapshot) { snap.IDs[0] = int32(db.N()) },
+		"ids for other s":  func(snap *oneShotSnapshot) { snap.S++ },
+		"negative member":  func(snap *oneShotSnapshot) { snap.IDs[len(snap.IDs)-1] = -1 },
+	} {
+		if err := corrupt(mutate); !errors.Is(err, errCorrupt) {
+			t.Fatalf("%s: want errCorrupt, got %v", name, err)
+		}
 	}
 }
 

@@ -106,22 +106,27 @@ type HedgeOptions struct {
 	// the replica set size minus one.
 	MaxHedges int
 	// Delay is a fixed wait before each hedge fires. Zero selects the
-	// adaptive delay: the Quantile of each replica's observed exchange
-	// RTTs is tracked over a sliding window, and the hedge fires after
-	// the FASTEST replica's quantile (floored by MinDelay) — so a
-	// persistently slow primary cannot teach the cluster to wait for
-	// it, while a healthy set hedges only past its own tail.
+	// adaptive delay: the p95 of each replica's observed exchange RTTs is
+	// tracked over a sliding window, and the hedge fires after the
+	// FASTEST replica's p95 (floored at 500µs) — so a persistently slow
+	// primary cannot teach the cluster to wait for it, while a healthy
+	// set hedges only past its own tail.
 	Delay time.Duration
-	// Quantile is the RTT quantile the adaptive delay tracks
-	// (default 0.95). Ignored when Delay > 0.
-	Quantile float64
-	// MinDelay floors the adaptive delay (default 500µs), so a burst of
-	// fast RTTs cannot make the cluster hedge every single request.
-	// Before any replica has enough RTT samples the adaptive delay IS
-	// MinDelay — the cold start hedges eagerly and learns fast. Ignored
-	// when Delay > 0.
-	MinDelay time.Duration
 }
+
+// The adaptive hedge delay's constants. hedgeQuantile is the RTT quantile
+// it tracks. hedgeMinDelay floors it, so a burst of fast RTTs cannot make
+// the cluster hedge every single request; before any replica has enough
+// RTT samples the adaptive delay IS hedgeMinDelay — the cold start hedges
+// eagerly and learns fast.
+const (
+	hedgeQuantile = 0.95
+	hedgeMinDelay = 500 * time.Microsecond
+)
+
+// poolSize is the number of idle connections kept per replica. Fan-out
+// opens extra connections freely; the pool only bounds what is kept warm.
+const poolSize = 2
 
 // TCPOptions configures the networked transport installed by
 // Cluster.Distribute. The zero value means "all defaults".
@@ -141,13 +146,6 @@ type TCPOptions struct {
 	// RetryBackoff is the sleep before the first retry, doubled each
 	// further attempt (default 50ms).
 	RetryBackoff time.Duration
-	// PoolSize is the number of idle connections kept per replica
-	// (default 2). Fan-out opens extra connections freely; the pool only
-	// bounds what is kept warm.
-	PoolSize int
-	// MaxFrameBytes bounds accepted reply frames (default
-	// wire.MaxFrameBytes).
-	MaxFrameBytes int
 	// Degrade picks the policy for shards whose whole replica set stays
 	// unreachable after the retry budget (default DegradeFailFast).
 	Degrade DegradePolicy
@@ -168,18 +166,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 50 * time.Millisecond
-	}
-	if o.PoolSize <= 0 {
-		o.PoolSize = 2
-	}
-	if o.MaxFrameBytes <= 0 {
-		o.MaxFrameBytes = wire.MaxFrameBytes
-	}
-	if o.Hedge.Quantile <= 0 || o.Hedge.Quantile >= 1 {
-		o.Hedge.Quantile = 0.95
-	}
-	if o.Hedge.MinDelay <= 0 {
-		o.Hedge.MinDelay = 500 * time.Microsecond
 	}
 	return o
 }
@@ -234,14 +220,14 @@ func (t *tcpTransport) newReplica(sid int, addr string) *tcpShard {
 	return &tcpShard{
 		sid:  sid,
 		addr: addr,
-		pool: make(chan net.Conn, t.opts.PoolSize),
-		rtt:  newRTTQuantile(t.opts.Hedge.Quantile),
+		pool: make(chan net.Conn, poolSize),
+		rtt:  newRTTQuantile(hedgeQuantile),
 	}
 }
 
 // hedgeDelay resolves the current hedge trigger for one replica set:
 // the fixed HedgeOptions.Delay, or the fastest replica's tracked RTT
-// quantile floored by MinDelay (MinDelay alone while cold — see
+// quantile floored by hedgeMinDelay (hedgeMinDelay alone while cold — see
 // HedgeOptions).
 func (t *tcpTransport) hedgeDelay(rs *replicaSet) time.Duration {
 	if t.opts.Hedge.Delay > 0 {
@@ -253,8 +239,8 @@ func (t *tcpTransport) hedgeDelay(rs *replicaSet) time.Duration {
 			best = est
 		}
 	}
-	if best < t.opts.Hedge.MinDelay {
-		best = t.opts.Hedge.MinDelay
+	if best < hedgeMinDelay {
+		best = hedgeMinDelay
 	}
 	return best
 }
@@ -434,7 +420,7 @@ func (s *tcpShard) exchange(frame []byte, opts TCPOptions, cx *canceller) (byte,
 		conn.Close()
 		return 0, nil, err
 	}
-	mt, body, err := wire.ReadFrame(conn, opts.MaxFrameBytes)
+	mt, body, err := wire.ReadFrame(conn, wire.MaxFrameBytes)
 	if err != nil {
 		conn.Close()
 		return 0, nil, err

@@ -28,7 +28,7 @@ type Stats = core.Stats
 type ExactParams = core.ExactParams
 
 // OneShotParams configures BuildOneShot; the zero value selects
-// n_r = s ≈ √n with one probe.
+// n_r = s ≈ √n. A query scans one list: its nearest representative's.
 type OneShotParams = core.OneShotParams
 
 // Exact is the always-correct RBC index (paper §5.2).
@@ -84,10 +84,10 @@ type Neighbor = par.Neighbor
 type Searcher = search.Searcher
 
 // BatchSearcher adds the batch-first entry point KNNBatch, which answers
-// a whole query block at once (one tiled BF(Q,R) front half plus grouped
-// list scans, instead of per-query sweeps). Exact and OneShot implement
-// it natively; KNNBatch(queries, k) is bit-identical to calling KNN per
-// row, only faster.
+// a whole query block at once (one tiled BF(Q,R) front half plus, on
+// Exact, grouped list scans, instead of per-query sweeps). Exact and
+// OneShot implement it natively; KNNBatch(queries, k) is bit-identical to
+// calling KNN per row, only faster.
 type BatchSearcher = search.BatchSearcher
 
 // Compile-time proof that the public index types are batch-first.
@@ -120,20 +120,3 @@ func LoadOneShot(r io.Reader, db *Dataset, m Metric) (*OneShot, error) {
 // DefaultNumReps returns the paper's standard representative count
 // (≈ √n) for a database of n points.
 func DefaultNumReps(n int) int { return core.DefaultNumReps(n) }
-
-// AutoTuneResult reports a representative-count search; see
-// core.AutoTuneExact.
-type AutoTuneResult = core.AutoTuneResult
-
-// AutoTuneExact selects NumReps for an exact index by measuring work on
-// probe queries over a grid around √n (Appendix C of the paper shows the
-// curve is forgiving, so a coarse grid suffices).
-func AutoTuneExact(db *Dataset, m Metric, probes *Dataset, seed int64) (AutoTuneResult, error) {
-	return core.AutoTuneExact(db, m, probes, seed)
-}
-
-// AutoTuneOneShot selects NumReps = S for a one-shot index subject to a
-// recall target measured on probe queries.
-func AutoTuneOneShot(db *Dataset, m Metric, probes *Dataset, targetRecall float64, seed int64) (AutoTuneResult, error) {
-	return core.AutoTuneOneShot(db, m, probes, targetRecall, seed)
-}
