@@ -55,12 +55,14 @@
 // tile or row per point block, on exact-grade kernels only. Shard
 // segments are the index's own lists, copied at build in their ascending
 // distance-to-representative order, and the cluster extends the paper's
-// Claim 2 admissible window to the wire: each routed request ships a
-// 16-byte [dLo, dHi] window per (query, segment) — derived from the
-// query's rep-seeded k-th candidate — and the shard clips every taker's
-// scan range to it with a binary search (core.AdmissibleWindow) before
-// the grouped scan runs, cutting shard-side point evaluations without
-// touching a single result bit. The contract (spelled out in the
+// Claim 2 admissible window and Exact's home probe to the wire: each
+// routed request ships the 8-byte representative distance ρ(q,r) per
+// (query, segment) beside the query's rep-seeded k-th candidate bound.
+// The shard probes each query's local home first (core.ProbeRun),
+// tightens the bound to the probe's k-th candidate, and clips every
+// taker's scan range to its admissible window with a binary search
+// (core.AdmissibleWindow) before the second grouped scan runs, cutting
+// shard-side point evaluations without touching a single result bit. The contract (spelled out in the
 // distributed package comment) is that cluster answers are bit-identical
 // to per-query cluster calls and to the single-node Exact index built
 // with the same parameters; the fast Gram kernel grade is excluded from that path

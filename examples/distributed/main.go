@@ -97,9 +97,10 @@ func main() {
 	// taker sets and scans every segment ONCE for all its takers through
 	// the exact-grade matrix-matrix kernels — no per-pair distance calls
 	// on the hot path, and results bit-identical to per-query k-NN. Each
-	// routed request ships a 16-byte admissible window per
-	// (query, segment), derived from the query's rep-seeded k-th
-	// candidate, and shards clip every scan to it.
+	// routed request ships the 8-byte representative distance per
+	// (query, segment) and the query's rep-seeded k-th candidate; shards
+	// probe each query's nearest routed list first, tighten that bound
+	// and clip every scan to its admissible window.
 	const k = 10
 	queries := all.Subset(qids)
 	start := time.Now()

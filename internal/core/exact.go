@@ -166,10 +166,6 @@ func (e *Exact) listWindow(j int, d, w float64) (lo, hi int) {
 	return lo + a, lo + b
 }
 
-// homeProbe sizes the home probe: prune scans the homeProbe·k members of
-// the home list nearest the query in ρ(·,r) before it applies any rule.
-const homeProbe = 8
-
 // prune is the per-query step between the paper's two brute-force calls:
 // from one query's probe it derives γ_1 and γ_k over the live
 // representatives, seeds h, probes the home list, applies the pruning
@@ -191,7 +187,7 @@ const homeProbe = 8
 //
 // The home probe then tightens γ_k. The home list is the nearest
 // representative's (lowest index at ties, tombstoned ones included), and
-// probeRun picks the homeProbe·k of its members whose ρ(x,r) lie nearest
+// ProbeRun picks the HomeProbe·k of its members whose ρ(x,r) lie nearest
 // ρ(q,r). They are scanned like any window; once the heap is full its
 // worst candidate is a real answer bound, so γ_k drops to its distance
 // when that is smaller. Every rule and window holds for any upper bound on
@@ -211,7 +207,7 @@ func (e *Exact) prune(p *probe, qi, k int, h *par.KHeap, sc *par.Scratch, st *St
 
 	home, _ := par.ArgMin(p.d)
 	off := e.offsets[home]
-	pLo, pHi := probeRun(e.dists[off:e.offsets[home+1]], p.d[home], homeProbe*k)
+	pLo, pHi := ProbeRun(e.dists[off:e.offsets[home+1]], p.d[home], HomeProbe*k)
 	pLo, pHi = off+pLo, off+pHi
 	st.PointEvals += e.scanRun(p.q, pLo, pHi, h, sc.Float64(2, pHi-pLo))
 	if worst, full := h.Worst(); full {
@@ -236,7 +232,7 @@ func (e *Exact) prune(p *probe, qi, k int, h *par.KHeap, sc *par.Scratch, st *St
 		st.RepsKept++
 		lo, hi := e.listWindow(j, d, w)
 		if j == home {
-			a, b := max(lo, min(hi, pLo)), min(hi, max(lo, pHi))
+			a, b := SplitAroundRun(lo, hi, pLo, pHi)
 			kept = append(kept, qi, j, lo, a, qi, j, b, hi)
 			continue
 		}

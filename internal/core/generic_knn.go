@@ -40,11 +40,11 @@ func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 			}
 		}
 	}
-	// The home probe (see Exact.prune): the homeProbe·k members of the
+	// The home probe (see Exact.prune): the HomeProbe·k members of the
 	// nearest representative's list nearest ρ(q,r), then γ_k tightened to
 	// the k-th candidate distance.
 	home, _ := par.ArgMin(repDists)
-	pLo, pHi := probeRun(g.dists[home], repDists[home], homeProbe*k)
+	pLo, pHi := ProbeRun(g.dists[home], repDists[home], HomeProbe*k)
 	scan(g.lists[home], pLo, pHi)
 	if worst, full := h.Worst(); full {
 		gammaK = min(gammaK, worst)

@@ -5,21 +5,25 @@ import (
 	"sort"
 )
 
-// This file holds the two primitives behind the admissible
-// window (the paper's Claim 2 "sorted list" refinement):
+// This file holds the primitives behind the admissible window (the
+// paper's Claim 2 "sorted list" refinement) and the home probe:
 //
 //   - sortSegment puts one ownership-list segment into the ascending
 //     (distance-to-representative, id) order every window computation
 //     assumes;
 //   - AdmissibleWindow converts a distance-space admissibility interval
-//     into a half-open position window over such a sorted segment.
+//     into a half-open position window over such a sorted segment;
+//   - ProbeRun picks the HomeProbe·k members of such a segment nearest a
+//     query in ρ(·,r), the run the home probe scans before any rule, and
+//     SplitAroundRun takes that run back out of the home list's window.
 //
-// AdmissibleWindow is exported (instead of re-implemented per layer) so
-// the distributed shard scans clip with exactly the arithmetic Exact's
-// own phase-2 paths run — which is what makes "windowed cluster answers
-// are bit-identical to single-node Exact" a structural property rather
-// than a numerical coincidence. Shard segments are copies of the index's
-// own sorted lists (Exact.List), so nothing above core sorts.
+// AdmissibleWindow, ProbeRun, HomeProbe and SplitAroundRun are exported
+// (instead of re-implemented per layer) so the distributed shard scans
+// probe and clip with exactly the arithmetic Exact's own phase-2 paths
+// run — which is what makes "cluster answers are bit-identical to
+// single-node Exact" a structural property rather than a numerical
+// coincidence. Shard segments are copies of the index's own sorted lists
+// (Exact.List), so nothing above core sorts.
 
 // sortSegment sorts one ownership-list segment in place by ascending
 // (distance-to-representative, id). ids and dists must be position-aligned
@@ -52,12 +56,17 @@ func AdmissibleWindow(repDists []float64, dLo, dHi float64) (lo, hi int) {
 	return lo, hi
 }
 
-// probeRun returns the half-open position window [lo, hi) of the m members
+// HomeProbe sizes the home probe: Exact.prune scans the HomeProbe·k
+// members of the home list nearest the query in ρ(·,r) before it applies
+// any rule, and a cluster shard does the same on its local home segment.
+const HomeProbe = 8
+
+// ProbeRun returns the half-open position window [lo, hi) of the m members
 // of the ascending distance slice repDists whose values lie nearest d —
 // one contiguous run grown outward from d's insertion point, taking the
 // lower side on equal gaps, clamped to the slice. It is the home probe's
-// extent (Exact.prune, GenericExact.KNN).
-func probeRun(repDists []float64, d float64, m int) (lo, hi int) {
+// extent (Exact.prune, GenericExact.KNN, the distributed shard scan).
+func ProbeRun(repDists []float64, d float64, m int) (lo, hi int) {
 	m = min(m, len(repDists))
 	lo = sort.SearchFloat64s(repDists, d)
 	hi = lo
@@ -69,6 +78,15 @@ func probeRun(repDists []float64, d float64, m int) (lo, hi int) {
 		}
 	}
 	return lo, hi
+}
+
+// SplitAroundRun removes the probed run [pLo, pHi) from the scan window
+// [lo, hi): what is left is [lo, a) and [b, hi), either possibly empty.
+// The run was already scanned by the home probe, so the home list's
+// window is kept as those two quadruples (Exact.prune, the distributed
+// shard scan).
+func SplitAroundRun(lo, hi, pLo, pHi int) (a, b int) {
+	return max(lo, min(hi, pLo)), min(hi, max(lo, pHi))
 }
 
 // insertPos returns the position at which a member with distance d and

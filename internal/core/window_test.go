@@ -104,11 +104,31 @@ func TestProbeRun(t *testing.T) {
 		{4, 0, 4, 4},   // empty run at the insertion point
 	}
 	for _, c := range cases {
-		if lo, hi := probeRun(dists, c.d, c.m); lo != c.lo || hi != c.hi {
-			t.Errorf("probeRun(d=%v, m=%d) = [%d,%d), want [%d,%d)", c.d, c.m, lo, hi, c.lo, c.hi)
+		if lo, hi := ProbeRun(dists, c.d, c.m); lo != c.lo || hi != c.hi {
+			t.Errorf("ProbeRun(d=%v, m=%d) = [%d,%d), want [%d,%d)", c.d, c.m, lo, hi, c.lo, c.hi)
 		}
 	}
-	if lo, hi := probeRun(nil, 1, 8); lo != 0 || hi != 0 {
-		t.Errorf("probeRun on an empty list = [%d,%d), want [0,0)", lo, hi)
+	if lo, hi := ProbeRun(nil, 1, 8); lo != 0 || hi != 0 {
+		t.Errorf("ProbeRun on an empty list = [%d,%d), want [0,0)", lo, hi)
+	}
+}
+
+func TestSplitAroundRun(t *testing.T) {
+	cases := []struct {
+		lo, hi, pLo, pHi int
+		a, b             int
+	}{
+		{0, 10, 3, 6, 3, 6}, // run inside the window: both sides kept
+		{4, 10, 2, 6, 4, 6}, // run over the window's start: nothing below
+		{0, 5, 3, 8, 3, 5},  // run over the window's end: nothing above
+		{4, 6, 2, 8, 4, 6},  // run covers the window: both sides empty
+		{6, 10, 1, 3, 6, 6}, // run wholly below: [6,6) then [6,10)
+		{0, 4, 6, 9, 4, 4},  // run wholly above: [0,4) then [4,4)
+		{2, 8, 5, 5, 5, 5},  // empty run: the window, split at one point
+	}
+	for _, c := range cases {
+		if a, b := SplitAroundRun(c.lo, c.hi, c.pLo, c.pHi); a != c.a || b != c.b {
+			t.Errorf("SplitAroundRun([%d,%d) minus [%d,%d)) = %d, %d, want %d, %d", c.lo, c.hi, c.pLo, c.pHi, a, b, c.a, c.b)
+		}
 	}
 }

@@ -97,7 +97,7 @@ func perPairKNNBatch(cl *Cluster, queries *vec.Dataset, k int) [][]par.Neighbor 
 	batches := make([]shardBatch, len(cl.shards))
 	for i := 0; i < nq; i++ {
 		for _, j := range survivors[i] {
-			batches[cl.repShard[j]].add(i, int(cl.repSeg[j]), nil)
+			batches[cl.repShard[j]].add(i, int(cl.repSeg[j]))
 		}
 	}
 	type reply struct {
@@ -149,8 +149,8 @@ func perPairKNNBatch(cl *Cluster, queries *vec.Dataset, k int) [][]par.Neighbor 
 
 // BenchmarkClusterKNNBatch measures the tiled batch-and-tile shard path
 // at the acceptance configuration (n=10k, dim 64, |Q|=256): sorted
-// segments plus per-(query, segment) admissible windows clipping every
-// taker's scan range.
+// segments, the shard-side home probe and per-(query, segment)
+// admissible windows clipping every taker's scan range.
 func BenchmarkClusterKNNBatch(b *testing.B) {
 	cl, queries := benchCluster(b)
 	_, met, _ := cl.KNNBatch(queries, benchK)

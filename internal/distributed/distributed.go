@@ -45,34 +45,50 @@
 // routing phase), mirroring how core.OneShot restricts it to probe
 // selection.
 //
-// # Shard-side admissible windows
+// # Shard-side home probe and admissible windows
 //
-// The cluster runs the paper's Claim 2 "sorted list" refinement. Shard
-// segments are the index's own lists, copied at Build in their ascending
-// distance-to-representative order, and each routed request ships, per
-// (query, segment) pair, an admissible window [dLo, dHi] in
-// distance-to-representative space: dLo = ρ(q,r) − w, dHi = ρ(q,r) + w,
-// where w is the true-distance form of the query's rep-seeded heap worst
-// (its current k-th candidate; +Inf while the heap is not full). By the
-// triangle inequality |ρ(q,r) − ρ(x,r)| ≤ ρ(q,x), a member outside the
-// window cannot beat that k-th candidate, so the shard clips each
-// taker's scan range to the window (core.AdmissibleWindow, a binary
-// search over the sorted segment) before handing it to core.ScanGrouped.
-// QueryBroadcast ships no windows: its requests scan whole segments.
+// The cluster runs the paper's Claim 2 "sorted list" refinement and
+// core.Exact's home probe on the shards. Shard segments are the index's
+// own lists, copied at Build in their ascending
+// distance-to-representative order. Each routed request ships, per
+// (query, segment) entry, the representative distance d = ρ(q,r), and
+// per query the coordinator's bound: the ordering of its rep-seeded
+// heap's worst (its current k-th candidate). The shard rebuilds the
+// window half-width w from the bound — its true distance, +Inf while the
+// seeded heap is not full — and scans in two passes, each one
+// core.ScanGrouped call:
 //
-// The protocol cost is 16 bytes per (query, segment) window — two
-// float64 bounds — accounted in QueryMetrics.Bytes and counted by
-// QueryMetrics.Windows; windows that clip to nothing shard-side are
-// reported in QueryMetrics.EmptyWindows. Windows change work done, never
-// results: both window boundaries are inclusive, the interval derives
-// from a true upper bound on the final k-th neighbor, and the arithmetic
-// (d−w, d+w, and the binary-search boundary rule) is byte-for-byte the
-// one Exact's own list scans run — so cluster answers stay bit-identical
-// to per-query calls, to brute force and to the single-node core.Exact
-// index. The window contract is EXACT-GRADE ONLY, like the rest of the
-// answer path: it presumes per-pair arithmetic that is bit-identical to
-// the row reference, and the fast Gram kernel grade would void the
-// window's boundary guarantees along with the rest of the contract.
+//  1. Probe. Each query's local home — its routed entry with the
+//     smallest d, the first at ties — scans its core.ProbeRun, the
+//     core.HomeProbe·k members whose ρ(x,r) lie nearest d. On the shard
+//     that owns the query's nearest representative this is the very list
+//     core.Exact probes.
+//  2. Clip. Once the query's shard heap is full, its worst candidate is
+//     a real answer bound, so w drops to that candidate's distance when
+//     smaller. Every entry then scans its admissible window [d−w, d+w]
+//     (core.AdmissibleWindow, a binary search over the sorted segment),
+//     the local home's minus the probed run.
+//
+// By the triangle inequality |ρ(q,r) − ρ(x,r)| ≤ ρ(q,x), a member outside
+// the window cannot beat the k-th candidate w bounds. That holds for any
+// upper bound on the k-th distance, so the probe's tighter w prunes more
+// and stays exact. QueryBroadcast ships neither distances nor bounds:
+// its requests scan whole segments.
+//
+// The protocol cost is 8 bytes per (query, segment) entry — one float64
+// — accounted in QueryMetrics.Bytes and counted by QueryMetrics.Windows;
+// windows that clip to nothing shard-side are reported in
+// QueryMetrics.EmptyWindows. The probe and the windows change work done,
+// never results: both window boundaries are inclusive, the interval
+// derives from a true upper bound on the final k-th neighbor, and the
+// arithmetic (d−w, d+w, the probe run and the binary-search boundary
+// rule) is byte-for-byte the one Exact's own list scans run — so cluster
+// answers stay bit-identical to per-query calls, to brute force and to
+// the single-node core.Exact index. The window contract is EXACT-GRADE
+// ONLY, like the rest of the answer path: it presumes per-pair
+// arithmetic that is bit-identical to the row reference, and the fast
+// Gram kernel grade would void the window's boundary guarantees along
+// with the rest of the contract.
 //
 // # Transports: loopback and TCP
 //
@@ -86,8 +102,8 @@
 // (cmd/rbc-shard) speaking the length-prefixed, CRC-checked binary
 // protocol of the internal/distributed/wire package: each shard's
 // gathered state is pushed once (MsgLoad), then every fan-out sends one
-// MsgScan per shard per block — the wire form of shardRequest, windows
-// and bounds included. Distances cross the wire as IEEE-754 bit
+// MsgScan per shard per block — the wire form of shardRequest,
+// representative distances and bounds included. Distances cross the wire as IEEE-754 bit
 // patterns and the remote scan path is the same shard.scan code, so
 // answers over TCP are bit-identical to loopback and to core.Exact;
 // the loopback transport doubles as the correctness oracle in the
@@ -185,13 +201,15 @@ type QueryMetrics struct {
 	// Evals is RepEvals + PointEvals, kept as the total the experiments
 	// report.
 	Evals int64
-	// Windows counts per-(query, segment) admissible windows shipped with
-	// routed requests (16 bytes each). Identical between the batched and
-	// the per-query path, like the eval counters.
+	// Windows counts the (query, segment) entries of routed requests, each
+	// shipped as the representative distance its shard rebuilds the
+	// admissible window from (WindowBytes each). Identical between the
+	// batched and the per-query path, like the eval counters.
 	Windows int64
-	// EmptyWindows counts shipped windows that clipped to no positions
-	// shard-side: the query's current k-th candidate ruled the whole
-	// sorted segment out, so the scan was skipped entirely.
+	// EmptyWindows counts shipped entries whose window clipped to no
+	// positions shard-side: the query's k-th candidate, as tightened by
+	// the shard's home probe, ruled the whole sorted segment out, so its
+	// scan was skipped (a local home's probed run is scanned regardless).
 	EmptyWindows int64
 	// SimTimeUS is the modeled latency: coordinator work plus the slowest
 	// contacted shard's (transfer + scan + reply) path.
@@ -237,21 +255,21 @@ type shard struct {
 // query must scan. bounds optionally carries, per query, the
 // coordinator's current k-th candidate ordering (the rep-seeded heap's
 // worst): candidates strictly beyond it cannot enter the merged result
-// and are dropped shard-side. wins carries the admissible windows
-// [dLo, dHi] (in distance-to-representative space) as one flat pair
-// sequence aligned with the concatenation of segs — wins[2p], wins[2p+1]
-// belong to the p-th (query, segment) entry in segs iteration order; the
-// shard clips each taker's scan range to its window through the sorted
-// segment. The flat layout is one allocation per request instead of one
-// per query. Routed searches always ship windows; broadcast requests
-// leave wins nil and scan whole segments. includeReps admits
-// representative positions into the scan's results (broadcast mode);
-// routed searches leave it false because the coordinator seeds every
-// representative itself.
+// and are dropped shard-side. dists carries each entry's representative
+// distance ρ(q,r) as one flat sequence aligned with the concatenation of
+// segs — dists[p] belongs to the p-th (query, segment) entry in segs
+// iteration order; from it and the query's bound the shard picks the
+// local home, probes it and rebuilds every admissible window (see the
+// package comment). The flat layout is one allocation per request
+// instead of one per query. Routed searches always ship dists and
+// bounds; broadcast requests leave both nil and scan whole segments.
+// includeReps admits representative positions into the scan's results
+// (broadcast mode); routed searches leave it false because the
+// coordinator seeds every representative itself.
 type shardRequest struct {
 	qs          []float32
 	segs        [][]int
-	wins        []float64
+	dists       []float64
 	bounds      []float64
 	k           int
 	epoch       uint32 // shard-state generation the routing table was built for
@@ -267,75 +285,131 @@ type shardReply struct {
 	emptyWins int64 // windows that clipped to no admissible positions
 }
 
-// scan answers one batched request. It resolves every (query, segment)
-// pair of the request to a scan window — the pair's admissible window
-// clipped through the segment's sorted distance-to-representative column
-// (core.AdmissibleWindow), so the scan only touches positions that can
-// still beat the query's current k-th candidate, or the whole segment
-// when the request carries no windows — and hands the lot to
-// core.ScanGrouped, which scans each segment once for all of its takers.
-// Representatives are excluded unless includeReps is set, because the
-// coordinator seeds every representative as a candidate (their distances
-// are already paid for in phase 1); scanning them again would duplicate
-// ids in the merged result set.
+// scan answers one batched request through core.ScanGrouped, which scans
+// each segment once for all of its takers. A routed request (dists set)
+// takes two passes, as the package comment describes: probeRuns, then
+// windows at the bound the probe tightened. A broadcast request scans its
+// segments whole in one pass. Representatives are excluded unless
+// includeReps is set, because the coordinator seeds every representative
+// as a candidate (their distances are already paid for in phase 1);
+// scanning them again would duplicate ids in the merged result set.
 func (s *shard) scan(req shardRequest) shardReply {
 	nq := len(req.segs)
 	rep := shardReply{sid: s.id, knn: make([][]par.Neighbor, nq)}
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
 	heaps := sc.HeapSlab(nq, req.k)
-
+	emit := func(qi, lo int, ords []float64) {
+		limit := math.Inf(1)
+		if req.bounds != nil {
+			limit = req.bounds[qi]
+		}
+		// Admission tests the bound before anything else: the
+		// coordinator's limit, tightened by the heap's k-th kept
+		// ordering (past which Push is a no-op), refreshed only when a
+		// Push keeps its candidate. Ties at the bound still reach Push;
+		// NaN never passes, as it never passed the limit.
+		h := heaps[qi]
+		worst, _ := h.Worst()
+		bound := min(limit, worst)
+		for t, o := range ords {
+			if !(o <= bound) {
+				continue
+			}
+			if p := lo + t; (req.includeReps || !s.isRep[p]) && h.Push(int(s.ids[p]), o) {
+				worst, _ = h.Worst()
+				bound = min(limit, worst)
+			}
+		}
+	}
+	nlists := len(s.offsets) - 1
 	total := 0
 	for _, segs := range req.segs {
 		total += len(segs)
 	}
-	kept := sc.Ints(0, 4*total)[:0]
-	wpos := 0
-	for qi, segs := range req.segs {
-		for _, seg := range segs {
-			lo, hi := s.offsets[seg], s.offsets[seg+1]
-			if req.wins != nil {
-				a, b := core.AdmissibleWindow(s.segDists[lo:hi], req.wins[2*wpos], req.wins[2*wpos+1])
-				wpos++
-				if a >= b {
-					// Nothing admissible (or a zero-length segment of a
-					// duplicate representative): a shipped-but-futile window.
-					rep.emptyWins++
-					continue
-				}
-				lo, hi = lo+a, lo+b
+	// One spare quadruple per query: windows splits each local home in two.
+	kept := sc.Ints(0, 4*(total+nq))[:0]
+	if req.dists == nil {
+		for qi, segs := range req.segs {
+			for _, seg := range segs {
+				kept = append(kept, qi, seg, s.offsets[seg], s.offsets[seg+1])
 			}
-			kept = append(kept, qi, seg, lo, hi)
 		}
+	} else {
+		homes := sc.Ints(6, 3*nq)
+		rep.evals = core.ScanGrouped(s.ker, req.qs, s.dim, s.gather, nlists, s.probeRuns(req, homes, kept), sc, emit)
+		kept, rep.emptyWins = s.windows(req, homes, heaps, kept[:0])
 	}
-	rep.evals = core.ScanGrouped(s.ker, req.qs, s.dim, s.gather, len(s.offsets)-1, kept, sc,
-		func(qi, lo int, ords []float64) {
-			limit := math.Inf(1)
-			if req.bounds != nil {
-				limit = req.bounds[qi]
-			}
-			// Admission tests the bound before anything else: the
-			// coordinator's limit, tightened by the heap's k-th kept
-			// ordering (past which Push is a no-op), refreshed only when a
-			// Push keeps its candidate. Ties at the bound still reach Push;
-			// NaN never passes, as it never passed the limit.
-			h := heaps[qi]
-			worst, _ := h.Worst()
-			bound := min(limit, worst)
-			for t, o := range ords {
-				if !(o <= bound) {
-					continue
-				}
-				if p := lo + t; (req.includeReps || !s.isRep[p]) && h.Push(int(s.ids[p]), o) {
-					worst, _ = h.Worst()
-					bound = min(limit, worst)
-				}
-			}
-		})
+	rep.evals += core.ScanGrouped(s.ker, req.qs, s.dim, s.gather, nlists, kept, sc, emit)
 	for qi := 0; qi < nq; qi++ {
 		rep.knn[qi] = heaps[qi].Results()
 	}
 	return rep
+}
+
+// probeRuns is a routed scan's first pass. It appends to kept, per query,
+// the core.ProbeRun of its local home: the routed entry with the smallest
+// representative distance, the first at ties (a query routed nowhere has
+// none). homes[3qi] records that entry's flat index into dists (−1 for
+// none) and homes[3qi+1], homes[3qi+2] the run's gathered positions, for
+// windows to scan around.
+func (s *shard) probeRuns(req shardRequest, homes, kept []int) []int {
+	p := 0
+	for qi, segs := range req.segs {
+		home, d := par.ArgMin(req.dists[p : p+len(segs)])
+		homes[3*qi] = -1
+		if home >= 0 {
+			homes[3*qi] = p + home
+			seg := segs[home]
+			off := s.offsets[seg]
+			lo, hi := core.ProbeRun(s.segDists[off:s.offsets[seg+1]], d, core.HomeProbe*req.k)
+			homes[3*qi+1], homes[3*qi+2] = off+lo, off+hi
+			kept = append(kept, qi, seg, off+lo, off+hi)
+		}
+		p += len(segs)
+	}
+	return kept
+}
+
+// windows is a routed scan's second pass. Each query's window half-width
+// is its bound's true distance (+Inf while the coordinator's seeded heap
+// was not full), lowered to the shard heap's worst once the probe filled
+// it. Every entry's admissible window [d−w, d+w] is appended to kept —
+// the local home's as two quadruples around its probed run, as
+// core.Exact keeps its home list. It returns kept and the number of
+// entries whose window held no position at all.
+func (s *shard) windows(req shardRequest, homes []int, heaps []*par.KHeap, kept []int) ([]int, int64) {
+	var empty int64
+	p := 0
+	for qi, segs := range req.segs {
+		w := math.Inf(1)
+		if b := req.bounds[qi]; !math.IsInf(b, 1) {
+			w = s.ker.ToDistance(b)
+		}
+		if worst, full := heaps[qi].Worst(); full {
+			w = min(w, s.ker.ToDistance(worst))
+		}
+		for e, seg := range segs {
+			off := s.offsets[seg]
+			d := req.dists[p+e]
+			a, b := core.AdmissibleWindow(s.segDists[off:s.offsets[seg+1]], d-w, d+w)
+			if a >= b {
+				// Nothing admissible (or a zero-length segment of a
+				// duplicate representative): a shipped-but-futile entry.
+				empty++
+				continue
+			}
+			lo, hi := off+a, off+b
+			if p+e == homes[3*qi] {
+				a, b = core.SplitAroundRun(lo, hi, homes[3*qi+1], homes[3*qi+2])
+				kept = append(kept, qi, seg, lo, a, qi, seg, b, hi)
+				continue
+			}
+			kept = append(kept, qi, seg, lo, hi)
+		}
+		p += len(segs)
+	}
+	return kept, empty
 }
 
 // Cluster is an RBC-sharded deployment. Build starts it on the
@@ -481,40 +555,37 @@ const float32Bytes = 4
 const resultBytes = 16 // id + distance + framing
 const boundBytes = 8   // per-query pruning bound shipped with routed requests
 
-// WindowBytes is the wire size of one per-(query, segment) admissible
-// window — two float64 bounds. QueryMetrics.Bytes accounts
-// QueryMetrics.Windows × WindowBytes of window traffic; consumers
-// reporting window overhead should derive from this constant.
-const WindowBytes = 16
+// WindowBytes is the wire size of one routed (query, segment) entry —
+// the float64 representative distance the shard rebuilds the admissible
+// window from. QueryMetrics.Bytes accounts QueryMetrics.Windows ×
+// WindowBytes of window traffic; consumers reporting window overhead
+// should derive from this constant.
+const WindowBytes = 8
 
 // shardBatch accumulates one shard's slice of a query block: which
 // global queries it serves, which segments each scans — one flat
 // sequence, query t's entries ending at ends[t] — and, on routed
-// batches, each entry's admissible window as a flat [dLo, dHi] pair
-// sequence aligned with segs. One backing array per column per shard per
-// block, however many queries the shard serves.
+// batches, each entry's representative distance as a flat sequence
+// aligned with segs. One backing array per column per shard per block,
+// however many queries the shard serves.
 type shardBatch struct {
-	qidx []int
-	ends []int
-	segs []int
-	wins []float64
+	qidx  []int
+	ends  []int
+	segs  []int
+	dists []float64
 }
 
 // add appends segment seg of query qi (queries arrive in ascending
-// order, so the last entry check suffices). win is the segment's
-// two-element [dLo, dHi] admissible window, or nil for a broadcast's
-// whole-segment scan; a batch must be fed uniformly (all-nil or
-// all-windowed).
-func (sb *shardBatch) add(qi, seg int, win []float64) {
+// order, so the last entry check suffices). Routed batches append the
+// entry's representative distance to dists alongside; broadcast batches
+// leave dists nil.
+func (sb *shardBatch) add(qi, seg int) {
 	if n := len(sb.qidx); n == 0 || sb.qidx[n-1] != qi {
 		sb.qidx = append(sb.qidx, qi)
 		sb.ends = append(sb.ends, len(sb.segs))
 	}
 	sb.segs = append(sb.segs, seg)
 	sb.ends[len(sb.ends)-1]++
-	if win != nil {
-		sb.wins = append(sb.wins, win[0], win[1])
-	}
 }
 
 // querySegs returns query t's segment list for every served query t, as
@@ -548,10 +619,12 @@ func (c *Cluster) KNN(q []float32, k int) ([]par.Neighbor, QueryMetrics, error) 
 // with γ_k the k-th smallest representative distance, rule (1) discards
 // representatives with ρ(q,r) > γ_k + ψ_r and rule (2) those with
 // ρ(q,r) > 2γ_k + γ_1; at k = 1 these are the paper's exact-search rules
-// (γ_k = γ_1, 2γ_k + γ_1 = 3γ). The coordinator has no home probe, so it
-// prunes at the representative γ_k that core.Exact tightens; both rules
-// are strict, so both prune no list holding a tied answer and return the
-// same (dist, id) answer.
+// (γ_k = γ_1, 2γ_k + γ_1 = 3γ). The coordinator holds no points, so it
+// prunes at the representative γ_k; the home probe that tightens γ_k in
+// core.Exact runs shard-side instead and clips the windows (see the
+// package comment). Both rules are strict, so neither prunes a list
+// holding a tied answer, and the cluster returns core.Exact's
+// (dist, id) answer.
 // Every representative is seeded as a candidate (they are database
 // points whose distances are already paid for), which keeps the result
 // multiset exact at pruning-boundary ties; shards skip representatives
@@ -602,29 +675,28 @@ func (c *Cluster) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Query
 // survivor → (shard, segment) routing table. It returns the per-query
 // candidate heaps (ordering space), the per-query shard-side pruning
 // bound (the seeded heap's worst ordering, +Inf while not full), and the
-// per-shard batches. Each surviving segment gets its admissible window
-// [ρ(q,r)−w, ρ(q,r)+w] attached, with w the true-distance form of the
-// seeded heap's worst — exactly the d±w arithmetic Exact's list scans
+// per-shard batches. Each surviving segment carries its representative
+// distance ρ(q,r); the shard rebuilds the admissible window from it and
+// the query's bound with exactly the d±w arithmetic Exact's list scans
 // run, so shard-side windows clip the same admissible sets the
-// single-node index scans.
+// single-node index scans at the same bound.
 func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.KHeap, []float64, []shardBatch) {
 	nq := queries.N()
 	nr := c.repData.N()
 	heaps := make([]*par.KHeap, nq)
 	bounds := make([]float64, nq)
-	// Survivor lists and their admissible windows live in one block-level
-	// pooled slab — per-query segments of width nr (2·nr for the window
-	// pairs), written concurrently by the front-half workers on disjoint
-	// ranges and read back once while building the shard batches below.
-	// This Scratch belongs to plan, not to any front-half worker (those
-	// pull their own instances), so the slabs stay live across the whole
-	// block; pooling them removes per-query survivor/window append
-	// allocations.
+	// Survivor lists and their representative distances live in one
+	// block-level pooled slab — per-query segments of width nr, written
+	// concurrently by the front-half workers on disjoint ranges and read
+	// back once while building the shard batches below. This Scratch
+	// belongs to plan, not to any front-half worker (those pull their own
+	// instances), so the slabs stay live across the whole block; pooling
+	// them removes per-query survivor append allocations.
 	psc := par.GetScratch()
 	defer par.PutScratch(psc)
 	survAll := psc.Ints(0, nq*nr)
 	survN := psc.Ints(1, nq)
-	winsAll := psc.Float64(0, 2*nq*nr)
+	distAll := psc.Float64(0, nq*nr)
 	kk := k
 	if kk > nr {
 		kk = nr
@@ -651,12 +723,8 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 			}
 			heaps[qi] = h
 			bounds[qi], _ = h.Worst()
-			winW := math.Inf(1)
-			if !math.IsInf(bounds[qi], 1) {
-				winW = c.ker.ToDistance(bounds[qi])
-			}
 			surv := survAll[qi*nr : (qi+1)*nr]
-			wins := winsAll[2*qi*nr : 2*(qi+1)*nr]
+			survD := distAll[qi*nr : (qi+1)*nr]
 			cnt := 0
 			for j := 0; j < nr; j++ {
 				if core.PrunedByPsi(dists[j], gammaK, c.radii[j]) ||
@@ -664,8 +732,7 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 					continue
 				}
 				surv[cnt] = j
-				wins[2*cnt] = dists[j] - winW
-				wins[2*cnt+1] = dists[j] + winW
+				survD[cnt] = dists[j]
 				cnt++
 			}
 			survN[qi] = cnt
@@ -678,7 +745,9 @@ func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.K
 		base := i * nr
 		for si := 0; si < survN[i]; si++ {
 			j := survAll[base+si]
-			batches[c.repShard[j]].add(i, int(c.repSeg[j]), winsAll[2*(base+si):2*(base+si)+2])
+			sb := &batches[c.repShard[j]]
+			sb.add(i, int(c.repSeg[j]))
+			sb.dists = append(sb.dists, distAll[base+si])
 		}
 	}
 	return heaps, bounds, batches
@@ -708,7 +777,7 @@ func (c *Cluster) QueryBroadcast(q []float32) ([]par.Neighbor, QueryMetrics, err
 	batches := make([]shardBatch, len(c.segCounts))
 	for sid, nseg := range c.segCounts {
 		for seg := 0; seg < nseg; seg++ {
-			batches[sid].add(0, seg, nil)
+			batches[sid].add(0, seg)
 		}
 	}
 	queries := vec.FromFlat(q, len(q))
@@ -739,9 +808,9 @@ func (c *Cluster) QueryBroadcast(q []float32) ([]par.Neighbor, QueryMetrics, err
 // finish fans a query block out to the shards with work, merges answers
 // through sink and fills in the cost model. Per contacted shard it
 // accounts one request and one response message, the packed query
-// vectors (plus, on routed batches, pruning bounds and the
-// per-(query, segment) admissible windows, 16 bytes each) out and k
-// results per query back.
+// vectors (plus, on routed batches, pruning bounds and one
+// WindowBytes representative distance per (query, segment) entry) out
+// and k results per query back.
 //
 // Fan-out runs one goroutine per contacted shard through the installed
 // transport (loopback's direct call or TCP); sink runs only on the
@@ -779,17 +848,16 @@ func (c *Cluster) finish(queries *vec.Dataset, k int, batches []shardBatch, boun
 				bs[t] = bounds[qi]
 			}
 		}
-		req := &shardRequest{qs: qs, segs: sb.querySegs(), wins: sb.wins, bounds: bs, k: k, epoch: c.epochs[sid], includeReps: includeReps}
+		req := &shardRequest{qs: qs, segs: sb.querySegs(), dists: sb.dists, bounds: bs, k: k, epoch: c.epochs[sid], includeReps: includeReps}
 		go func(sid int, req *shardRequest) {
 			rp, err := c.tr.scan(sid, req)
 			results <- scanResult{sid: sid, rp: rp, err: err}
 		}(sid, req)
 		contacted++
 		shardBytes[sid] = len(sb.qidx) * (queryBytes + k*resultBytes)
-		if sb.wins != nil {
-			nwins := len(sb.wins) / 2
-			shardBytes[sid] += nwins * WindowBytes
-			met.Windows += int64(nwins)
+		if sb.dists != nil {
+			shardBytes[sid] += len(sb.dists) * WindowBytes
+			met.Windows += int64(len(sb.dists))
 		}
 		met.ShardsContacted++
 		met.Messages += 2 // request + response

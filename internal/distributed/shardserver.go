@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -170,12 +171,12 @@ func (s *ShardServer) handleScan(body []byte) []byte {
 		return wire.EncodeErr(fmt.Sprintf("stale epoch: scan routed at epoch %d, shard loaded at epoch %d", req.Epoch, epoch))
 	}
 	if err := validateScan(sh, req); err != nil {
-		return wire.EncodeErr("bad scan request: " + err.Error())
+		return wire.EncodeErr(err.Error())
 	}
 	rp := sh.scan(shardRequest{
 		qs:          req.Qs,
 		segs:        req.Segs,
-		wins:        req.Wins,
+		dists:       req.Dists,
 		bounds:      req.Bounds,
 		k:           req.K,
 		includeReps: req.IncludeReps,
@@ -188,22 +189,32 @@ func (s *ShardServer) handleScan(body []byte) []byte {
 	})
 }
 
-// validateScan rejects structurally inconsistent requests before they
-// reach shard.scan, which (as an internal hot path) indexes without
+// errBadScan marks every request validateScan refuses.
+var errBadScan = errors.New("bad scan request")
+
+// validateScan rejects, wrapping errBadScan, requests that are
+// structurally inconsistent or carry what no coordinator sends, before
+// they reach shard.scan, which (as an internal hot path) indexes without
 // bounds checks of its own. The wire decoder already guarantees the
-// cross-field length invariants (Qs vs Segs, Wins vs total entries).
+// cross-field length invariants (Qs vs Segs, Dists vs total entries).
 func validateScan(sh *shard, req *wire.ScanRequest) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", errBadScan, fmt.Sprintf(format, args...))
+	}
 	if req.Dim != sh.dim {
-		return fmt.Errorf("query dim %d, shard dim %d", req.Dim, sh.dim)
+		return bad("query dim %d, shard dim %d", req.Dim, sh.dim)
 	}
 	if req.K <= 0 {
-		return fmt.Errorf("k %d", req.K)
+		return bad("k %d", req.K)
 	}
 	if len(req.Qs) != len(req.Segs)*sh.dim {
-		return fmt.Errorf("%d query floats for %d queries of dim %d", len(req.Qs), len(req.Segs), sh.dim)
+		return bad("%d query floats for %d queries of dim %d", len(req.Qs), len(req.Segs), sh.dim)
 	}
 	if req.Bounds != nil && len(req.Bounds) != len(req.Segs) {
-		return fmt.Errorf("%d bounds for %d queries", len(req.Bounds), len(req.Segs))
+		return bad("%d bounds for %d queries", len(req.Bounds), len(req.Segs))
+	}
+	if req.Wins != nil {
+		return bad("[dLo, dHi] windows are not served; routed scans send representative distances")
 	}
 	nseg := len(sh.offsets) - 1
 	total := 0
@@ -211,16 +222,25 @@ func validateScan(sh *shard, req *wire.ScanRequest) error {
 		total += len(segs)
 		for _, seg := range segs {
 			if seg < 0 || seg >= nseg {
-				return fmt.Errorf("segment %d out of range (shard holds %d)", seg, nseg)
+				return bad("segment %d out of range (shard holds %d)", seg, nseg)
 			}
 		}
 	}
-	if req.Wins != nil {
-		if len(req.Wins) != 2*total {
-			return fmt.Errorf("%d window floats for %d (query, segment) pairs", len(req.Wins), total)
-		}
-		if sh.segDists == nil {
-			return fmt.Errorf("windowed scan against a shard loaded without segment distances")
+	if req.Dists == nil {
+		return nil
+	}
+	if len(req.Dists) != total {
+		return bad("%d representative distances for %d (query, segment) pairs", len(req.Dists), total)
+	}
+	if req.Bounds == nil {
+		return bad("representative distances without bounds")
+	}
+	if sh.segDists == nil {
+		return bad("routed scan against a shard loaded without segment distances")
+	}
+	for p, d := range req.Dists {
+		if !(d >= 0) {
+			return bad("representative distance %v at entry %d", d, p)
 		}
 	}
 	return nil

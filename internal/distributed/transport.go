@@ -255,7 +255,7 @@ func (t *tcpTransport) scan(sid int, req *shardRequest) (shardReply, error) {
 		Qs:          req.qs,
 		Segs:        req.segs,
 		Bounds:      req.bounds,
-		Wins:        req.wins,
+		Dists:       req.dists,
 	})
 	reps := rs.replicas
 	rp, out, err := hedgedScan(len(reps), t.opts.Hedge.MaxHedges,

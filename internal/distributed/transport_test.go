@@ -1,15 +1,18 @@
 package distributed
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/distributed/wire"
 	"repro/internal/metric"
 )
 
@@ -206,6 +209,65 @@ func TestShardServerRejectsScanBeforeLoad(t *testing.T) {
 	}
 	if tr.sets[0].replicas[0].stats.Retries != 0 {
 		t.Fatal("remote error was retried")
+	}
+}
+
+// TestShardRefusesHostileScans: a shard refuses, with errBadScan from
+// validateScan and a MsgErr on the wire, every routed request no
+// coordinator sends — a NaN or negative representative distance,
+// distances without bounds, and version-2 windows — and serves the
+// well-formed request they are cut from.
+func TestShardRefusesHostileScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	db := clustered(rng, 300, 4, 4)
+	cl, err := Build(db, metric.Euclidean{}, core.ExactParams{Seed: 83}, 2, DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	spec, err := wire.SpecFor(cl.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewShardServer()
+	if reply := srv.handleLoad(wire.EncodeShardState(stateOf(cl.shards[0], spec, 1))[10:]); reply[9] != wire.MsgLoadOK {
+		t.Fatal("shard state load refused")
+	}
+	valid := func() *wire.ScanRequest {
+		return &wire.ScanRequest{Dim: 4, K: 2, Epoch: 1, Qs: db.Row(5), Segs: [][]int{{0, 1}},
+			Bounds: []float64{3}, Dists: []float64{0.5, 1.5}}
+	}
+	serve := func(req *wire.ScanRequest) (byte, []byte) {
+		mt, body, err := wire.ReadFrame(bytes.NewReader(srv.handleScan(wire.EncodeScanRequest(req)[10:])), wire.MaxFrameBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mt, body
+	}
+	if err := validateScan(cl.shards[0], valid()); err != nil {
+		t.Fatalf("well-formed routed scan refused: %v", err)
+	}
+	if mt, _ := serve(valid()); mt != wire.MsgScanReply {
+		t.Fatalf("well-formed routed scan answered with message type %d", mt)
+	}
+	for name, spoil := range map[string]func(r *wire.ScanRequest){
+		"NaN distance":          func(r *wire.ScanRequest) { r.Dists[1] = math.NaN() },
+		"negative distance":     func(r *wire.ScanRequest) { r.Dists[0] = -0.25 },
+		"distances, no bounds":  func(r *wire.ScanRequest) { r.Bounds = nil },
+		"windows beside dists":  func(r *wire.ScanRequest) { r.Wins = []float64{0, 1, 1, 2} },
+		"windows instead":       func(r *wire.ScanRequest) { r.Dists, r.Wins = nil, []float64{0, 1, 1, 2} },
+		"distances count short": func(r *wire.ScanRequest) { r.Dists = r.Dists[:1] },
+	} {
+		req := valid()
+		spoil(req)
+		if err := validateScan(cl.shards[0], req); !errors.Is(err, errBadScan) {
+			t.Errorf("%s: validateScan returned %v, want errBadScan", name, err)
+		}
+		mt, body := serve(req)
+		var re *wire.RemoteError
+		if mt != wire.MsgErr || !errors.As(wire.DecodeErr(body), &re) || !strings.HasPrefix(re.Msg, errBadScan.Error()) {
+			t.Errorf("%s: shard answered message type %d, want a MsgErr naming %q", name, mt, errBadScan)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -95,6 +97,120 @@ func TestWindowedBitIdenticalToFullScanAndExact(t *testing.T) {
 			}
 		}
 		cl.Close()
+	}
+}
+
+// offHomeProbes counts the (query, shard) requests of a planned block
+// whose local home is not the query's nearest representative: every
+// entry the shard receives for the query lies strictly farther than the
+// query's nearest routed representative (which always survives pruning).
+func offHomeProbes(c *Cluster, queries *vec.Dataset, k int) int {
+	_, _, batches := c.plan(queries, k, &QueryMetrics{})
+	nearest := make([]float64, queries.N())
+	for i := range nearest {
+		nearest[i] = math.Inf(1)
+	}
+	local := make([][]float64, len(batches))
+	for sid, sb := range batches {
+		start := 0
+		for t, qi := range sb.qidx {
+			m := math.Inf(1)
+			for _, d := range sb.dists[start:sb.ends[t]] {
+				m = min(m, d)
+			}
+			local[sid] = append(local[sid], m)
+			nearest[qi] = min(nearest[qi], m)
+			start = sb.ends[t]
+		}
+	}
+	off := 0
+	for sid, sb := range batches {
+		for t, qi := range sb.qidx {
+			if local[sid][t] > nearest[qi] {
+				off++
+			}
+		}
+	}
+	return off
+}
+
+// The shard-side home probe must stay exact where the probing shard does
+// not own the query's nearest representative: its local home is then
+// some other routed segment, and the bound it tightens to comes from
+// there. On tie-rich and clustered corpora at 1, 2 and 4 shards, cluster
+// answers must equal core.Exact's and brute force's bit for bit, ids
+// included; KNNBatch must equal per-query KNN in answers and in every
+// per-query counter (ShardsContacted, Messages and SimTimeUS are what
+// batching amortizes, so they are left out); and PointEvals must stay
+// within the routed segments' total length.
+func TestShardProbeOffHomeEquivalence(t *testing.T) {
+	m := metric.Euclidean{}
+	for _, c := range []struct {
+		name    string
+		tieRich bool
+		seed    int64
+	}{{"tieRich", true, 811}, {"clustered", false, 821}} {
+		rng := rand.New(rand.NewSource(c.seed))
+		var db, queries *vec.Dataset
+		if c.tieRich {
+			// Dim 2 puts answers on window edges often enough that a
+			// window clipped even 0.1 % too tight returns a wrong id.
+			db, queries = tieRichDB(rng, 1500, 2), tieRichDB(rng, 40, 2)
+		} else {
+			db, queries = clustered(rng, 1500, 6, 9), clustered(rand.New(rand.NewSource(c.seed+1)), 40, 6, 9)
+		}
+		prm := core.ExactParams{Seed: c.seed}
+		exact, err := core.BuildExact(db, m, prm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			cl, err := Build(db, m, prm, shards, DefaultCostModel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 4, 10} {
+				tag := fmt.Sprintf("%s shards=%d k=%d", c.name, shards, k)
+				if off := offHomeProbes(cl, queries, k); shards > 1 && off == 0 {
+					t.Fatalf("%s: no shard probed away from the query's nearest representative", tag)
+				}
+				got, bm, err := cl.KNNBatch(queries, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full := routedSegmentEvals(cl, queries, k); bm.PointEvals > full {
+					t.Errorf("%s: PointEvals %d > routed segments' length %d", tag, bm.PointEvals, full)
+				}
+				wantExact, _ := exact.KNNBatch(queries, k)
+				var pq QueryMetrics
+				for i := 0; i < queries.N(); i++ {
+					one, om, err := cl.KNN(queries.Row(i), k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pq.Add(om)
+					want := bruteforce.SearchOneK(queries.Row(i), db, k, m, nil)
+					for _, other := range [][]par.Neighbor{wantExact[i], one} {
+						if len(other) != len(want) || len(got[i]) != len(want) {
+							t.Fatalf("%s query %d: %d results, core.Exact/per-query %d, want %d",
+								tag, i, len(got[i]), len(other), len(want))
+						}
+					}
+					for p := range want {
+						if got[i][p] != want[p] || wantExact[i][p] != want[p] || one[p] != want[p] {
+							t.Fatalf("%s query %d pos %d: batch %+v, per-query %+v, core.Exact %+v, brute force %+v",
+								tag, i, p, got[i][p], one[p], wantExact[i][p], want[p])
+						}
+					}
+				}
+				bm.ShardsContacted, bm.Messages, bm.SimTimeUS = 0, 0, 0
+				pq.ShardsContacted, pq.Messages, pq.SimTimeUS = 0, 0, 0
+				if bm != pq {
+					t.Errorf("%s: batch counters %+v, per-query %+v", tag, bm, pq)
+				}
+			}
+			cl.Close()
+		}
 	}
 }
 

@@ -16,7 +16,7 @@
 //	------  ----  -----------------------------------------------
 //	0       4     payload length (uint32, little-endian)
 //	4       4     CRC-32C (Castagnoli) of the payload (uint32, LE)
-//	8       1     protocol version byte (currently 2)
+//	8       1     protocol version byte (currently 3)
 //	9       1     message type byte
 //	10      n-2   message body (n = payload length)
 //
@@ -25,9 +25,9 @@
 // integers are little-endian; float32 and float64 values travel as
 // their IEEE-754 bit patterns, so decoded values are bit-identical to
 // what was encoded. That is the property the cluster's bit-identity
-// contract rides on: ordering-space candidate distances and admissible
-// windows cross the wire as raw bits, never through a decimal
-// representation.
+// contract rides on: ordering-space candidate distances, pruning bounds
+// and representative distances cross the wire as raw bits, never
+// through a decimal representation.
 //
 // # Message table
 //
@@ -40,7 +40,8 @@
 //	3     MsgScan       coordinator → shard   ScanRequest: one batched
 //	                                          block scan (queries, segment
 //	                                          takers, optional bounds and
-//	                                          admissible windows, epoch)
+//	                                          representative distances,
+//	                                          epoch)
 //	4     MsgScanReply  shard → coordinator   ScanReply: per-query
 //	                                          candidates in ordering
 //	                                          space + work counters
@@ -66,6 +67,11 @@
 //	1  PR 9 layout: load / scan / reply / err / ping / pong.
 //	2  Adds the replica epoch: a uint32 in ShardState (after Dim) and in
 //	   ScanRequest (after K). Bodies are otherwise identical to v1.
+//	3  Adds ScanRequest.Dists under flag bit 3: one float64 ρ(q,r) per
+//	   (query, segment) entry, after Bounds and Wins. The shard rebuilds
+//	   each window from it and the query's bound, so routed scans ship
+//	   8 bytes per entry instead of v2's 16-byte [dLo, dHi] pair. Wins
+//	   (flag bit 2) still decodes; shards refuse it.
 //
 // Coordinator and shard binaries are expected to be built from the same
 // tree; the version byte exists to make a skew loud (a typed decode

@@ -55,13 +55,18 @@ func (s MetricSpec) Metric() (metric.Metric[[]float32], error) {
 // ScanRequest is one batched shard scan: Qs holds len(Segs) packed
 // query vectors of dimension Dim, Segs the owned-representative
 // segments each query must scan, Bounds (optional) the per-query
-// pruning bound in ordering space, and Wins (optional) the flat
-// [dLo, dHi] admissible-window pairs aligned with the concatenation of
-// Segs — the exact shape internal/distributed's shardRequest carries
-// in process. Epoch names the shard-state generation the request was
-// routed under; a shard loaded with a different epoch rejects the scan
-// with MsgErr instead of answering against the wrong segment layout
-// (see doc.go, "Replica epochs").
+// pruning bound in ordering space, and Dists (optional) the
+// representative distance ρ(q,r) of every (query, segment) entry, flat
+// and aligned with the concatenation of Segs — the exact shape
+// internal/distributed's shardRequest carries in process. Epoch names
+// the shard-state generation the request was routed under; a shard
+// loaded with a different epoch rejects the scan with MsgErr instead of
+// answering against the wrong segment layout (see doc.go, "Replica
+// epochs").
+//
+// Wins, the version-2 [dLo, dHi] window pairs, still encodes and
+// decodes so old message shapes stay measurable, but no coordinator
+// sends it and a shard refuses a request that carries it.
 type ScanRequest struct {
 	Dim         int
 	K           int
@@ -71,12 +76,14 @@ type ScanRequest struct {
 	Segs        [][]int
 	Bounds      []float64 // nil or len(Segs)
 	Wins        []float64 // nil or 2×(total segment entries)
+	Dists       []float64 // nil or total segment entries
 }
 
 const (
 	flagIncludeReps = 1 << 0
 	flagBounds      = 1 << 1
 	flagWins        = 1 << 2
+	flagDists       = 1 << 3
 )
 
 // EncodeScanRequest builds a wire-ready MsgScan frame.
@@ -91,7 +98,10 @@ func EncodeScanRequest(r *ScanRequest) []byte {
 	if r.Wins != nil {
 		flags |= flagWins
 	}
-	size := frameHead + 2 + 17 + 4*len(r.Qs) + 4*len(r.Segs) + 8*len(r.Bounds) + 8*len(r.Wins)
+	if r.Dists != nil {
+		flags |= flagDists
+	}
+	size := frameHead + 2 + 17 + 4*len(r.Qs) + 4*len(r.Segs) + 8*len(r.Bounds) + 8*len(r.Wins) + 8*len(r.Dists)
 	for _, segs := range r.Segs {
 		size += 4 * len(segs)
 	}
@@ -115,10 +125,16 @@ func EncodeScanRequest(r *ScanRequest) []byte {
 	if r.Wins != nil {
 		f = appendF64s(f, r.Wins)
 	}
+	if r.Dists != nil {
+		f = appendF64s(f, r.Dists)
+	}
 	return Finish(f)
 }
 
-// DecodeScanRequest parses a MsgScan body.
+// DecodeScanRequest parses a MsgScan body. Every count is checked against
+// the bytes left before anything is allocated for it: each query needs at
+// least its 4-byte segment count, so a body of n bytes decodes to at most
+// a small constant times n bytes of request, whatever its counts claim.
 func DecodeScanRequest(body []byte) (*ScanRequest, error) {
 	d := &dec{b: body}
 	r := &ScanRequest{
@@ -128,7 +144,7 @@ func DecodeScanRequest(body []byte) (*ScanRequest, error) {
 	}
 	flags := d.u8()
 	r.IncludeReps = flags&flagIncludeReps != 0
-	nq := d.n(1)
+	nq := d.n(4)
 	if d.err == nil && r.Dim > 0 && nq > len(d.b)/(4*r.Dim)+1 {
 		return nil, ErrTruncated
 	}
@@ -149,6 +165,9 @@ func DecodeScanRequest(body []byte) (*ScanRequest, error) {
 	}
 	if flags&flagWins != 0 {
 		r.Wins = d.f64s(2 * total)
+	}
+	if flags&flagDists != 0 {
+		r.Dists = d.f64s(total)
 	}
 	if err := d.done(); err != nil {
 		return nil, err

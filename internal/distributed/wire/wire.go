@@ -10,9 +10,9 @@ import (
 )
 
 // Version is the protocol version byte every payload starts with. See
-// doc.go for the version history; v2 added the replica epoch to
-// MsgLoad and MsgScan.
-const Version = 2
+// doc.go for the version history; v3 added the per-entry representative
+// distances to MsgScan.
+const Version = 3
 
 // Message types.
 const (

@@ -101,6 +101,15 @@ func TestScanRequestRoundTrip(t *testing.T) {
 				req.Wins[i] = rng.NormFloat64()
 			}
 		}
+		if rng.Intn(2) == 0 {
+			req.Dists = make([]float64, total)
+			for i := range req.Dists {
+				req.Dists[i] = rng.ExpFloat64()
+			}
+			if total > 0 && rng.Intn(3) == 0 {
+				req.Dists[0] = math.Inf(1)
+			}
+		}
 		mt, body, err := ReadFrame(bytes.NewReader(EncodeScanRequest(req)), MaxFrameBytes)
 		if err != nil || mt != MsgScan {
 			t.Fatalf("trial %d: mt=%d err=%v", trial, mt, err)
@@ -128,6 +137,10 @@ func TestScanRequestRoundTrip(t *testing.T) {
 		}
 		assertF64s(t, got.Bounds, req.Bounds)
 		assertF64s(t, got.Wins, req.Wins)
+		assertF64s(t, got.Dists, req.Dists)
+		if (got.Dists == nil) != (req.Dists == nil) {
+			t.Fatalf("trial %d: Dists presence %v, sent %v", trial, got.Dists != nil, req.Dists != nil)
+		}
 	}
 }
 
@@ -169,13 +182,19 @@ func TestScanReplyRoundTripBitExact(t *testing.T) {
 // TestScanFramesPresized: the scan encoders size their frame exactly up
 // front (no append growth on the fan-out hot path).
 func TestScanFramesPresized(t *testing.T) {
-	for _, windowed := range []bool{false, true} {
-		req := &ScanRequest{Dim: 3, K: 2, Qs: make([]float32, 6), Segs: [][]int{{1, 4, 7}, {2}}, Bounds: []float64{1, 2}}
-		if windowed {
-			req.Wins = make([]float64, 8)
-		}
+	// One shape per optional column: broadcast (neither), version-2
+	// windows (Wins, two per entry) and routed (Dists, one per entry).
+	for _, shape := range []struct {
+		name        string
+		wins, dists []float64
+	}{
+		{"broadcast", nil, nil},
+		{"wins", make([]float64, 8), nil},
+		{"dists", nil, make([]float64, 4)},
+	} {
+		req := &ScanRequest{Dim: 3, K: 2, Qs: make([]float32, 6), Segs: [][]int{{1, 4, 7}, {2}}, Bounds: []float64{1, 2}, Wins: shape.wins, Dists: shape.dists}
 		if f := EncodeScanRequest(req); len(f) != cap(f) {
-			t.Fatalf("windowed=%v: scan request frame len %d, cap %d", windowed, len(f), cap(f))
+			t.Fatalf("%s: scan request frame len %d, cap %d", shape.name, len(f), cap(f))
 		}
 	}
 	rep := &ScanReply{Shard: 1, Evals: 9, KNN: [][]par.Neighbor{{{ID: 3, Dist: 1}, {ID: 4, Dist: 2}}, nil}}

@@ -9,8 +9,8 @@ import "sync"
 //
 // Slots are small fixed indices chosen by the caller; two live buffers must
 // use distinct slots. Requesting a slot again invalidates its previous
-// contents (the backing array is reused). Within internal/core the slot
-// ownership convention is:
+// contents (the backing array is reused). Within internal/core and the
+// distributed shard scan built on it, the slot ownership convention is:
 //
 //   - float64 0, 1, 2 and 5 belong to the per-query pruning step: 0
 //     holds the phase-1 orderings when a single query computes its own,
@@ -26,13 +26,16 @@ import "sync"
 //   - int slot 0 holds a back half's kept (query, list, lo, hi)
 //     quadruples, and core.ScanGrouped owns int slots 1, 4 and 5 (taker
 //     windows, per-list taker counts, taker ids);
+//   - int slot 6 belongs to the distributed shard scan: per query, its
+//     local home entry and probed run, kept across the scan's two
+//     core.ScanGrouped passes;
 //   - heap slot 0 is a single query's result heap (or OneShot's probe
 //     selector), heap slot 1 the k-th-smallest selector.
 type Scratch struct {
 	f64   [8][]float64
 	f32   [2][]float32
 	i8    [2][]int8
-	ints  [6][]int
+	ints  [7][]int
 	heaps [2]*KHeap
 	slab  []*KHeap
 }
