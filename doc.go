@@ -29,24 +29,23 @@
 // Every search returns work statistics (distance evaluations by phase)
 // for machine-independent performance analysis.
 //
-// # The batch query plane
+// # Batch-first queries
 //
-// Everything above the kernels is batch-first: the Searcher and
-// BatchSearcher interfaces (repro/internal/search) make "answer this
-// block of queries" the common currency between the indexes, the HTTP
-// server, the distributed cluster and the experiment harness. KNNBatch
-// on Exact answers a whole block through one tiled BF(Q,R) front half
-// and grouped phase-2 scans — each surviving ownership list is scanned
-// once per query tile as a small matrix-matrix call shared by every
-// query that kept it; OneShot's shares the front half and then scans
-// each query's one list. Results are bit-identical to per-query KNN.
-// The HTTP server (repro/internal/server) converts concurrent
-// single-query traffic into such blocks by request coalescing — /query
-// through KNNBatch and /range through RangeBatch, each queue with its
-// own flush accounting in /stats — and the
-// distributed cluster (repro/internal/distributed) groups a block's
-// surviving lists by owning shard so each shard receives one request per
-// block instead of one per query.
+// Both indexes answer a whole block of queries in one call: Exact and
+// OneShot implement BatchSearcher, whose KNNBatch is bit-identical to
+// calling KNN per row. KNNBatch on Exact answers a whole block through
+// one tiled BF(Q,R) front half and grouped phase-2 scans — each
+// surviving ownership list is scanned once per query tile as a small
+// matrix-matrix call shared by every query that kept it; OneShot's
+// shares the front half and then scans each query's one list. The HTTP
+// server (repro/internal/server) converts concurrent single-query
+// traffic into such blocks by request coalescing — /query through
+// KNNBatch and /range through RangeBatch, each queue with its own flush
+// accounting in /stats. The distributed cluster
+// (repro/internal/distributed) has its own block entry point,
+// Cluster.KNNBatch, which groups a block's surviving lists by owning
+// shard so each shard receives one request per block instead of one per
+// query.
 //
 // Shards are batch-and-tile native too: a shard hands its request's
 // (query, segment) pairs to core.ScanGrouped — the same grouped phase-2
@@ -67,8 +66,8 @@
 // to per-query cluster calls and to the single-node Exact index built
 // with the same parameters; the fast Gram kernel grade is excluded from that path
 // because its ulp drift would break the guarantee. A cross-backend
-// equivalence fuzz harness (repro/internal/search) pins all of this
-// against the brute-force reference.
+// equivalence fuzz harness (repro/internal/search, a test-only package)
+// pins all of this against the brute-force reference.
 //
 // The cluster also runs over a real wire: cmd/rbc-shard serves shard
 // segments as a standalone process speaking a length-prefixed,

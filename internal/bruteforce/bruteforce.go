@@ -39,13 +39,6 @@ import (
 	"repro/internal/vec"
 )
 
-// Result is the answer to a 1-NN query: the database id of the nearest
-// point and its distance. ID is -1 when the database was empty.
-type Result struct {
-	ID   int
-	Dist float64
-}
-
 // Counter accumulates distance evaluations across goroutines. The zero
 // value is ready to use. A nil *Counter is accepted everywhere and simply
 // not updated.
@@ -80,12 +73,13 @@ func (c *Counter) Reset() {
 const scanChunk = 1024
 
 // scanFlatBest is the per-query reference scan retained from before the
-// tiled kernels: one sqrt per candidate, database re-streamed per query.
-// It remains the baseline that BenchmarkBFPerQuery and the exactness tests
-// measure the tiled paths against.
-func scanFlatBest(q, flat []float32, dim, base int, m metric.Metric[[]float32], c *Counter) Result {
+// tiled kernels: one conversion to distance (a sqrt, for Euclidean) per
+// candidate, database re-streamed per query. It remains the baseline that
+// BenchmarkBFPerQuery and the exactness tests measure the tiled paths
+// against.
+func scanFlatBest(ker *metric.Kernel, q, flat []float32, dim, base int, c *Counter) par.Neighbor {
 	npts := len(flat) / dim
-	best := Result{ID: -1, Dist: math.Inf(1)}
+	best := par.Neighbor{ID: -1, Dist: math.Inf(1)}
 	var scratch [scanChunk]float64
 	for lo := 0; lo < npts; lo += scanChunk {
 		hi := lo + scanChunk
@@ -93,10 +87,10 @@ func scanFlatBest(q, flat []float32, dim, base int, m metric.Metric[[]float32], 
 			hi = npts
 		}
 		out := scratch[:hi-lo]
-		metric.BatchDistances(m, q, flat[lo*dim:hi*dim], dim, out)
-		for i, d := range out {
-			if d < best.Dist {
-				best = Result{ID: base + lo + i, Dist: d}
+		ker.Ordering(q, flat[lo*dim:hi*dim], dim, out)
+		for i, o := range out {
+			if d := ker.ToDistance(o); d < best.Dist {
+				best = par.Neighbor{ID: base + lo + i, Dist: d}
 			}
 		}
 	}
@@ -106,20 +100,21 @@ func scanFlatBest(q, flat []float32, dim, base int, m metric.Metric[[]float32], 
 
 // searchPerQuery is the pre-tiling batch implementation (one full database
 // stream per query), kept as the reference and benchmark baseline.
-func searchPerQuery(queries, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) []Result {
-	out := make([]Result, queries.N())
+func searchPerQuery(queries, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) []par.Neighbor {
+	ker := metric.NewKernel(m)
+	out := make([]par.Neighbor, queries.N())
 	par.ForEach(queries.N(), 1, func(i int) {
-		out[i] = scanFlatBest(queries.Row(i), db.Data, db.Dim, 0, m, c)
+		out[i] = scanFlatBest(ker, queries.Row(i), db.Data, db.Dim, 0, c)
 	})
 	return out
 }
 
 // scanBestOrd is the ordering-space streaming scan: like scanFlatBest but
-// without the per-candidate sqrt. The returned Result carries an ordering
-// distance; the caller converts at the boundary.
-func scanBestOrd(ker *metric.Kernel, q, flat []float32, dim, base int, c *Counter) Result {
+// without the per-candidate conversion. The returned neighbor carries an
+// ordering distance; the caller converts at the boundary.
+func scanBestOrd(ker *metric.Kernel, q, flat []float32, dim, base int, c *Counter) par.Neighbor {
 	npts := len(flat) / dim
-	best := Result{ID: -1, Dist: math.Inf(1)}
+	best := par.Neighbor{ID: -1, Dist: math.Inf(1)}
 	var scratch [scanChunk]float64
 	for lo := 0; lo < npts; lo += scanChunk {
 		hi := lo + scanChunk
@@ -130,7 +125,7 @@ func scanBestOrd(ker *metric.Kernel, q, flat []float32, dim, base int, c *Counte
 		ker.Ordering(q, flat[lo*dim:hi*dim], dim, out)
 		for i, d := range out {
 			if d < best.Dist {
-				best = Result{ID: base + lo + i, Dist: d}
+				best = par.Neighbor{ID: base + lo + i, Dist: d}
 			}
 		}
 	}
@@ -142,19 +137,19 @@ func scanBestOrd(ker *metric.Kernel, q, flat []float32, dim, base int, c *Counte
 // streaming decomposition: the database is split into blocks scanned in
 // parallel, and the per-block minima are combined with a tree reduction —
 // exactly the parallel-reduce comparison step of §3.
-func SearchOne(q []float32, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) Result {
+func SearchOne(q []float32, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) par.Neighbor {
 	n := db.N()
 	if n == 0 {
-		return Result{ID: -1, Dist: math.Inf(1)}
+		return par.Neighbor{ID: -1, Dist: math.Inf(1)}
 	}
 	ker := metric.NewKernel(m)
 	workers := par.Workers()
-	var best Result
+	var best par.Neighbor
 	if workers == 1 || n < 4*scanChunk {
 		best = scanBestOrd(ker, q, db.Data, db.Dim, 0, c)
 	} else {
 		blocks := workers
-		parts := make([]Result, blocks)
+		parts := make([]par.Neighbor, blocks)
 		var wg sync.WaitGroup
 		wg.Add(blocks)
 		size := n / blocks
@@ -172,7 +167,7 @@ func SearchOne(q []float32, db *vec.Dataset, m metric.Metric[[]float32], c *Coun
 			lo = hi
 		}
 		wg.Wait()
-		best = par.TreeReduce(parts, func(a, b Result) Result {
+		best = par.TreeReduce(parts, func(a, b par.Neighbor) par.Neighbor {
 			if b.Dist < a.Dist || (b.Dist == a.Dist && b.ID < a.ID) {
 				return b
 			}
@@ -188,16 +183,16 @@ func SearchOne(q []float32, db *vec.Dataset, m metric.Metric[[]float32], c *Coun
 // kernel (bit-identical to the per-query ordering-space reference, ties
 // included; see the package comment for the one sqrt-rounding caveat
 // against the legacy post-sqrt scan).
-func Search(queries, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) []Result {
+func Search(queries, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) []par.Neighbor {
 	nq := queries.N()
-	out := make([]Result, nq)
+	out := make([]par.Neighbor, nq)
 	if nq == 0 {
 		return out
 	}
 	n, dim := db.N(), db.Dim
 	if n == 0 {
 		for i := range out {
-			out[i] = Result{ID: -1, Dist: math.Inf(1)}
+			out[i] = par.Neighbor{ID: -1, Dist: math.Inf(1)}
 		}
 		return out
 	}
@@ -240,7 +235,7 @@ func Search(queries, db *vec.Dataset, m metric.Metric[[]float32], c *Counter) []
 				}
 			}
 			for i := 0; i < bq; i++ {
-				out[q0+i] = Result{ID: bestID[i], Dist: ker.ToDistance(bestOrd[i])}
+				out[q0+i] = par.Neighbor{ID: bestID[i], Dist: ker.ToDistance(bestOrd[i])}
 			}
 		}
 	})
@@ -382,11 +377,11 @@ const rescoreBlock = 256
 // returns the k nearest, sorted ascending (ties toward the lower id).
 // Candidates are gathered into a contiguous scratch block and scored
 // through ker's row kernel — the BF(q, X[L]) candidate-rescoring shape
-// the approximate backends (lsh bucket unions, kdtree leaf sets) produce
-// — so the inner loop runs on the row kernel instead of per-pair
+// that lsh's bucket unions and the quantized scan's pass-1 survivors
+// produce — so the inner loop runs on the row kernel instead of per-pair
 // Distance calls. Duplicate ids in ids yield duplicate results; callers
 // dedupe beforehand.
-func RescoreK(ker *metric.Kernel, q []float32, db *vec.Dataset, ids []int32, k int, c *Counter) []par.Neighbor {
+func RescoreK(ker *metric.Kernel, q []float32, db *vec.Dataset, ids []int, k int, c *Counter) []par.Neighbor {
 	if k <= 0 || len(ids) == 0 {
 		return nil
 	}
@@ -406,12 +401,12 @@ func RescoreK(ker *metric.Kernel, q []float32, db *vec.Dataset, ids []int32, k i
 			hi = len(ids)
 		}
 		for t, id := range ids[lo:hi] {
-			copy(buf[t*dim:(t+1)*dim], db.Row(int(id)))
+			copy(buf[t*dim:(t+1)*dim], db.Row(id))
 		}
 		out := ords[:hi-lo]
 		ker.Ordering(q, buf[:(hi-lo)*dim], dim, out)
 		for t, o := range out {
-			h.Push(int(ids[lo+t]), o)
+			h.Push(ids[lo+t], o)
 		}
 	}
 	c.Add(len(ids))
@@ -453,26 +448,6 @@ func RangeSearch(q []float32, db *vec.Dataset, eps float64, m metric.Metric[[]fl
 		}
 	}
 	c.Add(n)
-	sortNeighbors(hits)
+	par.SortNeighbors(hits)
 	return hits
-}
-
-// sortNeighborsCutoff is the slice length above which sortNeighbors hands
-// off to sort.Slice; insertion sort wins below it.
-const sortNeighborsCutoff = 32
-
-func sortNeighbors(ns []par.Neighbor) {
-	if len(ns) > sortNeighborsCutoff {
-		par.SortNeighbors(ns)
-		return
-	}
-	for i := 1; i < len(ns); i++ {
-		x := ns[i]
-		j := i - 1
-		for j >= 0 && (ns[j].Dist > x.Dist || (ns[j].Dist == x.Dist && ns[j].ID > x.ID)) {
-			ns[j+1] = ns[j]
-			j--
-		}
-		ns[j+1] = x
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -23,11 +24,11 @@ func randomDataset(rng *rand.Rand, n, dim int) *vec.Dataset {
 }
 
 // naiveNN is the reference implementation used to validate all paths.
-func naiveNN(q []float32, db *vec.Dataset, m metric.Metric[[]float32]) Result {
-	best := Result{ID: -1, Dist: math.Inf(1)}
+func naiveNN(q []float32, db *vec.Dataset, m metric.Metric[[]float32]) par.Neighbor {
+	best := par.Neighbor{ID: -1, Dist: math.Inf(1)}
 	for i := 0; i < db.N(); i++ {
 		if d := m.Distance(q, db.Row(i)); d < best.Dist {
-			best = Result{ID: i, Dist: d}
+			best = par.Neighbor{ID: i, Dist: d}
 		}
 	}
 	return best
@@ -275,12 +276,12 @@ func TestRescoreK(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	db := randomDataset(rng, 500, 7)
 	q := randomDataset(rng, 1, 7).Row(0)
-	ids := make([]int32, 0, 300)
+	ids := make([]int, 0, 300)
 	for i := 0; i < 300; i++ {
-		ids = append(ids, int32(rng.Intn(db.N())))
+		ids = append(ids, rng.Intn(db.N()))
 	}
 	// Dedupe like callers do.
-	seen := map[int32]bool{}
+	seen := map[int]bool{}
 	uniq := ids[:0]
 	for _, id := range ids {
 		if !seen[id] {
@@ -303,8 +304,8 @@ func TestRescoreK(t *testing.T) {
 	}
 	ref := make([]cand, 0, len(uniq))
 	for _, id := range uniq {
-		ker.Ordering(q, db.Row(int(id)), db.Dim, ord)
-		ref = append(ref, cand{int(id), ker.ToDistance(ord[0])})
+		ker.Ordering(q, db.Row(id), db.Dim, ord)
+		ref = append(ref, cand{id, ker.ToDistance(ord[0])})
 	}
 	for j := 1; j < len(got); j++ {
 		if got[j].Dist < got[j-1].Dist {

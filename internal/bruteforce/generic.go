@@ -13,12 +13,12 @@ import (
 // distance.
 
 // SearchOneGeneric returns the nearest neighbor of q among db under m.
-func SearchOneGeneric[P any](q P, db []P, m metric.Metric[P], c *Counter) Result {
-	best := Result{ID: -1, Dist: math.Inf(1)}
+func SearchOneGeneric[P any](q P, db []P, m metric.Metric[P], c *Counter) par.Neighbor {
+	best := par.Neighbor{ID: -1, Dist: math.Inf(1)}
 	for i := range db {
 		d := m.Distance(q, db[i])
 		if d < best.Dist {
-			best = Result{ID: i, Dist: d}
+			best = par.Neighbor{ID: i, Dist: d}
 		}
 	}
 	c.Add(len(db))
@@ -27,8 +27,8 @@ func SearchOneGeneric[P any](q P, db []P, m metric.Metric[P], c *Counter) Result
 
 // SearchGeneric is BF(Q,X) for arbitrary point types, parallel over
 // queries.
-func SearchGeneric[P any](queries, db []P, m metric.Metric[P], c *Counter) []Result {
-	out := make([]Result, len(queries))
+func SearchGeneric[P any](queries, db []P, m metric.Metric[P], c *Counter) []par.Neighbor {
+	out := make([]par.Neighbor, len(queries))
 	par.ForEach(len(queries), 1, func(i int) {
 		out[i] = SearchOneGeneric(queries[i], db, m, c)
 	})
@@ -59,6 +59,6 @@ func RangeSearchGeneric[P any](q P, db []P, eps float64, m metric.Metric[P], c *
 		}
 	}
 	c.Add(len(db))
-	sortNeighbors(hits)
+	par.SortNeighbors(hits)
 	return hits
 }

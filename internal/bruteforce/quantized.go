@@ -110,46 +110,7 @@ func SearchKQuantizedView(queries, db *vec.Dataset, k int, v *metric.QuantizedVi
 		for j, nb := range cands {
 			ids[j] = nb.ID
 		}
-		out[i] = rescoreTopK(xker, q, db, ids, k, sc, c)
+		out[i] = RescoreK(xker, q, db, ids, k, c)
 	})
 	return out
-}
-
-// rescoreTopK gathers the candidate rows and scores them with the exact
-// kernel — the pass-2 refinement of the quantized scan. It is RescoreK
-// with caller-owned scratch (the candidate ids arrive as ints
-// straight from a heap).
-func rescoreTopK(xker *metric.Kernel, q []float32, db *vec.Dataset, ids []int, k int, sc *par.Scratch, c *Counter) []par.Neighbor {
-	if k <= 0 || len(ids) == 0 {
-		return nil
-	}
-	dim := db.Dim
-	h := sc.Heap(0, k)
-	blk := rescoreBlock
-	if blk > len(ids) {
-		blk = len(ids)
-	}
-	buf := sc.Float32(1, blk*dim)
-	ords := sc.Float64(6, blk)
-	for lo := 0; lo < len(ids); lo += blk {
-		hi := lo + blk
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		for t, id := range ids[lo:hi] {
-			copy(buf[t*dim:(t+1)*dim], db.Row(id))
-		}
-		out := ords[:hi-lo]
-		xker.Ordering(q, buf[:(hi-lo)*dim], dim, out)
-		for t, o := range out {
-			h.Push(ids[lo+t], o)
-		}
-	}
-	c.Add(len(ids))
-	res := h.Results()
-	for i := range res {
-		res[i].Dist = xker.ToDistance(res[i].Dist)
-	}
-	par.SortNeighbors(res)
-	return res
 }

@@ -180,7 +180,7 @@ func TestSearchQuantizedMatchesSearch(t *testing.T) {
 	want := Search(queries, db, m, nil)
 	got := SearchKQuantized(queries, db, 1, m, nil)
 	for i := range want {
-		if len(got[i]) != 1 || (Result{ID: got[i][0].ID, Dist: got[i][0].Dist}) != want[i] {
+		if len(got[i]) != 1 || got[i][0] != want[i] {
 			t.Fatalf("query %d: got %+v want %+v", i, got[i], want[i])
 		}
 	}

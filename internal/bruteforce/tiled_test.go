@@ -94,13 +94,13 @@ func TestTiledSearchKBitIdenticalToPerQuery(t *testing.T) {
 // searchFast1 is the 1-NN view of SearchKFast: each query's nearest
 // neighbor on the Gram-fast kernel, ID -1 at +Inf when the database is
 // empty.
-func searchFast1(queries, db *vec.Dataset, m metric.Metric[[]float32]) []Result {
+func searchFast1(queries, db *vec.Dataset, m metric.Metric[[]float32]) []par.Neighbor {
 	nbs := SearchKFast(queries, db, 1, m, nil)
-	out := make([]Result, len(nbs))
+	out := make([]par.Neighbor, len(nbs))
 	for i, ns := range nbs {
-		out[i] = Result{ID: -1, Dist: math.Inf(1)}
+		out[i] = par.Neighbor{ID: -1, Dist: math.Inf(1)}
 		if len(ns) > 0 {
-			out[i] = Result{ID: ns[0].ID, Dist: ns[0].Dist}
+			out[i] = par.Neighbor{ID: ns[0].ID, Dist: ns[0].Dist}
 		}
 	}
 	return out
@@ -109,21 +109,21 @@ func searchFast1(queries, db *vec.Dataset, m metric.Metric[[]float32]) []Result 
 // fastPerQueryRef runs the fast (Gram) kernel one query at a time with
 // precomputed norms — the per-query reference for SearchKFast. The kernel
 // is tile-shape stable, so SearchKFast must match it bit for bit.
-func fastPerQueryRef(queries, db *vec.Dataset, m metric.Metric[[]float32]) []Result {
+func fastPerQueryRef(queries, db *vec.Dataset, m metric.Metric[[]float32]) []par.Neighbor {
 	ker := metric.NewFastKernel(m)
 	dim := db.Dim
 	pnorms := ker.Norms(db.Data, dim, nil)
-	out := make([]Result, queries.N())
+	out := make([]par.Neighbor, queries.N())
 	ords := make([]float64, db.N())
 	for i := range out {
 		q := queries.Row(i)
 		qn := ker.Norms(q, dim, nil)
 		ker.Tile(q, qn, db.Data, pnorms, dim, ords, nil)
-		best := Result{ID: -1, Dist: 0}
+		best := par.Neighbor{ID: -1, Dist: 0}
 		first := true
 		for j, o := range ords {
 			if first || o < best.Dist {
-				best = Result{ID: j, Dist: o}
+				best = par.Neighbor{ID: j, Dist: o}
 				first = false
 			}
 		}
@@ -193,9 +193,9 @@ func TestTiledSearchEmptyInputs(t *testing.T) {
 	m := metric.Euclidean{}
 	var empty vec.Dataset
 	queries := vec.FromRows([][]float32{{1, 2}})
-	for _, fn := range []func(q, db *vec.Dataset) []Result{
-		func(q, db *vec.Dataset) []Result { return Search(q, db, m, nil) },
-		func(q, db *vec.Dataset) []Result { return searchFast1(q, db, m) },
+	for _, fn := range []func(q, db *vec.Dataset) []par.Neighbor{
+		func(q, db *vec.Dataset) []par.Neighbor { return Search(q, db, m, nil) },
+		func(q, db *vec.Dataset) []par.Neighbor { return searchFast1(q, db, m) },
 	} {
 		res := fn(queries, &empty)
 		if len(res) != 1 || res[0].ID != -1 {
@@ -309,7 +309,7 @@ func TestSortNeighborsLong(t *testing.T) {
 	for i := range ns {
 		ns[i] = par.Neighbor{ID: rng.Intn(100), Dist: float64(rng.Intn(40))}
 	}
-	sortNeighbors(ns)
+	par.SortNeighbors(ns)
 	for i := 1; i < len(ns); i++ {
 		if ns[i].Dist < ns[i-1].Dist ||
 			(ns[i].Dist == ns[i-1].Dist && ns[i].ID < ns[i-1].ID) {

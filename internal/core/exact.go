@@ -447,7 +447,7 @@ func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par
 	return h, st
 }
 
-// KNNBatch is the batch-first k-NN entry point (search.BatchSearcher): it
+// KNNBatch is the batch-first k-NN entry point (rbc.BatchSearcher): it
 // answers a query block in parallel and returns the per-query results plus
 // aggregated stats. The whole block shares one tiled BF(Q,R) front half —
 // query tiles against representative tiles — before the pruning and list

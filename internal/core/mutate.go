@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/metric"
 	"repro/internal/par"
 )
 
@@ -114,18 +113,15 @@ func (e *Exact) Insert(p []float32) int {
 	e.isRep = append(e.isRep, false)
 	e.mut.deleted = append(e.mut.deleted, false)
 
-	nr := e.NumReps()
-	dists := make([]float64, nr)
-	metric.BatchDistances(e.m, p, e.repData.Data, e.db.Dim, dists)
-	best := 0
-	for j := 1; j < nr; j++ {
-		if dists[j] < dists[best] {
-			best = j
-		}
-	}
-	e.bufferInsert(best, int32(id), dists[best])
-	if dists[best] > e.radii[best] {
-		e.radii[best] = dists[best]
+	// The build's BF(X,R) rule: argmin in ordering space, strict <, lowest
+	// representative index at ties.
+	ords := make([]float64, e.NumReps())
+	e.ker.Ordering(p, e.repData.Data, e.db.Dim, ords)
+	best, o := par.ArgMin(ords)
+	d := e.ker.ToDistance(o)
+	e.bufferInsert(best, int32(id), d)
+	if d > e.radii[best] {
+		e.radii[best] = d
 	}
 	return id
 }

@@ -187,7 +187,7 @@ func (o *OneShot) knn(q []float32, ordRow []float64, k int, sc *par.Scratch) (*p
 	return h, st
 }
 
-// KNNBatch is the batch-first k-NN entry point (search.BatchSearcher): it
+// KNNBatch is the batch-first k-NN entry point (rbc.BatchSearcher): it
 // answers a query block in parallel, sharing one tiled BF(Q,R) front half
 // across the block, then scans each query's one list as KNN does. A
 // one-shot list rarely has two takers in a query tile, so there is no

@@ -57,6 +57,7 @@ func perPairKNNBatch(cl *Cluster, queries *vec.Dataset, k int) [][]par.Neighbor 
 	out := make([][]par.Neighbor, nq)
 	heaps := make([]*par.KHeap, nq)
 	survivors := make([][]int32, nq)
+	ker := metric.NewKernel(cl.m)
 	par.For(nq, 8, func(lo, hi int) {
 		dists := make([]float64, nr)
 		kk := k
@@ -64,7 +65,10 @@ func perPairKNNBatch(cl *Cluster, queries *vec.Dataset, k int) [][]par.Neighbor 
 			kk = nr
 		}
 		for i := lo; i < hi; i++ {
-			metric.BatchDistances(cl.m, queries.Row(i), cl.repData.Data, cl.dim, dists)
+			ker.Ordering(queries.Row(i), cl.repData.Data, cl.dim, dists)
+			for j, o := range dists {
+				dists[j] = ker.ToDistance(o)
+			}
 			sel := par.NewKHeap(kk)
 			for j, d := range dists {
 				sel.Push(j, d)

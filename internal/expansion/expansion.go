@@ -61,9 +61,13 @@ type Estimate struct {
 // Vectors estimates the expansion rate of a vector dataset under m.
 func Vectors(db *vec.Dataset, m metric.Metric[[]float32], opts Options) Estimate {
 	n := db.N()
+	ker := metric.NewKernel(m)
 	gen := func(i int) []float64 {
 		dists := make([]float64, n)
-		metric.BatchDistances(m, db.Row(i), db.Data, db.Dim, dists)
+		ker.Ordering(db.Row(i), db.Data, db.Dim, dists)
+		for j, o := range dists {
+			dists[j] = ker.ToDistance(o)
+		}
 		return dists
 	}
 	return estimate(n, gen, opts)

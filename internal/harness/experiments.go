@@ -51,7 +51,7 @@ func RunFig1(cfg Config) (*Output, error) {
 		db, queries := workload(e, cfg, 0)
 		n := db.N()
 		// The timed baseline is also the recall ground truth.
-		var bruteRes []bruteforce.Result
+		var bruteRes []par.Neighbor
 		bruteSec := timeIt(func() { bruteRes = bruteforce.Search(queries, db, euclid, nil) })
 		wantDists := make([]float64, queries.N())
 		for i, r := range bruteRes {

@@ -185,7 +185,7 @@ func (idx *Index) KNN(q []float32, k int) ([]par.Neighbor, int) {
 	}
 	keys := make([]int64, idx.prm.K)
 	seen := make(map[int32]struct{}, 64)
-	var cands []int32
+	var cands []int
 	for t := 0; t < idx.prm.L; t++ {
 		idx.hashInto(t, q, keys)
 		for _, id := range idx.tables[t][idx.bucketKey(keys)] {
@@ -193,7 +193,7 @@ func (idx *Index) KNN(q []float32, k int) ([]par.Neighbor, int) {
 				continue
 			}
 			seen[id] = struct{}{}
-			cands = append(cands, id)
+			cands = append(cands, int(id))
 		}
 	}
 	return bruteforce.RescoreK(idx.ker, q, idx.db, cands, k, nil), len(cands)

@@ -22,10 +22,11 @@ func benchVectors(dim int) (q []float32, flat []float32, out []float64) {
 
 func benchmarkBatch(b *testing.B, m Metric[[]float32], dim int) {
 	q, flat, out := benchVectors(dim)
+	k := NewKernel(m)
 	b.SetBytes(int64(len(flat) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BatchDistances(m, q, flat, dim, out)
+		k.Ordering(q, flat, dim, out)
 	}
 }
 

@@ -5,9 +5,9 @@
 // type is the generic Metric[P] interface. Dense float32 vectors get two
 // fast paths:
 //
-//   - Batch: distances from one query to a contiguous block of points
-//     (the matrix-vector shape), plus OrderingBatch, its squared-distance
-//     companion;
+//   - OrderingBatch: ordering distances from one query to a contiguous
+//     block of points (the matrix-vector shape), read through
+//     Kernel.Ordering;
 //   - Kernel.Tile: distances from a block of queries to a block of points
 //     into a row-major tile (the matrix-matrix shape of BF(Q,X)), resolved
 //     per metric through the Kernel type.
@@ -26,7 +26,8 @@
 //     rows per pass; tiles also share each row between two queries), the
 //     scalar lane loop elsewhere, bit-identical to each other. The
 //     reference grade, and the only one any answer, baseline or probe
-//     runs on. See exact.go, and exact_amd64.s for the identity argument.
+//     runs on; Euclidean.Distance is its sqrt. See exact.go, and
+//     exact_amd64.s for the identity argument.
 //   - Gram-fast: float64 Gram decomposition ‖q‖²+‖p‖²−2q·p over cached
 //     norms; drifts from exact in the trailing ulps and is slower at every
 //     dimension. It remains only for bruteforce.SearchKFast, which the
@@ -42,10 +43,9 @@
 // # Tile shapes
 //
 // The tiled consumer loops size their tiles via TileShape, against one
-// process-wide per-tile footprint budget: a static default, unless the
-// RBC_TILE_BUDGET env var (read at start-up) or SetTileBudget (tests,
-// harnesses) says otherwise. TileBudget reports the value and where it
-// came from for bench artifacts. Shape can never change results: both
+// process-wide per-tile footprint budget: a static default, unless
+// SetTileBudget (tests, harnesses) says otherwise. TileBudget reports the
+// value and where it came from for bench artifacts. Shape can never change results: both
 // grades are tile-shape invariant by construction, and the invariance
 // tests sweep a range of budgets. See tilebudget.go.
 package metric

@@ -58,7 +58,8 @@ func euclidExactTile(qflat, pflat []float32, dim, nq, np int, out []float64) {
 
 // euclidExactPair is the scalar reference of the exact grade for one
 // (query, row) pair: the remainder-row path, the whole path on hosts
-// without AVX2, and what the tests hold every other spelling against.
+// without AVX2, Euclidean.Distance under its sqrt, and what the tests
+// hold every other spelling against.
 func euclidExactPair(q, row []float32) float64 {
 	var s0, s1, s2, s3 float64
 	j := 0

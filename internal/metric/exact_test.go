@@ -19,7 +19,8 @@ func sameOrdering(a, b float64) bool {
 }
 
 // TestExactMatchesReference holds Kernel.Ordering, Kernel.Tile and
-// Euclidean.Distances against the scalar reference euclidExactPair, on
+// Kernel.ToDistance of the ordering against the scalar reference
+// euclidExactPair (and its sqrt), on
 // the shapes of kernelMatchesScalar with the duplicate rows and planted
 // exact hits of the tie-stability corpora.
 func TestExactMatchesReference(t *testing.T) {
@@ -37,18 +38,17 @@ func TestExactMatchesReference(t *testing.T) {
 			tile := make([]float64, nq*np)
 			k.Tile(qflat, nil, pflat, nil, dim, tile, nil)
 			row := make([]float64, np)
-			dist := make([]float64, np)
 			for i := 0; i < nq; i++ {
 				q := qflat[i*dim : (i+1)*dim]
 				k.Ordering(q, pflat, dim, row)
-				Euclidean{}.Distances(q, pflat, dim, dist)
 				for j := 0; j < np; j++ {
 					want := euclidExactPair(q, pflat[j*dim:(j+1)*dim])
+					dist := k.ToDistance(row[j])
 					if math.Float64bits(row[j]) != math.Float64bits(want) ||
 						math.Float64bits(tile[i*np+j]) != math.Float64bits(want) ||
-						math.Float64bits(dist[j]) != math.Float64bits(math.Sqrt(want)) {
-						t.Fatalf("dim=%d nq=%d np=%d q=%d p=%d: Ordering %v, Tile %v, Distances %v; reference %v (sqrt %v)",
-							dim, nq, np, i, j, row[j], tile[i*np+j], dist[j], want, math.Sqrt(want))
+						math.Float64bits(dist) != math.Float64bits(math.Sqrt(want)) {
+						t.Fatalf("dim=%d nq=%d np=%d q=%d p=%d: Ordering %v, Tile %v, ToDistance %v; reference %v (sqrt %v)",
+							dim, nq, np, i, j, row[j], tile[i*np+j], dist, want, math.Sqrt(want))
 					}
 				}
 			}

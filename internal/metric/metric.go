@@ -28,25 +28,3 @@ func (f Func[P]) Name() string {
 	}
 	return f.Label
 }
-
-// Batch is the vector fast path: distances from one query to many points
-// stored contiguously. flat holds len(out) points of dimension dim, back
-// to back, exactly as in a vec.Dataset.
-type Batch interface {
-	Distances(q []float32, flat []float32, dim int, out []float64)
-}
-
-// BatchDistances computes distances from q to every point in flat using
-// m's Batch implementation when available, falling back to per-point
-// Distance calls otherwise. It returns the number of distance evaluations
-// performed (always len(out)).
-func BatchDistances(m Metric[[]float32], q []float32, flat []float32, dim int, out []float64) int {
-	if b, ok := m.(Batch); ok {
-		b.Distances(q, flat, dim, out)
-		return len(out)
-	}
-	for i := range out {
-		out[i] = m.Distance(q, flat[i*dim:(i+1)*dim])
-	}
-	return len(out)
-}

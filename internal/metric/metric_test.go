@@ -106,14 +106,16 @@ func TestFuncAdapter(t *testing.T) {
 	}
 }
 
-// batchMatchesScalar verifies that a metric's Batch path agrees with its
-// scalar Distance on random data.
+// batchMatchesScalar verifies that a metric's OrderingDistances, converted
+// with ToDistance, reproduces its scalar Distance bit for bit on random
+// data.
 func batchMatchesScalar(t *testing.T, m Metric[[]float32]) {
 	t.Helper()
-	b, ok := m.(Batch)
+	b, ok := m.(OrderingBatch)
 	if !ok {
-		t.Fatalf("%s does not implement Batch", m.Name())
+		t.Fatalf("%s does not implement OrderingBatch", m.Name())
 	}
+	k := NewKernel(m)
 	rng := rand.New(rand.NewSource(7))
 	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 16, 33} {
 		n := 17
@@ -126,11 +128,11 @@ func batchMatchesScalar(t *testing.T, m Metric[[]float32]) {
 			q[i] = rng.Float32()*4 - 2
 		}
 		out := make([]float64, n)
-		b.Distances(q, flat, dim, out)
+		b.OrderingDistances(q, flat, dim, out)
 		for i := 0; i < n; i++ {
-			want := m.Distance(q, flat[i*dim:(i+1)*dim])
-			if !almostEqual(out[i], want, 1e-9) {
-				t.Fatalf("%s dim=%d row=%d: batch %v scalar %v", m.Name(), dim, i, out[i], want)
+			got := k.ToDistance(out[i])
+			if want := m.Distance(q, flat[i*dim:(i+1)*dim]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s dim=%d row=%d: ordering batch %v scalar %v", m.Name(), dim, i, got, want)
 			}
 		}
 	}
@@ -140,27 +142,25 @@ func TestBatchEuclidean(t *testing.T) { batchMatchesScalar(t, Euclidean{}) }
 func TestBatchManhattan(t *testing.T) { batchMatchesScalar(t, Manhattan{}) }
 func TestBatchChebyshev(t *testing.T) { batchMatchesScalar(t, Chebyshev{}) }
 
-func TestBatchDistancesFallback(t *testing.T) {
-	// Minkowski's Batch fast path must agree with per-point Distance calls.
-	m := NewMinkowski(3)
-	flat := []float32{1, 2, 3, 4}
-	q := []float32{0, 0}
-	out := make([]float64, 2)
-	n := BatchDistances(m, q, flat, 2, out)
-	if n != 2 {
-		t.Fatalf("evals=%d", n)
-	}
-	for i := 0; i < 2; i++ {
-		want := m.Distance(q, flat[i*2:(i+1)*2])
-		if !almostEqual(out[i], want, 1e-12) {
-			t.Fatalf("row %d: %v vs %v", i, out[i], want)
+// TestEuclideanDistanceIsExactGrade: Euclidean.Distance reports the exact
+// grade's bits — ToDistance of the kernel ordering — at every dimension,
+// including those where a single-chain float64 sum would round
+// differently from the four-lane one.
+func TestEuclideanDistanceIsExactGrade(t *testing.T) {
+	rng := rand.New(rand.NewSource(2403))
+	k := NewKernel(Euclidean{})
+	for _, dim := range []int{1, 3, 5, 17, 21, 64} {
+		a, b := make([]float32, dim), make([]float32, dim)
+		var ord [1]float64
+		for trial := 0; trial < 1000; trial++ {
+			for i := range a {
+				a[i], b[i] = rng.Float32()*2-1, rng.Float32()*2-1
+			}
+			k.Ordering(a, b, dim, ord[:])
+			if got, want := (Euclidean{}).Distance(a, b), k.ToDistance(ord[0]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("dim=%d trial %d: Distance %v, kernel %v", dim, trial, got, want)
+			}
 		}
-	}
-	// And the fast path gives the same answers via the interface.
-	e := Euclidean{}
-	BatchDistances(e, q, flat, 2, out)
-	if !almostEqual(out[0], e.Distance(q, flat[:2]), 1e-12) {
-		t.Fatal("fast path mismatch")
 	}
 }
 

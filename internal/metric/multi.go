@@ -19,10 +19,11 @@ import (
 // For Euclidean the ordering distance is the squared distance (the sqrt is
 // deferred to the API boundary); for Minkowski it is the p-th power sum;
 // for Manhattan, Chebyshev and generic metrics it is the distance itself.
-// Metrics with a non-identity surrogate implement Orderer; ToDistance /
-// FromDistance convert at the boundary. Because the surrogate is strictly
-// monotone, comparisons, top-k selection and tie-breaking (toward lower
-// ids) in ordering space agree exactly with distance space.
+// Metrics with a non-identity surrogate implement Orderer; the Kernel's
+// ToDistance / FromDistance convert at the boundary. Because the
+// surrogate is strictly monotone, comparisons, top-k selection and
+// tie-breaking (toward lower ids) in ordering space agree exactly with
+// distance space.
 //
 // # Kernel grades
 //
@@ -30,7 +31,7 @@ import (
 // exist:
 //
 //   - NewKernel (exact): per-pair arithmetic is bit-identical to the
-//     single-query Batch/OrderingBatch path, so results are reproducible
+//     single-query OrderingBatch path, so results are reproducible
 //     against the per-query reference down to the last bit, including ties.
 //     Euclidean accumulates squared differences in four float64 lanes
 //     over the float32 rows in place — an AVX2 body on amd64, the scalar
@@ -65,28 +66,12 @@ type Orderer interface {
 	FromDistance(d float64) float64
 }
 
-// OrderingBatch is the single-query ordering-space companion of Batch:
-// identical per-pair arithmetic to Distances with the final ToDistance
-// step omitted.
+// OrderingBatch is the vector fast path: ordering distances from one
+// query to many points stored contiguously. flat holds len(out) points of
+// dimension dim, back to back, exactly as in a vec.Dataset. ToDistance of
+// each output equals the metric's Distance for that pair.
 type OrderingBatch interface {
 	OrderingDistances(q, flat []float32, dim int, out []float64)
-}
-
-// ToDistance converts an ordering distance emitted by m's kernels to the
-// true distance (identity for metrics without an Orderer).
-func ToDistance(m Metric[[]float32], o float64) float64 {
-	if ord, ok := m.(Orderer); ok {
-		return ord.ToDistance(o)
-	}
-	return o
-}
-
-// FromDistance converts a true distance to m's ordering space.
-func FromDistance(m Metric[[]float32], d float64) float64 {
-	if ord, ok := m.(Orderer); ok {
-		return ord.FromDistance(d)
-	}
-	return d
 }
 
 // tileInvocations counts Kernel.Tile calls process-wide. Tests use it to
@@ -146,7 +131,6 @@ type Kernel struct {
 	fast   bool
 	euclid bool
 	ob     OrderingBatch
-	b      Batch
 	ord    Orderer
 }
 
@@ -163,7 +147,6 @@ func newKernel(m Metric[[]float32], fast bool) *Kernel {
 	k := &Kernel{m: m, fast: fast}
 	_, k.euclid = m.(Euclidean)
 	k.ob, _ = m.(OrderingBatch)
-	k.b, _ = m.(Batch)
 	k.ord, _ = m.(Orderer)
 	return k
 }
@@ -278,16 +261,6 @@ func (k *Kernel) Tile(qflat []float32, qn []float64, pflat []float32, pn []float
 		for i := 0; i < nq; i++ {
 			k.ob.OrderingDistances(qflat[i*dim:(i+1)*dim], pflat, dim, out[i*np:(i+1)*np])
 		}
-	case k.b != nil:
-		for i := 0; i < nq; i++ {
-			row := out[i*np : (i+1)*np]
-			k.b.Distances(qflat[i*dim:(i+1)*dim], pflat, dim, row)
-			if k.ord != nil {
-				for j := range row {
-					row[j] = k.ord.FromDistance(row[j])
-				}
-			}
-		}
 	default:
 		for i := 0; i < nq; i++ {
 			q := qflat[i*dim : (i+1)*dim]
@@ -304,20 +277,12 @@ func (k *Kernel) Tile(qflat []float32, qn []float64, pflat []float32, pn []float
 // per-pair arithmetic is the exact grade's four-lane float64 sum,
 // bit-identical to the exact-mode Tile.
 func (k *Kernel) Ordering(q, flat []float32, dim int, out []float64) {
-	switch {
-	case k.ob != nil:
+	if k.ob != nil {
 		k.ob.OrderingDistances(q, flat, dim, out)
-	case k.b != nil:
-		k.b.Distances(q, flat, dim, out)
-		if k.ord != nil {
-			for i := range out {
-				out[i] = k.ord.FromDistance(out[i])
-			}
-		}
-	default:
-		for i := range out {
-			out[i] = k.FromDistance(k.m.Distance(q, flat[i*dim:(i+1)*dim]))
-		}
+		return
+	}
+	for i := range out {
+		out[i] = k.FromDistance(k.m.Distance(q, flat[i*dim:(i+1)*dim]))
 	}
 }
 

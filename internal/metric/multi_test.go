@@ -19,9 +19,10 @@ func randFlat(rng *rand.Rand, n, dim int) []float32 {
 func tileRef(m Metric[[]float32], qflat, pflat []float32, dim int) []float64 {
 	nq, np := len(qflat)/dim, len(pflat)/dim
 	out := make([]float64, nq*np)
+	k := NewKernel(m)
 	for i := 0; i < nq; i++ {
 		for j := 0; j < np; j++ {
-			out[i*np+j] = FromDistance(m, m.Distance(qflat[i*dim:(i+1)*dim], pflat[j*dim:(j+1)*dim]))
+			out[i*np+j] = k.FromDistance(m.Distance(qflat[i*dim:(i+1)*dim], pflat[j*dim:(j+1)*dim]))
 		}
 	}
 	return out
@@ -69,7 +70,7 @@ func TestTileManhattan(t *testing.T) { kernelMatchesScalar(t, Manhattan{}) }
 func TestTileChebyshev(t *testing.T) { kernelMatchesScalar(t, Chebyshev{}) }
 func TestTileMinkowski(t *testing.T) { kernelMatchesScalar(t, NewMinkowski(2.5)) }
 func TestTileAngularFallback(t *testing.T) {
-	// Angular has no Batch path; the kernel must fall back to per-pair
+	// Angular has no OrderingBatch path; the kernel must fall back to per-pair
 	// Distance calls.
 	kernelMatchesScalar(t, Angular{})
 }
@@ -190,22 +191,21 @@ func TestNormsMatchScalar(t *testing.T) {
 }
 
 func TestOrderingConversions(t *testing.T) {
-	e := Euclidean{}
-	if d := ToDistance(e, 9.0); d != 3 {
+	e := NewKernel(Euclidean{})
+	if d := e.ToDistance(9.0); d != 3 {
 		t.Fatalf("euclid ToDistance(9)=%v", d)
 	}
-	if o := FromDistance(e, 3.0); o != 9 {
+	if o := e.FromDistance(3.0); o != 9 {
 		t.Fatalf("euclid FromDistance(3)=%v", o)
 	}
-	mk := NewMinkowski(3)
-	if d := ToDistance(mk, 8.0); math.Abs(d-2) > 1e-12 {
+	if d := NewKernel(NewMinkowski(3)).ToDistance(8.0); math.Abs(d-2) > 1e-12 {
 		t.Fatalf("minkowski ToDistance(8)=%v", d)
 	}
 	// Identity for metrics without an Orderer.
-	if d := ToDistance(Manhattan{}, 5.0); d != 5 {
+	if d := NewKernel(Manhattan{}).ToDistance(5.0); d != 5 {
 		t.Fatalf("manhattan ToDistance(5)=%v", d)
 	}
-	if o := FromDistance(Chebyshev{}, 5.0); o != 5 {
+	if o := NewKernel(Chebyshev{}).FromDistance(5.0); o != 5 {
 		t.Fatalf("chebyshev FromDistance(5)=%v", o)
 	}
 }
@@ -229,8 +229,8 @@ func TestOrderingBound(t *testing.T) {
 	}
 }
 
-// TestMinkowskiBatch: the new Batch fast path must agree with the scalar
-// Distance (the previous behavior was a silent per-point fallback).
+// TestMinkowskiBatch: the power-sum OrderingDistances, converted back,
+// must agree with the scalar Distance.
 func TestMinkowskiBatch(t *testing.T) {
 	batchMatchesScalar(t, NewMinkowski(2.5))
 	batchMatchesScalar(t, NewMinkowski(1))

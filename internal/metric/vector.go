@@ -10,26 +10,14 @@ import (
 // brute force are tie-stable on float32 data.
 type Euclidean struct{}
 
-// Distance implements Metric.
+// Distance implements Metric: the sqrt of the exact grade's four-lane
+// sum (see exact.go), so it carries the same bits as every kernel path.
 func (Euclidean) Distance(a, b []float32) float64 {
-	var s float64
-	for i := range a {
-		d := float64(a[i]) - float64(b[i])
-		s += d * d
-	}
-	return math.Sqrt(s)
+	return math.Sqrt(euclidExactPair(a, b))
 }
 
 // Name implements Metric.
 func (Euclidean) Name() string { return "euclidean" }
-
-// Distances implements Batch: the sqrt of the exact-grade orderings.
-func (e Euclidean) Distances(q []float32, flat []float32, dim int, out []float64) {
-	e.OrderingDistances(q, flat, dim, out)
-	for i := range out {
-		out[i] = math.Sqrt(out[i])
-	}
-}
 
 // OrderingDistances implements OrderingBatch: squared distances in the
 // exact grade's four-lane float64 accumulation (see exact.go), the sqrt
@@ -62,12 +50,7 @@ func (Manhattan) Name() string { return "manhattan" }
 
 // OrderingDistances implements OrderingBatch; the l1 ordering distance is
 // the distance itself.
-func (m Manhattan) OrderingDistances(q []float32, flat []float32, dim int, out []float64) {
-	m.Distances(q, flat, dim, out)
-}
-
-// Distances implements Batch.
-func (Manhattan) Distances(q []float32, flat []float32, dim int, out []float64) {
+func (Manhattan) OrderingDistances(q []float32, flat []float32, dim int, out []float64) {
 	for i := range out {
 		row := flat[i*dim : (i+1)*dim]
 		var s float64
@@ -98,12 +81,7 @@ func (Chebyshev) Name() string { return "chebyshev" }
 
 // OrderingDistances implements OrderingBatch; the l∞ ordering distance is
 // the distance itself.
-func (c Chebyshev) OrderingDistances(q []float32, flat []float32, dim int, out []float64) {
-	c.Distances(q, flat, dim, out)
-}
-
-// Distances implements Batch.
-func (Chebyshev) Distances(q []float32, flat []float32, dim int, out []float64) {
+func (Chebyshev) OrderingDistances(q []float32, flat []float32, dim int, out []float64) {
 	for i := range out {
 		row := flat[i*dim : (i+1)*dim]
 		var m float64
@@ -153,16 +131,6 @@ func (m Minkowski) OrderingDistances(q []float32, flat []float32, dim int, out [
 			s += math.Pow(math.Abs(float64(q[j])-float64(row[j])), m.P)
 		}
 		out[i] = s
-	}
-}
-
-// Distances implements Batch, sharing the power-sum loop with
-// OrderingDistances so batch and scalar paths agree.
-func (m Minkowski) Distances(q []float32, flat []float32, dim int, out []float64) {
-	m.OrderingDistances(q, flat, dim, out)
-	inv := 1 / m.P
-	for i := range out {
-		out[i] = math.Pow(out[i], inv)
 	}
 }
 

@@ -37,11 +37,11 @@ import (
 //     class distance, no duplicates): the quantized two-pass scan. Exact
 //     rescoring makes its reported distances bit-true, but the candidate
 //     heap may truncate a duplicate class at the over-fetch boundary.
-//   - ULP-TOLERANT tie rule: the tree baselines (kd-tree, cover tree)
-//     accumulate distances in a different association order, so their
-//     values can drift in trailing ulps; distances must match within
-//     tolerance and ids must match exactly wherever the reference is
-//     unambiguous (strictly inside the k-boundary tie band).
+//   - ULP-TOLERANT tie rule: the tree baselines (kd-tree, cover tree).
+//     Both report exact-grade distances, but neither documents a
+//     tie-breaking contract; distances must match within tolerance and
+//     ids must match exactly wherever the reference is unambiguous
+//     (strictly inside the k-boundary tie band).
 
 // equivalenceCorpus is the checked-in fuzz seed corpus. `go test` runs
 // every entry deterministically (both through the corpus test below and
@@ -151,10 +151,10 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 
 	// Assemble backends. Index builds reject empty databases — that IS
 	// the n=0 contract — so only the index-free backends run there.
-	exactBits := map[string]BatchSearcher{
-		"bruteforce": NewBruteForce(db, m),
+	exactBits := map[string]backend{
+		"bruteforce": bruteForceBackend(db, m, k),
 	}
-	tolerant := map[string]BatchSearcher{}
+	tolerant := map[string]backend{}
 	var exactIdx *core.Exact
 	if n > 0 {
 		var err error
@@ -162,7 +162,7 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 		if err != nil {
 			t.Fatalf("BuildExact: %v", err)
 		}
-		exactBits["exact"] = exactIdx
+		exactBits["exact"] = indexBackend(exactIdx.KNN, exactIdx.KNNBatch, k)
 		// One-shot is approximate in general, but with S = n every
 		// ownership list holds the whole database, so any probed list
 		// yields the exact answer through the same ordering-space
@@ -171,29 +171,27 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 		if err != nil {
 			t.Fatalf("BuildOneShot: %v", err)
 		}
-		exactBits["oneshot-full"] = oneshot
+		exactBits["oneshot-full"] = indexBackend(oneshot.KNN, oneshot.KNNBatch, k)
 	} else {
 		if _, err := core.BuildExact(db, m, core.ExactParams{Seed: seed}); err == nil {
 			t.Fatal("BuildExact accepted an empty database")
 		}
 	}
-	tolerant["kdtree"] = FromKDTree(kdtree.Build(db, 0))
-	tolerant["covertree"] = FromCoverTree(covertree.Build(db.Rows(), metric.Metric[[]float32](m)))
+	tolerant["kdtree"] = kdTreeBackend(kdtree.Build(db, 0), k)
+	tolerant["covertree"] = coverTreeBackend(covertree.Build(db.Rows(), m), k)
 
-	for name, s := range exactBits {
-		batch, _ := s.KNNBatch(queries, k)
+	for name, b := range exactBits {
+		batch, _ := b.batch(queries)
 		for i := 0; i < nq; i++ {
 			assertBitEqual(t, fmt.Sprintf("%s query %d vs reference", name, i), batch[i], want[i])
-			one, _ := s.KNN(queries.Row(i), k)
-			assertBitEqual(t, fmt.Sprintf("%s query %d batch vs per-query", name, i), batch[i], one)
+			assertBitEqual(t, fmt.Sprintf("%s query %d batch vs per-query", name, i), batch[i], b.knn(queries.Row(i)))
 		}
 	}
-	for name, s := range tolerant {
-		batch, _ := s.KNNBatch(queries, k)
+	for name, b := range tolerant {
+		batch, _ := b.batch(queries)
 		for i := 0; i < nq; i++ {
 			assertTieEquivalent(t, fmt.Sprintf("%s query %d vs reference", name, i), batch[i], want[i])
-			one, _ := s.KNN(queries.Row(i), k)
-			assertBitEqual(t, fmt.Sprintf("%s query %d batch vs per-query", name, i), batch[i], one)
+			assertBitEqual(t, fmt.Sprintf("%s query %d batch vs per-query", name, i), batch[i], b.knn(queries.Row(i)))
 		}
 	}
 
@@ -237,7 +235,7 @@ func assertBitEqual(t *testing.T, label string, got, want []par.Neighbor) {
 // is the ordering-tie rule of the quantized two-pass scan: its candidate
 // heap can truncate an equal-distance class at the over-fetch boundary,
 // so a boundary tie may legitimately surface a different member.
-func assertOrderingTie(t *testing.T, label string, got, want []par.Neighbor, q []float32, db *vec.Dataset, m Metric) {
+func assertOrderingTie(t *testing.T, label string, got, want []par.Neighbor, q []float32, db *vec.Dataset, m metric.Metric[[]float32]) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d neighbors, want %d", label, len(got), len(want))

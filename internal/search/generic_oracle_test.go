@@ -8,6 +8,7 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -26,13 +27,6 @@ import (
 //     not as work. See core.Stats.
 //   - Exact evaluates every representative once, in phase 1, so
 //     RepEvals is |R| per query on both sides.
-//   - GenericExact calls m.Distance where Exact calls the exact-grade
-//     kernel. Euclidean.Distance accumulates in one chain and the kernel
-//     in four, so the two agree bit for bit only where float64 sums are
-//     exact — the half-integer lattice of the equivalence corpus. Off
-//     the lattice the generic side runs over a metric that calls the
-//     kernel (kernelMetric), which pins the arithmetic without touching
-//     the algorithm under test.
 //   - Owners are chosen in ordering space by Exact and in distance space
 //     by GenericExact. Two representatives at distinct squared distances
 //     whose square roots round to the same float64 would be a tie only
@@ -55,13 +49,13 @@ func FuzzGenericOracle(f *testing.F) {
 		db := tieRich(rng, n, dim)
 		queries := tieRich(rng, 12, dim)
 		copy(queries.Row(0), db.Row(rng.Intn(n)))
-		checkGenericOracle(t, seed, db, queries, metric.Euclidean{})
+		checkGenericOracle(t, seed, db, queries)
 	})
 }
 
 // TestGenericOracleOffLattice runs the oracle on Gaussian rows, where
-// only the kernel-backed metric keeps the two sides in the same
-// arithmetic.
+// float64 sums round: the two sides stay bit-identical because
+// Euclidean.Distance is the sqrt of the kernel's exact-grade sum.
 func TestGenericOracleOffLattice(t *testing.T) {
 	for _, c := range []struct {
 		seed   int64
@@ -82,26 +76,15 @@ func TestGenericOracleOffLattice(t *testing.T) {
 			}
 			db, queries := gauss(c.n), gauss(12)
 			copy(queries.Row(0), db.Row(rng.Intn(c.n)))
-			checkGenericOracle(t, c.seed, db, queries, kernelMetric(metric.Euclidean{}, c.dim))
+			checkGenericOracle(t, c.seed, db, queries)
 		})
 	}
 }
 
-// kernelMetric is m evaluated through the exact-grade kernel: the same
-// per-pair arithmetic core.Exact reports answers in.
-func kernelMetric(m metric.Metric[[]float32], dim int) metric.Metric[[]float32] {
-	ker := metric.NewKernel(m)
-	return metric.Func[[]float32]{Label: m.Name(), F: func(a, b []float32) float64 {
-		var o [1]float64
-		ker.Ordering(a, b, dim, o[:])
-		return ker.ToDistance(o[0])
-	}}
-}
-
-// checkGenericOracle compares core.Exact (built with Euclidean) against
-// core.GenericExact (built with gm over the same rows) on every query
-// path, k ∈ {1, 10}.
-func checkGenericOracle(t *testing.T, seed int64, db, queries *vec.Dataset, gm metric.Metric[[]float32]) {
+// checkGenericOracle compares core.Exact against core.GenericExact, both
+// built with Euclidean over the same rows, on every query path,
+// k ∈ {1, 10}.
+func checkGenericOracle(t *testing.T, seed int64, db, queries *vec.Dataset) {
 	t.Helper()
 	m := metric.Euclidean{}
 	nq := queries.N()
@@ -110,7 +93,7 @@ func checkGenericOracle(t *testing.T, seed int64, db, queries *vec.Dataset, gm m
 	if err != nil {
 		t.Fatalf("BuildExact: %v", err)
 	}
-	gen, err := core.BuildGenericExact(db.Rows(), gm, prm)
+	gen, err := core.BuildGenericExact(db.Rows(), m, prm)
 	if err != nil {
 		t.Fatalf("BuildGenericExact: %v", err)
 	}
@@ -120,7 +103,7 @@ func checkGenericOracle(t *testing.T, seed int64, db, queries *vec.Dataset, gm m
 	for _, k := range []int{1, 10} {
 		label := fmt.Sprintf("k=%d", k)
 		var wantAgg core.Stats
-		want := make([][]Neighbor, nq)
+		want := make([][]par.Neighbor, nq)
 		for i := 0; i < nq; i++ {
 			var st core.Stats
 			want[i], st = gen.KNN(queries.Row(i), k)

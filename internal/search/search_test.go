@@ -1,3 +1,7 @@
+// Package search holds the cross-backend test suites: the equivalence
+// corpus, the GenericExact oracle, the mutate/query histories and the
+// public facade's bit-identity tests. It has no non-test code; every suite
+// calls each backend's own entry points.
 package search
 
 import (
@@ -10,8 +14,58 @@ import (
 	"repro/internal/kdtree"
 	"repro/internal/lsh"
 	"repro/internal/metric"
+	"repro/internal/par"
 	"repro/internal/vec"
 )
+
+// backend is one k-NN backend's own entry points at a fixed k: the
+// per-query answer, and the block answer with the block's distance
+// evaluations.
+type backend struct {
+	knn   func(q []float32) []par.Neighbor
+	batch func(queries *vec.Dataset) ([][]par.Neighbor, int64)
+}
+
+// indexBackend binds an RBC index's KNN and KNNBatch method values.
+func indexBackend(knn func([]float32, int) ([]par.Neighbor, core.Stats), batch func(*vec.Dataset, int) ([][]par.Neighbor, core.Stats), k int) backend {
+	return backend{
+		knn: func(q []float32) []par.Neighbor { nbs, _ := knn(q, k); return nbs },
+		batch: func(qs *vec.Dataset) ([][]par.Neighbor, int64) {
+			nbs, st := batch(qs, k)
+			return nbs, st.TotalEvals()
+		},
+	}
+}
+
+func bruteForceBackend(db *vec.Dataset, m metric.Metric[[]float32], k int) backend {
+	return backend{
+		knn: func(q []float32) []par.Neighbor { return bruteforce.SearchOneK(q, db, k, m, nil) },
+		batch: func(qs *vec.Dataset) ([][]par.Neighbor, int64) {
+			var c bruteforce.Counter
+			return bruteforce.SearchK(qs, db, k, m, &c), c.Load()
+		},
+	}
+}
+
+func kdTreeBackend(t *kdtree.Tree, k int) backend {
+	return backend{
+		knn:   func(q []float32) []par.Neighbor { return t.KNN(q, k) },
+		batch: func(qs *vec.Dataset) ([][]par.Neighbor, int64) { return t.KNNBatch(qs, k) },
+	}
+}
+
+// coverTreeBackend reads the tree's evaluation counter around the block;
+// the tree is not safe for concurrent use.
+func coverTreeBackend(t *covertree.Tree[[]float32], k int) backend {
+	return backend{
+		knn: func(q []float32) []par.Neighbor { return t.KNN(q, k) },
+		batch: func(qs *vec.Dataset) ([][]par.Neighbor, int64) {
+			before := t.DistEvals
+			nbs := t.KNNBatch(qs.Rows(), k)
+			return nbs, t.DistEvals - before
+		},
+	}
+}
 
 func clustered(rng *rand.Rand, n, dim, k int) *vec.Dataset {
 	centers := make([][]float32, k)
@@ -33,7 +87,7 @@ func clustered(rng *rand.Rand, n, dim, k int) *vec.Dataset {
 	return d
 }
 
-func sameNeighbors(t *testing.T, label string, got, want []Neighbor) {
+func sameNeighbors(t *testing.T, label string, got, want []par.Neighbor) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d neighbors, want %d", label, len(got), len(want))
@@ -65,32 +119,27 @@ func TestBatchMatchesPerQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([][]float32, db.N())
-	for i := range rows {
-		rows[i] = db.Row(i)
+	backends := map[string]backend{
+		"exact":      indexBackend(exact.KNN, exact.KNNBatch, k),
+		"oneshot":    indexBackend(oneshot.KNN, oneshot.KNNBatch, k),
+		"bruteforce": bruteForceBackend(db, m, k),
+		"kdtree":     kdTreeBackend(kdtree.Build(db, 0), k),
+		"lsh": {
+			knn:   func(q []float32) []par.Neighbor { nbs, _ := lshIdx.KNN(q, k); return nbs },
+			batch: func(qs *vec.Dataset) ([][]par.Neighbor, int64) { return lshIdx.SearchK(qs, k) },
+		},
+		"covertree": coverTreeBackend(covertree.Build(db.Rows(), m), k),
 	}
-	backends := map[string]Searcher{
-		"exact":      exact,
-		"oneshot":    oneshot,
-		"bruteforce": NewBruteForce(db, m),
-		"kdtree":     FromKDTree(kdtree.Build(db, 0)),
-		"lsh":        FromLSH(lshIdx),
-		"covertree":  FromCoverTree(covertree.Build(rows, m)),
-	}
-	for name, s := range backends {
-		batch, bst := KNNBatch(s, queries, k)
-		var perEvals int64
+	for name, b := range backends {
+		batch, evals := b.batch(queries)
 		for i := 0; i < queries.N(); i++ {
-			one, st := s.KNN(queries.Row(i), k)
-			sameNeighbors(t, name, batch[i], one)
-			perEvals += st.TotalEvals()
+			sameNeighbors(t, name, batch[i], b.knn(queries.Row(i)))
 		}
 		// LSH may legitimately evaluate nothing (all probes can land in
 		// empty buckets); every other backend must report work.
-		if name != "lsh" && bst.TotalEvals() <= 0 {
-			t.Fatalf("%s: batch stats report no work", name)
+		if name != "lsh" && evals <= 0 {
+			t.Fatalf("%s: batch reports no work", name)
 		}
-		_ = perEvals // eval counts may differ across paths; results may not
 	}
 }
 
@@ -106,11 +155,11 @@ func TestExactBackendsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]Searcher{
-		"exact":      exact,
-		"bruteforce": NewBruteForce(db, m),
+	for name, b := range map[string]backend{
+		"exact":      indexBackend(exact.KNN, exact.KNNBatch, k),
+		"bruteforce": bruteForceBackend(db, m, k),
 	} {
-		got, _ := KNNBatch(s, queries, k)
+		got, _ := b.batch(queries)
 		for i := 0; i < queries.N(); i++ {
 			want := bruteforce.SearchOneK(queries.Row(i), db, k, m, nil)
 			sameNeighbors(t, name, got[i], want)
@@ -118,48 +167,20 @@ func TestExactBackendsMatchReference(t *testing.T) {
 	}
 }
 
-// RangeBatch must agree with per-query Range for both range backends.
+// Exact.RangeBatch must agree with per-query Exact.Range.
 func TestRangeBatchMatchesPerQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := clustered(rng, 400, 4, 5)
 	queries := clustered(rand.New(rand.NewSource(11)), 20, 4, 5)
-	m := metric.Euclidean{}
 	const eps = 1.2
 
-	exact, err := core.BuildExact(db, m, core.ExactParams{Seed: 4})
+	exact, err := core.BuildExact(db, metric.Euclidean{}, core.ExactParams{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, s := range map[string]RangeSearcher{
-		"exact":      exact,
-		"bruteforce": NewBruteForce(db, m),
-	} {
-		batch, _ := s.RangeBatch(queries, eps)
-		for i := 0; i < queries.N(); i++ {
-			one, _ := s.Range(queries.Row(i), eps)
-			sameNeighbors(t, name, batch[i], one)
-		}
-	}
-}
-
-// The generic KNNBatch helper must fall back cleanly for a Searcher that
-// lacks a batch entry point.
-type perQueryOnly struct{ s Searcher }
-
-func (p perQueryOnly) KNN(q []float32, k int) ([]Neighbor, Stats) { return p.s.KNN(q, k) }
-
-func TestKNNBatchFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	db := clustered(rng, 300, 4, 4)
-	queries := clustered(rand.New(rand.NewSource(13)), 10, 4, 4)
-	m := metric.Euclidean{}
-	bf := NewBruteForce(db, m)
-	got, gst := KNNBatch(perQueryOnly{bf}, queries, 2)
-	want, _ := KNNBatch(bf, queries, 2)
-	for i := range want {
-		sameNeighbors(t, "fallback", got[i], want[i])
-	}
-	if gst.TotalEvals() != int64(queries.N()*db.N()) {
-		t.Fatalf("fallback evals %d want %d", gst.TotalEvals(), queries.N()*db.N())
+	batch, _ := exact.RangeBatch(queries, eps)
+	for i := 0; i < queries.N(); i++ {
+		one, _ := exact.Range(queries.Row(i), eps)
+		sameNeighbors(t, "exact", batch[i], one)
 	}
 }

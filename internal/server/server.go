@@ -50,17 +50,24 @@ import (
 	"repro/internal/core"
 	"repro/internal/metric"
 	"repro/internal/par"
-	"repro/internal/search"
 	"repro/internal/vec"
 )
+
+// reader is the index as /query sees it: per-query KNN, and the block
+// entry point the coalescer flushes through. *core.Exact and
+// *core.OneShot implement it.
+type reader interface {
+	KNN(q []float32, k int) ([]par.Neighbor, core.Stats)
+	KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, core.Stats)
+}
 
 // Server wraps one index over one dataset.
 type Server struct {
 	mu      sync.RWMutex
 	db      *vec.Dataset
 	m       metric.Metric[[]float32]
-	idx     search.BatchSearcher // the index, as /query sees it
-	exact   *core.Exact          // the same index when it is exact, for /range, mutation, durability; else nil
+	idx     reader      // the index, as /query sees it
+	exact   *core.Exact // the same index when it is exact, for /range, mutation, durability; else nil
 	numReps func() int
 	mux     *http.ServeMux
 	co      *coalescer  // non-nil when query coalescing is enabled

@@ -1,12 +1,9 @@
 // Package stats provides the evaluation machinery for the experiments:
-// the paper's rank error measure (§7.2), summary statistics, result
-// tables and ASCII charts for figure reproduction.
+// the paper's rank error measure (§7.2), result tables and ASCII charts
+// for figure reproduction.
 package stats
 
 import (
-	"math"
-	"sort"
-
 	"repro/internal/metric"
 	"repro/internal/par"
 	"repro/internal/vec"
@@ -18,6 +15,7 @@ import (
 // nearest, and so on.
 func Rank(q []float32, db *vec.Dataset, returnedDist float64, m metric.Metric[[]float32]) int {
 	n := db.N()
+	ker := metric.NewKernel(m)
 	count := 0
 	const chunk = 1024
 	var scratch [chunk]float64
@@ -27,9 +25,9 @@ func Rank(q []float32, db *vec.Dataset, returnedDist float64, m metric.Metric[[]
 			hi = n
 		}
 		out := scratch[:hi-lo]
-		metric.BatchDistances(m, q, db.Data[lo*db.Dim:hi*db.Dim], db.Dim, out)
-		for _, d := range out {
-			if d < returnedDist {
+		ker.Ordering(q, db.Data[lo*db.Dim:hi*db.Dim], db.Dim, out)
+		for _, o := range out {
+			if ker.ToDistance(o) < returnedDist {
 				count++
 			}
 		}
@@ -71,59 +69,4 @@ func Recall(got, want []float64) float64 {
 		}
 	}
 	return float64(c) / float64(len(got))
-}
-
-// Summary holds basic order statistics of a sample.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-	P50, P90, P99  float64
-	Std            float64
-}
-
-// Summarize computes order statistics; it copies the input before
-// sorting.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	s.Min, s.Max = cp[0], cp[len(cp)-1]
-	var sum, sumsq float64
-	for _, v := range cp {
-		sum += v
-		sumsq += v * v
-	}
-	s.Mean = sum / float64(len(cp))
-	variance := sumsq/float64(len(cp)) - s.Mean*s.Mean
-	if variance > 0 {
-		s.Std = math.Sqrt(variance)
-	}
-	s.P50 = Percentile(cp, 0.50)
-	s.P90 = Percentile(cp, 0.90)
-	s.P99 = Percentile(cp, 0.99)
-	return s
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 1) of an ascending
-// sorted slice using nearest-rank interpolation.
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -56,47 +55,6 @@ func TestRecall(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 {
-		t.Fatalf("summary %+v", s)
-	}
-	if s.P50 != 2.5 {
-		t.Fatalf("p50=%v", s.P50)
-	}
-	if s.Std <= 0 {
-		t.Fatalf("std=%v", s.Std)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Fatal("empty summary")
-	}
-	one := Summarize([]float64{7})
-	if one.Min != 7 || one.Max != 7 || one.P99 != 7 {
-		t.Fatalf("singleton %+v", one)
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Summarize(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Summarize must not sort its input")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	if Percentile(xs, 0) != 10 || Percentile(xs, 1) != 40 {
-		t.Fatal("endpoints")
-	}
-	if got := Percentile(xs, 0.5); got != 25 {
-		t.Fatalf("p50=%v", got)
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Fatal("empty percentile")
-	}
-}
-
 // Property: rank is monotone in the returned distance.
 func TestQuickRankMonotone(t *testing.T) {
 	m := metric.Euclidean{}
@@ -114,32 +72,6 @@ func TestQuickRankMonotone(t *testing.T) {
 		return Rank(q, db, d1, m) <= Rank(q, db, d2, m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Percentile is monotone in p and brackets min/max.
-func TestQuickPercentileMonotone(t *testing.T) {
-	f := func(raw []float64, p1, p2 float64) bool {
-		xs := raw[:0]
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		sort.Float64s(xs)
-		clamp := func(p float64) float64 { return math.Abs(math.Mod(p, 1)) }
-		a, b := clamp(p1), clamp(p2)
-		if a > b {
-			a, b = b, a
-		}
-		va, vb := Percentile(xs, a), Percentile(xs, b)
-		return va <= vb && va >= xs[0] && vb <= xs[len(xs)-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

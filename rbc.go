@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metric"
 	"repro/internal/par"
-	"repro/internal/search"
 	"repro/internal/vec"
 )
 
@@ -79,16 +78,21 @@ func BruteForceK(queries, db *Dataset, k int, m Metric) [][]Neighbor {
 // Neighbor is a k-NN result entry: database id and distance.
 type Neighbor = par.Neighbor
 
-// Searcher is the single-query surface shared by every index backend;
-// see internal/search for the batch query plane it anchors.
-type Searcher = search.Searcher
+// Searcher is the single-query k-NN surface of the indexes. Results are
+// sorted by ascending distance, ties toward the lower id.
+type Searcher interface {
+	KNN(q []float32, k int) ([]Neighbor, Stats)
+}
 
 // BatchSearcher adds the batch-first entry point KNNBatch, which answers
 // a whole query block at once (one tiled BF(Q,R) front half plus, on
 // Exact, grouped list scans, instead of per-query sweeps). Exact and
 // OneShot implement it natively; KNNBatch(queries, k) is bit-identical to
 // calling KNN per row, only faster.
-type BatchSearcher = search.BatchSearcher
+type BatchSearcher interface {
+	Searcher
+	KNNBatch(queries *Dataset, k int) ([][]Neighbor, Stats)
+}
 
 // Compile-time proof that the public index types are batch-first.
 var (
