@@ -1,11 +1,10 @@
 // Benchmarks regenerating the paper's tables and figures, one benchmark
 // function per artifact. These run at reduced scale so `go test -bench=.`
 // finishes in minutes; use cmd/rbc-bench for the full sweeps and
-// EXPERIMENTS.md for recorded results. Custom metrics:
+// CHANGES.md for recorded results. Custom metrics:
 //
 //	evals/query   machine-independent work per query
 //	speedup       brute-force work / RBC work (the paper's headline axis)
-//	Mcycles       simulated GPU cycles (Table 2)
 package rbc_test
 
 import (
@@ -18,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/covertree"
 	"repro/internal/dataset"
-	"repro/internal/gpusim"
 	"repro/internal/metric"
 	"repro/internal/par"
 	"repro/internal/stats"
@@ -28,7 +26,6 @@ import (
 const (
 	benchN       = 4000 // database size per workload
 	benchQueries = 64   // queries per iteration
-	benchGPUN    = 800  // SIMT-simulated database size
 	benchSeed    = 20120501
 )
 
@@ -91,7 +88,7 @@ func BenchmarkTable1_DatasetBuild(b *testing.B) {
 
 // BenchmarkFig1_OneShotTradeoff measures one-shot batch search at the
 // n_r = s = 2√n setting and reports the work speedup and rank error that
-// Figure 1 plots.
+// Figure 1 plots; that speedup is Table 2's number.
 func BenchmarkFig1_OneShotTradeoff(b *testing.B) {
 	for _, name := range benchSets {
 		b.Run(name, func(b *testing.B) {
@@ -150,37 +147,6 @@ func BenchmarkFig2_ExactSpeedup(b *testing.B) {
 			b.ReportMetric(float64(db.N())/evalsPerQ, "speedup")
 		})
 	}
-}
-
-// BenchmarkTable2_GPUSim measures the simulated-cycle cost of the GPU
-// brute-force and one-shot pipelines; their ratio is Table 2's speedup.
-func BenchmarkTable2_GPUSim(b *testing.B) {
-	db, queries := benchWorkload(b, "robot", benchGPUN)
-	dev, err := gpusim.NewDevice(gpusim.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("brute", func(b *testing.B) {
-		var st gpusim.Stats
-		for i := 0; i < b.N; i++ {
-			_, st = gpusim.BruteForceNN(dev, queries, db)
-		}
-		b.ReportMetric(float64(st.Cycles)/1e6, "Mcycles")
-	})
-	b.Run("oneshot", func(b *testing.B) {
-		nr := int(2 * math.Sqrt(float64(db.N())))
-		idx, err := gpusim.BuildOneShotIndex(db, nr, nr, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var st gpusim.Stats
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, st = gpusim.OneShotNN(dev, queries, idx)
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(st.Cycles)/1e6, "Mcycles")
-	})
 }
 
 // BenchmarkTable3_CoverTreeVsRBC measures sequential cover-tree queries

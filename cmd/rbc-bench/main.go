@@ -1,13 +1,12 @@
 // Command rbc-bench runs the paper-reproduction experiments. Each
-// experiment regenerates one table or figure of Cayton (2012) — see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
-// results.
+// experiment regenerates one table or figure of Cayton (2012) — `-list`
+// prints the experiment index, and CHANGES.md records measured results.
 //
 // Usage:
 //
 //	rbc-bench -list
 //	rbc-bench -exp fig2                     # one experiment
-//	rbc-bench -exp paper                    # table1 fig1 fig2 table2 table3 fig3
+//	rbc-bench -exp paper                    # table1 fig1 fig2 table3 fig3
 //	rbc-bench -exp all -scale 0.02 -out results/
 //	rbc-bench -shard-addrs a:1,b:2          # networked cluster vs loopback
 //	rbc-bench -shard-addrs a:1,a:2,b:1,b:2 -replicas 2 -max-hedges 1 -net-slow 50ms
@@ -149,7 +148,7 @@ func selectExperiments(spec string) []string {
 		}
 		return ids
 	case "paper":
-		return []string{"table1", "fig1", "fig2", "table2", "table3", "fig3"}
+		return []string{"table1", "fig1", "fig2", "table3", "fig3"}
 	default:
 		var ids []string
 		for _, id := range strings.Split(spec, ",") {

@@ -16,7 +16,7 @@ func TestSelectExperiments(t *testing.T) {
 		t.Fatalf("all: %d experiments, want %d", len(all), len(harness.Registry()))
 	}
 	paper := selectExperiments("paper")
-	want := []string{"table1", "fig1", "fig2", "table2", "table3", "fig3"}
+	want := []string{"table1", "fig1", "fig2", "table3", "fig3"}
 	if len(paper) != len(want) {
 		t.Fatalf("paper: %v", paper)
 	}

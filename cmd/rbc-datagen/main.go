@@ -1,5 +1,6 @@
 // Command rbc-datagen materializes the synthetic benchmark workloads
-// (Table 1 equivalents; see DESIGN.md §3 for the substitution rationale)
+// (Table 1 equivalents; internal/dataset's package comment gives the
+// substitution rationale)
 // as binary or CSV files consumable by rbc-query and by external tools.
 //
 // Usage:

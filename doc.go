@@ -157,7 +157,7 @@
 // examples/editdistance.
 //
 // The repository also contains the full reproduction harness for the
-// paper's evaluation: see DESIGN.md for the system inventory, cmd/rbc-bench
-// for the experiment runner, and EXPERIMENTS.md for paper-vs-measured
-// results.
+// paper's evaluation: see ARCHITECTURE.md's Experiments section for the
+// system inventory, cmd/rbc-bench (`rbc-bench -list`) for the experiment
+// runner, and CHANGES.md for recorded results.
 package rbc

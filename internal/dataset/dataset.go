@@ -4,7 +4,7 @@
 // are not redistributable here, so each generator reproduces what actually
 // matters for RBC behaviour: the ambient dimension and the *intrinsic*
 // dimension (expansion rate) ordering of the originals — covertype lowest,
-// physics highest — as documented in DESIGN.md.
+// physics highest.
 //
 // All generators are deterministic in (n, seed).
 package dataset

@@ -75,8 +75,8 @@ func TestRobotPhysicalStructure(t *testing.T) {
 }
 
 func TestIntrinsicDimensionOrdering(t *testing.T) {
-	// The substitution contract (DESIGN.md): covertype must have lower
-	// intrinsic dimension than physics, and tiny4 lower than tiny32.
+	// The substitution contract (the package comment): covertype must have
+	// lower intrinsic dimension than physics, and tiny4 lower than tiny32.
 	opts := expansion.Options{Samples: 16, Seed: 9}
 	m := metric.Euclidean{}
 	cov := expansion.Vectors(Covertype(1200, 5), m, opts)

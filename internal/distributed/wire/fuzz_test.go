@@ -23,18 +23,7 @@ const scanFlagsAt = 12
 // over-claim counts or set unknown flags.
 func FuzzDecodeScanRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// TotalAlloc is process-wide, and under -fuzz the engine's own
-		// goroutines allocate a few KiB now and then. Decoding is
-		// deterministic, so a body fails only if three measurements all
-		// exceed the limit.
-		limit := uint64(8*len(body) + 1024)
-		grew := decodeAllocBytes(body)
-		for try := 1; try < 3 && grew > limit; try++ {
-			grew = min(grew, decodeAllocBytes(body))
-		}
-		if grew > limit {
-			t.Fatalf("decoding a %d-byte body allocated %d bytes (limit %d)", len(body), grew, limit)
-		}
+		checkDecodeAlloc(t, body, func(b []byte) { DecodeScanRequest(b) })
 		r, err := DecodeScanRequest(body)
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) || r != nil {
@@ -64,13 +53,110 @@ func FuzzDecodeScanRequest(f *testing.F) {
 	})
 }
 
-// decodeAllocBytes returns the bytes the process allocated while
-// DecodeScanRequest parsed body.
-func decodeAllocBytes(body []byte) uint64 {
+// FuzzDecodeScanReply feeds arbitrary MsgScanReply bodies — what a
+// coordinator reads from a shard — to the decoder, under the same
+// contract as FuzzDecodeScanRequest: ErrTruncated or a reply that
+// re-encodes to the same body, no panic, allocation bounded by the body.
+// Each query's neighbour list costs a 24-byte slice header per 4-byte
+// count. The seed corpus in testdata/fuzz/FuzzDecodeScanReply holds a
+// well-formed reply, an empty body, a truncated one, one with a trailing
+// byte, and over-claimed query and neighbour counts.
+func FuzzDecodeScanReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeAlloc(t, body, func(b []byte) { DecodeScanReply(b) })
+		r, err := DecodeScanReply(body)
+		if err != nil {
+			if !errors.Is(err, ErrTruncated) || r != nil {
+				t.Fatalf("decode returned (%v, %v), want (nil, ErrTruncated)", r, err)
+			}
+			return
+		}
+		if got := EncodeScanReply(r)[frameHead+2:]; !bytes.Equal(got, body) {
+			t.Fatalf("re-encoded body differs:\n got %x\nwant %x", got, body)
+		}
+	})
+}
+
+// shardStateRepsAt is the offset of the representative count in a
+// MsgLoad body, after ID, Dim, Epoch and the metric's kind byte and P.
+const shardStateRepsAt = 21
+
+// FuzzDecodeShardState feeds arbitrary MsgLoad bodies — what a shard
+// reads from a coordinator — to the decoder. Every input must fail with
+// an error or decode to a state that satisfies the offsets invariants
+// (one more offset than representatives, starting at 0, ending at the
+// member count, never decreasing), whose columns agree with the member
+// count, and that re-encodes to the same body. The decoder reads any
+// nonzero IsRep byte or SegDists flag as set, and the encoder writes 1,
+// so those bytes are compared as booleans. Decoding must never panic,
+// and its allocation is bounded as in FuzzDecodeScanRequest. The seed
+// corpus in testdata/fuzz/FuzzDecodeShardState holds well-formed states
+// with and without SegDists, an empty body, a truncated one, one with a
+// trailing byte, over-claimed representative, offset and member counts,
+// dim 0, non-monotone offsets and the SegDists flag with no data.
+func FuzzDecodeShardState(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeAlloc(t, body, func(b []byte) { DecodeShardState(b) })
+		s, err := DecodeShardState(body)
+		if err != nil {
+			if s != nil {
+				t.Fatalf("decode returned (%v, %v), want (nil, error)", s, err)
+			}
+			return
+		}
+		n, nr := len(s.IDs), len(s.RepIDs)
+		switch {
+		case s.Dim <= 0:
+			t.Fatalf("dim %d accepted", s.Dim)
+		case len(s.Offsets) != nr+1 || s.Offsets[0] != 0 || s.Offsets[nr] != n:
+			t.Fatalf("offsets %v for %d representatives and %d members", s.Offsets, nr, n)
+		case len(s.IsRep) != n || len(s.Gather) != n*s.Dim:
+			t.Fatalf("%d IsRep and %d gathered floats for %d members of dim %d", len(s.IsRep), len(s.Gather), n, s.Dim)
+		case s.SegDists != nil && len(s.SegDists) != n:
+			t.Fatalf("%d segment distances for %d members", len(s.SegDists), n)
+		}
+		for i := 1; i <= nr; i++ {
+			if s.Offsets[i] < s.Offsets[i-1] {
+				t.Fatalf("offsets %v not monotone", s.Offsets)
+			}
+		}
+		want := append([]byte(nil), body...)
+		isRepAt := shardStateRepsAt + 4 + 4*nr + 4 + 4*len(s.Offsets) + 4 + 4*n
+		flagAt := isRepAt + n + 4*len(s.Gather)
+		for i := isRepAt; i < isRepAt+n; i++ {
+			want[i] = min(want[i], 1)
+		}
+		want[flagAt] = min(want[flagAt], 1)
+		if got := EncodeShardState(s)[frameHead+2:]; !bytes.Equal(got, want) {
+			t.Fatalf("re-encoded body differs:\n got %x\nwant %x", got, want)
+		}
+	})
+}
+
+// checkDecodeAlloc fails t if decoding body allocates more than
+// 8×len(body) + 1 KiB. TotalAlloc is process-wide, and under -fuzz the
+// engine's own goroutines allocate a few KiB now and then. Decoding is
+// deterministic, so a body fails only if three measurements all exceed
+// the limit.
+func checkDecodeAlloc(t *testing.T, body []byte, decode func([]byte)) {
+	t.Helper()
+	limit := uint64(8*len(body) + 1024)
+	grew := decodeAllocBytes(body, decode)
+	for try := 1; try < 3 && grew > limit; try++ {
+		grew = min(grew, decodeAllocBytes(body, decode))
+	}
+	if grew > limit {
+		t.Fatalf("decoding a %d-byte body allocated %d bytes (limit %d)", len(body), grew, limit)
+	}
+}
+
+// decodeAllocBytes returns the bytes the process allocated while decode
+// parsed body.
+func decodeAllocBytes(body []byte, decode func([]byte)) uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	DecodeScanRequest(body)
+	decode(body)
 	runtime.ReadMemStats(&ms)
 	return ms.TotalAlloc - before
 }

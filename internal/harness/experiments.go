@@ -9,7 +9,6 @@ import (
 	"repro/internal/covertree"
 	"repro/internal/dataset"
 	"repro/internal/expansion"
-	"repro/internal/gpusim"
 	"repro/internal/metric"
 	"repro/internal/par"
 	"repro/internal/stats"
@@ -39,7 +38,9 @@ var fig1Factors = []float64{0.25, 0.5, 1, 2, 4}
 // RunFig1 regenerates Figure 1: one-shot speedup (y) against mean rank
 // error (x), log-log, one series per dataset. Speedup is reported both as
 // wall-clock (brute time / RBC time on this machine) and as the
-// machine-independent work ratio n/(evals per query).
+// machine-independent work ratio n/(evals per query). Its nr = s = 2√n
+// row is Table 2's configuration, and that row's work-speedup column is
+// Table 2's number.
 func RunFig1(cfg Config) (*Output, error) {
 	cfg = cfg.withDefaults()
 	chart := stats.NewChart("Figure 1: one-shot speedup vs mean rank (log-log)",
@@ -134,49 +135,6 @@ func RunFig2(cfg Config) (*Output, error) {
 		t.AddRow(e.Name, n, idx.NumReps(),
 			float64(n)/evalsPerQuery, bruteSec/rbcSec, evalsPerQuery,
 			float64(st.RepsKept)/float64(queries.N()))
-	}
-	return &Output{Tables: []*stats.Table{t}}, nil
-}
-
-// RunTable2 regenerates Table 2: one-shot speedup over brute force with
-// both pipelines on the simulated GPU, reported in simulated cycles.
-func RunTable2(cfg Config) (*Output, error) {
-	cfg = cfg.withDefaults()
-	dev, err := gpusim.NewDevice(gpusim.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	t := stats.NewTable("Table 2: GPU one-shot speedup over GPU brute force (simulated cycles)",
-		"dataset", "n", "nr=s", "brute Mcycles", "rbc Mcycles", "speedup", "recall")
-	// The SIMT simulator pays a large constant per lane-op, so Table 2
-	// runs at a capped database size and fewer queries; the speedup is a
-	// same-device ratio, which is scale-stable (EXPERIMENTS.md).
-	gpuQueries := cfg.Queries / 4
-	if gpuQueries < 8 {
-		gpuQueries = 8
-	}
-	sub := cfg
-	sub.Queries = gpuQueries
-	for _, e := range dataset.Catalog() {
-		db, queries := workload(e, sub, cfg.GPUCap)
-		n := db.N()
-		nr := int(2 * math.Sqrt(float64(n)))
-		idx, err := gpusim.BuildOneShotIndex(db, nr, nr, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		bruteRes, bruteStats := gpusim.BruteForceNN(dev, queries, db)
-		rbcRes, rbcStats := gpusim.OneShotNN(dev, queries, idx)
-		correct := 0
-		for i := range rbcRes {
-			if rbcRes[i].SqDist == bruteRes[i].SqDist {
-				correct++
-			}
-		}
-		t.AddRow(e.Name, n, nr,
-			float64(bruteStats.Cycles)/1e6, float64(rbcStats.Cycles)/1e6,
-			float64(bruteStats.Cycles)/float64(rbcStats.Cycles),
-			float64(correct)/float64(len(rbcRes)))
 	}
 	return &Output{Tables: []*stats.Table{t}}, nil
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/covertree"
 	"repro/internal/dataset"
 	"repro/internal/distributed"
-	"repro/internal/gpusim"
 	"repro/internal/kdtree"
 	"repro/internal/lsh"
 	"repro/internal/metric"
@@ -19,7 +18,7 @@ import (
 
 // This file holds the experiments beyond the paper's figures: the
 // ablations its text motivates and the extensions its conclusion
-// proposes. See DESIGN.md §2 "Extra experiments".
+// proposes. `rbc-bench -list` names them all.
 
 // RunAblationBounds quantifies the §6 remark that "the simultaneous use
 // of both inequalities improved the empirical performance": per-query
@@ -340,37 +339,6 @@ func RunAblationApprox(cfg Config) (*Output, error) {
 			}
 			t.AddRow(name, eps, evals, evals/exactEvals, mean, worst)
 		}
-	}
-	return &Output{Tables: []*stats.Table{t}}, nil
-}
-
-// RunGPUDivergence contrasts a data-dependent tree-walk kernel with a
-// uniform kernel of identical depth on the SIMT simulator — the
-// quantitative backing for §3's claim that conditional tree search
-// under-utilizes vector hardware.
-func RunGPUDivergence(cfg Config) (*Output, error) {
-	cfg = cfg.withDefaults()
-	dev, err := gpusim.NewDevice(gpusim.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	e, _ := dataset.ByName("tiny8")
-	sub := cfg
-	if sub.Queries < 256 {
-		sub.Queries = 256
-	}
-	_, queries := workload(e, sub, cfg.GPUCap)
-	t := stats.NewTable("SIMT divergence ablation (equal depth, equal loads)",
-		"kernel", "depth", "Mcycles", "divergence ratio", "tx per load")
-	for _, depth := range []int{8, 16, 32} {
-		_, stTree := gpusim.TreeWalk(dev, queries, gpusim.TreeWalkConfig{Depth: depth})
-		_, stUni := gpusim.UniformScan(dev, queries, depth)
-		loads := float64(stTree.WarpsLaunched) * float64(depth)
-		t.AddRow("tree-walk", depth, float64(stTree.Cycles)/1e6,
-			stTree.DivergenceRatio(), float64(stTree.MemTransactions)/loads)
-		loadsU := float64(stUni.WarpsLaunched) * float64(depth)
-		t.AddRow("uniform", depth, float64(stUni.Cycles)/1e6,
-			stUni.DivergenceRatio(), float64(stUni.MemTransactions)/loadsU)
 	}
 	return &Output{Tables: []*stats.Table{t}}, nil
 }

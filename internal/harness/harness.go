@@ -1,8 +1,9 @@
 // Package harness defines the runnable experiments that regenerate every
 // table and figure of the paper's evaluation (§7), plus the ablations and
-// extensions documented in DESIGN.md. Each experiment is a pure function
-// of a Config, producing text tables and ASCII charts; cmd/rbc-bench is a
-// thin CLI over the registry.
+// extensions listed in ARCHITECTURE.md's Experiments section (Table 2's
+// one-shot speedup is fig1's nr = s = 2√n row). Each experiment is a pure
+// function of a Config, producing text tables and ASCII charts;
+// cmd/rbc-bench is a thin CLI over the registry.
 package harness
 
 import (
@@ -28,9 +29,6 @@ type Config struct {
 	// RepFactor multiplies √n when choosing n_r for exact search
 	// (default 2; stands in for the unknown c^{3/2} constant).
 	RepFactor float64
-	// GPUCap bounds the database size used on the SIMT simulator, which
-	// pays a large constant per simulated lane-op (default 3000).
-	GPUCap int
 	// CoverTreeCap bounds the database size for cover-tree comparisons
 	// (sequential builds; default 30000).
 	CoverTreeCap int
@@ -53,9 +51,6 @@ func (c Config) withDefaults() Config {
 	if c.RepFactor <= 0 {
 		c.RepFactor = 2
 	}
-	if c.GPUCap <= 0 {
-		c.GPUCap = 3000
-	}
 	if c.CoverTreeCap <= 0 {
 		c.CoverTreeCap = 30000
 	}
@@ -73,7 +68,7 @@ type Output struct {
 
 // Experiment is a registered, runnable reproduction unit.
 type Experiment struct {
-	// ID is the CLI name (fig1, table2, …).
+	// ID is the CLI name (fig1, table3, …).
 	ID string
 	// Title is the paper artifact it regenerates.
 	Title string
@@ -96,9 +91,6 @@ func Registry() []Experiment {
 		{ID: "fig2", Title: "Figure 2: exact-search speedup over brute force",
 			Description: "per-dataset speedup of the exact RBC (work ratio and wall clock)",
 			Run:         RunFig2},
-		{ID: "table2", Title: "Table 2: GPU one-shot speedup over GPU brute force",
-			Description: "simulated-cycle ratio on the SIMT device model",
-			Run:         RunTable2},
 		{ID: "table3", Title: "Table 3: Cover Tree vs exact RBC",
 			Description: "total query time, sequential cover tree vs parallel RBC",
 			Run:         RunTable3},
@@ -120,9 +112,6 @@ func Registry() []Experiment {
 		{ID: "dist-batch", Title: "Extension (§8): tiled batched shard scans",
 			Description: "distributed k-NN per-query vs block fan-out (throughput + message amortization)",
 			Run:         RunDistBatch},
-		{ID: "gpu-divergence", Title: "Extension: SIMT divergence ablation",
-			Description: "why conditional tree search under-utilizes vector hardware (§3)",
-			Run:         RunGPUDivergence},
 		{ID: "baselines", Title: "Extension: kd-tree / cover tree / RBC comparison",
 			Description: "per-query work of every implemented structure (§7.1 remark)",
 			Run:         RunBaselines},

@@ -9,7 +9,7 @@ import (
 
 // tinyConfig keeps harness tests fast: the smallest usable workloads.
 func tinyConfig() Config {
-	return Config{Scale: 1e-9, Queries: 24, Seed: 7, RepFactor: 2, GPUCap: 400, CoverTreeCap: 400}
+	return Config{Scale: 1e-9, Queries: 24, Seed: 7, RepFactor: 2, CoverTreeCap: 400}
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -21,7 +21,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestRegistryAndByID(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 15 {
+	if len(reg) != 13 {
 		t.Fatalf("registry size %d", len(reg))
 	}
 	seen := map[string]bool{}
@@ -34,7 +34,7 @@ func TestRegistryAndByID(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	for _, id := range []string{"table1", "fig1", "fig2", "table2", "table3", "fig3"} {
+	for _, id := range []string{"table1", "fig1", "fig2", "table3", "fig3"} {
 		if _, err := ByID(id); err != nil {
 			t.Fatalf("ByID(%s): %v", id, err)
 		}
@@ -105,18 +105,6 @@ func TestFig1Runs(t *testing.T) {
 	}
 	if out.Tables[0].NumRows() != 8*len(fig1Factors) {
 		t.Fatalf("fig1 rows: %d", out.Tables[0].NumRows())
-	}
-}
-
-func TestTable2Runs(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.GPUCap = 300
-	out, err := RunTable2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Tables[0].NumRows() != 8 {
-		t.Fatalf("table2 rows: %d", out.Tables[0].NumRows())
 	}
 }
 
@@ -208,17 +196,6 @@ func TestLSHCompareRuns(t *testing.T) {
 	}
 	if out.Tables[0].NumRows() != 12 { // 2 datasets x (3 rbc + 3 lsh)
 		t.Fatalf("lsh-compare rows: %d", out.Tables[0].NumRows())
-	}
-}
-
-func TestGPUDivergenceRuns(t *testing.T) {
-	cfg := tinyConfig()
-	out, err := RunGPUDivergence(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Tables[0].NumRows() != 6 {
-		t.Fatalf("divergence rows: %d", out.Tables[0].NumRows())
 	}
 }
 
