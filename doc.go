@@ -154,7 +154,7 @@
 // Arbitrary metric spaces — edit distance on strings, shortest-path
 // distance on graph nodes — are supported through the generic API in
 // repro/internal/core (BuildGenericExact, BuildGenericOneShot); see
-// examples/editdistance.
+// ExampleBuildGenericExact there for strings under edit distance.
 //
 // The repository also contains the full reproduction harness for the
 // paper's evaluation: see ARCHITECTURE.md's Experiments section for the

@@ -369,19 +369,18 @@ func SearchOneK(q []float32, db *vec.Dataset, k int, m metric.Metric[[]float32],
 	return res
 }
 
-// rescoreBlock is how many candidate rows RescoreK gathers per kernel
+// rescoreBlock is how many candidate rows rescoreK gathers per kernel
 // call; sized so the gathered block and its ordering row stay cache-hot.
 const rescoreBlock = 256
 
-// RescoreK ranks the database rows listed in ids by distance to q and
+// rescoreK ranks the database rows listed in ids by distance to q and
 // returns the k nearest, sorted ascending (ties toward the lower id).
 // Candidates are gathered into a contiguous scratch block and scored
 // through ker's row kernel — the BF(q, X[L]) candidate-rescoring shape
-// that lsh's bucket unions and the quantized scan's pass-1 survivors
-// produce — so the inner loop runs on the row kernel instead of per-pair
-// Distance calls. Duplicate ids in ids yield duplicate results; callers
-// dedupe beforehand.
-func RescoreK(ker *metric.Kernel, q []float32, db *vec.Dataset, ids []int, k int, c *Counter) []par.Neighbor {
+// that the quantized scan's pass-1 survivors produce — so the inner loop
+// runs on the row kernel instead of per-pair Distance calls. Duplicate
+// ids in ids yield duplicate results; callers dedupe beforehand.
+func rescoreK(ker *metric.Kernel, q []float32, db *vec.Dataset, ids []int, k int, c *Counter) []par.Neighbor {
 	if k <= 0 || len(ids) == 0 {
 		return nil
 	}

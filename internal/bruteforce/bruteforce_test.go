@@ -291,7 +291,7 @@ func TestRescoreK(t *testing.T) {
 	}
 	ker := metric.NewKernel(metric.Euclidean{})
 	var c Counter
-	got := RescoreK(ker, q, db, uniq, 9, &c)
+	got := rescoreK(ker, q, db, uniq, 9, &c)
 	if c.Load() != int64(len(uniq)) {
 		t.Fatalf("counted %d evals, want %d", c.Load(), len(uniq))
 	}
@@ -337,10 +337,10 @@ func TestRescoreK(t *testing.T) {
 			t.Fatalf("candidate (%d, %v) beats worst returned %v but was dropped", r.id, r.d, worst)
 		}
 	}
-	if got := RescoreK(ker, q, db, uniq[:3], 10, nil); len(got) != 3 {
+	if got := rescoreK(ker, q, db, uniq[:3], 10, nil); len(got) != 3 {
 		t.Fatalf("k > len(ids): %d results, want 3", len(got))
 	}
-	if got := RescoreK(ker, q, db, nil, 5, nil); got != nil {
+	if got := rescoreK(ker, q, db, nil, 5, nil); got != nil {
 		t.Fatalf("empty ids: %v", got)
 	}
 }

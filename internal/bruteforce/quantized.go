@@ -16,7 +16,7 @@ import (
 //
 // Pass 1 scans the quantized view and keeps the k' = QuantOverfetch·k
 // best candidates per query in ordering space. Pass 2 rescores those
-// candidates with the EXACT kernel (RescoreK) and returns the top k, so
+// candidates with the EXACT kernel (rescoreK) and returns the top k, so
 // reported distances — and tie-breaking — are computed by exactly the
 // per-pair arithmetic SearchK uses. What the two-pass scan does NOT
 // certify is candidate recall: a true neighbor whose quantized distance
@@ -110,7 +110,7 @@ func SearchKQuantizedView(queries, db *vec.Dataset, k int, v *metric.QuantizedVi
 		for j, nb := range cands {
 			ids[j] = nb.ID
 		}
-		out[i] = RescoreK(xker, q, db, ids, k, c)
+		out[i] = rescoreK(xker, q, db, ids, k, c)
 	})
 	return out
 }

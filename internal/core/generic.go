@@ -11,7 +11,7 @@ import (
 // This file carries the generic RBC over arbitrary point types P — the
 // paper's algorithms verbatim, minus the vector fast paths. It is what
 // makes the "works for any metric" claim concrete: see
-// examples/editdistance for strings under edit distance.
+// ExampleBuildGenericExact for strings under edit distance.
 
 // GenericExact is the exact-search RBC over a []P database.
 type GenericExact[P any] struct {

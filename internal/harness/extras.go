@@ -7,12 +7,8 @@ import (
 
 	"repro/internal/bruteforce"
 	"repro/internal/core"
-	"repro/internal/covertree"
 	"repro/internal/dataset"
 	"repro/internal/distributed"
-	"repro/internal/kdtree"
-	"repro/internal/lsh"
-	"repro/internal/metric"
 	"repro/internal/stats"
 )
 
@@ -180,112 +176,6 @@ func RunDistBatch(cfg Config) (*Output, error) {
 			float64(perQuery.Messages)/q, float64(perQuery.Evals)/q, perQuery.SimTimeUS/q/1000)
 		t.AddRow(k, "batched", q/batchSec,
 			float64(batch.Messages)/q, float64(batch.Evals)/q, batch.SimTimeUS/q/1000)
-	}
-	return &Output{Tables: []*stats.Table{t}}, nil
-}
-
-// RunBaselines compares every implemented search structure on one low-
-// and one higher-dimensional workload — quantifying §7.1's remark that
-// "in very low-dimensional spaces, basic data structures like kd-trees
-// are extremely effective, hence the challenging cases are data that is
-// somewhat higher dimensional".
-func RunBaselines(cfg Config) (*Output, error) {
-	cfg = cfg.withDefaults()
-	t := stats.NewTable("Baselines: distance evaluations per query (lower is better)",
-		"dataset", "dim", "brute", "kdtree", "covertree", "rbc exact")
-	for _, name := range []string{"tiny4", "bio"} {
-		e, err := dataset.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		db, queries := workload(e, cfg, cfg.CoverTreeCap)
-		n := db.N()
-		q := float64(queries.N())
-
-		kt := kdtree.Build(db, 16)
-		for i := 0; i < queries.N(); i++ {
-			kt.KNN(queries.Row(i), 1)
-		}
-		ktEvals := float64(kt.DistEvals) / q
-
-		ct := covertree.Build(db.Rows(), metric.Metric[[]float32](euclid))
-		ct.DistEvals = 0
-		for i := 0; i < queries.N(); i++ {
-			ct.KNN(queries.Row(i), 1)
-		}
-		ctEvals := float64(ct.DistEvals) / q
-
-		nr := int(cfg.RepFactor * math.Sqrt(float64(n)))
-		idx, err := core.BuildExact(db, euclid, core.ExactParams{
-			NumReps: nr, Seed: cfg.Seed, ExactCount: true})
-		if err != nil {
-			return nil, err
-		}
-		_, st := idx.KNNBatch(queries, 1)
-		t.AddRow(name, db.Dim, n, ktEvals, ctEvals, float64(st.TotalEvals())/q)
-	}
-	return &Output{Tables: []*stats.Table{t}}, nil
-}
-
-// RunLSHCompare puts the one-shot RBC against locality-sensitive hashing
-// — the other sublinear line of work §2 discusses. Both are approximate;
-// the table reports recall and work side by side across parameter
-// settings, illustrating the paper's point that LSH's behaviour is
-// parameter-sensitive while the RBC has a single forgiving knob.
-func RunLSHCompare(cfg Config) (*Output, error) {
-	cfg = cfg.withDefaults()
-	t := stats.NewTable("One-shot RBC vs E2LSH (approximate 1-NN)",
-		"dataset", "method", "params", "recall", "evals/query")
-	euclidM := euclid
-	for _, name := range []string{"robot", "tiny8"} {
-		e, err := dataset.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		db, queries := workload(e, cfg, 0)
-		n := db.N()
-		want := bruteforce.Search(queries, db, euclidM, nil)
-		truth := make([]float64, queries.N())
-		for i, r := range want {
-			truth[i] = r.Dist
-		}
-		for _, f := range []float64{1, 2, 4} {
-			nr := int(f * math.Sqrt(float64(n)))
-			idx, err := core.BuildOneShot(db, euclidM, core.OneShotParams{
-				NumReps: nr, S: nr, Seed: cfg.Seed, ExactCount: true})
-			if err != nil {
-				return nil, err
-			}
-			res, st := idx.KNNBatch(queries, 1)
-			correct := 0
-			for i := range res {
-				if res[i][0].Dist == truth[i] {
-					correct++
-				}
-			}
-			t.AddRow(name, "rbc-oneshot", fmt.Sprintf("nr=s=%d", nr),
-				float64(correct)/float64(len(res)),
-				float64(st.TotalEvals())/float64(queries.N()))
-		}
-		for _, p := range []lsh.Params{
-			{L: 4, K: 8}, {L: 8, K: 12}, {L: 16, K: 16},
-		} {
-			p.Seed = cfg.Seed
-			idx, err := lsh.Build(db, p)
-			if err != nil {
-				return nil, err
-			}
-			res, evals := idx.SearchK(queries, 1)
-			correct := 0
-			for i := range res {
-				if len(res[i]) > 0 && res[i][0].Dist == truth[i] {
-					correct++
-				}
-			}
-			t.AddRow(name, "lsh", fmt.Sprintf("L=%d K=%d", p.L, p.K),
-				float64(correct)/float64(len(res)),
-				float64(evals)/float64(queries.N()))
-		}
 	}
 	return &Output{Tables: []*stats.Table{t}}, nil
 }

@@ -112,12 +112,6 @@ func Registry() []Experiment {
 		{ID: "dist-batch", Title: "Extension (§8): tiled batched shard scans",
 			Description: "distributed k-NN per-query vs block fan-out (throughput + message amortization)",
 			Run:         RunDistBatch},
-		{ID: "baselines", Title: "Extension: kd-tree / cover tree / RBC comparison",
-			Description: "per-query work of every implemented structure (§7.1 remark)",
-			Run:         RunBaselines},
-		{ID: "lsh-compare", Title: "Extension: one-shot RBC vs locality-sensitive hashing",
-			Description: "recall and work of the two approximate schemes (§2 discussion)",
-			Run:         RunLSHCompare},
 		{ID: "quant-sweep", Title: "Extension: int8 two-pass vs exact brute force (memory-bound crossover)",
 			Description: "exact float32 SearchK vs the int8 two-pass scan at dims {21, 64} × n {50k, 1M} (§3's bandwidth argument on the CPU)",
 			Run:         RunQuantSweep},

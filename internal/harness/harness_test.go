@@ -21,7 +21,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestRegistryAndByID(t *testing.T) {
 	reg := Registry()
-	if len(reg) != 13 {
+	if len(reg) != 11 {
 		t.Fatalf("registry size %d", len(reg))
 	}
 	seen := map[string]bool{}
@@ -163,18 +163,6 @@ func TestDistributedRuns(t *testing.T) {
 	}
 }
 
-func TestBaselinesRuns(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Queries = 16
-	out, err := RunBaselines(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Tables[0].NumRows() != 2 {
-		t.Fatalf("baselines rows: %d", out.Tables[0].NumRows())
-	}
-}
-
 func TestAblationApproxRuns(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Queries = 16
@@ -184,18 +172,6 @@ func TestAblationApproxRuns(t *testing.T) {
 	}
 	if out.Tables[0].NumRows() != 8 { // 2 datasets x 4 eps values
 		t.Fatalf("approx rows: %d", out.Tables[0].NumRows())
-	}
-}
-
-func TestLSHCompareRuns(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Queries = 16
-	out, err := RunLSHCompare(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Tables[0].NumRows() != 12 { // 2 datasets x (3 rbc + 3 lsh)
-		t.Fatalf("lsh-compare rows: %d", out.Tables[0].NumRows())
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package metric defines the distance abstractions used by the RBC, the
-// brute-force primitive and the baselines.
+// brute-force primitive and the cover tree.
 //
 // The paper's algorithms work over arbitrary metric spaces, so the central
 // type is the generic Metric[P] interface. Dense float32 vectors get two

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/covertree"
 	"repro/internal/distributed"
-	"repro/internal/kdtree"
 	"repro/internal/metric"
 	"repro/internal/par"
 	"repro/internal/vec"
@@ -37,11 +36,11 @@ import (
 //     class distance, no duplicates): the quantized two-pass scan. Exact
 //     rescoring makes its reported distances bit-true, but the candidate
 //     heap may truncate a duplicate class at the over-fetch boundary.
-//   - ULP-TOLERANT tie rule: the tree baselines (kd-tree, cover tree).
-//     Both report exact-grade distances, but neither documents a
-//     tie-breaking contract; distances must match within tolerance and
-//     ids must match exactly wherever the reference is unambiguous
-//     (strictly inside the k-boundary tie band).
+//   - ULP-TOLERANT tie rule: the cover tree, table3's comparison. It
+//     reports exact-grade distances but documents no tie-breaking
+//     contract; distances must match within tolerance and ids must match
+//     exactly wherever the reference is unambiguous (strictly inside the
+//     k-boundary tie band).
 
 // equivalenceCorpus is the checked-in fuzz seed corpus. `go test` runs
 // every entry deterministically (both through the corpus test below and
@@ -154,7 +153,6 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 	exactBits := map[string]backend{
 		"bruteforce": bruteForceBackend(db, m, k),
 	}
-	tolerant := map[string]backend{}
 	var exactIdx *core.Exact
 	if n > 0 {
 		var err error
@@ -177,8 +175,7 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 			t.Fatal("BuildExact accepted an empty database")
 		}
 	}
-	tolerant["kdtree"] = kdTreeBackend(kdtree.Build(db, 0), k)
-	tolerant["covertree"] = coverTreeBackend(covertree.Build(db.Rows(), m), k)
+	tree := coverTreeBackend(covertree.Build(db.Rows(), m), k)
 
 	for name, b := range exactBits {
 		batch, _ := b.batch(queries)
@@ -187,12 +184,10 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 			assertBitEqual(t, fmt.Sprintf("%s query %d batch vs per-query", name, i), batch[i], b.knn(queries.Row(i)))
 		}
 	}
-	for name, b := range tolerant {
-		batch, _ := b.batch(queries)
-		for i := 0; i < nq; i++ {
-			assertTieEquivalent(t, fmt.Sprintf("%s query %d vs reference", name, i), batch[i], want[i])
-			assertBitEqual(t, fmt.Sprintf("%s query %d batch vs per-query", name, i), batch[i], b.knn(queries.Row(i)))
-		}
+	treeBatch, _ := tree.batch(queries)
+	for i := 0; i < nq; i++ {
+		assertTieEquivalent(t, fmt.Sprintf("covertree query %d vs reference", i), treeBatch[i], want[i])
+		assertBitEqual(t, fmt.Sprintf("covertree query %d batch vs per-query", i), treeBatch[i], tree.knn(queries.Row(i)))
 	}
 
 	// The distributed cluster must match the single-node exact index

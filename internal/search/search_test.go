@@ -11,8 +11,6 @@ import (
 	"repro/internal/bruteforce"
 	"repro/internal/core"
 	"repro/internal/covertree"
-	"repro/internal/kdtree"
-	"repro/internal/lsh"
 	"repro/internal/metric"
 	"repro/internal/par"
 	"repro/internal/vec"
@@ -44,13 +42,6 @@ func bruteForceBackend(db *vec.Dataset, m metric.Metric[[]float32], k int) backe
 			var c bruteforce.Counter
 			return bruteforce.SearchK(qs, db, k, m, &c), c.Load()
 		},
-	}
-}
-
-func kdTreeBackend(t *kdtree.Tree, k int) backend {
-	return backend{
-		knn:   func(q []float32) []par.Neighbor { return t.KNN(q, k) },
-		batch: func(qs *vec.Dataset) ([][]par.Neighbor, int64) { return t.KNNBatch(qs, k) },
 	}
 }
 
@@ -115,29 +106,18 @@ func TestBatchMatchesPerQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lshIdx, err := lsh.Build(db, lsh.Params{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	backends := map[string]backend{
 		"exact":      indexBackend(exact.KNN, exact.KNNBatch, k),
 		"oneshot":    indexBackend(oneshot.KNN, oneshot.KNNBatch, k),
 		"bruteforce": bruteForceBackend(db, m, k),
-		"kdtree":     kdTreeBackend(kdtree.Build(db, 0), k),
-		"lsh": {
-			knn:   func(q []float32) []par.Neighbor { nbs, _ := lshIdx.KNN(q, k); return nbs },
-			batch: func(qs *vec.Dataset) ([][]par.Neighbor, int64) { return lshIdx.SearchK(qs, k) },
-		},
-		"covertree": coverTreeBackend(covertree.Build(db.Rows(), m), k),
+		"covertree":  coverTreeBackend(covertree.Build(db.Rows(), m), k),
 	}
 	for name, b := range backends {
 		batch, evals := b.batch(queries)
 		for i := 0; i < queries.N(); i++ {
 			sameNeighbors(t, name, batch[i], b.knn(queries.Row(i)))
 		}
-		// LSH may legitimately evaluate nothing (all probes can land in
-		// empty buckets); every other backend must report work.
-		if name != "lsh" && evals <= 0 {
+		if evals <= 0 {
 			t.Fatalf("%s: batch reports no work", name)
 		}
 	}
