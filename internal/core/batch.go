@@ -60,9 +60,9 @@ func tileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
 	return agg
 }
 
-// TileFrontHalf is tileFrontHalf for back halves that run one query at a
+// rowFrontHalf is tileFrontHalf for back halves that run one query at a
 // time: back receives query i's full phase-1 ordering row.
-func TileFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
+func rowFrontHalf(ker *metric.Kernel, queries, reps *vec.Dataset,
 	back func(i int, row []float64, sc *par.Scratch) Stats) Stats {
 	nr := reps.N()
 	return tileFrontHalf(ker, queries, reps,

@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the fully batched (grouped) back half of Exact batch
-// search. A per-query back half behind TileFrontHalf batches only
+// search. A per-query back half behind rowFrontHalf batches only
 // phase 1 — the BF(Q,R) representative scan — and then runs each query's
 // list scans alone through the row kernel. For a query *block*, that
 // leaves the dominant phase-2 work on the slowest path. The grouped back
@@ -43,8 +43,7 @@ func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *pa
 			heaps := sc.HeapSlab(bq, k)
 			kept := sc.Ints(0, 4*bq*(nr+1))[:0]
 			for i := 0; i < bq; i++ {
-				p := e.newProbe(qflat[i*dim:(i+1)*dim], rows[i*nr:(i+1)*nr], nil, sc)
-				kept, _ = e.prune(&p, i, k, heaps[i], sc, &st, kept)
+				kept, _ = e.prune(qflat[i*dim:(i+1)*dim], rows[i*nr:(i+1)*nr], i, k, heaps[i], sc, &st, kept)
 			}
 			st.PointEvals += ScanGrouped(e.ker, qflat, dim, e.gather, nr, kept, sc,
 				func(i, lo int, ords []float64) {

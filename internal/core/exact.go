@@ -87,8 +87,8 @@ func (p ExactParams) withDefaults(n int) ExactParams {
 // phase-1 orderings are the very values the pruning rules, windows and
 // heap seeds are defined on, and the list-scan orderings are the reported
 // answers. Distances convert from ordering space only at the API boundary
-// and for the pruning thresholds, whose triangle-inequality math needs
-// real distances.
+// and for the few representatives the pruning rules cannot settle in
+// ordering space.
 type Exact struct {
 	db  *vec.Dataset
 	m   metric.Metric[[]float32]
@@ -139,25 +139,6 @@ func (e *Exact) phase1(q []float32, ordRow []float64, sc *par.Scratch) []float64
 	return ords
 }
 
-// probe is one query's view of phase 1: for every representative j the
-// exact ordering ords[j] and distance d[j] = ρ(q, r_j). The pruning
-// thresholds live in distance space (their derivations add distances),
-// hence one ToDistance per representative — ~√n per query.
-type probe struct {
-	q       []float32
-	ords, d []float64
-	cell    []float64 // caller-pooled kernel output cell for buffer scans (len ≥ 1)
-}
-
-// newProbe converts one query's phase-1 orderings into sc's float64 slot 1.
-func (e *Exact) newProbe(q []float32, ords, cell []float64, sc *par.Scratch) probe {
-	p := probe{q: q, ords: ords, d: sc.Float64(1, len(ords)), cell: cell}
-	for j, o := range ords {
-		p.d[j] = e.ker.ToDistance(o)
-	}
-	return p
-}
-
 // listWindow returns list j's scan extent in gather positions: its
 // admissible window of half-width w around the representative distance d.
 func (e *Exact) listWindow(j int, d, w float64) (lo, hi int) {
@@ -167,77 +148,41 @@ func (e *Exact) listWindow(j int, d, w float64) (lo, hi int) {
 }
 
 // prune is the per-query step between the paper's two brute-force calls:
-// from one query's probe it derives γ_1 and γ_k over the live
-// representatives, seeds h, probes the home list, applies the pruning
-// rules to every representative and appends, per survivor, a
-// (qi, list, lo, hi) quadruple to kept — [lo, hi) being the list's
-// admissible window (listWindow; possibly empty). It charges the pruning
-// counters and the probe's evaluations to st and returns kept and the
-// window half-width w. Exact.one scans the kept windows row by row;
-// Exact.batchGrouped hands a whole tile's quadruples to ScanGrouped.
+// pruner.decide (rules.go) with the home probe, appending per survivor a
+// (qi, list, lo, hi) quadruple to kept — [lo, hi) the list's admissible
+// window (listWindow; possibly empty). It returns kept and the window
+// half-width w. Exact.one scans the kept
+// windows row by row; Exact.batchGrouped hands a whole tile's quadruples
+// to ScanGrouped.
 //
-// The heap is seeded with every live representative at or under γ_k, at
-// its phase-1 ordering. Representatives are database points; seeding
-// realizes the paper's implicit "γ is itself a candidate answer" and —
-// together with the list scans skipping representative ids — makes the
-// returned k-NN multiset exact even at pruning-boundary ties. At least k
-// seeds qualify (or every live representative, when fewer than k are
-// live), and any representative past γ_k has an ordering past every seed,
-// so it could never be kept.
-//
-// The home probe then tightens γ_k. The home list is the nearest
-// representative's (lowest index at ties, tombstoned ones included), and
-// ProbeRun picks the HomeProbe·k of its members whose ρ(x,r) lie nearest
-// ρ(q,r). They are scanned like any window; once the heap is full its
-// worst candidate is a real answer bound, so γ_k drops to its distance
-// when that is smaller. Every rule and window holds for any upper bound on
-// the k-th neighbour distance, so the tighter γ_k prunes more and stays
-// exact. The home list's window then excludes the probed run and is kept
-// as two adjacent quadruples. Uses sc's heap slot 1, float64 slot 2 for
-// the probe and float64 slot 7 through liveGammas.
-func (e *Exact) prune(p *probe, qi, k int, h *par.KHeap, sc *par.Scratch, st *Stats, kept []int) ([]int, float64) {
-	nr := e.NumReps()
-	gamma1, gammaK := e.liveGammas(p.d, k, sc)
-	for j := 0; j < nr; j++ {
-		if p.d[j] > gammaK || e.isDeleted(e.repIDs[j]) {
-			continue
-		}
-		h.Push(e.repIDs[j], p.ords[j])
+// The home probe scans the HomeProbe·k members of the home list whose
+// ρ(x,r) lie nearest ρ(q,r) (ProbeRun); once the heap is full its worst
+// candidate is a real answer bound that tightens γ_k. The home list's
+// window then excludes the probed run and is kept as two adjacent
+// quadruples. The probe uses sc's float64 slot 2.
+func (e *Exact) prune(q []float32, ords []float64, qi, k int, h *par.KHeap, sc *par.Scratch, st *Stats, kept []int) ([]int, float64) {
+	var home, pLo, pHi int
+	rules := newPruner(e.ker, e.repIDs, e.radii, e.prm)
+	if e.mut != nil && e.mut.numDeleted > 0 {
+		rules.deleted = e.mut.deleted
 	}
-
-	home, _ := par.ArgMin(p.d)
-	off := e.offsets[home]
-	pLo, pHi := ProbeRun(e.dists[off:e.offsets[home+1]], p.d[home], HomeProbe*k)
-	pLo, pHi = off+pLo, off+pHi
-	st.PointEvals += e.scanRun(p.q, pLo, pHi, h, sc.Float64(2, pHi-pLo))
-	if worst, full := h.Worst(); full {
-		gammaK = min(gammaK, e.ker.ToDistance(worst))
-	}
-
-	// ApproxEps relaxes the radius rule and, to match, the window
-	// half-width: |ρ(q,r) − ρ(x,r)| ≤ ρ(q,x) ≤ γ_k for any answer x, so
-	// only ρ(x,r) ∈ [d−w, d+w] can qualify.
-	w := relaxedGamma(gammaK, e.prm.ApproxEps)
-	triple := tripleRule(gamma1, gammaK)
-	for j := 0; j < nr; j++ {
-		d := p.d[j]
-		if e.prm.PrunePsi && psiRule(w, e.radii[j]).holds(d) {
-			st.PrunedPsi++
-			continue
-		}
-		if e.prm.PruneTriple && triple.holds(d) {
-			st.PrunedTriple++
-			continue
-		}
-		st.RepsKept++
-		lo, hi := e.listWindow(j, d, w)
-		if j == home {
-			a, b := SplitAroundRun(lo, hi, pLo, pHi)
-			kept = append(kept, qi, j, lo, a, qi, j, b, hi)
-			continue
-		}
-		kept = append(kept, qi, j, lo, hi)
-	}
+	w := rules.decide(ords, k, h, sc, st,
+		func(j int, d float64) {
+			home = j
+			off := e.offsets[j]
+			pLo, pHi = ProbeRun(e.dists[off:e.offsets[j+1]], d, HomeProbe*k)
+			pLo, pHi = off+pLo, off+pHi
+			st.PointEvals += e.scanRun(q, pLo, pHi, h, sc.Float64(2, pHi-pLo))
+		},
+		func(j int, d, w float64) {
+			lo, hi := e.listWindow(j, d, w)
+			if j == home {
+				a, b := SplitAroundRun(lo, hi, pLo, pHi)
+				kept = append(kept, qi, j, lo, a, qi, j, b, hi)
+				return
+			}
+			kept = append(kept, qi, j, lo, hi)
+		})
 	return kept, w
 }
 
@@ -430,14 +375,14 @@ func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par
 	// pooled because a local array would escape through the kernel's
 	// interface dispatch.
 	scratch := sc.Float64(5, 256)
-	p := e.newProbe(q, e.phase1(q, ordRow, sc), scratch, sc)
+	ords := e.phase1(q, ordRow, sc)
 	h := sc.Heap(0, k)
-	kept, w := e.prune(&p, 0, k, h, sc, &st, sc.Ints(0, 4*(nr+1))[:0])
+	kept, w := e.prune(q, ords, 0, k, h, sc, &st, sc.Ints(0, 4*(nr+1))[:0])
 	for t := 0; t < len(kept); t += 4 {
 		j, lo, hi := kept[t+1], kept[t+2], kept[t+3]
 		st.PointEvals += e.scanRun(q, lo, hi, h, scratch)
 		if e.mut != nil && len(e.mut.bufIDs[j]) > 0 && (t == 0 || kept[t-3] != j) {
-			st.PointEvals += e.scanBuffer(&p, j, w, func(id int, dd float64) {
+			st.PointEvals += e.scanBuffer(q, j, e.ker.ToDistance(ords[j]), w, scratch, func(id int, dd float64) {
 				if !e.isRep[id] {
 					h.Push(id, dd)
 				}
@@ -474,7 +419,7 @@ func (e *Exact) batch(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap
 	if e.mut == nil {
 		return e.batchGrouped(queries, k, sink)
 	}
-	return TileFrontHalf(e.ker, queries, e.repData,
+	return rowFrontHalf(e.ker, queries, e.repData,
 		func(i int, row []float64, sc *par.Scratch) Stats {
 			h, st := e.one(queries.Row(i), k, row, sc)
 			sink(i, h)
@@ -498,7 +443,7 @@ func (e *Exact) Range(q []float32, eps float64) ([]par.Neighbor, Stats) {
 func (e *Exact) RangeBatch(queries *vec.Dataset, eps float64) ([][]par.Neighbor, Stats) {
 	e.checkDim(queries.Dim)
 	out := make([][]par.Neighbor, queries.N())
-	agg := TileFrontHalf(e.ker, queries, e.repData,
+	agg := rowFrontHalf(e.ker, queries, e.repData,
 		func(i int, row []float64, sc *par.Scratch) Stats {
 			hits, st := e.rangeOne(queries.Row(i), eps, row, sc)
 			out[i] = hits
@@ -509,15 +454,15 @@ func (e *Exact) RangeBatch(queries *vec.Dataset, eps float64) ([][]par.Neighbor,
 
 // rangeOne runs the two-phase range search. ordRow optionally carries the
 // query's row of the batched BF(Q,R) front half. It keeps its own loop —
-// no γ, no seeding, a strict radius rule — over the same probe and
-// listWindow as the k-NN pruner; hits are confirmed point by point in
-// exact arithmetic.
+// no γ, no seeding, a strict radius rule on converted distances — over
+// the same phase-1 row and listWindow as the k-NN pruner; hits are
+// confirmed point by point in exact arithmetic.
 func (e *Exact) rangeOne(q []float32, eps float64, ordRow []float64, sc *par.Scratch) ([]par.Neighbor, Stats) {
 	nr := e.NumReps()
 	dim := e.db.Dim
 	st := Stats{RepEvals: int64(nr)}
 	scratch := sc.Float64(5, 256)
-	p := e.newProbe(q, e.phase1(q, ordRow, sc), scratch, sc)
+	ords := e.phase1(q, ordRow, sc)
 	// Ordering-space prefilter bound for eps; survivors are confirmed in
 	// distance space, and OrderingBound guarantees the boundary stays exact.
 	epsHi := e.ker.OrderingBound(math.Abs(eps))
@@ -530,31 +475,27 @@ func (e *Exact) rangeOne(q []float32, eps float64, ordRow []float64, sc *par.Scr
 			}
 		}
 	}
-	for j := 0; j < nr; j++ {
-		if rangePsiRule(eps, e.radii[j]).holds(p.d[j]) {
+	for j, o := range ords {
+		d := e.ker.ToDistance(o)
+		if rangePsiRule(eps, e.radii[j]).holds(d) {
 			st.PrunedPsi++
 			continue
 		}
 		st.RepsKept++
-		lo, hi := e.listWindow(j, p.d[j], eps)
+		lo, hi := e.listWindow(j, d, eps)
 		for blk := lo; blk < hi; blk += len(scratch) {
-			end := blk + len(scratch)
-			if end > hi {
-				end = hi
-			}
+			end := min(blk+len(scratch), hi)
 			out := scratch[:end-blk]
 			e.ker.Ordering(q, e.gather[blk*dim:end*dim], dim, out)
 			for i, o := range out {
-				if o <= epsHi {
-					if id := int(e.ids[blk+i]); !e.isDeleted(id) {
-						confirm(id, o)
-					}
+				if id := int(e.ids[blk+i]); !e.isDeleted(id) {
+					confirm(id, o)
 				}
 			}
 			st.PointEvals += int64(end - blk)
 		}
 		if e.mut != nil && len(e.mut.bufIDs[j]) > 0 {
-			st.PointEvals += e.scanBuffer(&p, j, eps, confirm)
+			st.PointEvals += e.scanBuffer(q, j, d, eps, scratch, confirm)
 		}
 	}
 	par.SortNeighbors(hits)
@@ -565,33 +506,4 @@ func (e *Exact) checkDim(dim int) {
 	if dim != e.db.Dim {
 		panic(fmt.Sprintf("core: query dim %d does not match database dim %d", dim, e.db.Dim))
 	}
-}
-
-// kthSmallest returns the smallest value and the k-th smallest value of
-// xs (1-based k). When k exceeds len(xs) the k-th value is +Inf. The
-// selection heap comes from sc's heap slot 1.
-func kthSmallest(xs []float64, k int, sc *par.Scratch) (first, kth float64) {
-	if len(xs) == 0 {
-		return math.Inf(1), math.Inf(1)
-	}
-	if k == 1 {
-		_, v := par.ArgMin(xs)
-		return v, v
-	}
-	if k > len(xs) {
-		first := xs[0]
-		for _, v := range xs[1:] {
-			if v < first {
-				first = v
-			}
-		}
-		return first, math.Inf(1)
-	}
-	h := sc.Heap(1, k)
-	for i, v := range xs {
-		h.Push(i, v)
-	}
-	best, _ := h.Best()
-	kthVal, _ := h.Worst() // the heap is full here, so the root is the k-th
-	return best.Dist, kthVal
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -24,9 +25,12 @@ func (g *GenericExact[P]) KNN(q P, k int) ([]par.Neighbor, Stats) {
 	for j, rid := range g.repIDs {
 		repDists[j] = g.m.Distance(q, g.db[rid])
 	}
-	sc := par.GetScratch()
-	gamma1, gammaK := kthSmallest(repDists, k, sc)
-	par.PutScratch(sc)
+	sorted := slices.Clone(repDists)
+	slices.Sort(sorted)
+	gamma1, gammaK := sorted[0], math.Inf(1)
+	if k <= nr {
+		gammaK = sorted[k-1]
+	}
 
 	h := par.NewKHeap(k)
 	for j, d := range repDists {

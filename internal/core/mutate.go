@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/par"
 )
@@ -301,35 +300,16 @@ func (e *Exact) Rebuild() {
 	e.dropCleanState()
 }
 
-// liveGammas returns (γ_1, γ_k) computed over live representatives only,
-// falling back to +Inf (no pruning) when every representative is
-// tombstoned.
-func (e *Exact) liveGammas(repDists []float64, k int, sc *par.Scratch) (float64, float64) {
-	if e.mut == nil || e.mut.numDeleted == 0 {
-		return kthSmallest(repDists, k, sc)
-	}
-	live := sc.Float64(7, len(repDists))[:0]
-	for j, d := range repDists {
-		if !e.mut.deleted[e.repIDs[j]] {
-			live = append(live, d)
-		}
-	}
-	if len(live) == 0 {
-		return math.Inf(1), math.Inf(1)
-	}
-	return kthSmallest(live, k, sc)
-}
-
 // scanBuffer feeds representative j's live insertion-buffer members to
-// emit as ordering distances, and returns the number of distance
+// emit as ordering distances from q, and returns the number of distance
 // evaluations. The buffer — ascending in (dist, id) like the segment — is
-// clipped to the admissible window of half-width w by the same binary
-// search the segment scan uses.
-func (e *Exact) scanBuffer(p *probe, j int, w float64, emit func(id int, ord float64)) int64 {
-	ids, d := e.mut.bufIDs[j], p.d[j]
+// clipped to the admissible window of half-width w around d = ρ(q, r_j);
+// cell (len ≥ 1) is the pooled kernel output.
+func (e *Exact) scanBuffer(q []float32, j int, d, w float64, cell []float64, emit func(id int, ord float64)) int64 {
+	ids := e.mut.bufIDs[j]
 	lo, hi := AdmissibleWindow(e.mut.bufDists[j], d-w, d+w)
 	var evals int64
-	out := p.cell[:1]
+	out := cell[:1]
 	for i := lo; i < hi; i++ {
 		id := ids[i]
 		if e.mut.deleted[id] {
@@ -337,7 +317,7 @@ func (e *Exact) scanBuffer(p *probe, j int, w float64, emit func(id int, ord flo
 		}
 		// The kernel's ordering path, even for one row, so rounding matches
 		// the gathered-scan and brute-force code paths bit for bit.
-		e.ker.Ordering(p.q, e.db.Row(int(id)), e.db.Dim, out)
+		e.ker.Ordering(q, e.db.Row(int(id)), e.db.Dim, out)
 		evals++
 		emit(int(id), out[0])
 	}

@@ -193,9 +193,13 @@ func fullListEvals(e *Exact, q []float32, k int) int64 {
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
 	var st Stats
-	p := e.newProbe(q, e.phase1(q, nil, sc), sc.Float64(5, 256), sc)
-	kept, _ := e.prune(&p, 0, k, sc.Heap(0, k), sc, &st, nil)
-	home, _ := par.ArgMin(p.d)
+	ords := e.phase1(q, nil, sc)
+	kept, _ := e.prune(q, ords, 0, k, sc.Heap(0, k), sc, &st, nil)
+	d := make([]float64, len(ords))
+	for j, o := range ords {
+		d[j] = e.ker.ToDistance(o)
+	}
+	home, _ := par.ArgMin(d)
 	evals := st.PointEvals // the probe run
 	for t := 0; t < len(kept); t += 4 {
 		j := kept[t+1]

@@ -199,7 +199,7 @@ func (o *OneShot) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats
 	if k <= 0 {
 		return out, Stats{}
 	}
-	agg := TileFrontHalf(o.ker, queries, o.repData,
+	agg := rowFrontHalf(o.ker, queries, o.repData,
 		func(i int, row []float64, sc *par.Scratch) Stats {
 			h, st := o.knn(queries.Row(i), row, k, sc)
 			out[i] = o.finish(h)

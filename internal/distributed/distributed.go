@@ -614,23 +614,16 @@ func (c *Cluster) KNN(q []float32, k int) ([]par.Neighbor, QueryMetrics, error) 
 }
 
 // KNNBatch answers a block of k-NN queries with batched shard fan-out.
-// The pruning generalizes the exact-search bounds to k neighbors through
-// the single-machine index's rules (core.PrunedByPsi, core.PrunedByTriple):
-// with γ_k the k-th smallest representative distance, rule (1) discards
-// representatives with ρ(q,r) > γ_k + ψ_r and rule (2) those with
-// ρ(q,r) > 2γ_k + γ_1; at k = 1 these are the paper's exact-search rules
-// (γ_k = γ_1, 2γ_k + γ_1 = 3γ). The coordinator holds no points, so it
-// prunes at the representative γ_k; the home probe that tightens γ_k in
-// core.Exact runs shard-side instead and clips the windows (see the
-// package comment). Both rules are strict, so neither prunes a list
-// holding a tied answer, and the cluster returns core.Exact's
-// (dist, id) answer.
-// Every representative is seeded as a candidate (they are database
-// points whose distances are already paid for), which keeps the result
-// multiset exact at pruning-boundary ties; shards skip representatives
-// during their scans in exchange. The merge runs in ordering space, so
-// results are bit-identical to core.Exact and to per-query KNN calls
-// (see the package comment for the contract).
+// The coordinator prunes with core.Exact's own decisions (core.Route) —
+// rule (1) discards representatives with ρ(q,r) > γ_k + ψ_r, rule (2)
+// those with ρ(q,r) > 2γ_k + γ_1, the paper's rules at k = 1 — at the
+// representative γ_k: it holds no points, so the home probe that
+// tightens γ_k in core.Exact runs shard-side and clips the windows (see
+// the package comment). Both rules are strict, and the representatives
+// at or under γ_k are seeded as candidates (shards skip them in
+// exchange), so the result multiset is exact at pruning-boundary ties.
+// The merge runs in ordering space, so results are bit-identical to
+// core.Exact and to per-query KNN calls (see the package comment).
 //
 // On a networked cluster a shard that stays unreachable after the
 // transport's retry budget either fails the whole batch with a typed
@@ -667,81 +660,37 @@ func (c *Cluster) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Query
 	return out, met, nil
 }
 
-// plan runs the coordinator phase over a query block: the shared tiled
-// exact BF(Q,R) front half (core.TileFrontHalf, the same hook Exact's
-// batch paths ride) in ordering space, per-query pruning-bound
-// computation in distance space (their triangle-inequality derivations
-// add real distances), heap seeding with every representative, and the
-// survivor → (shard, segment) routing table. It returns the per-query
-// candidate heaps (ordering space), the per-query shard-side pruning
-// bound (the seeded heap's worst ordering, +Inf while not full), and the
-// per-shard batches. Each surviving segment carries its representative
-// distance ρ(q,r); the shard rebuilds the admissible window from it and
-// the query's bound with exactly the d±w arithmetic Exact's list scans
-// run, so shard-side windows clip the same admissible sets the
-// single-node index scans at the same bound.
+// plan runs the coordinator phase over a query block: core.Route, then
+// the survivor → (shard, segment) routing table. It returns the per-query
+// candidate heaps (ordering space, seeded with representatives), each
+// query's shard-side pruning bound (the seeded heap's worst ordering,
+// +Inf while not full) and the per-shard batches, each routed entry
+// carrying the ρ(q,r) its shard rebuilds the admissible window from.
 func (c *Cluster) plan(queries *vec.Dataset, k int, met *QueryMetrics) ([]*par.KHeap, []float64, []shardBatch) {
 	nq := queries.N()
 	nr := c.repData.N()
 	heaps := make([]*par.KHeap, nq)
 	bounds := make([]float64, nq)
-	// Survivor lists and their representative distances live in one
-	// block-level pooled slab — per-query segments of width nr, written
-	// concurrently by the front-half workers on disjoint ranges and read
-	// back once while building the shard batches below. This Scratch
-	// belongs to plan, not to any front-half worker (those pull their own
-	// instances), so the slabs stay live across the whole block; pooling
-	// them removes per-query survivor append allocations.
+	// Survivors and their distances go to block-level pooled slabs,
+	// per-query segments of width nr that Route's workers fill
+	// concurrently; plan's own Scratch keeps them live across the block.
 	psc := par.GetScratch()
 	defer par.PutScratch(psc)
 	survAll := psc.Ints(0, nq*nr)
 	survN := psc.Ints(1, nq)
+	clear(survN)
 	distAll := psc.Float64(0, nq*nr)
-	kk := k
-	if kk > nr {
-		kk = nr
-	}
-	st := core.TileFrontHalf(c.ker, queries, c.repData,
-		func(qi int, ords []float64, sc *par.Scratch) core.Stats {
-			dists := sc.Float64(0, nr)
-			for j, o := range ords {
-				dists[j] = c.ker.ToDistance(o)
-			}
-			sel := sc.Heap(1, kk)
-			for j, d := range dists {
-				sel.Push(j, d)
-			}
-			best, _ := sel.Best()
-			gamma1 := best.Dist
-			gammaK := math.Inf(1)
-			if w, full := sel.Worst(); full && k <= nr {
-				gammaK = w
-			}
-			h := par.NewKHeap(k)
-			for j := range ords {
-				h.Push(c.repIDs[j], ords[j])
-			}
-			heaps[qi] = h
-			bounds[qi], _ = h.Worst()
-			surv := survAll[qi*nr : (qi+1)*nr]
-			survD := distAll[qi*nr : (qi+1)*nr]
-			cnt := 0
-			for j := 0; j < nr; j++ {
-				if core.PrunedByPsi(dists[j], gammaK, c.radii[j]) ||
-					core.PrunedByTriple(dists[j], gamma1, gammaK) {
-					continue
-				}
-				surv[cnt] = j
-				survD[cnt] = dists[j]
-				cnt++
-			}
-			survN[qi] = cnt
-			return core.Stats{RepEvals: int64(nr)}
+	st := core.Route(c.ker, queries, c.repData, c.repIDs, c.radii, k, heaps,
+		func(qi, j int, d float64) {
+			t := qi*nr + survN[qi]
+			survAll[t], distAll[t] = j, d
+			survN[qi]++
 		})
 	met.RepEvals += st.RepEvals
 	met.Evals += st.RepEvals
 	batches := make([]shardBatch, len(c.segCounts))
 	for i := 0; i < nq; i++ {
+		bounds[i], _ = heaps[i].Worst()
 		base := i * nr
 		for si := 0; si < survN[i]; si++ {
 			j := survAll[base+si]

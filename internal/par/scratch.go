@@ -12,17 +12,19 @@ import "sync"
 // contents (the backing array is reused). Within internal/core and the
 // distributed shard scan built on it, the slot ownership convention is:
 //
-//   - float64 0, 1, 2 and 5 belong to the per-query pruning step: 0
-//     holds the phase-1 orderings when a single query computes its own,
-//     1 the representative distances, 2 the home probe's orderings, 5
-//     the list-scan block that doubles as the buffer-scan cell;
+//   - float64 0, 2 and 5 belong to the per-query pruning step: 0 holds
+//     the phase-1 orderings when a single query computes its own, 2 the
+//     home probe's orderings, 5 the list-scan block that doubles as the
+//     buffer-scan cell; float64 1 and 6 are unused (the pruner converts
+//     only the representatives it keeps, one at a time);
 //   - float64 3 and 4 belong to the batched front half
-//     (core.tileFrontHalf: rows, kernel tile); float64 6 is unused;
+//     (core.tileFrontHalf: rows, kernel tile);
 //   - float64 7 is time-shared within one query tile: the pruner uses it
-//     for the live-γ buffer, and core.ScanGrouped — which only runs once
-//     every query of the tile has been pruned — re-carves it for its
-//     kernel tile, along with float32 slot 0 and int slots 2–3 for its
-//     block bookkeeping;
+//     for the converted phase-1 row of a kernel whose orderings have no
+//     finite bound, and core.ScanGrouped — which only runs once every
+//     query of the tile has been pruned — re-carves it for its kernel
+//     tile, along with float32 slot 0 and int slots 2–3 for its block
+//     bookkeeping;
 //   - int slot 0 holds a back half's kept (query, list, lo, hi)
 //     quadruples, and core.ScanGrouped owns int slots 1, 4 and 5 (taker
 //     windows, per-list taker counts, taker ids);

@@ -45,41 +45,81 @@ import (
 // equivalenceCorpus is the checked-in fuzz seed corpus. `go test` runs
 // every entry deterministically (both through the corpus test below and
 // as FuzzSearchEquivalence's seed inputs), so CI fails reproducibly on
-// any regression. Selectors map onto dims {1,3,17,64}, n {0,1,37,1000}
-// and k {1,3,n+5}.
+// any regression. Selectors map onto dims {1,3,17,64}, n {0,1,37,1000},
+// k {1,3,n+5}, the metrics of equivalenceMetrics and the grid steps of
+// equivalenceSteps.
 var equivalenceCorpus = []struct {
-	seed               int64
-	dimSel, nSel, kSel uint8
+	seed                                   int64
+	dimSel, nSel, kSel, metricSel, stepSel uint8
 }{
-	{1, 0, 0, 0},
-	{2, 1, 1, 1},
-	{3, 2, 2, 2},
-	{4, 3, 3, 0},
-	{5, 3, 2, 1},
-	{6, 2, 3, 2},
-	{7, 1, 2, 0},
-	{8, 0, 3, 1},
-	{9, 2, 2, 0},
-	{10, 3, 1, 2},
-	{11, 0, 2, 2},
-	{12, 1, 3, 1},
-	{13, 2, 0, 1},
-	{14, 3, 2, 2},
+	{1, 0, 0, 0, 0, 0},
+	{2, 1, 1, 1, 0, 0},
+	{3, 2, 2, 2, 0, 0},
+	{4, 3, 3, 0, 0, 0},
+	{5, 3, 2, 1, 0, 0},
+	{6, 2, 3, 2, 0, 0},
+	{7, 1, 2, 0, 0, 0},
+	{8, 0, 3, 1, 0, 0},
+	{9, 2, 2, 0, 0, 0},
+	{10, 3, 1, 2, 0, 0},
+	{11, 0, 2, 2, 0, 0},
+	{12, 1, 3, 1, 0, 0},
+	{13, 2, 0, 1, 0, 0},
+	{14, 3, 2, 2, 0, 0},
 	// Seeds 15–20 re-cover the selector grid for the cluster checks.
-	{15, 0, 2, 1},
-	{16, 1, 2, 2},
-	{17, 2, 3, 0},
-	{18, 3, 3, 2},
-	{19, 2, 2, 1},
-	{20, 1, 1, 0},
+	{15, 0, 2, 1, 0, 0},
+	{16, 1, 2, 2, 0, 0},
+	{17, 2, 3, 0, 0, 0},
+	{18, 3, 3, 2, 0, 0},
+	{19, 2, 2, 1, 0, 0},
+	{20, 1, 1, 0, 0, 0},
+	// Seeds 21–40 run every metric at both grid steps, at k = 1 and
+	// k = 3. The fine step puts every distance below 1, where a
+	// Euclidean-only ordering prefilter (o > t·t) answers the other
+	// metrics wrongly.
+	{21, 2, 3, 0, 0, 1},
+	{22, 1, 2, 1, 0, 1},
+	{23, 2, 3, 0, 1, 0},
+	{24, 1, 2, 1, 1, 0},
+	{25, 2, 3, 0, 1, 1},
+	{26, 3, 2, 1, 1, 1},
+	{27, 2, 3, 0, 2, 0},
+	{28, 1, 2, 1, 2, 0},
+	{29, 2, 3, 0, 2, 1},
+	{30, 3, 2, 1, 2, 1},
+	{31, 2, 3, 0, 3, 0},
+	{32, 1, 2, 1, 3, 0},
+	{33, 2, 3, 0, 3, 1},
+	{34, 3, 2, 1, 3, 1},
+	{35, 2, 3, 0, 4, 0},
+	{36, 1, 2, 1, 4, 0},
+	{37, 2, 3, 0, 4, 1},
+	{38, 3, 2, 1, 4, 1},
+	{39, 1, 3, 1, 1, 1},
+	{40, 3, 3, 0, 3, 1},
+}
+
+// equivalenceMetrics are the metrics the corpus selects from: the
+// squared-ordering Euclidean, three identity orderings and one
+// math.Pow-based ordering.
+var equivalenceMetrics = []metric.Metric[[]float32]{
+	metric.Euclidean{}, metric.Manhattan{}, metric.Chebyshev{}, metric.NewMinkowski(3), metric.Angular{},
+}
+
+// equivalenceSteps are the grid steps the corpus selects from. Both are
+// powers of two, so scaling keeps every tie of the half-integer grid.
+var equivalenceSteps = []float32{0.5, 1.0 / 128}
+
+func equivalenceMetric(sel uint8) metric.Metric[[]float32] {
+	return equivalenceMetrics[int(sel)%len(equivalenceMetrics)]
 }
 
 func FuzzSearchEquivalence(f *testing.F) {
 	for _, c := range equivalenceCorpus {
-		f.Add(c.seed, c.dimSel, c.nSel, c.kSel)
+		f.Add(c.seed, c.dimSel, c.nSel, c.kSel, c.metricSel, c.stepSel)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
-		checkEquivalence(t, seed, dimSel, nSel, kSel)
+	f.Fuzz(func(t *testing.T, seed int64, dimSel, nSel, kSel, metricSel, stepSel uint8) {
+		checkEquivalence(t, seed, dimSel, nSel, kSel, metricSel, stepSel)
 	})
 }
 
@@ -88,16 +128,31 @@ func FuzzSearchEquivalence(f *testing.F) {
 func TestSearchEquivalenceCorpus(t *testing.T) {
 	for _, c := range equivalenceCorpus {
 		c := c
-		t.Run(fmt.Sprintf("seed=%d/dim=%d/n=%d/k=%d", c.seed, c.dimSel, c.nSel, c.kSel), func(t *testing.T) {
-			checkEquivalence(t, c.seed, c.dimSel, c.nSel, c.kSel)
+		t.Run(equivalenceName(c.seed, c.dimSel, c.nSel, c.kSel, c.metricSel, c.stepSel), func(t *testing.T) {
+			checkEquivalence(t, c.seed, c.dimSel, c.nSel, c.kSel, c.metricSel, c.stepSel)
 		})
 	}
+}
+
+// equivalenceName names a corpus entry's subtest. Entries on the
+// original Euclidean half-integer grid keep their original names.
+func equivalenceName(seed int64, dimSel, nSel, kSel, metricSel, stepSel uint8) string {
+	name := fmt.Sprintf("seed=%d/dim=%d/n=%d/k=%d", seed, dimSel, nSel, kSel)
+	if metricSel != 0 || stepSel != 0 {
+		name += fmt.Sprintf("/%s/step=%g", equivalenceMetric(metricSel).Name(), equivalenceSteps[int(stepSel)%len(equivalenceSteps)])
+	}
+	return name
 }
 
 // tieRich builds a dataset on a coarse half-integer grid with ~20%
 // duplicated rows, so equal distances (and equal coordinates) are the
 // norm rather than the exception.
 func tieRich(rng *rand.Rand, n, dim int) *vec.Dataset {
+	return tieRichStep(rng, n, dim, 0.5)
+}
+
+// tieRichStep is tieRich on a grid of the given step.
+func tieRichStep(rng *rand.Rand, n, dim int, step float32) *vec.Dataset {
 	d := vec.New(dim, n)
 	row := make([]float32, dim)
 	for i := 0; i < n; i++ {
@@ -106,7 +161,7 @@ func tieRich(rng *rand.Rand, n, dim int) *vec.Dataset {
 			continue
 		}
 		for j := range row {
-			row[j] = float32(rng.Intn(17)-8) * 0.5
+			row[j] = float32(rng.Intn(17)-8) * step
 		}
 		d.Append(row)
 	}
@@ -115,13 +170,14 @@ func tieRich(rng *rand.Rand, n, dim int) *vec.Dataset {
 
 // equivalenceInputs materializes one corpus entry: the tie-rich database,
 // its query block and k.
-func equivalenceInputs(seed int64, dimSel, nSel, kSel uint8) (db, queries *vec.Dataset, k int) {
+func equivalenceInputs(seed int64, dimSel, nSel, kSel, stepSel uint8) (db, queries *vec.Dataset, k int) {
 	dim := []int{1, 3, 17, 64}[int(dimSel)%4]
 	n := []int{0, 1, 37, 1000}[int(nSel)%4]
 	k = [3]int{1, 3, n + 5}[int(kSel)%3]
+	step := equivalenceSteps[int(stepSel)%len(equivalenceSteps)]
 	rng := rand.New(rand.NewSource(seed))
-	db = tieRich(rng, n, dim)
-	queries = tieRich(rng, 12, dim)
+	db = tieRichStep(rng, n, dim, step)
+	queries = tieRichStep(rng, 12, dim, step)
 	if n > 0 {
 		// Plant exact self-queries: zero distances stress tie handling.
 		copy(queries.Row(0), db.Row(rng.Intn(n)))
@@ -130,10 +186,11 @@ func equivalenceInputs(seed int64, dimSel, nSel, kSel uint8) (db, queries *vec.D
 	return db, queries, k
 }
 
-func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
-	db, queries, k := equivalenceInputs(seed, dimSel, nSel, kSel)
+func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel, metricSel, stepSel uint8) {
+	db, queries, k := equivalenceInputs(seed, dimSel, nSel, kSel, stepSel)
 	n, nq := db.N(), queries.N()
-	m := metric.Euclidean{}
+	m := equivalenceMetric(metricSel)
+	_, euclid := m.(metric.Euclidean)
 
 	want := make([][]par.Neighbor, nq)
 	for i := 0; i < nq; i++ {
@@ -143,9 +200,12 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 	// The quantized two-pass scan rescores survivors with the exact
 	// kernel, so its reported distances are bit-true against the
 	// reference at every rank; ids fall under the ordering-tie rule.
-	quant := bruteforce.SearchKQuantized(queries, db, k, m, nil)
-	for i := 0; i < nq; i++ {
-		assertOrderingTie(t, fmt.Sprintf("quantized two-pass query %d vs reference", i), quant[i], want[i], queries.Row(i), db, m)
+	// The scan's codes are Euclidean-only.
+	if euclid {
+		quant := bruteforce.SearchKQuantized(queries, db, k, m, nil)
+		for i := 0; i < nq; i++ {
+			assertOrderingTie(t, fmt.Sprintf("quantized two-pass query %d vs reference", i), quant[i], want[i], queries.Row(i), db, m)
+		}
 	}
 
 	// Assemble backends. Index builds reject empty databases — that IS
@@ -188,6 +248,23 @@ func checkEquivalence(t *testing.T, seed int64, dimSel, nSel, kSel uint8) {
 	for i := 0; i < nq; i++ {
 		assertTieEquivalent(t, fmt.Sprintf("covertree query %d vs reference", i), treeBatch[i], want[i])
 		assertBitEqual(t, fmt.Sprintf("covertree query %d batch vs per-query", i), treeBatch[i], tree.knn(queries.Row(i)))
+	}
+
+	// Exact range search must return brute force's hits bit for bit, at
+	// an eps on a neighbour's distance so the inclusive boundary and its
+	// ties are on the path, and RangeBatch must match Range.
+	if n > 0 {
+		eps := make([]float64, nq)
+		for i := range eps {
+			eps[i] = want[i][len(want[i])-1].Dist
+		}
+		for i := 0; i < nq; i++ {
+			got, _ := exactIdx.Range(queries.Row(i), eps[i])
+			ref := bruteforce.RangeSearch(queries.Row(i), db, eps[i], m, nil)
+			assertBitEqual(t, fmt.Sprintf("exact range query %d (eps %v) vs reference", i, eps[i]), got, ref)
+			block, _ := exactIdx.RangeBatch(vec.FromFlat(queries.Row(i), db.Dim), eps[i])
+			assertBitEqual(t, fmt.Sprintf("exact range query %d batch vs per-query", i), block[0], got)
+		}
 	}
 
 	// The distributed cluster must match the single-node exact index

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/vec"
@@ -13,8 +12,8 @@ import (
 func ForEachEquivalenceInput(t *testing.T, fn func(t *testing.T, db, queries *vec.Dataset, k int)) {
 	for _, c := range equivalenceCorpus {
 		c := c
-		t.Run(fmt.Sprintf("seed=%d/dim=%d/n=%d/k=%d", c.seed, c.dimSel, c.nSel, c.kSel), func(t *testing.T) {
-			db, queries, k := equivalenceInputs(c.seed, c.dimSel, c.nSel, c.kSel)
+		t.Run(equivalenceName(c.seed, c.dimSel, c.nSel, c.kSel, c.metricSel, c.stepSel), func(t *testing.T) {
+			db, queries, k := equivalenceInputs(c.seed, c.dimSel, c.nSel, c.kSel, c.stepSel)
 			fn(t, db, queries, k)
 		})
 	}

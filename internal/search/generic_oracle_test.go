@@ -28,28 +28,32 @@ import (
 //   - Exact evaluates every representative once, in phase 1, so
 //     RepEvals is |R| per query on both sides.
 //   - Owners are chosen in ordering space by Exact and in distance space
-//     by GenericExact. Two representatives at distinct squared distances
-//     whose square roots round to the same float64 would be a tie only
-//     for the generic side; neither corpus produces one (lattice squares
-//     are small multiples of 1/4, and the off-lattice seeds are fixed).
+//     by GenericExact. Two representatives at distinct orderings whose
+//     distances round to the same float64 would be a tie only for the
+//     generic side; neither corpus produces one (lattice orderings are
+//     small multiples of a power of two, and the off-lattice seeds are
+//     fixed). Exact's own pruning handles such ties in phase 1: its home
+//     is the first representative at the smallest distance.
 
 // FuzzGenericOracle shares the equivalence corpus: same seeds, same
-// dim/n selectors (the k selector is unused — k ∈ {1, 10} always run).
+// dim/n/metric/step selectors (the k selector is unused — k ∈ {1, 10}
+// always run).
 func FuzzGenericOracle(f *testing.F) {
 	for _, c := range equivalenceCorpus {
-		f.Add(c.seed, c.dimSel, c.nSel)
+		f.Add(c.seed, c.dimSel, c.nSel, c.metricSel, c.stepSel)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, dimSel, nSel uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, dimSel, nSel, metricSel, stepSel uint8) {
 		dim := []int{1, 3, 17, 64}[int(dimSel)%4]
 		n := []int{0, 1, 37, 1000}[int(nSel)%4]
 		if n == 0 {
 			return // index builds reject empty databases
 		}
+		step := equivalenceSteps[int(stepSel)%len(equivalenceSteps)]
 		rng := rand.New(rand.NewSource(seed))
-		db := tieRich(rng, n, dim)
-		queries := tieRich(rng, 12, dim)
+		db := tieRichStep(rng, n, dim, step)
+		queries := tieRichStep(rng, 12, dim, step)
 		copy(queries.Row(0), db.Row(rng.Intn(n)))
-		checkGenericOracle(t, seed, db, queries)
+		checkGenericOracle(t, seed, equivalenceMetric(metricSel), db, queries)
 	})
 }
 
@@ -76,17 +80,15 @@ func TestGenericOracleOffLattice(t *testing.T) {
 			}
 			db, queries := gauss(c.n), gauss(12)
 			copy(queries.Row(0), db.Row(rng.Intn(c.n)))
-			checkGenericOracle(t, c.seed, db, queries)
+			checkGenericOracle(t, c.seed, metric.Euclidean{}, db, queries)
 		})
 	}
 }
 
 // checkGenericOracle compares core.Exact against core.GenericExact, both
-// built with Euclidean over the same rows, on every query path,
-// k ∈ {1, 10}.
-func checkGenericOracle(t *testing.T, seed int64, db, queries *vec.Dataset) {
+// built with m over the same rows, on every query path, k ∈ {1, 10}.
+func checkGenericOracle(t *testing.T, seed int64, m metric.Metric[[]float32], db, queries *vec.Dataset) {
 	t.Helper()
-	m := metric.Euclidean{}
 	nq := queries.N()
 	prm := core.ExactParams{Seed: seed}
 	idx, err := core.BuildExact(db, m, prm)

@@ -258,7 +258,7 @@ func recoverLog(f *os.File, apply func(Record) error) (ReplayStats, int64, error
 	if _, err := f.Seek(headerSize, io.SeekStart); err != nil {
 		return st, 0, err
 	}
-	off, records, err := scan(io.LimitReader(f, size-headerSize), apply)
+	off, records, err := scan(io.LimitReader(f, size-headerSize), size-headerSize, apply)
 	if err != nil {
 		return st, 0, err
 	}
@@ -276,11 +276,14 @@ func recoverLog(f *os.File, apply func(Record) error) (ReplayStats, int64, error
 	return st, good, nil
 }
 
-// scan reads frames from r (positioned after the header), calling apply
-// for each valid record, and stops at the first torn or corrupt frame.
-// It returns the byte length of the valid prefix and the record count.
-// Only an apply error propagates; framing damage just ends the scan.
-func scan(r io.Reader, apply func(Record) error) (int64, int, error) {
+// scan reads frames from r (positioned after the header), which holds
+// remain bytes, calling apply for each valid record, and stops at the
+// first torn or corrupt frame. It returns the byte length of the valid
+// prefix and the record count. Only an apply error propagates; framing
+// damage just ends the scan. A length field past the bytes left is a torn
+// tail, told before anything is allocated for the payload, so a damaged
+// header costs no more memory than the file holds.
+func scan(r io.Reader, remain int64, apply func(Record) error) (int64, int, error) {
 	var (
 		off     int64
 		records int
@@ -295,6 +298,9 @@ func scan(r io.Reader, apply func(Record) error) (int64, int, error) {
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
 		if plen == 0 || plen > maxRecordBytes {
 			return off, records, nil // corrupt length field
+		}
+		if int64(plen) > remain-off-frameHead {
+			return off, records, nil // torn payload: the file ends first
 		}
 		if cap(payload) < int(plen) {
 			payload = make([]byte, plen)
@@ -373,7 +379,7 @@ func ReadRecords(path string) ([]Record, ReplayStats, error) {
 		return nil, st, err
 	}
 	var recs []Record
-	off, n, err := scan(f, func(r Record) error { recs = append(recs, r); return nil })
+	off, n, err := scan(f, info.Size()-headerSize, func(r Record) error { recs = append(recs, r); return nil })
 	if err != nil {
 		return nil, st, err
 	}
