@@ -5,34 +5,21 @@ import (
 	"repro/internal/vec"
 )
 
-// This file holds the fully batched (grouped) back half of Exact batch
-// search. A per-query back half behind rowFrontHalf batches only
-// phase 1 — the BF(Q,R) representative scan — and then runs each query's
-// list scans alone through the row kernel. For a query *block*, that
-// leaves the dominant phase-2 work on the slowest path. The grouped back
-// half instead decides, per query of a tile, which (list, window) pairs
-// to scan, and hands the whole tile's decisions to ScanGrouped
-// (groupedscan.go), which inverts them into per-list taker sets and scans
-// each list once for all of its takers — phase 2 becomes a sequence of
-// small BF(Q', L) matrix-matrix calls, one per surviving list, instead of
-// per-query matrix-vector sweeps. OneShot has no grouped back half: each
-// query scans one list, which rarely has a second taker in a tile.
+// batchGrouped is Exact's block back half, for pristine and mutated
+// indexes alike: after the exact-grade front half it runs Exact.one's
+// pruner per query of a tile (so decisions, seeds, home probes and
+// counters are the per-query path's by construction), hands the tile's
+// kept windows to ScanGrouped, which scans each list once for all of its
+// takers as small BF(Q', L) matrix-matrix calls, then each query's kept
+// buffers to scanBuffers (its window half-width waits in sc's float64
+// slot 6).
 //
-// Correctness: per query, the candidates pushed are exactly those the
-// per-query path pushes (each taker only admits positions inside its own
-// window, representatives stay excluded), evaluated with the same
-// per-pair arithmetic (the exact-mode Tile is bit-identical to Ordering),
-// and the candidate heaps are insertion-order independent. Results are
-// therefore bit-identical to the per-query path.
-
-// batchGrouped runs the grouped two-phase batch search for Exact: the
-// exact-grade front half, the same per-query pruner as Exact.one (so
-// decisions, seeds, home probes and counters are the per-query path's by
-// construction), then one grouped scan per query tile on the same kernel.
-// The emit admits candidates at the heap bound exactly as Exact.one does.
-// It requires a pristine index: dynamic state (tombstones, insertion
-// buffers) takes the per-query back half, which knows how to consult it.
-func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap)) Stats {
+// Per query, the candidates pushed are exactly Exact.one's: the emit
+// admits only the taker's own window, at the heap bound, skipping
+// representatives and tombstones as scanRun does; the exact-mode Tile is
+// bit-identical to Ordering; and the heaps are insertion-order
+// independent. Answers (into out) and Stats therefore equal per-query KNN's.
+func (e *Exact) batchGrouped(queries *vec.Dataset, k int, out [][]par.Neighbor) Stats {
 	nr := e.NumReps()
 	dim := e.db.Dim
 	return tileFrontHalf(e.ker, queries, e.repData,
@@ -42,8 +29,9 @@ func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *pa
 			qflat := queries.Data[q0*dim : q1*dim]
 			heaps := sc.HeapSlab(bq, k)
 			kept := sc.Ints(0, 4*bq*(nr+1))[:0]
+			ws := sc.Float64(6, bq)
 			for i := 0; i < bq; i++ {
-				kept, _ = e.prune(qflat[i*dim:(i+1)*dim], rows[i*nr:(i+1)*nr], i, k, heaps[i], sc, &st, kept)
+				kept, ws[i] = e.prune(qflat[i*dim:(i+1)*dim], rows[i*nr:(i+1)*nr], i, k, heaps[i], sc, &st, kept)
 			}
 			st.PointEvals += ScanGrouped(e.ker, qflat, dim, e.gather, nr, kept, sc,
 				func(i, lo int, ords []float64) {
@@ -53,13 +41,24 @@ func (e *Exact) batchGrouped(queries *vec.Dataset, k int, sink func(i int, h *pa
 						if o > bound {
 							continue
 						}
-						if id := int(e.ids[lo+t]); !e.isRep[id] && h.Push(id, o) {
+						if id := int(e.ids[lo+t]); !e.isRep[id] && !e.isDeleted(id) && h.Push(id, o) {
 							bound, _ = h.Worst()
 						}
 					}
 				})
+			if e.Buffered() > 0 {
+				// kept is grouped by ascending query: [a, b) is query i's run.
+				for a := 0; a < len(kept); {
+					i, b := kept[a], a+4
+					for b < len(kept) && kept[b] == i {
+						b += 4
+					}
+					st.PointEvals += e.scanBuffers(qflat[i*dim:(i+1)*dim], rows[i*nr:(i+1)*nr], kept[a:b], ws[i], heaps[i], sc.Float64(5, 1))
+					a = b
+				}
+			}
 			for i, h := range heaps {
-				sink(q0+i, h)
+				out[q0+i] = e.finish(h)
 			}
 			return st
 		})

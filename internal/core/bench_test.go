@@ -105,6 +105,45 @@ func BenchmarkOneShotKNNBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkExactKNNBatch times a 128-query block at k = 1 on a pristine
+// index and after one Delete: of a point that is not a representative
+// (the pruner then still reads no tombstone) and of a representative
+// (it does). Both mutated blocks run the same grouped back half.
+func BenchmarkExactKNNBatch(b *testing.B) {
+	db := benchDB(20000, 16)
+	queries := db.Subset(seqInts(0, 128))
+	for _, c := range []struct {
+		name   string
+		victim func(e *Exact) int // -1: no Delete
+	}{
+		{"pristine", func(*Exact) int { return -1 }},
+		{"delete-point", func(e *Exact) int {
+			id := 128
+			for e.isRep[id] {
+				id++
+			}
+			return id
+		}},
+		{"delete-rep", func(e *Exact) int { return e.RepIDs()[0] }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			idx, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if id := c.victim(idx); id >= 0 {
+				if err := idx.Delete(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx.KNNBatch(queries, 1)
+			}
+		})
+	}
+}
+
 func BenchmarkExactRange(b *testing.B) {
 	db := benchDB(20000, 16)
 	idx, err := BuildExact(db, metric.Euclidean{}, ExactParams{Seed: 1})

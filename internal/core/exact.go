@@ -106,10 +106,9 @@ type Exact struct {
 	gather  []float32 // position-aligned gathered vectors
 
 	// mut holds dynamic-update state (per-segment insertion buffers,
-	// tombstones); nil while the index is pristine. See mutate.go.
-	mut *mutableState
-	// segMerges counts per-segment buffer merges over the index lifetime;
-	// it outlives mut so the counter survives Flush/Rebuild resets.
+	// tombstones). See mutate.go.
+	mut mutableState
+	// segMerges counts per-segment buffer merges over the index lifetime.
 	segMerges int64
 }
 
@@ -151,19 +150,20 @@ func (e *Exact) listWindow(j int, d, w float64) (lo, hi int) {
 // pruner.decide (rules.go) with the home probe, appending per survivor a
 // (qi, list, lo, hi) quadruple to kept — [lo, hi) the list's admissible
 // window (listWindow; possibly empty). It returns kept and the window
-// half-width w. Exact.one scans the kept
-// windows row by row; Exact.batchGrouped hands a whole tile's quadruples
-// to ScanGrouped.
+// half-width w. Exact.one scans the kept windows row by row;
+// Exact.batchGrouped hands a whole tile's quadruples to ScanGrouped.
 //
 // The home probe scans the HomeProbe·k members of the home list whose
 // ρ(x,r) lie nearest ρ(q,r) (ProbeRun); once the heap is full its worst
 // candidate is a real answer bound that tightens γ_k. The home list's
 // window then excludes the probed run and is kept as two adjacent
-// quadruples. The probe uses sc's float64 slot 2.
+// quadruples. The probe uses sc's float64 slot 2. Until a representative
+// is tombstoned all are live, so the pruner is spared the tombstones and
+// the k = 1 selector and seeding passes they would cost.
 func (e *Exact) prune(q []float32, ords []float64, qi, k int, h *par.KHeap, sc *par.Scratch, st *Stats, kept []int) ([]int, float64) {
 	var home, pLo, pHi int
 	rules := newPruner(e.ker, e.repIDs, e.radii, e.prm)
-	if e.mut != nil && e.mut.numDeleted > 0 {
+	if e.mut.numDeadReps > 0 {
 		rules.deleted = e.mut.deleted
 	}
 	w := rules.decide(ords, k, h, sc, st,
@@ -279,6 +279,7 @@ func BuildExact(db *vec.Dataset, m metric.Metric[[]float32], prm ExactParams) (*
 		db: db, m: m, prm: prm,
 		repIDs: repIDs, repData: repData, radii: radii, isRep: isRep,
 		offsets: offsets, ids: ids, dists: dists, gather: gather,
+		mut: newMutableState(n, nr),
 	}
 	e.initKernel()
 	return e, nil
@@ -340,13 +341,16 @@ func (e *Exact) Params() ExactParams { return e.prm }
 // work performed. Fewer than k are returned only if fewer than k points
 // are live; k = 1 is the paper's 1-NN search, and an index whose every
 // row is deleted answers with an empty slice.
+// It keeps its own loop (Exact.one): as a one-query block, ScanGrouped's
+// O(n_r) inversion cost +33 % on Robot 200 k at k = 1 (3.64–3.73 →
+// 4.86–4.98 µs per query, one Xeon core).
 func (e *Exact) KNN(q []float32, k int) ([]par.Neighbor, Stats) {
 	if k <= 0 {
 		return nil, Stats{}
 	}
 	sc := par.GetScratch()
 	defer par.PutScratch(sc)
-	h, st := e.one(q, k, nil, sc)
+	h, st := e.one(q, k, sc)
 	return e.finish(h), st
 }
 
@@ -362,32 +366,24 @@ func (e *Exact) finish(h *par.KHeap) []par.Neighbor {
 	return res
 }
 
-// one runs the two-phase exact search for the k nearest neighbors,
-// returning the candidate heap (in ordering space) from sc's slot 0.
-// ordRow optionally carries the query's row of the batched BF(Q,R) front
-// half. Phase 2 scans each kept window through the row kernel (scanRun),
-// then the list's insertion buffer if the index has been mutated — once
-// per list, after the first of the home list's two quadruples.
-func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par.KHeap, Stats) {
+// one runs the two-phase exact search for one query, returning the
+// candidate heap (in ordering space) from sc's slot 0: phase 2 row-scans
+// each kept window (scanRun), then the kept lists' insertion buffers.
+func (e *Exact) one(q []float32, k int, sc *par.Scratch) (*par.KHeap, Stats) {
 	nr := e.NumReps()
 	st := Stats{RepEvals: int64(nr)}
 	// Block buffer for the list scans, doubling as the buffer-scan cell;
 	// pooled because a local array would escape through the kernel's
 	// interface dispatch.
 	scratch := sc.Float64(5, 256)
-	ords := e.phase1(q, ordRow, sc)
+	ords := e.phase1(q, nil, sc)
 	h := sc.Heap(0, k)
 	kept, w := e.prune(q, ords, 0, k, h, sc, &st, sc.Ints(0, 4*(nr+1))[:0])
 	for t := 0; t < len(kept); t += 4 {
-		j, lo, hi := kept[t+1], kept[t+2], kept[t+3]
-		st.PointEvals += e.scanRun(q, lo, hi, h, scratch)
-		if e.mut != nil && len(e.mut.bufIDs[j]) > 0 && (t == 0 || kept[t-3] != j) {
-			st.PointEvals += e.scanBuffer(q, j, e.ker.ToDistance(ords[j]), w, scratch, func(id int, dd float64) {
-				if !e.isRep[id] {
-					h.Push(id, dd)
-				}
-			})
-		}
+		st.PointEvals += e.scanRun(q, kept[t+2], kept[t+3], h, scratch)
+	}
+	if e.Buffered() > 0 {
+		st.PointEvals += e.scanBuffers(q, ords, kept, w, h, scratch)
 	}
 	return h, st
 }
@@ -395,36 +391,16 @@ func (e *Exact) one(q []float32, k int, ordRow []float64, sc *par.Scratch) (*par
 // KNNBatch is the batch-first k-NN entry point (rbc.BatchSearcher): it
 // answers a query block in parallel and returns the per-query results plus
 // aggregated stats. The whole block shares one tiled BF(Q,R) front half —
-// query tiles against representative tiles — before the pruning and list
-// scans run. Results are bit-identical to calling KNN per query.
+// query tiles against representative tiles — and each query tile one
+// grouped list scan (batchGrouped), on a pristine or mutated index alike.
+// Results are bit-identical to calling KNN per query.
 func (e *Exact) KNNBatch(queries *vec.Dataset, k int) ([][]par.Neighbor, Stats) {
 	e.checkDim(queries.Dim)
 	out := make([][]par.Neighbor, queries.N())
 	if k <= 0 {
 		return out, Stats{}
 	}
-	agg := e.batch(queries, k, func(i int, h *par.KHeap) {
-		out[i] = e.finish(h)
-	})
-	return out, agg
-}
-
-// batch answers a query block. A pristine index takes the fully grouped
-// path (batch_grouped.go): tiled BF(Q,R) front half plus per-list tiled
-// phase-2 scans shared across the block. Once dynamic state exists
-// (tombstones, insertion buffers) the block still shares the tiled front
-// half but runs the per-query back half, which knows how to consult that
-// state. Both paths are bit-identical to per-query KNN.
-func (e *Exact) batch(queries *vec.Dataset, k int, sink func(i int, h *par.KHeap)) Stats {
-	if e.mut == nil {
-		return e.batchGrouped(queries, k, sink)
-	}
-	return rowFrontHalf(e.ker, queries, e.repData,
-		func(i int, row []float64, sc *par.Scratch) Stats {
-			h, st := e.one(queries.Row(i), k, row, sc)
-			sink(i, h)
-			return st
-		})
+	return out, e.batchGrouped(queries, k, out)
 }
 
 // Range returns every database point within eps of q, sorted by ascending
@@ -494,7 +470,7 @@ func (e *Exact) rangeOne(q []float32, eps float64, ordRow []float64, sc *par.Scr
 			}
 			st.PointEvals += int64(end - blk)
 		}
-		if e.mut != nil && len(e.mut.bufIDs[j]) > 0 {
+		if len(e.mut.bufIDs[j]) > 0 {
 			st.PointEvals += e.scanBuffer(q, j, d, eps, scratch, confirm)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -210,11 +211,9 @@ func fullListEvals(e *Exact, q []float32, k int) int64 {
 			evals -= st.PointEvals // the probe run is part of the whole list
 		}
 		evals += int64(e.offsets[j+1] - e.offsets[j])
-		if e.mut != nil {
-			for _, id := range e.mut.bufIDs[j] {
-				if !e.mut.deleted[id] {
-					evals++
-				}
+		for _, id := range e.mut.bufIDs[j] {
+			if !e.mut.deleted[id] {
+				evals++
 			}
 		}
 	}
@@ -222,9 +221,11 @@ func fullListEvals(e *Exact, q []float32, k int) int64 {
 }
 
 // After arbitrary mutate bursts — buffered inserts, threshold merges,
-// tombstones — the windowed index must answer bit-identically to brute
-// force over the live rows while never evaluating more points than its
-// kept lists hold whole, per query batch.
+// tombstones, tombstoned representatives — the windowed index must answer
+// bit-identically to brute force over the live rows while never
+// evaluating more points than its kept lists hold whole, per query batch.
+// The block back half must equal per-query KNN in answers and in every
+// Stats field summed, also while insertion buffers are pending.
 func TestWindowedEvalsMonotoneAfterMutateBursts(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	db := clusteredDataset(rng, 700, 4, 8)
@@ -266,7 +267,13 @@ func TestWindowedEvalsMonotoneAfterMutateBursts(t *testing.T) {
 		liveDB := e.db.Subset(live)
 		got, st := e.KNNBatch(queries, 5)
 		var full int64
+		var perQuery Stats
 		for i := range got {
+			one, s1 := e.KNN(queries.Row(i), 5)
+			perQuery.Add(s1)
+			if !reflect.DeepEqual(one, got[i]) {
+				t.Fatalf("%s query %d: KNNBatch %v, KNN %v", label, i, got[i], one)
+			}
 			want := bruteforce.SearchOneK(queries.Row(i), liveDB, 5, m, nil)
 			if len(got[i]) != len(want) {
 				t.Fatalf("%s query %d: %d vs %d neighbors", label, i, len(got[i]), len(want))
@@ -281,11 +288,31 @@ func TestWindowedEvalsMonotoneAfterMutateBursts(t *testing.T) {
 		if st.PointEvals > full {
 			t.Fatalf("%s: windowed evals %d exceed whole-list evals %d", label, st.PointEvals, full)
 		}
+		if st != perQuery {
+			t.Fatalf("%s: KNNBatch stats %+v, per-query KNN summed %+v", label, st, perQuery)
+		}
 	}
+	buffered := false
 	for burst := 0; burst < 4; burst++ {
 		mutate(40)
+		buffered = buffered || e.Buffered() > 0
 		check(fmt.Sprintf("burst %d", burst))
 	}
+	// A burst that tombstones representatives, so the pruner reads the
+	// tombstones on both back halves.
+	for _, j := range []int{0, e.NumReps() / 2} {
+		if id := e.RepIDs()[j]; !e.isDeleted(id) {
+			if err := e.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mutate(40)
+	buffered = buffered || e.Buffered() > 0
+	if !buffered || e.mut.numDeadReps == 0 {
+		t.Fatalf("no check saw pending buffers (%v) or a tombstoned representative (%d)", buffered, e.mut.numDeadReps)
+	}
+	check("representatives tombstoned")
 	// And the same holds once everything is folded in.
 	e.Flush()
 	check("after flush")

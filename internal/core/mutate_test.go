@@ -171,7 +171,7 @@ func TestMixedMutationsAndRebuild(t *testing.T) {
 	}
 	checkExact("before rebuild")
 	e.Rebuild()
-	if e.mut != nil && e.mut.numBuffered != 0 {
+	if e.mut.numBuffered != 0 {
 		t.Fatal("rebuild left buffered inserts")
 	}
 	checkExact("after rebuild")
@@ -241,6 +241,73 @@ func TestSaveRejectsDirtyIndex(t *testing.T) {
 	e.Rebuild()
 	if err := e.Save(&buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Dirty means a tombstone or insert not yet folded in: Flush keeps a
+// tombstone in its list, Rebuild purges it, and a snapshot carries the
+// distinction through LoadExact. A tombstoned representative stays
+// unreturnable through both: its own row, queried, must not find it.
+func TestDirtyClearsAfterRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	db := randomDataset(rng, 200, 3)
+	m := metric.Euclidean{}
+	e, err := BuildExact(db, m, ExactParams{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := e.RepIDs()[0]
+	unreturned := func(label string) {
+		t.Helper()
+		for _, k := range []int{1, 3} {
+			if got, _ := e.KNN(db.Row(rep), k); got[0].ID == rep {
+				t.Fatalf("%s: k=%d returned the tombstoned representative %d", label, k, rep)
+			}
+		}
+	}
+	reload := func(label string, want bool) {
+		t.Helper()
+		unreturned(label)
+		var buf bytes.Buffer
+		if err := e.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if e, err = LoadExact(&buf, db, m); err != nil {
+			t.Fatal(err)
+		}
+		if e.Dirty() != want {
+			t.Fatalf("%s: Dirty()=%v after Save/LoadExact, want %v", label, e.Dirty(), want)
+		}
+		unreturned(label + ", reloaded")
+	}
+	for _, id := range []int{5, rep} {
+		if err := e.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Flush()
+	if !e.Dirty() {
+		t.Fatal("Flush purges no tombstone: the index must stay dirty")
+	}
+	reload("after Flush", true)
+	e.Rebuild()
+	if e.Dirty() {
+		t.Fatal("Dirty() after Rebuild purged every tombstone")
+	}
+	merges := e.SegMerges()
+	if e.Rebuild(); e.SegMerges() != merges {
+		t.Fatal("Rebuild of a clean index must leave it as it is")
+	}
+	reload("after Rebuild", false)
+	if err := e.Delete(9); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Dirty() {
+		t.Fatal("a Delete after Rebuild must make the index dirty again")
+	}
+	reload("after a second Delete", true)
+	if e.Live() != 197 {
+		t.Fatalf("Live()=%d, want 197", e.Live())
 	}
 }
 

@@ -58,15 +58,13 @@ const (
 // as the Deleted list, so deletions do not force a Rebuild before Save
 // and ids remain stable across a save/load cycle.
 func (e *Exact) Save(w io.Writer) error {
-	if e.mut != nil && e.mut.numBuffered > 0 {
+	if e.mut.numBuffered > 0 {
 		return ErrDirtyIndex
 	}
 	var deleted []int32
-	if e.mut != nil {
-		for id, gone := range e.mut.deleted {
-			if gone {
-				deleted = append(deleted, int32(id))
-			}
+	for id, gone := range e.mut.deleted {
+		if gone {
+			deleted = append(deleted, int32(id))
 		}
 	}
 	snap := exactSnapshot{
@@ -161,21 +159,25 @@ func LoadExact(r io.Reader, db *vec.Dataset, m metric.Metric[[]float32]) (*Exact
 		inList[id] = true
 		copy(gather[p*db.Dim:(p+1)*db.Dim], db.Row(int(id)))
 	}
-	var deleted []bool
-	if len(snap.Deleted) > 0 {
-		deleted = make([]bool, db.N())
-		for _, id := range snap.Deleted {
-			if int(id) < 0 || int(id) >= db.N() {
-				return nil, fmt.Errorf("%w: deleted id %d out of range", errCorrupt, id)
-			}
-			if deleted[id] {
-				return nil, fmt.Errorf("%w: id %d tombstoned twice", errCorrupt, id)
-			}
-			deleted[id] = true
+	mut := newMutableState(db.N(), len(snap.RepIDs))
+	for _, id := range snap.Deleted {
+		if int(id) < 0 || int(id) >= db.N() {
+			return nil, fmt.Errorf("%w: deleted id %d out of range", errCorrupt, id)
+		}
+		if mut.deleted[id] {
+			return nil, fmt.Errorf("%w: id %d tombstoned twice", errCorrupt, id)
+		}
+		mut.deleted[id] = true
+		mut.numDeleted++
+		if inList[id] {
+			mut.numListed++
+		}
+		if isRep[id] {
+			mut.numDeadReps++
 		}
 	}
 	for id := 0; id < db.N(); id++ {
-		if !inList[id] && (deleted == nil || !deleted[id]) {
+		if !inList[id] && !mut.deleted[id] {
 			return nil, fmt.Errorf("%w: id %d neither listed nor tombstoned", errCorrupt, id)
 		}
 	}
@@ -184,15 +186,7 @@ func LoadExact(r io.Reader, db *vec.Dataset, m metric.Metric[[]float32]) (*Exact
 		repIDs: snap.RepIDs, repData: db.Subset(snap.RepIDs),
 		radii: snap.Radii, isRep: isRep,
 		offsets: snap.Offsets, ids: snap.IDs, dists: snap.Dists,
-		gather: gather,
-	}
-	if deleted != nil {
-		e.mut = &mutableState{
-			bufIDs:     make([][]int32, len(snap.RepIDs)),
-			bufDists:   make([][]float64, len(snap.RepIDs)),
-			deleted:    deleted,
-			numDeleted: len(snap.Deleted),
-		}
+		gather: gather, mut: mut,
 	}
 	e.initKernel()
 	return e, nil

@@ -15,8 +15,10 @@ import "sync"
 //   - float64 0, 2 and 5 belong to the per-query pruning step: 0 holds
 //     the phase-1 orderings when a single query computes its own, 2 the
 //     home probe's orderings, 5 the list-scan block that doubles as the
-//     buffer-scan cell; float64 1 and 6 are unused (the pruner converts
-//     only the representatives it keeps, one at a time);
+//     buffer-scan cell; float64 6 holds a query tile's window
+//     half-widths in core's grouped back half, kept for its buffer pass;
+//     float64 1 is unused (the pruner converts only the representatives
+//     it keeps, one at a time);
 //   - float64 3 and 4 belong to the batched front half
 //     (core.tileFrontHalf: rows, kernel tile);
 //   - float64 7 is time-shared within one query tile: the pruner uses it
